@@ -25,7 +25,8 @@ from fractions import Fraction
 
 from .errors import DomainError, ParseError, QueryTypeError
 from .lottery import archimedean_regularity_witness
-from .query import evaluate, evaluate_value, parse_query, _compare_values
+from .field import MAX_NUMERAL_DIGITS, render_exact
+from .query import compare_values, evaluate, evaluate_value, parse_query
 from .spinner import FiniteGrid, SuiteConfig, finite_grid_stabilizer
 from . import suites
 
@@ -54,6 +55,10 @@ def _parse_fraction(text: str) -> Fraction:
     text = text.strip()
     if not _FRACTION_RE.fullmatch(text):
         raise DomainError(f"expected an exact rational p/q, got {text!r}")
+    if any(len(part) > MAX_NUMERAL_DIGITS
+           for part in text.lstrip("-").split("/")):
+        raise DomainError(f"a numeral has more than {MAX_NUMERAL_DIGITS} "
+                          f"digits")
     return Fraction(text)
 
 
@@ -67,11 +72,11 @@ def _cmd_eval(args) -> int:
 def _cmd_compare(args) -> int:
     a = evaluate_value(parse_query(args.left))
     b = evaluate_value(parse_query(args.right))
-    ordering, ratio, difference = _compare_values(a, b)
+    ordering, ratio, difference = compare_values(a, b)
     print(f"ordering: {ordering}")
     if ratio is not None:
-        print(f"ratio: {ratio}")
-    print(f"difference: {difference}")
+        print(f"ratio: {render_exact(ratio)}")
+    print(f"difference: {render_exact(difference)}")
     return 0
 
 

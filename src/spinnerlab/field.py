@@ -27,6 +27,7 @@ processes and never mix; combining them raises
 
 from __future__ import annotations
 
+import decimal
 import math
 import re
 from dataclasses import dataclass
@@ -331,10 +332,6 @@ class NonArchValue:
         v = self.valuation()
         return v is None or v >= 0
 
-    def is_infinitesimal(self) -> bool:
-        v = self.valuation()
-        return v is None or v >= 1
-
     def _check(self, other: "NonArchValue") -> None:
         if self.generator != other.generator:
             raise GeneratorMismatchError(
@@ -427,14 +424,6 @@ class NonArchValue:
 
     def __rtruediv__(self, other):
         return NonArchValue.constant(self.generator, other) / self
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            return NotImplemented
-        out = NonArchValue.constant(self.generator, 1)
-        for _ in range(k):
-            out = out * self
-        return out
 
     # -- order ---------------------------------------------------------------
 
@@ -547,15 +536,32 @@ def classify(a: NonArchValue) -> Classification:
 # Rendering emits terms in ascending exponent order; parse round-trips both
 # the full quotient form and the compact numerator-only form.
 
+# Input numerals are capped at Python's default int->str limit, so every
+# numeral converts; computed values can grow past it and still print.
+MAX_NUMERAL_DIGITS = 4300
+
+
+def render_exact(x) -> str:
+    """``str(x)``, exact even for integers past Python's int->str limit."""
+    try:
+        return str(x)
+    except ValueError:
+        x = Fraction(x)
+        text = str(decimal.Decimal(x.numerator))
+        if x.denominator == 1:
+            return text
+        return f"{text}/{decimal.Decimal(x.denominator)}"
+
+
 def _render_term(c: Fraction, k: int, name: str) -> str:
     if k == 0:
-        return str(c)
+        return render_exact(c)
     unit = name if k == 1 else f"{name}^{k}"
     if c == 1:
         return unit
     if c == -1:
         return f"-{unit}"
-    return f"{c}*{unit}"
+    return f"{render_exact(c)}*{unit}"
 
 
 def render_poly(p: Poly, name: str) -> str:

@@ -15,12 +15,11 @@ Sets are immutable; every operation returns a new normalized set.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, QueryTypeError
 from .report import PropertyReport
 
 RawComponent = tuple[Fraction, bool, Fraction, bool]
@@ -325,23 +324,17 @@ def format_set(a: IntervalSet) -> str:
 
 
 def parse_set(text: str) -> IntervalSet:
-    """Parse interval-set notation: "[a,b)", "(a,b]", "{p}", joined by "u"."""
-    stripped = text.strip()
-    if stripped in ("∅", "{}", "", "empty"):
+    """Parse set notation as the query language reads it: intervals "[a,b)",
+    points "{p, q}", "full", "u"/"∪", "n"/"∩", "compl(...)" and
+    "translate(..., q)"; "∅" and "empty" name the empty set."""
+    if text.strip() in ("", "∅", "empty"):
         return IntervalSet.empty()
-    raw: list[RawComponent] = []
-    for part in re.split(r"∪|(?<![A-Za-z0-9])u(?![A-Za-z0-9])", stripped):
-        part = part.strip()
-        m = re.fullmatch(r"\{\s*(\d+(?:/\d+)?)\s*\}", part)
-        if m:
-            x = Fraction(m.group(1))
-            raw.append((x, True, x, True))
-            continue
-        m = re.fullmatch(r"([\[(])\s*(\d+(?:/\d+)?)\s*,"
-                         r"\s*(\d+(?:/\d+)?)\s*([\])])", part)
-        if m:
-            raw.append((Fraction(m.group(2)), m.group(1) == "[",
-                        Fraction(m.group(3)), m.group(4) == "]"))
-            continue
-        raise ParseError(f"cannot parse interval component {part!r}")
-    return IntervalSet(raw)
+    # imported here because the query module imports this one
+    from .query import _Parser, _to_interval_set
+    parser = _Parser(text)
+    node = parser.parse_set()
+    parser.expect_end()
+    try:
+        return _to_interval_set(node, "minimal")
+    except QueryTypeError as exc:
+        raise ParseError(str(exc)) from None

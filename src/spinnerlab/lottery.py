@@ -34,6 +34,9 @@ LOTTERY_GENERATOR = Generator("delta")
 
 _OUTCOMES = ("H", "T")
 
+# 2^j for a larger drop count j is too costly to build and print
+MAX_DROPPED_PREFIX = 100_000
+
 
 @dataclass(frozen=True)
 class CoinEvent:
@@ -56,6 +59,9 @@ class CoinEvent:
              all_heads: bool = False) -> "CoinEvent":
         if dropped_prefix < 0:
             raise DomainError("dropped prefix must be nonnegative")
+        if dropped_prefix > MAX_DROPPED_PREFIX:
+            raise DomainError(f"dropped prefix must be at most "
+                              f"{MAX_DROPPED_PREFIX}")
         pins = []
         for pos, outcome in sorted((pinned or {}).items()):
             if not isinstance(pos, int) or pos < 1:
@@ -103,6 +109,8 @@ class CoinEvent:
         dropped = min(drops) if drops else 0
         return CoinEvent(dropped, tuple(sorted(pins.items())), all_heads,
                          contradictory)
+
+    __and__ = intersect
 
     def render(self) -> str:
         parts = []

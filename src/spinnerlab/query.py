@@ -19,7 +19,8 @@ Grammar (ASCII aliases next to the set symbols):
     rational := ["-"] nat ["/" nat]
 
 A brace item is resolved against the selected model: a rational point for
-the interval models, a {0,2}-address for the cantor model.  Parse errors
+the interval models, a {0,2}-address for the cantor model.  A run of
+digits (a numeral or an address) holds at most 4300 of them.  Parse errors
 carry the offending position and the expected tokens; vocabulary
 mismatches (a cylinder set under the grid model, set union of coin
 events, ...) raise :class:`QueryTypeError` during evaluation.
@@ -30,17 +31,17 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Union
 
-from . import cantor as cantor_mod
-from . import lottery as lottery_mod
-from . import spinner as spinner_mod
-from .cantor import CantorEvent, CantorModel
+from .cantor import CantorEvent, CantorModel, cantor_probability
 from .errors import DomainError, ParseError, QueryTypeError
-from .field import Classification, Kind, NonArchValue, Ordering, Sign
+from .field import (MAX_NUMERAL_DIGITS, Classification, Kind, NonArchValue,
+                    Ordering, Sign, render_exact)
 from .intervals import IntervalSet, lebesgue_length
-from .lottery import CoinEvent, LotteryModel, coinflip_probability
-from .spinner import GridModel
+from .lottery import (CoinEvent, LotteryModel, coinflip_probability,
+                      lottery_ticket_probability)
+from .spinner import GridModel, grid_probability
 
 MODELS = ("minimal", "grid", "cantor", "coinflip", "lottery")
 
@@ -151,6 +152,10 @@ def _tokenize(text: str):
             raise ParseError(f"syntax error at position {where}: "
                              f"unexpected character {bad!r}", position=where)
         if m.group("num") is not None:
+            if len(m.group("num")) > MAX_NUMERAL_DIGITS:
+                raise ParseError(f"numeral at position {m.start('num')} has "
+                                 f"more than {MAX_NUMERAL_DIGITS} digits",
+                                 position=m.start("num"))
             tokens.append(("num", m.group("num"), m.start("num")))
         elif m.group("name") is not None:
             name = m.group("name")
@@ -165,9 +170,11 @@ def _tokenize(text: str):
     return tokens
 
 
+_WRAPPERS = {"st": St, "classify": ClassifyExpr, "compare": CompareExpr}
+
+
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
@@ -176,11 +183,6 @@ class _Parser:
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def advance(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
 
     def fail(self, expected: str):
         tok = self.peek()
@@ -212,6 +214,12 @@ class _Parser:
         self.pos += 1
         return tok[1]
 
+    def expect_end(self):
+        tok = self.peek()
+        if tok is not None:
+            raise ParseError(f"syntax error at position {tok[2]}: "
+                             f"trailing input {tok[1]!r}", position=tok[2])
+
     def expect_nat(self) -> int:
         tok = self.peek()
         if tok is None or tok[0] != "num":
@@ -233,36 +241,22 @@ class _Parser:
         model = tok[1]
         self.expect_op(":")
         expr = self.parse_expr()
-        tok = self.peek()
-        if tok is not None:
-            raise ParseError(f"syntax error at position {tok[2]}: "
-                             f"trailing input {tok[1]!r}", position=tok[2])
+        self.expect_end()
         return Query(model, expr)
 
     def parse_expr(self):
         tok = self.peek()
-        if tok is not None and tok[0] == "name":
-            if tok[1] == "st":
-                self.pos += 1
-                self.expect_op("(")
-                p = self.parse_prob()
-                self.expect_op(")")
-                return St(p)
-            if tok[1] == "classify":
-                self.pos += 1
-                self.expect_op("(")
-                p = self.parse_prob()
-                self.expect_op(")")
-                return ClassifyExpr(p)
-            if tok[1] == "compare":
-                self.pos += 1
-                self.expect_op("(")
-                a = self.parse_prob()
-                self.expect_op(",")
-                b = self.parse_prob()
-                self.expect_op(")")
-                return CompareExpr(a, b)
-        return self.parse_prob()
+        wrap = _WRAPPERS.get(tok[1]) if tok and tok[0] == "name" else None
+        if wrap is None:
+            return self.parse_prob()
+        self.pos += 1
+        self.expect_op("(")
+        probs = [self.parse_prob()]
+        if wrap is CompareExpr:
+            self.expect_op(",")
+            probs.append(self.parse_prob())
+        self.expect_op(")")
+        return wrap(*probs)
 
     def parse_prob(self) -> Prob:
         self.expect_name("P")
@@ -550,48 +544,40 @@ def _to_ticket_count(node: SetNode) -> int:
 Value = Union[Fraction, NonArchValue]
 
 
+# model -> (event builder, probability, DomainError message for a condition
+# of probability 0, or None where the model has no conditional queries)
+_RULES = {
+    "minimal": (partial(_to_interval_set, model="minimal"), lebesgue_length,
+                "conditioning on a null event: the minimal model assigns it "
+                "measure 0, so the conditional is undefined here"),
+    "grid": (partial(_to_interval_set, model="grid"),
+             partial(grid_probability, GridModel()),
+             "conditioning on the empty event"),
+    "cantor": (_to_cantor_event, partial(cantor_probability, CantorModel()),
+               "conditioning on the empty event"),
+    "coinflip": (_to_coin_event, coinflip_probability,
+                 "conditioning on an inconsistent coin event"),
+    "lottery": (_to_ticket_count,
+                partial(lottery_ticket_probability, LotteryModel()), None),
+}
+
+
 def _eval_prob(p: Prob, model: str) -> Value:
-    if model == "minimal":
-        event = _to_interval_set(p.event, model)
-        if p.given is None:
-            return lebesgue_length(event)
-        given = _to_interval_set(p.given, model)
-        denom = lebesgue_length(given)
-        if denom == 0:
-            raise DomainError(
-                "conditioning on a null event: the minimal model assigns "
-                "it measure 0, so the conditional is undefined here")
-        return lebesgue_length(event & given) / denom
-    if model == "grid":
-        grid = GridModel()
-        event = _to_interval_set(p.event, model)
-        if p.given is None:
-            return spinner_mod.grid_probability(grid, event)
-        return spinner_mod.conditional_probability(
-            grid, event, _to_interval_set(p.given, model))
-    if model == "cantor":
-        cm = CantorModel()
-        event = _to_cantor_event(p.event)
-        if p.given is None:
-            return cantor_mod.cantor_probability(cm, event)
-        return cantor_mod.conditional_probability(
-            cm, event, _to_cantor_event(p.given))
-    if model == "coinflip":
-        event = _to_coin_event(p.event)
-        if p.given is None:
-            return coinflip_probability(event)
-        given = _to_coin_event(p.given)
-        pg = coinflip_probability(given)
-        if pg.is_zero():
-            raise DomainError("conditioning on an inconsistent coin event")
-        return coinflip_probability(event.intersect(given)) / pg
-    if model == "lottery":
-        if p.given is not None:
-            raise QueryTypeError("conditional queries are not defined for "
-                                 "ticket blocks")
-        return lottery_mod.lottery_ticket_probability(
-            LotteryModel(), _to_ticket_count(p.event))
-    raise QueryTypeError(f"unknown model {model!r}")
+    """P(A), or P(A | B) = P(A & B) / P(B) for P(B) > 0."""
+    if model not in _RULES:
+        raise QueryTypeError(f"unknown model {model!r}")
+    build, probability, null_condition = _RULES[model]
+    if p.given is not None and null_condition is None:
+        raise QueryTypeError("conditional queries are not defined for "
+                             "ticket blocks")
+    event = build(p.event)
+    if p.given is None:
+        return probability(event)
+    given = build(p.given)
+    pg = probability(given)
+    if pg == 0:
+        raise DomainError(null_condition)
+    return probability(event & given) / pg
 
 
 def _classify_rational(r: Fraction) -> Classification:
@@ -599,10 +585,6 @@ def _classify_rational(r: Fraction) -> Classification:
         return Classification(Kind.INFINITESIMAL, Sign.ZERO)
     sign = Sign.POSITIVE if r > 0 else Sign.NEGATIVE
     return Classification(Kind.LIMITED, sign)
-
-
-def _value_text(v: Value) -> str:
-    return str(v)
 
 
 def _value_st(v: Value) -> Fraction:
@@ -613,7 +595,7 @@ def _value_classification(v: Value) -> Classification:
     return _classify_rational(v) if isinstance(v, Fraction) else v.classify()
 
 
-def _compare_values(a: Value, b: Value) -> tuple[Ordering, "Value | None",
+def compare_values(a: Value, b: Value) -> tuple[Ordering, "Value | None",
                                                  Value]:
     """Ordering plus exact ratio (None against zero) and difference."""
     if isinstance(a, Fraction) and isinstance(b, Fraction):
@@ -649,26 +631,21 @@ class EvalResult:
 def evaluate(q: Query) -> EvalResult:
     """Evaluate a parsed query; deterministic and exact."""
     expr = q.expr
-    if isinstance(expr, Prob):
-        v = _eval_prob(expr, q.model)
-        st = _value_st(v)
-        return EvalResult(_value_text(v), str(st),
+    if isinstance(expr, (Prob, St)):
+        v = evaluate_value(q)
+        return EvalResult(render_exact(v), render_exact(_value_st(v)),
                           _value_classification(v).render())
-    if isinstance(expr, St):
-        v = _eval_prob(expr.prob, q.model)
-        st = _value_st(v)
-        return EvalResult(str(st), str(st),
-                          _classify_rational(st).render())
     if isinstance(expr, ClassifyExpr):
         v = _eval_prob(expr.prob, q.model)
         return EvalResult(_value_classification(v).render())
     if isinstance(expr, CompareExpr):
         a = _eval_prob(expr.left, q.model)
         b = _eval_prob(expr.right, q.model)
-        ordering, ratio, difference = _compare_values(a, b)
+        ordering, ratio, difference = compare_values(a, b)
         if ratio is not None:
-            return EvalResult(f"{ordering} (ratio {ratio})")
-        return EvalResult(f"{ordering} (difference {difference})")
+            return EvalResult(f"{ordering} (ratio {render_exact(ratio)})")
+        return EvalResult(f"{ordering} (difference "
+                          f"{render_exact(difference)})")
     raise TypeError(f"not a query expression: {expr!r}")
 
 

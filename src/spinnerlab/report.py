@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-VERDICTS = ("pass", "fail", "skipped")
+VERDICTS = ("pass", "fail")
 
 
 @dataclass
@@ -31,17 +31,10 @@ class PropertyReport:
 
     @classmethod
     def from_checks(cls, name: str, cases: int, counterexamples: list[str],
-                    witnesses: "list[str] | None" = None,
-                    skipped: bool = False) -> "PropertyReport":
-        if skipped:
-            verdict = "skipped"
-        else:
-            verdict = "fail" if counterexamples else "pass"
+                    witnesses: "list[str] | None" = None) -> "PropertyReport":
+        verdict = "fail" if counterexamples else "pass"
         return cls(name, verdict, cases, list(counterexamples),
                    list(witnesses or []))
-
-    def passed(self) -> bool:
-        return self.verdict != "fail"
 
     def to_dict(self) -> dict:
         return {

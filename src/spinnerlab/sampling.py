@@ -21,10 +21,6 @@ def rand_fraction(rng: random.Random, max_den: int,
     return Fraction(num, den)
 
 
-def rand_point(rng: random.Random, max_den: int) -> Fraction:
-    return rand_fraction(rng, max_den)
-
-
 def rand_interval_set(rng: random.Random, max_components: int,
                       max_den: int) -> IntervalSet:
     """Random normalized set with mixed flags, possibly empty."""

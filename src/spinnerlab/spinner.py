@@ -35,9 +35,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .errors import DomainError
-from .field import Generator, NonArchValue, Poly
+from .field import Generator, NonArchValue, Poly, render_exact
 from .intervals import IntervalSet, lebesgue_length
 from .report import PropertyReport
 from . import sampling
@@ -143,10 +144,10 @@ class StabilizerResult:
     def to_dict(self) -> dict:
         return {
             "order": self.order,
-            "generator_rotation": str(self.generator_rotation),
-            "witness_rotation": str(self.witness_rotation),
-            "witness_point": str(self.witness_point),
-            "witness_image": str(self.witness_image),
+            "generator_rotation": render_exact(self.generator_rotation),
+            "witness_rotation": render_exact(self.witness_rotation),
+            "witness_point": render_exact(self.witness_point),
+            "witness_image": render_exact(self.witness_image),
         }
 
 
@@ -216,8 +217,12 @@ class SuiteConfig:
                         f"{path}:{lineno}: {key} needs an integer") from None
         return cfg
 
-    def low_coverage(self) -> bool:
-        return self.max_denominator < 2 or self.cases < 10
+    def coverage_warnings(self) -> list[str]:
+        """One warning witness when sampling is too thin to mean much."""
+        if self.max_denominator >= 2 and self.cases >= 10:
+            return []
+        return [f"warning: low-coverage sampling "
+                f"(cases={self.cases}, max_denominator={self.max_denominator})"]
 
     def rng(self, label: str) -> random.Random:
         return random.Random(f"{self.seed}:{label}")
@@ -225,11 +230,8 @@ class SuiteConfig:
 
 def _report(name: str, cases: int, counterexamples: list[str],
             witnesses: list[str], config: SuiteConfig) -> PropertyReport:
-    if config.low_coverage():
-        witnesses = witnesses + [
-            f"warning: low-coverage sampling "
-            f"(cases={config.cases}, max_denominator={config.max_denominator})"]
-    return PropertyReport.from_checks(name, cases, counterexamples, witnesses)
+    return PropertyReport.from_checks(name, cases, counterexamples,
+                                      witnesses + config.coverage_warnings())
 
 
 def _check_regularity(model, config) -> PropertyReport:
@@ -237,7 +239,7 @@ def _check_regularity(model, config) -> PropertyReport:
     eps = NonArchValue.infinitesimal(model.generator)
     bad = []
     for _ in range(config.cases):
-        x = sampling.rand_point(rng, config.max_denominator)
+        x = sampling.rand_fraction(rng, config.max_denominator)
         p = grid_probability(model, IntervalSet.point(x))
         cls = p.classify()
         if p != eps or cls.render() != "infinitesimal-positive":
@@ -354,18 +356,23 @@ def _check_half_open_uniformity(model, config) -> PropertyReport:
                     "generator-free probability"], config)
 
 
-def run_property_suite(model: GridModel, config: SuiteConfig,
-                       corrupt: bool = False) -> list[PropertyReport]:
-    """Run the six spinner checks; one report per property, fixed order.
+def property_checks(model: GridModel, corrupt: bool = False) -> list:
+    """The six spinner checks in report order, each a function of the config.
 
     ``corrupt`` is a test hook that skews the reference measure inside the
     length-agreement check so failure reporting can be exercised end to end.
     """
     return [
-        _check_regularity(model, config),
-        _check_totality(model, config),
-        _check_count_uniformity(model, config),
-        _check_length_agreement(model, config, corrupt=corrupt),
-        _check_rational_rotation(model, config),
-        _check_half_open_uniformity(model, config),
+        partial(_check_regularity, model),
+        partial(_check_totality, model),
+        partial(_check_count_uniformity, model),
+        partial(_check_length_agreement, model, corrupt=corrupt),
+        partial(_check_rational_rotation, model),
+        partial(_check_half_open_uniformity, model),
     ]
+
+
+def run_property_suite(model: GridModel, config: SuiteConfig,
+                       corrupt: bool = False) -> list[PropertyReport]:
+    """Run the six spinner checks; one report per property, fixed order."""
+    return [check(config) for check in property_checks(model, corrupt)]

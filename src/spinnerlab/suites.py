@@ -18,7 +18,7 @@ from .cantor import CantorEvent, CantorModel
 from .intervals import IntervalSet, dyadic_tail_family, sigma_additivity_probe
 from .report import PropertyReport
 from .spinner import (FiniteGrid, GridModel, SuiteConfig,
-                      finite_grid_stabilizer, run_property_suite)
+                      finite_grid_stabilizer, property_checks)
 from . import sampling
 
 WITNESS_MASSES = (Fraction(1, 10), Fraction(1, 1000), Fraction(1, 10 ** 6))
@@ -55,9 +55,7 @@ def cantor_coherence_suite(config: SuiteConfig) -> PropertyReport:
         rep = cantor_mod.coherence_check(model, a, b)
         counterexamples.extend(rep.counterexamples)
     witnesses = ["conditional counting probability equals the measure ratio "
-                 "on every checked pair"]
-    if config.low_coverage():
-        witnesses.append(f"warning: low-coverage sampling (cases={config.cases})")
+                 "on every checked pair"] + config.coverage_warnings()
     return PropertyReport.from_checks(
         "cantor-conditional-coherence", cases, counterexamples,
         witnesses if not counterexamples else [])
@@ -133,28 +131,19 @@ def witness_suite(config: SuiteConfig) -> PropertyReport:
 
 
 def run_all(config: SuiteConfig, corrupt: bool = False) -> list[dict]:
-    """Run every registered suite; one dict per suite, registration order."""
+    """Run every registered suite; one dict per suite, registration order.
+
+    ``duration_ms`` is each suite's own wall time.
+    """
+    registry = property_checks(GridModel(), corrupt) + [
+        cantor_coherence_suite, sigma_probe_suite, stabilizer_suite,
+        witness_suite]
     out: list[dict] = []
-
-    def timed(fn, *args, **kwargs):
+    for suite in registry:
         start = time.perf_counter()
-        report = fn(*args, **kwargs)
-        elapsed = int((time.perf_counter() - start) * 1000)
-        d = report.to_dict()
-        d["duration_ms"] = elapsed
+        d = suite(config).to_dict()
+        d["duration_ms"] = int((time.perf_counter() - start) * 1000)
         out.append(d)
-
-    start = time.perf_counter()
-    spinner_reports = run_property_suite(GridModel(), config, corrupt=corrupt)
-    spinner_ms = int((time.perf_counter() - start) * 1000)
-    for rep in spinner_reports:
-        d = rep.to_dict()
-        d["duration_ms"] = spinner_ms // len(spinner_reports)
-        out.append(d)
-    timed(cantor_coherence_suite, config)
-    timed(sigma_probe_suite, config)
-    timed(stabilizer_suite, config)
-    timed(witness_suite, config)
     return out
 
 

@@ -23,7 +23,7 @@ from spinnerlab.intervals import (IntervalSet, dyadic_tail_family,
 from spinnerlab.lottery import (CoinEvent, archimedean_regularity_witness,
                                 coinflip_probability, shift_compare)
 from spinnerlab.sampling import (rand_fraction, rand_interval_set,
-                                 rand_limited_value, rand_point, rand_value,
+                                 rand_limited_value, rand_value,
                                  repack_half_open, rand_half_open_set)
 from spinnerlab.spinner import (FiniteGrid, GridModel, finite_grid_stabilizer,
                                 grid_probability)
@@ -94,7 +94,7 @@ def test_criterion_03_point_regularity_with_contrast():
     failures = []
     rng = random.Random("acceptance-3")
     for i in range(200):
-        x = rand_point(rng, 50)
+        x = rand_fraction(rng, 50)
         p = grid_probability(GRID, IntervalSet.point(x))
         if p != EPS or p.classify().render() != "infinitesimal-positive":
             failures.append(f"x={x}: grid P={p}")

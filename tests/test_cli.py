@@ -153,6 +153,28 @@ def test_witness_subcommand():
     assert code == 1 and "exact rational" in err
 
 
+def test_digit_limit_inputs_print_exactly_or_fail_cleanly():
+    code, out, err = run_cli("eval", "coinflip: P(allheads>20000)")
+    assert code == 0 and err == ""
+    value = out.splitlines()[0]
+    assert value.startswith("value: 3980276840") and value.endswith("*h")
+    assert len(value) == len("value: *h") + 6021  # 2^20000 has 6021 digits
+    code, out, err = run_cli("compare", "coinflip: P(allheads)",
+                             "coinflip: P(allheads>20000)")
+    assert code == 0 and out.startswith("ordering: Less\nratio: 1/3980276840")
+    long_numeral = "1" + "0" * 4300
+    for argv in (("eval", f"grid: P([0,1/{long_numeral}))"),
+                 ("eval", "coinflip: P(allheads>100001)"),
+                 ("witness", "--prop", "4.1", "--eps", f"1/{long_numeral}"),
+                 ("stabilizer", "--grid", f"0,1/{long_numeral}")):
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error: ") and "Traceback" not in err, argv
+    code, out, _ = run_cli("stabilizer", "--grid", f"1/{'9' * 4300}")
+    assert code == 0
+    assert json.loads(out)["witness_image"].endswith(f"/1{'9' * 4299}8")
+
+
 def test_stabilizer_subcommand():
     code, out, _ = run_cli("stabilizer", "--grid", "uniform:12")
     assert code == 0

@@ -10,7 +10,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinnerlab.errors import DomainError
+from spinnerlab.errors import DomainError, ParseError
 from spinnerlab.intervals import (IntervalSet, boolean_combine,
                                   dyadic_tail_family, format_set,
                                   lebesgue_length, normalize, parse_set,
@@ -267,3 +267,10 @@ def test_set_notation_round_trip():
     assert parse_set("{1/3}") == IntervalSet.point(F(1, 3))
     assert parse_set("∅").is_empty()
     assert parse_set("{}").is_empty()
+    assert parse_set("{1/3, 1/2}") == IntervalSet(
+        [(F(1, 3), True, F(1, 3), True), (F(1, 2), True, F(1, 2), True)])
+    assert parse_set("compl([0,1/2))") == IntervalSet.interval(
+        F(1, 2), True, 1, False)
+    with pytest.raises(ParseError) as exc:
+        parse_set("[0,1/2) u nonsense")
+    assert exc.value.position == 10

@@ -1,5 +1,6 @@
 import random
 import string
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -268,6 +269,47 @@ def test_eval_domain_errors():
         evaluate(parse_query("minimal: P([0,1/2) | {1/3})"))
     with pytest.raises(DomainError, match="empty"):
         evaluate(parse_query("grid: P(full | {})"))
+    with pytest.raises(DomainError, match="empty event"):
+        evaluate(parse_query("cantor: P(full | {})"))
+    with pytest.raises(DomainError, match="inconsistent coin event"):
+        evaluate(parse_query("coinflip: P(allheads | allheads&pin(1:T))"))
+
+
+def _str_without_digit_limit(n: int) -> str:
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_eval_renders_values_past_the_int_digit_limit():
+    r = evaluate(parse_query("coinflip: P(allheads>20000)"))
+    assert r.value_text == _str_without_digit_limit(2 ** 20000) + "*h"
+    r = evaluate(parse_query("coinflip: compare(P(allheads), "
+                             "P(allheads>20000))"))
+    assert r.value_text == \
+        f"Less (ratio 1/{_str_without_digit_limit(2 ** 20000)})"
+    # two 4300-digit denominators: the length has about twice as many
+    a, b = 10 ** 4299 + 1, 10 ** 4299 + 3
+    r = evaluate(parse_query(f"minimal: P([0,1/{a}) u [1/2,{(b + 1) // 2}/{b}))"))
+    length = F(1, a) + F((b + 1) // 2, b) - F(1, 2)
+    assert r.value_text == (f"{_str_without_digit_limit(length.numerator)}/"
+                            f"{_str_without_digit_limit(length.denominator)}")
+
+
+def test_over_long_numerals_and_drop_counts_are_user_errors():
+    long_numeral = "1" + "0" * 4300
+    with pytest.raises(ParseError, match="more than 4300 digits") as exc:
+        parse_query(f"grid: P([0,1/{long_numeral}))")
+    assert exc.value.position == 13
+    with pytest.raises(ParseError, match="more than 4300 digits"):
+        parse_query(f"lottery: P(tickets({long_numeral}))")
+    parse_query(f"grid: P([0,1/{long_numeral[:-1]}))")
+    evaluate(parse_query("coinflip: P(allheads>100000)"))
+    with pytest.raises(DomainError, match="at most 100000"):
+        evaluate(parse_query("coinflip: P(allheads>100001)"))
 
 
 def test_eval_point_outside_range():

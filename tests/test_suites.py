@@ -1,7 +1,9 @@
 import json
+import time
 
 import pytest
 
+from spinnerlab import spinner
 from spinnerlab.errors import DomainError
 from spinnerlab.spinner import SuiteConfig
 from spinnerlab.suites import all_passed, run_all, run_suites
@@ -36,6 +38,20 @@ def test_results_deterministic_for_fixed_seed():
     assert stripped(4) == stripped(4)
     # different seeds sample different cases but still pass
     assert all(r["verdict"] == "pass" for r in stripped(5))
+
+
+def test_duration_ms_is_each_suites_own_time(monkeypatch):
+    check = spinner._check_totality
+
+    def slow_check(model, config):
+        time.sleep(0.2)
+        return check(model, config)
+
+    monkeypatch.setattr(spinner, "_check_totality", slow_check)
+    rows = run_all(small_config())[:6]
+    assert rows[1]["suite"] == "spinner-totality"
+    assert rows[1]["duration_ms"] >= 200
+    assert all(r["duration_ms"] < 100 for r in rows[:1] + rows[2:])
 
 
 def test_corrupt_hook_fails_exactly_one_suite():
