@@ -39,8 +39,13 @@ class CantorEvent:
     """Finite union of cylinders, normalized to a prefix-free address set.
 
     Normalization removes addresses covered by a shorter one and merges
-    complete sibling pairs (w0, w2 -> w) to a fixpoint; the full set is the
-    single empty address, the empty event has no addresses.
+    complete sibling pairs (w0, w2 -> w) until none is left; the full set is
+    the single empty address, the empty event has no addresses.
+
+    Every operation is a pass over sorted addresses.  In sorted order an
+    address comes right after the cylinders that cover it, apart from
+    addresses they also cover, and the siblings w0 and w2 of a prefix-free
+    set are neighbours.
     """
 
     __slots__ = ("cylinders",)
@@ -52,19 +57,17 @@ class CantorEvent:
                 raise DomainError(f"invalid cylinder address {a!r}: "
                                   "digits must be 0 or 2")
             s.add(a)
-        s = {a for a in s
-             if not any(a[:k] in s for k in range(len(a)))}
-        merged = True
-        while merged:
-            merged = False
-            for a in sorted(s, key=len, reverse=True):
-                if a and a[:-1] + "0" in s and a[:-1] + "2" in s:
-                    s.discard(a[:-1] + "0")
-                    s.discard(a[:-1] + "2")
-                    s.add(a[:-1])
-                    merged = True
-                    break
-        self.cylinders: frozenset[str] = frozenset(s)
+        # a stack of prefix-free addresses; a merged parent stays on top,
+        # where the next address meets it as its sibling or its cover
+        kept: list[str] = []
+        for a in sorted(s):
+            if kept and a.startswith(kept[-1]):
+                continue
+            while a.endswith("2") and kept and kept[-1] == a[:-1] + "0":
+                kept.pop()
+                a = a[:-1]
+            kept.append(a)
+        self.cylinders: frozenset[str] = frozenset(kept)
 
     @classmethod
     def full(cls) -> "CantorEvent":
@@ -82,31 +85,33 @@ class CantorEvent:
 
     def intersect(self, other: "CantorEvent") -> "CantorEvent":
         # two cylinders meet iff one address prefixes the other, and then
-        # the intersection is the longer one
+        # the intersection is the longer one; in sorted order the shorter
+        # one is the last address of its event before the longer one
+        last = ["1", "1"]  # "1" prefixes no address
         out = []
-        for a in self.cylinders:
-            for b in other.cylinders:
-                if a.startswith(b):
-                    out.append(a)
-                elif b.startswith(a):
-                    out.append(b)
+        for a, side in sorted([(a, 0) for a in self.cylinders]
+                              + [(a, 1) for a in other.cylinders]):
+            if a.startswith(last[1 - side]):
+                out.append(a)
+            last[side] = a
         return CantorEvent(out)
 
     def complement(self) -> "CantorEvent":
-        """Complement within the full Cantor set; again a cylinder union."""
-        out: list[str] = []
-
-        def walk(prefix: str) -> None:
-            if prefix in self.cylinders:
-                return
-            if not any(a.startswith(prefix) for a in self.cylinders):
-                out.append(prefix)
-                return
-            walk(prefix + "0")
-            walk(prefix + "2")
-
-        walk("")
-        return CantorEvent(out)
+        """Complement within the full Cantor set; again a cylinder union:
+        the root and the children of the cylinders' proper prefixes that are
+        neither cylinders nor proper prefixes."""
+        prefixes: set[str] = set()
+        for a in self.cylinders:
+            # the set stays prefix-closed, so the first prefix already in
+            # it ends the walk and every prefix is sliced once
+            for k in range(len(a) - 1, -1, -1):
+                p = a[:k]
+                if p in prefixes:
+                    break
+                prefixes.add(p)
+        nodes = [""] + [p + d for p in prefixes for d in "02"]
+        return CantorEvent(c for c in nodes
+                           if c not in prefixes and c not in self.cylinders)
 
     def __or__(self, other):
         return self.union(other)
@@ -171,5 +176,4 @@ def coherence_check(model: CantorModel, a: CantorEvent,
     witnesses = [f"measure-ratio = {ratio}", f"conditional = {conditional}"]
     return PropertyReport.from_checks(
         "cantor-conditional-coherence", cases=1,
-        counterexamples=counterexamples,
-        witnesses=witnesses if not counterexamples else [])
+        counterexamples=counterexamples, witnesses=witnesses)

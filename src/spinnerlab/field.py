@@ -220,6 +220,15 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return Poly([Fraction(v, lead) for v in y])
 
 
+def _cancel(a: Poly, b: Poly) -> "tuple[Poly, Poly]":
+    """a and b with their common factor of positive degree divided out."""
+    if a.degree() > 0 and b.degree() > 0:
+        g = poly_gcd(a, b)
+        if g.degree() > 0:
+            return a // g, b // g
+    return a, b
+
+
 _ONE = Poly((1,))
 
 
@@ -285,10 +294,8 @@ class NonArchValue:
         if num.is_zero():
             num, den = Poly(), _ONE
         else:
-            if not _coprime and num.degree() > 0 and den.degree() > 0:
-                g = poly_gcd(num, den)
-                if g.degree() > 0:
-                    num, den = num // g, den // g
+            if not _coprime:
+                num, den = _cancel(num, den)
             scale = 1 / den.low_coeff()
             if scale != 1:
                 num, den = num * scale, den * scale
@@ -393,14 +400,8 @@ class NonArchValue:
         if other is NotImplemented:
             return NotImplemented
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den
-        if n1.degree() > 0 and d2.degree() > 0:
-            g = poly_gcd(n1, d2)
-            if g.degree() > 0:
-                n1, d2 = n1 // g, d2 // g
-        if n2.degree() > 0 and d1.degree() > 0:
-            g = poly_gcd(n2, d1)
-            if g.degree() > 0:
-                n2, d1 = n2 // g, d1 // g
+        n1, d2 = _cancel(n1, d2)
+        n2, d1 = _cancel(n2, d1)
         return NonArchValue(self.generator, n1 * n2, d1 * d2, _coprime=True)
 
     __rmul__ = __mul__
@@ -412,14 +413,8 @@ class NonArchValue:
         if other.is_zero():
             raise DomainError("division by zero")
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den
-        if n1.degree() > 0 and n2.degree() > 0:
-            g = poly_gcd(n1, n2)
-            if g.degree() > 0:
-                n1, n2 = n1 // g, n2 // g
-        if d1.degree() > 0 and d2.degree() > 0:
-            g = poly_gcd(d1, d2)
-            if g.degree() > 0:
-                d1, d2 = d1 // g, d2 // g
+        n1, n2 = _cancel(n1, n2)
+        d1, d2 = _cancel(d1, d2)
         return NonArchValue(self.generator, n1 * d2, d1 * n2, _coprime=True)
 
     def __rtruediv__(self, other):
@@ -540,6 +535,10 @@ def classify(a: NonArchValue) -> Classification:
 # numeral converts; computed values can grow past it and still print.
 MAX_NUMERAL_DIGITS = 4300
 
+# A parsed exponent is the length of a coefficient list, so a short text
+# must not ask for an arbitrarily long one.
+MAX_EXPONENT = 10_000
+
 
 def render_exact(x) -> str:
     """``str(x)``, exact even for integers past Python's int->str limit."""
@@ -595,10 +594,14 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
                 raise ParseError(f"unexpected character {text[pos]!r} "
                                  f"at position {pos}", position=pos)
             break
-        for kind in ("rat", "int", "name", "op"):
-            if m.group(kind) is not None:
-                out.append((kind, m.group(kind), m.start(kind)))
-                break
+        kind = m.lastgroup
+        start = m.start(kind)
+        if kind in ("rat", "int") and any(
+                len(part) > MAX_NUMERAL_DIGITS
+                for part in m.group(kind).split("/")):
+            raise ParseError(f"numeral at position {start} has more than "
+                             f"{MAX_NUMERAL_DIGITS} digits", position=start)
+        out.append((kind, m.group(kind), start))
         pos = m.end()
     return out
 
@@ -645,7 +648,11 @@ class _PolyParser:
     def parse_term(self) -> Poly:
         kind, text, pos = self.take()
         if kind in ("rat", "int"):
-            c = Fraction(text)
+            try:
+                c = Fraction(text)
+            except ZeroDivisionError:
+                raise ParseError(f"zero denominator at position {pos}",
+                                 position=pos) from None
             t = self.peek()
             if t and t[0] == "op" and t[1] == "*":
                 self.pos += 1
@@ -671,7 +678,11 @@ class _PolyParser:
             if kind != "int":
                 raise ParseError(f"syntax error at position {pos}: "
                                  "expected an integer exponent", position=pos)
-            return int(text)
+            exponent = int(text)
+            if exponent > MAX_EXPONENT:
+                raise ParseError(f"exponent at position {pos} is above "
+                                 f"{MAX_EXPONENT}", position=pos)
+            return exponent
         return 1
 
 

@@ -10,6 +10,13 @@ wrap it around to 0.
 model: translation invariant, finitely additive, and it assigns length 0
 to points, so a possible point outcome carries zero measure here.
 
+Endpoints are compared as cuts.  A cut ``(x, after)`` sits just before x
+when ``after`` is False and just after x when it is True; a component
+starts at the cut ``(left, not left_in)``, ends at ``(right, right_in)``
+and holds exactly the points between those two cuts.  Comparing cuts as
+tuples settles every open/closed endpoint case of membership, merging and
+intersection.
+
 Sets are immutable; every operation returns a new normalized set.
 """
 
@@ -23,6 +30,7 @@ from .errors import DomainError, ParseError, QueryTypeError
 from .report import PropertyReport
 
 RawComponent = tuple[Fraction, bool, Fraction, bool]
+Cut = tuple[Fraction, bool]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -37,17 +45,21 @@ class Piece:
     right: Fraction
     right_in: bool
 
+    @property
+    def start(self) -> Cut:
+        """Cut just before the first member."""
+        return (self.left, not self.left_in)
+
+    @property
+    def end(self) -> Cut:
+        """Cut just after the last member."""
+        return (self.right, self.right_in)
+
     def is_point(self) -> bool:
         return self.left == self.right
 
     def contains(self, x: Fraction) -> bool:
-        if x < self.left or x > self.right:
-            return False
-        if x == self.left and not self.left_in:
-            return False
-        if x == self.right and not self.right_in:
-            return False
-        return True
+        return self.start <= (x, False) and (x, True) <= self.end
 
     def render(self) -> str:
         if self.is_point():
@@ -63,24 +75,19 @@ def _as_fraction(x) -> Fraction:
     return Fraction(x)
 
 
-def _clean(left, left_in, right, right_in) -> "list[Piece]":
-    """Validate one raw component and wrap the point 1 back to 0."""
+def _clean(left, left_in, right, right_in) -> "list[tuple[Cut, Cut]]":
+    """Validate one raw component, wrap the point 1 back to 0 and return the
+    nonempty pieces as (start, end) cuts."""
     left, right = _as_fraction(left), _as_fraction(right)
     if left > right:
         raise DomainError(f"interval endpoints out of order: {left} > {right}")
     if left < 0 or right > 1:
         raise DomainError(f"endpoint outside [0,1]: [{left},{right}]")
-    out: list[Piece] = []
     wrap = right == 1 and right_in
+    start, end = (left, not left_in), (right, bool(right_in) and not wrap)
+    out = [(start, end)] if start < end else []
     if wrap:
-        right_in = False
-    if left == right:
-        if left_in and right_in:
-            out.append(Piece(left, True, right, True))
-    elif left < right:
-        out.append(Piece(left, bool(left_in), right, bool(right_in)))
-    if wrap:
-        out.append(Piece(_ZERO, True, _ZERO, True))
+        out.append(((_ZERO, False), (_ZERO, True)))
     return out
 
 
@@ -94,32 +101,23 @@ class IntervalSet:
     __slots__ = ("components",)
 
     def __init__(self, raw: Iterable[Sequence] = ()):
-        pieces: list[Piece] = []
+        cuts: list[tuple[Cut, Cut]] = []
         for comp in raw:
             if isinstance(comp, Piece):
                 comp = (comp.left, comp.left_in, comp.right, comp.right_in)
             left, left_in, right, right_in = comp
-            pieces.extend(_clean(left, left_in, right, right_in))
-        pieces.sort(key=lambda p: (p.left, not p.left_in))
-        merged: list[Piece] = []
-        for p in pieces:
-            if not merged:
-                merged.append(p)
-                continue
-            cur = merged[-1]
-            joins = p.left < cur.right or (
-                p.left == cur.right and (cur.right_in or p.left_in))
-            if not joins:
-                merged.append(p)
-                continue
-            if p.right > cur.right:
-                right, right_in = p.right, p.right_in
-            elif p.right == cur.right:
-                right, right_in = cur.right, cur.right_in or p.right_in
+            cuts.extend(_clean(left, left_in, right, right_in))
+        cuts.sort(key=lambda c: c[0])
+        merged: list[list[Cut]] = []
+        for start, end in cuts:
+            if merged and start <= merged[-1][1]:
+                merged[-1][1] = max(merged[-1][1], end)
             else:
-                right, right_in = cur.right, cur.right_in
-            merged[-1] = Piece(cur.left, cur.left_in, right, right_in)
-        self.components: tuple[Piece, ...] = tuple(merged)
+                merged.append([start, end])
+        # a list, not a generator: tuple(generator) multiplied peak memory
+        self.components: tuple[Piece, ...] = tuple([
+            Piece(left, not after, right, right_in)
+            for (left, after), (right, right_in) in merged])
 
     # -- constructors ------------------------------------------------------
 
@@ -165,18 +163,13 @@ class IntervalSet:
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
         out: list[RawComponent] = []
+        theirs = [(b.start, b.end) for b in other.components]
         for a in self.components:
-            for b in other.components:
-                if a.left > b.left or (a.left == b.left and not a.left_in):
-                    left, left_in = a.left, a.left_in and b.contains(a.left)
-                else:
-                    left, left_in = b.left, b.left_in and a.contains(b.left)
-                if a.right < b.right or (a.right == b.right and not a.right_in):
-                    right, right_in = a.right, a.right_in and b.contains(a.right)
-                else:
-                    right, right_in = b.right, b.right_in and a.contains(b.right)
-                if left < right or (left == right and left_in and right_in):
-                    out.append((left, left_in, right, right_in))
+            a_start, a_end = a.start, a.end
+            for b_start, b_end in theirs:
+                start, end = max(a_start, b_start), min(a_end, b_end)
+                if start < end:
+                    out.append((start[0], not start[1], *end))
         return IntervalSet(out)
 
     def complement(self) -> "IntervalSet":
@@ -195,14 +188,10 @@ class IntervalSet:
         out: list[RawComponent] = []
         for p in self.components:
             left, right = p.left + s, p.right + s
-            if right < 1:
+            if right <= 1:
                 out.append((left, p.left_in, right, p.right_in))
             elif left >= 1:
                 out.append((left - 1, p.left_in, right - 1, p.right_in))
-            elif right == 1:
-                out.append((left, p.left_in, _ONE, False))
-                if p.right_in:
-                    out.append((_ZERO, True, _ZERO, True))
             else:
                 out.append((left, p.left_in, _ONE, False))
                 out.append((_ZERO, True, right - 1, p.right_in))
@@ -313,8 +302,7 @@ def sigma_additivity_probe(family: Callable[[int], IntervalSet], depth: int,
     ]
     return PropertyReport.from_checks(
         "sigma-additivity-probe", cases=depth + 1,
-        counterexamples=counterexamples,
-        witnesses=witnesses if not counterexamples else [])
+        counterexamples=counterexamples, witnesses=witnesses)
 
 
 # -- text form ----------------------------------------------------------------

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import DomainError
-from .field import Generator, NonArchValue, Ordering, Poly
+from .field import MAX_NUMERAL_DIGITS, Generator, NonArchValue, Ordering, Poly
 from .report import PropertyReport
 
 COIN_GENERATOR = Generator("h")
@@ -177,8 +177,7 @@ def part_whole_check(whole_drop: int, part_drop: int) -> PropertyReport:
     return PropertyReport.from_checks(
         "part-whole", cases=1, counterexamples=counterexamples,
         witnesses=[f"part size K - {part_drop} < whole size K - {whole_drop}: "
-                   "equal K coefficient, strictly smaller constant"]
-        if strictly_smaller else [])
+                   "equal K coefficient, strictly smaller constant"])
 
 
 @dataclass(frozen=True)
@@ -238,7 +237,8 @@ def archimedean_regularity_witness(eps_r, mode: str = "uniform_points"
     exceed total mass 1.  rational_orbit: additionally realizes the n
     points as rotations of a single point by multiples of 1/p, p the
     smallest prime above n, so a rotation-invariant regular assignment
-    overruns mass 1 on an explicit orbit.
+    overruns mass 1 on an explicit orbit.  An n of more than
+    MAX_NUMERAL_DIGITS digits is a DomainError, so every witness prints.
     """
     eps = Fraction(eps_r)
     if eps <= 0:
@@ -246,6 +246,9 @@ def archimedean_regularity_witness(eps_r, mode: str = "uniform_points"
     if mode not in ("uniform_points", "rational_orbit"):
         raise DomainError(f"unknown witness mode {mode!r}")
     n = int(Fraction(1) / eps) + 1
+    if n >= 10 ** MAX_NUMERAL_DIGITS:
+        raise DomainError(f"the witness size n = floor(1/eps) + 1 has more "
+                          f"than {MAX_NUMERAL_DIGITS} digits")
     product = n * eps
     if not (product > 1 and (n - 1) * eps <= 1):
         raise AssertionError("witness bound failed")

@@ -11,8 +11,8 @@ VERDICTS = ("pass", "fail")
 class PropertyReport:
     """One property's verdict with the evidence that produced it.
 
-    A failing report carries at least one counterexample; a passing one
-    carries none.
+    A failing report carries at least one counterexample and no witnesses;
+    a passing one carries no counterexamples.
     """
 
     name: str
@@ -28,13 +28,17 @@ class PropertyReport:
             raise ValueError("failing report without a counterexample")
         if self.verdict == "pass" and self.counterexamples:
             raise ValueError("passing report with counterexamples")
+        if self.verdict == "fail" and self.witnesses:
+            raise ValueError("failing report with witnesses")
 
     @classmethod
     def from_checks(cls, name: str, cases: int, counterexamples: list[str],
                     witnesses: "list[str] | None" = None) -> "PropertyReport":
-        verdict = "fail" if counterexamples else "pass"
-        return cls(name, verdict, cases, list(counterexamples),
-                   list(witnesses or []))
+        """Verdict from the counterexamples; the witnesses back a passing
+        claim, so a failing report drops them."""
+        if counterexamples:
+            return cls(name, "fail", cases, list(counterexamples))
+        return cls(name, "pass", cases, [], list(witnesses or []))
 
     def to_dict(self) -> dict:
         return {

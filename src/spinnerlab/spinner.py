@@ -78,21 +78,11 @@ class CountForm:
 def grid_count(model: GridModel, a: IntervalSet) -> CountForm:
     """Exact point count of a set, using that every endpoint is on the grid.
 
-    Per component: [a,b) and (a,b] hold (b-a)*N points, [a,b] one more,
-    (a,b) one fewer, and a single point holds exactly one.
+    A component (a,b) holds (b-a)*N - 1 grid points and each closed end adds
+    one more, so [a,b) holds (b-a)*N and a single point [a,a] exactly one.
     """
-    linear = Fraction(0)
-    constant = 0
-    for p in a.components:
-        if p.is_point():
-            constant += 1
-            continue
-        linear += p.right - p.left
-        if p.left_in and p.right_in:
-            constant += 1
-        elif not p.left_in and not p.right_in:
-            constant -= 1
-    return CountForm(linear, constant)
+    return CountForm(a.length, sum(p.left_in + p.right_in - 1
+                                   for p in a.components))
 
 
 def grid_probability(model: GridModel, a: IntervalSet) -> NonArchValue:

@@ -57,8 +57,7 @@ def cantor_coherence_suite(config: SuiteConfig) -> PropertyReport:
     witnesses = ["conditional counting probability equals the measure ratio "
                  "on every checked pair"] + config.coverage_warnings()
     return PropertyReport.from_checks(
-        "cantor-conditional-coherence", cases, counterexamples,
-        witnesses if not counterexamples else [])
+        "cantor-conditional-coherence", cases, counterexamples, witnesses)
 
 
 def _all_addresses(depth: int):
@@ -107,8 +106,7 @@ def stabilizer_suite(config: SuiteConfig) -> PropertyReport:
     witnesses = ["every stabilizer was cyclic with a valid off-grid "
                  "rotation witness"]
     return PropertyReport.from_checks(
-        "finite-grid-stabilizer", cases, counterexamples,
-        witnesses if not counterexamples else [])
+        "finite-grid-stabilizer", cases, counterexamples, witnesses)
 
 
 def witness_suite(config: SuiteConfig) -> PropertyReport:
@@ -126,8 +124,7 @@ def witness_suite(config: SuiteConfig) -> PropertyReport:
     witnesses = [f"n * eps exceeds total mass 1 with (n-1) * eps <= 1 "
                  f"for eps in {', '.join(str(e) for e in WITNESS_MASSES)}"]
     return PropertyReport.from_checks(
-        "archimedean-overflow-witness", cases, counterexamples,
-        witnesses if not counterexamples else [])
+        "archimedean-overflow-witness", cases, counterexamples, witnesses)
 
 
 def run_all(config: SuiteConfig, corrupt: bool = False) -> list[dict]:

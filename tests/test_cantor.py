@@ -168,6 +168,10 @@ def test_complement_within_cantor_set():
         for addr in all_addresses(5):
             assert member(c, addr) == (not member(a, addr))
         assert hausdorff_measure(a) + hausdorff_measure(c) == 1
+    deep = CantorEvent(("0" * 4300,))
+    c = deep.complement()
+    assert len(c.cylinders) == 4300
+    assert c.complement() == deep
 
 
 def test_conditional_matches_counting_oracle():

@@ -166,6 +166,7 @@ def test_digit_limit_inputs_print_exactly_or_fail_cleanly():
     for argv in (("eval", f"grid: P([0,1/{long_numeral}))"),
                  ("eval", "coinflip: P(allheads>100001)"),
                  ("witness", "--prop", "4.1", "--eps", f"1/{long_numeral}"),
+                 ("witness", "--prop", "4.1", "--eps", f"1/{'9' * 4300}"),
                  ("stabilizer", "--grid", f"0,1/{long_numeral}")):
         code, out, err = run_cli(*argv)
         assert (code, out) == (1, ""), argv
@@ -173,6 +174,8 @@ def test_digit_limit_inputs_print_exactly_or_fail_cleanly():
     code, out, _ = run_cli("stabilizer", "--grid", f"1/{'9' * 4300}")
     assert code == 0
     assert json.loads(out)["witness_image"].endswith(f"/1{'9' * 4299}8")
+    code, out, err = run_cli("eval", f"cantor: P(compl({{{'0' * 1200}}}))")
+    assert code == 0 and err == "" and out.startswith("value: ")
 
 
 def test_stabilizer_subcommand():

@@ -159,6 +159,9 @@ def test_translate_examples():
     got = translate_mod1(IntervalSet.interval(F(1, 2), True, F(7, 8), False),
                          F(1, 4))
     assert got.render() == "[0,1/8) ∪ [3/4,1)"
+    got = translate_mod1(IntervalSet.interval(F(1, 4), True, F(1, 2), True),
+                         F(1, 2))
+    assert got.render() == "{0} ∪ [3/4,1)"
     rng = random.Random(9)
     for _ in range(50):
         a = rand_interval_set(rng, 4, 10)

@@ -60,6 +60,7 @@ def test_corrupt_hook_fails_exactly_one_suite():
     failing = [r for r in results if r["verdict"] == "fail"]
     assert [r["suite"] for r in failing] == ["spinner-length-agreement"]
     assert failing[0]["counterexamples"]
+    assert failing[0]["witnesses"] == []
 
 
 def test_run_suites_entry_point(tmp_path):
