@@ -114,9 +114,10 @@ def _parse_grid(spec: str) -> FiniteGrid:
     spec = spec.strip()
     if spec.startswith("uniform:"):
         try:
-            return FiniteGrid.uniform(int(spec.split(":", 1)[1]))
+            n = int(spec.split(":", 1)[1])
         except ValueError:
             raise DomainError(f"bad uniform grid spec {spec!r}") from None
+        return FiniteGrid.uniform(n)
     points = tuple(_parse_fraction(part)
                    for part in spec.split(",") if part.strip())
     if not points:

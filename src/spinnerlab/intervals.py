@@ -103,10 +103,12 @@ class IntervalSet:
     def __init__(self, raw: Iterable[Sequence] = ()):
         cuts: list[tuple[Cut, Cut]] = []
         for comp in raw:
+            # a Piece comes from a normalized set, so it is already clean
             if isinstance(comp, Piece):
-                comp = (comp.left, comp.left_in, comp.right, comp.right_in)
-            left, left_in, right, right_in = comp
-            cuts.extend(_clean(left, left_in, right, right_in))
+                cuts.append((comp.start, comp.end))
+            else:
+                left, left_in, right, right_in = comp
+                cuts.extend(_clean(left, left_in, right, right_in))
         cuts.sort(key=lambda c: c[0])
         merged: list[list[Cut]] = []
         for start, end in cuts:

@@ -36,6 +36,8 @@ _OUTCOMES = ("H", "T")
 
 # 2^j for a larger drop count j is too costly to build and print
 MAX_DROPPED_PREFIX = 100_000
+# the CLI prints an orbit point by point; this bound admits every eps >= 1/10^6
+MAX_ORBIT_POINTS = 10 ** 6 + 1
 
 
 @dataclass(frozen=True)
@@ -220,11 +222,18 @@ class RegularityWitness:
     product: Fraction
     mode: str
     rotation: "Fraction | None" = None
-    points: "tuple[Fraction, ...] | None" = None
+
+    @property
+    def points(self) -> "tuple[Fraction, ...] | None":
+        """The orbit k/p for k < n < p, built when read; None without one."""
+        if self.rotation is None:
+            return None
+        p = self.rotation.denominator
+        return tuple(Fraction(k, p) for k in range(self.n))
 
     def to_dict(self) -> dict:
         out = {"n": self.n, "product": str(self.product)}
-        if self.points is not None:
+        if self.rotation is not None:
             out["points"] = [str(p) for p in self.points]
         return out
 
@@ -237,8 +246,9 @@ def archimedean_regularity_witness(eps_r, mode: str = "uniform_points"
     exceed total mass 1.  rational_orbit: additionally realizes the n
     points as rotations of a single point by multiples of 1/p, p the
     smallest prime above n, so a rotation-invariant regular assignment
-    overruns mass 1 on an explicit orbit.  An n of more than
-    MAX_NUMERAL_DIGITS digits is a DomainError, so every witness prints.
+    overruns mass 1 on an explicit orbit, kept as its rotation 1/p.  An n
+    of more than MAX_NUMERAL_DIGITS digits is a DomainError, so every
+    witness prints.  So is an orbit of more than MAX_ORBIT_POINTS points.
     """
     eps = Fraction(eps_r)
     if eps <= 0:
@@ -254,9 +264,8 @@ def archimedean_regularity_witness(eps_r, mode: str = "uniform_points"
         raise AssertionError("witness bound failed")
     if mode == "uniform_points":
         return RegularityWitness(eps, n, product, mode)
-    p = _next_prime(n)
-    rotation = Fraction(1, p)
-    points = tuple(Fraction(k, p) for k in range(n))
-    if len({pt.numerator for pt in points}) != n:
-        raise AssertionError("orbit points are not pairwise distinct")
-    return RegularityWitness(eps, n, product, mode, rotation, points)
+    if n > MAX_ORBIT_POINTS:
+        raise DomainError(f"the orbit size n = floor(1/eps) + 1 is above "
+                          f"{MAX_ORBIT_POINTS}")
+    return RegularityWitness(eps, n, product, mode,
+                             Fraction(1, _next_prime(n)))

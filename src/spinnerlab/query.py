@@ -467,7 +467,7 @@ def _to_interval_set(node: SetNode, model: str) -> IntervalSet:
         return IntervalSet.interval(node.left, node.left_in,
                                     node.right, node.right_in)
     if isinstance(node, BraceLit):
-        out = IntervalSet.empty()
+        pieces = []
         for item in node.items:
             if len(item) > 1 and set(item) <= {"0", "2"}:
                 raise QueryTypeError(
@@ -477,8 +477,8 @@ def _to_interval_set(node: SetNode, model: str) -> IntervalSet:
             if not _POINT_RE.fullmatch(item):
                 raise QueryTypeError(
                     f"brace item {item!r} is not a rational point")
-            out = out | IntervalSet.point(Fraction(item))
-        return out
+            pieces += IntervalSet.point(Fraction(item)).components
+        return IntervalSet(pieces)
     if isinstance(node, FullLit):
         return IntervalSet.full()
     if isinstance(node, SetOp):

@@ -22,9 +22,9 @@ rotation by 1/(N+1) never lands on a grid point, since k/N = 1/(N+1) has
 no integer solution, so already this single rational-in-N rotation moves 0
 off the grid; irrational rotations have no exact representative here at
 all.  For concrete finite grids :func:`finite_grid_stabilizer` computes
-the cyclic group of rational rotations preserving the grid by brute force
-and exhibits an off-grid rotation witness of exactly that 1/(order+1)
-shape.
+the cyclic group of rational rotations preserving the grid from the period
+of its gap sequence and exhibits an off-grid rotation witness of exactly
+that 1/(order+1) shape.
 
 Everything in this module is immutable and the operations are pure, so
 values can be shared freely across threads.
@@ -101,6 +101,10 @@ def conditional_probability(model: GridModel, a: IntervalSet,
 
 # -- finite grids and their rotation stabilizers -------------------------------
 
+# uniform:N builds all N points; past this it would exhaust memory
+MAX_GRID_POINTS = 100_000
+
+
 @dataclass(frozen=True)
 class FiniteGrid:
     """Concrete finite set of rational positions in [0,1)."""
@@ -118,6 +122,8 @@ class FiniteGrid:
     def uniform(cls, n: int) -> "FiniteGrid":
         if n < 1:
             raise DomainError("uniform grid needs n >= 1")
+        if n > MAX_GRID_POINTS:
+            raise DomainError(f"uniform grid needs n <= {MAX_GRID_POINTS}")
         return cls(tuple(Fraction(k, n) for k in range(n)))
 
 
@@ -142,24 +148,22 @@ class StabilizerResult:
 
 
 def finite_grid_stabilizer(g: FiniteGrid) -> StabilizerResult:
-    """Brute-force the group of rotations mapping the grid onto itself.
+    """The group of rotations mapping the grid onto itself, from its gaps.
 
-    Any preserving rotation must send the least point somewhere in the grid,
-    so testing the differences p - p0 is exhaustive.  The group is a finite
-    subgroup of the rationals mod 1, hence cyclic of some order k generated
-    by 1/k; this is verified, not assumed.  The rotation by 1/(k+1) cannot
-    preserve the grid, which yields the off-grid witness.
+    A preserving rotation sends the least point to some p_j, so it shifts
+    the cyclic gap sequence (neighbour gaps, then the wrap back to the least
+    point) onto itself by j places.  With d the least such shift, a divisor
+    of n, the group is cyclic of order k = n/d, generated by 1/k.  The
+    rotation by 1/(k+1) cannot preserve the grid: the off-grid witness.
     """
     if not g.points:
         raise DomainError("stabilizer of an empty grid is undefined")
     pts = set(g.points)
-    p0 = g.points[0]
-    stabilizer = sorted(t for t in {(p - p0) % 1 for p in g.points}
-                        if {(p + t) % 1 for p in pts} == pts)
-    k = len(stabilizer)
-    if set(stabilizer) != {Fraction(j, k) for j in range(k)}:
-        raise AssertionError(f"stabilizer {stabilizer} is not the cyclic "
-                             f"group of order {k}")
+    n = len(g.points)
+    gaps = [b - a for a, b in zip(g.points, g.points[1:])]
+    gaps.append(1 + g.points[0] - g.points[-1])
+    k = next(n // d for d in range(1, n + 1)
+             if n % d == 0 and gaps[d:] + gaps[:d] == gaps)
     rotation = Fraction(1, k) if k > 1 else Fraction(0)
     witness_rotation = Fraction(1, k + 1)
     for x in g.points:

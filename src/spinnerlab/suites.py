@@ -81,11 +81,7 @@ def stabilizer_suite(config: SuiteConfig) -> PropertyReport:
     def check(grid: FiniteGrid, label: str, expect_order=None):
         nonlocal cases
         cases += 1
-        try:
-            res = finite_grid_stabilizer(grid)
-        except AssertionError as exc:
-            counterexamples.append(f"{label}: {exc}")
-            return
+        res = finite_grid_stabilizer(grid)
         if expect_order is not None and res.order != expect_order:
             counterexamples.append(f"{label}: order {res.order}, "
                                    f"expected {expect_order}")
@@ -119,7 +115,8 @@ def witness_suite(config: SuiteConfig) -> PropertyReport:
             if not (w.product > 1 and (w.n - 1) * eps <= 1):
                 counterexamples.append(f"eps={eps} {mode}: bound failed "
                                        f"(n={w.n})")
-            if mode == "rational_orbit" and len(set(w.points)) != w.n:
+            # k * rotation mod 1, k < n, are distinct iff its denominator >= n
+            if mode == "rational_orbit" and w.rotation.denominator < w.n:
                 counterexamples.append(f"eps={eps}: orbit points not distinct")
     witnesses = [f"n * eps exceeds total mass 1 with (n-1) * eps <= 1 "
                  f"for eps in {', '.join(str(e) for e in WITNESS_MASSES)}"]

@@ -167,6 +167,9 @@ def test_digit_limit_inputs_print_exactly_or_fail_cleanly():
                  ("eval", "coinflip: P(allheads>100001)"),
                  ("witness", "--prop", "4.1", "--eps", f"1/{long_numeral}"),
                  ("witness", "--prop", "4.1", "--eps", f"1/{'9' * 4300}"),
+                 ("witness", "--prop", "4.2", "--eps", "1/100000000"),
+                 ("witness", "--prop", "4.2", "--eps", f"1/{'1' * 30}"),
+                 ("stabilizer", "--grid", "uniform:100001"),
                  ("stabilizer", "--grid", f"0,1/{long_numeral}")):
         code, out, err = run_cli(*argv)
         assert (code, out) == (1, ""), argv

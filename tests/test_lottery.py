@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -154,6 +155,15 @@ def test_witness_examples():
     w = archimedean_regularity_witness(F(1, 10), "rational_orbit")
     assert w.rotation == F(1, 13)
     assert len(w.points) == 11 and len(set(w.points)) == 11
+    # the orbit is certified by its rotation, not built point by point
+    tracemalloc.start()
+    try:
+        w = archimedean_regularity_witness(F(1, 10 ** 6), "rational_orbit")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert w.n == 10 ** 6 + 1 and w.rotation == F(1, 1000003)
+    assert peak < 2 ** 20
 
 
 def test_witness_bounds_randomized():

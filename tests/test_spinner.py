@@ -201,14 +201,33 @@ def test_shifted_uniform_grid_keeps_full_symmetry():
 
 def test_random_grid_stabilizers_cyclic_and_bounded():
     rng = random.Random(26)
+    grids = []
     for _ in range(100):
         size = rng.randint(1, 12)
         pts = set()
         while len(pts) < size:
             pts.add(F(rng.randint(0, 39), rng.randint(1, 40)) % 1)
+        grids.append((pts, 1))
+    # symmetric grids base + j/k, whose order is a multiple of k
+    for k in (1, 2, 3, 4, 6, 8):
+        for _ in range(10):
+            base = [F(rng.randint(0, 39), rng.randint(1, 40))
+                    for _ in range(rng.randint(1, 4))]
+            grids.append(({(x + F(j, k)) % 1 for x in base
+                           for j in range(k)}, k))
+    for pts, k in grids:
         res = finite_grid_stabilizer(FiniteGrid(tuple(pts)))
-        assert 1 <= res.order <= size
+        assert 1 <= res.order <= len(pts) and res.order % k == 0
         assert res.witness_image not in pts
+        # reference: every difference to the least point that maps the
+        # grid onto itself, found by brute force
+        p0 = min(pts)
+        brute = sorted(t for t in {(p - p0) % 1 for p in pts}
+                       if {(p + t) % 1 for p in pts} == pts)
+        assert brute == [F(j, len(brute)) for j in range(len(brute))]
+        assert res.order == len(brute)
+        assert res.generator_rotation == (brute[1] if len(brute) > 1
+                                          else F(0))
 
 
 def test_stabilizer_rejects_empty_and_bad_grids():
