@@ -19,13 +19,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 from fractions import Fraction
 
 from .errors import DomainError, ParseError, QueryTypeError
 from .lottery import archimedean_regularity_witness
-from .field import MAX_NUMERAL_DIGITS, render_exact
+from .field import parse_rational, render_exact
 from .query import compare_values, evaluate, evaluate_value, parse_query
 from .spinner import FiniteGrid, SuiteConfig, finite_grid_stabilizer
 from . import suites
@@ -48,18 +47,11 @@ def _load_config(path: "str | None") -> SuiteConfig:
     return config
 
 
-_FRACTION_RE = re.compile(r"-?\d+(/[1-9]\d*)?$")
-
-
 def _parse_fraction(text: str) -> Fraction:
-    text = text.strip()
-    if not _FRACTION_RE.fullmatch(text):
-        raise DomainError(f"expected an exact rational p/q, got {text!r}")
-    if any(len(part) > MAX_NUMERAL_DIGITS
-           for part in text.lstrip("-").split("/")):
-        raise DomainError(f"a numeral has more than {MAX_NUMERAL_DIGITS} "
-                          f"digits")
-    return Fraction(text)
+    try:
+        return parse_rational(text)
+    except ParseError as exc:
+        raise DomainError(f"expected an exact rational p/q: {exc}") from None
 
 
 def _cmd_eval(args) -> int:

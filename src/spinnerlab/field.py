@@ -33,6 +33,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cache
 from typing import Iterable, Union
 
 from .errors import DomainError, GeneratorMismatchError, ParseError
@@ -524,12 +525,16 @@ def classify(a: NonArchValue) -> Classification:
 
 # -- text form ----------------------------------------------------------------
 #
-# poly  := ["+"|"-"] term { ("+"|"-") term }
-# term  := rational ["*" name ["^" nat]] | name ["^" nat]
-# value := "(" poly ")" "/" "(" poly ")" | poly
+# value    := "(" poly ")" [ "/" "(" poly ")" ] | poly
+# poly     := ["+"|"-"] term { ("+"|"-") term }
+# term     := nat ["/" nat] ["*" name ["^" nat]] | name ["^" nat]
+# rational := ["-"] nat ["/" nat]
 #
 # Rendering emits terms in ascending exponent order; parse round-trips both
-# the full quotient form and the compact numerator-only form.
+# the full quotient form and the compact numerator-only form.  Every grammar
+# of the package reads its text through ``tokenize`` and ``TokenCursor``, so
+# a rational is read by one rule everywhere: queries, values, ``--eps`` and
+# ``--grid``.
 
 # Input numerals are capped at Python's default int->str limit, so every
 # numeral converts; computed values can grow past it and still print.
@@ -580,134 +585,164 @@ def render_poly(p: Poly, name: str) -> str:
     return " ".join(parts)
 
 
-_TOKEN = re.compile(r"\s*(?:(?P<rat>\d+/\d+)|(?P<int>\d+)"
-                    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^()]))")
+@cache
+def _lexer(ops: str) -> "re.Pattern":
+    return re.compile(r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_]\w*)"
+                      rf"|(?P<op>[{re.escape(ops)}])|(?P<bad>\S))")
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip():
-                raise ParseError(f"unexpected character {text[pos]!r} "
-                                 f"at position {pos}", position=pos)
-            break
+def tokenize(text: str, ops: str) -> "list[tuple[str, str, int]]":
+    """``(kind, text, position)`` tokens in one pass: ``num`` (a run of at
+    most MAX_NUMERAL_DIGITS digits), ``name`` and ``op``, one character of
+    the grammar's operator alphabet ``ops``.  Whitespace separates tokens;
+    any other character is a ParseError."""
+    tokens = []
+    for m in _lexer(ops).finditer(text):
         kind = m.lastgroup
-        start = m.start(kind)
-        if kind in ("rat", "int") and any(
-                len(part) > MAX_NUMERAL_DIGITS
-                for part in m.group(kind).split("/")):
+        word, start = m.group(kind), m.start(kind)
+        if kind == "bad":
+            raise ParseError(f"syntax error at position {start}: "
+                             f"unexpected character {word!r}", position=start)
+        if kind == "num" and len(word) > MAX_NUMERAL_DIGITS:
             raise ParseError(f"numeral at position {start} has more than "
                              f"{MAX_NUMERAL_DIGITS} digits", position=start)
-        out.append((kind, m.group(kind), start))
-        pos = m.end()
-    return out
+        tokens.append((kind, word, start))
+    return tokens
 
 
-class _PolyParser:
-    def __init__(self, tokens, generator: Generator):
-        self.tokens = tokens
+def _check_denominator(zero: bool, position: int):
+    if zero:
+        raise ParseError("zero denominator in rational literal",
+                         position=position)
+
+
+class TokenCursor:
+    """A read position in the tokens of one text, with the token rules
+    every grammar over them shares, rationals among them."""
+
+    def __init__(self, text: str, ops: str):
+        self.tokens = tokenize(text, ops)
         self.pos = 0
-        self.generator = generator
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def take(self):
-        t = self.peek()
-        if t is None:
-            raise ParseError("unexpected end of input", expected="a term")
-        self.pos += 1
-        return t
+    def fail(self, expected: str):
+        tok = self.peek()
+        if tok is None:
+            raise ParseError(f"syntax error at end of input, "
+                             f"expected {expected}", expected=expected)
+        raise ParseError(f"syntax error at position {tok[2]}: got {tok[1]!r}, "
+                         f"expected {expected}", position=tok[2],
+                         expected=expected)
 
-    def expect_op(self, op: str):
-        t = self.peek()
-        if t is None or t[0] != "op" or t[1] != op:
-            where = f"position {t[2]}" if t else "end of input"
-            raise ParseError(f"syntax error at {where}: expected '{op}'",
-                             position=t[2] if t else None, expected=op)
+    def expect_op(self, *ops: str) -> str:
+        tok = self.peek()
+        if tok is None or tok[0] != "op" or tok[1] not in ops:
+            self.fail(" or ".join(f"'{o}'" for o in ops))
         self.pos += 1
+        return tok[1]
+
+    def accept_op(self, *ops: str) -> "str | None":
+        tok = self.peek()
+        if tok is not None and tok[0] == "op" and tok[1] in ops:
+            self.pos += 1
+            return tok[1]
+        return None
+
+    def expect_name(self, *names: str) -> str:
+        tok = self.peek()
+        if tok is None or tok[0] != "name" or (names and tok[1] not in names):
+            self.fail(" or ".join(f"'{x}'" for x in names) or "a name")
+        self.pos += 1
+        return tok[1]
+
+    def expect_nat(self) -> int:
+        tok = self.peek()
+        if tok is None or tok[0] != "num":
+            self.fail("an integer")
+        self.pos += 1
+        return int(tok[1])
+
+    def expect_end(self):
+        tok = self.peek()
+        if tok is not None:
+            raise ParseError(f"syntax error at position {tok[2]}: "
+                             f"trailing input {tok[1]!r}", position=tok[2])
+
+    def expect_denominator(self) -> int:
+        den = self.expect_nat()
+        _check_denominator(den == 0, self.tokens[self.pos - 1][2])
+        return den
+
+    def expect_rational(self, signed: bool = True) -> Fraction:
+        """``[-]p[/q]`` with q nonzero; the sign is read only if ``signed``."""
+        sign = -1 if signed and self.accept_op("-") else 1
+        num = sign * self.expect_nat()
+        if self.accept_op("/"):
+            return Fraction(num, self.expect_denominator())
+        return Fraction(num)
+
+
+def parse_rational(text: str) -> Fraction:
+    """One exact rational ``[-]p[/q]``, as every numeric input is written."""
+    cursor = TokenCursor(text, "-/")
+    value = cursor.expect_rational()
+    cursor.expect_end()
+    return value
+
+
+class _PolyParser(TokenCursor):
+    def __init__(self, text: str, generator: Generator):
+        super().__init__(text, "-+*/^()")
+        self.generator = generator
 
     def parse_poly(self) -> Poly:
-        acc = Poly()
-        sign = 1
-        t = self.peek()
-        if t and t[0] == "op" and t[1] in "+-":
-            sign = -1 if t[1] == "-" else 1
-            self.pos += 1
-        acc = acc + self.parse_term() * sign
+        sign = -1 if self.accept_op("+", "-") == "-" else 1
+        acc = self.parse_term() * sign
         while True:
-            t = self.peek()
-            if t is None or t[0] != "op" or t[1] not in "+-":
+            op = self.accept_op("+", "-")
+            if op is None:
                 return acc
-            self.pos += 1
-            acc = acc + self.parse_term() * (-1 if t[1] == "-" else 1)
+            acc = acc + self.parse_term() * (-1 if op == "-" else 1)
 
     def parse_term(self) -> Poly:
-        kind, text, pos = self.take()
-        if kind in ("rat", "int"):
-            try:
-                c = Fraction(text)
-            except ZeroDivisionError:
-                raise ParseError(f"zero denominator at position {pos}",
-                                 position=pos) from None
-            t = self.peek()
-            if t and t[0] == "op" and t[1] == "*":
-                self.pos += 1
-                return Poly.monomial(self._power(), c)
-            return Poly.constant(c)
-        if kind == "name":
-            self.pos -= 1
-            return Poly.monomial(self._power(), 1)
-        raise ParseError(f"syntax error at position {pos}: "
-                         f"expected a coefficient or '{self.generator.name}'",
-                         position=pos)
+        tok = self.peek()
+        if tok is not None and tok[0] == "name":
+            return Poly.monomial(self.parse_power())
+        if tok is None or tok[0] != "num":
+            self.fail(f"a coefficient or '{self.generator.name}'")
+        c = self.expect_rational(signed=False)
+        if self.accept_op("*"):
+            return Poly.monomial(self.parse_power(), c)
+        return Poly.constant(c)
 
-    def _power(self) -> int:
-        kind, text, pos = self.take()
-        if kind != "name" or text != self.generator.name:
-            raise ParseError(f"syntax error at position {pos}: expected "
-                             f"generator '{self.generator.name}', got {text!r}",
-                             position=pos)
-        t = self.peek()
-        if t and t[0] == "op" and t[1] == "^":
-            self.pos += 1
-            kind, text, pos = self.take()
-            if kind != "int":
-                raise ParseError(f"syntax error at position {pos}: "
-                                 "expected an integer exponent", position=pos)
-            exponent = int(text)
-            if exponent > MAX_EXPONENT:
-                raise ParseError(f"exponent at position {pos} is above "
-                                 f"{MAX_EXPONENT}", position=pos)
-            return exponent
-        return 1
+    def parse_power(self) -> int:
+        self.expect_name(self.generator.name)
+        if not self.accept_op("^"):
+            return 1
+        exponent = self.expect_nat()
+        if exponent > MAX_EXPONENT:
+            pos = self.tokens[self.pos - 1][2]
+            raise ParseError(f"exponent at position {pos} is above "
+                             f"{MAX_EXPONENT}", position=pos)
+        return exponent
 
 
 def parse_value(text: str, generator: Generator) -> NonArchValue:
-    """Parse the canonical text form back into a value."""
-    tokens = _tokenize(text)
-    p = _PolyParser(tokens, generator)
-    t = p.peek()
-    if t and t[0] == "op" and t[1] == "(":
-        # quotient form "(num) / (den)"
-        p.pos += 1
+    """Parse either text form back into a value."""
+    p = _PolyParser(text, generator)
+    den = _ONE
+    if p.accept_op("("):
         num = p.parse_poly()
         p.expect_op(")")
-        if p.peek() is None:
-            return NonArchValue(generator, num)
-        p.expect_op("/")
-        p.expect_op("(")
-        den = p.parse_poly()
-        p.expect_op(")")
-        if p.peek() is not None:
-            raise ParseError(f"syntax error at position {p.peek()[2]}: "
-                             "trailing input", position=p.peek()[2])
-        return NonArchValue(generator, num, den)
-    num = p.parse_poly()
-    if p.peek() is not None:
-        raise ParseError(f"syntax error at position {p.peek()[2]}: "
-                         "trailing input", position=p.peek()[2])
-    return NonArchValue(generator, num)
+        if p.accept_op("/"):
+            tok = p.peek()
+            p.expect_op("(")
+            den = p.parse_poly()
+            p.expect_op(")")
+            _check_denominator(den.is_zero(), tok[2])
+    else:
+        num = p.parse_poly()
+    p.expect_end()
+    return NonArchValue(generator, num, den)

@@ -36,8 +36,8 @@ from typing import Union
 
 from .cantor import CantorEvent, CantorModel, cantor_probability
 from .errors import DomainError, ParseError, QueryTypeError
-from .field import (MAX_NUMERAL_DIGITS, Classification, Kind, NonArchValue,
-                    Ordering, Sign, render_exact)
+from .field import (Classification, Kind, NonArchValue, Ordering, Sign,
+                    TokenCursor, render_exact)
 from .intervals import IntervalSet, lebesgue_length
 from .lottery import (CoinEvent, LotteryModel, coinflip_probability,
                       lottery_ticket_probability)
@@ -130,102 +130,24 @@ class Query:
     expr: Union[Prob, St, ClassifyExpr, CompareExpr]
 
 
-# -- tokenizer ------------------------------------------------------------------
+# -- parser ---------------------------------------------------------------------
 
-_TOKEN = re.compile(r"[ \t\r\n]*(?:(?P<num>\d+)|(?P<name>[A-Za-z_]\w*)"
-                    r"|(?P<op>[\[\](){},:|&>/∪∩-]))")
+_OPS = "[](){},:|&>/∪∩-"
 
-_UNICODE_OPS = {"∪": "u", "∩": "n"}
-
-
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        m = _TOKEN.match(text, pos)
-        if m is None or m.end() == pos:
-            if not text[pos:].strip():
-                break
-            bad = text[pos:].lstrip()[0]
-            where = text.index(bad, pos)
-            raise ParseError(f"syntax error at position {where}: "
-                             f"unexpected character {bad!r}", position=where)
-        if m.group("num") is not None:
-            if len(m.group("num")) > MAX_NUMERAL_DIGITS:
-                raise ParseError(f"numeral at position {m.start('num')} has "
-                                 f"more than {MAX_NUMERAL_DIGITS} digits",
-                                 position=m.start("num"))
-            tokens.append(("num", m.group("num"), m.start("num")))
-        elif m.group("name") is not None:
-            name = m.group("name")
-            if name in ("u", "n"):
-                tokens.append(("op", name, m.start("name")))
-            else:
-                tokens.append(("name", name, m.start("name")))
-        else:
-            op = _UNICODE_OPS.get(m.group("op"), m.group("op"))
-            tokens.append(("op", op, m.start("op")))
-        pos = m.end()
-    return tokens
-
+# the set operators, as names or as symbols
+_SET_OPS = {"u": "u", "n": "n", "∪": "u", "∩": "n"}
 
 _WRAPPERS = {"st": St, "classify": ClassifyExpr, "compare": CompareExpr}
 
 
-class _Parser:
+class _Parser(TokenCursor):
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
+        super().__init__(text, _OPS)
+        self.tokens = [("op", _SET_OPS[word], at)
+                       if kind != "num" and word in _SET_OPS
+                       else (kind, word, at)
+                       for kind, word, at in self.tokens]
         self.depth = 0
-
-    # token helpers
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def fail(self, expected: str):
-        tok = self.peek()
-        if tok is None:
-            raise ParseError(f"syntax error at end of input, "
-                             f"expected {expected}", expected=expected)
-        raise ParseError(f"syntax error at position {tok[2]}: got {tok[1]!r}, "
-                         f"expected {expected}", position=tok[2],
-                         expected=expected)
-
-    def expect_op(self, *ops: str):
-        tok = self.peek()
-        if tok is None or tok[0] != "op" or tok[1] not in ops:
-            self.fail(" or ".join(f"'{o}'" for o in ops))
-        self.pos += 1
-        return tok[1]
-
-    def accept_op(self, *ops: str) -> "str | None":
-        tok = self.peek()
-        if tok is not None and tok[0] == "op" and tok[1] in ops:
-            self.pos += 1
-            return tok[1]
-        return None
-
-    def expect_name(self, *names: str) -> str:
-        tok = self.peek()
-        if tok is None or tok[0] != "name" or (names and tok[1] not in names):
-            self.fail(" or ".join(f"'{x}'" for x in names) or "a name")
-        self.pos += 1
-        return tok[1]
-
-    def expect_end(self):
-        tok = self.peek()
-        if tok is not None:
-            raise ParseError(f"syntax error at position {tok[2]}: "
-                             f"trailing input {tok[1]!r}", position=tok[2])
-
-    def expect_nat(self) -> int:
-        tok = self.peek()
-        if tok is None or tok[0] != "num":
-            self.fail("an integer")
-        self.pos += 1
-        return int(tok[1])
 
     # grammar
 
@@ -305,7 +227,7 @@ class _Parser:
                 inner = self.parse_set()
                 self.depth -= 1
                 self.expect_op(",")
-                offset = self.parse_rational()
+                offset = self.expect_rational()
                 self.expect_op(")")
                 return Translate(inner, offset)
             if name == "allheads":
@@ -334,9 +256,9 @@ class _Parser:
 
     def parse_interval(self) -> IntervalLit:
         lb = self.expect_op("(", "[")
-        left = self.parse_rational()
+        left = self.expect_rational()
         self.expect_op(",")
-        right = self.parse_rational()
+        right = self.expect_rational()
         rb = self.expect_op(")", "]")
         return IntervalLit(left, lb == "[", right, rb == "]")
 
@@ -357,20 +279,8 @@ class _Parser:
             self.fail("a point or cylinder address")
         self.pos += 1
         if self.accept_op("/"):
-            den = self.expect_nat()
-            return f"{int(tok[1])}/{den}"
+            return f"{int(tok[1])}/{self.expect_denominator()}"
         return tok[1]
-
-    def parse_rational(self) -> Fraction:
-        sign = -1 if self.accept_op("-") else 1
-        num = self.expect_nat()
-        if self.accept_op("/"):
-            den = self.expect_nat()
-            if den == 0:
-                raise ParseError("zero denominator in rational literal",
-                                 position=self.tokens[self.pos - 1][2])
-            return Fraction(sign * num, den)
-        return Fraction(sign * num)
 
     def parse_allheads(self) -> CoinLit:
         self.expect_name("allheads")

@@ -33,6 +33,7 @@ values can be shared freely across threads.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -112,11 +113,12 @@ class FiniteGrid:
     points: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if any(x < 0 or x >= 1 for x in self.points):
+        points = tuple(sorted(self.points))
+        if points and (points[0] < 0 or points[-1] >= 1):
             raise DomainError("grid points must lie in [0,1)")
-        if len(set(self.points)) != len(self.points):
+        if any(a == b for a, b in zip(points, points[1:])):
             raise DomainError("grid points must be distinct")
-        object.__setattr__(self, "points", tuple(sorted(self.points)))
+        object.__setattr__(self, "points", points)
 
     @classmethod
     def uniform(cls, n: int) -> "FiniteGrid":
@@ -158,17 +160,18 @@ def finite_grid_stabilizer(g: FiniteGrid) -> StabilizerResult:
     """
     if not g.points:
         raise DomainError("stabilizer of an empty grid is undefined")
-    pts = set(g.points)
-    n = len(g.points)
-    gaps = [b - a for a, b in zip(g.points, g.points[1:])]
-    gaps.append(1 + g.points[0] - g.points[-1])
+    pts = g.points
+    n = len(pts)
+    gaps = [b - a for a, b in zip(pts, pts[1:])]
+    gaps.append(1 + pts[0] - pts[-1])
     k = next(n // d for d in range(1, n + 1)
              if n % d == 0 and gaps[d:] + gaps[:d] == gaps)
     rotation = Fraction(1, k) if k > 1 else Fraction(0)
     witness_rotation = Fraction(1, k + 1)
-    for x in g.points:
+    for x in pts:
         image = (x + witness_rotation) % 1
-        if image not in pts:
+        i = bisect_left(pts, image)
+        if i == n or pts[i] != image:
             return StabilizerResult(k, rotation, witness_rotation, x, image)
     raise AssertionError("rotation by 1/(order+1) unexpectedly preserved "
                          "the grid")

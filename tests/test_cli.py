@@ -151,6 +151,11 @@ def test_witness_subcommand():
     assert code == 1 and "positive" in err
     code, _, err = run_cli("witness", "--prop", "4.1", "--eps", "0.1")
     assert code == 1 and "exact rational" in err
+    code, out, _ = run_cli("witness", "--prop", "4.1", "--eps", " 1 / 10 ")
+    assert code == 0 and json.loads(out) == {"n": 11, "product": "11/10"}
+    code, _, err = run_cli("witness", "--prop", "4.1", "--eps", "1/0")
+    assert code == 1 and err == ("error: expected an exact rational p/q: "
+                                 "zero denominator in rational literal\n")
 
 
 def test_digit_limit_inputs_print_exactly_or_fail_cleanly():

@@ -12,10 +12,12 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinnerlab.errors import DomainError, GeneratorMismatchError
+from spinnerlab.errors import DomainError, GeneratorMismatchError, ParseError
 from spinnerlab.field import (Generator, Kind, NonArchValue, Ordering, Poly,
                               Sign, arith_add, arith_div, arith_mul, classify,
-                              compare, parse_value, poly_gcd, standard_part)
+                              compare, parse_rational, parse_value, poly_gcd,
+                              standard_part)
+from spinnerlab.query import parse_query
 from spinnerlab.sampling import rand_limited_value, rand_value
 
 G = Generator("eps")
@@ -295,8 +297,36 @@ def test_parse_round_trip():
 
 
 def test_parse_rejects_garbage():
-    from spinnerlab.errors import ParseError
     for text in ("", "(1", "1 +", "eps^", "1 ** eps", "foo", "1/0",
-                 "1" + "0" * 4400, "eps^200000"):
+                 "1" + "0" * 4400, "eps^200000", "(1) / (0)",
+                 "(1) / (eps - eps)"):
         with pytest.raises(ParseError):
             parse_value(text, G)
+    # a zero denominator polynomial is reported at its opening parenthesis
+    for text in ("(1) / (0)", "(1) / (eps - eps)"):
+        with pytest.raises(ParseError, match="zero denominator") as exc:
+            parse_value(text, G)
+        assert exc.value.position == 6
+
+
+# one rational rule for every reader: (text, value or None for a ParseError)
+RATIONAL_TEXTS = [
+    ("1/2", F(1, 2)), (" 3 / 4 ", F(3, 4)), ("-1/2", F(-1, 2)),
+    ("007/2", F(7, 2)), ("1/0", None), ("1/-2", None), ("0.1", None),
+    ("1e3", None), ("1_0", None), ("1" + "0" * 4300, None),
+]
+
+
+@pytest.mark.parametrize("text, value", RATIONAL_TEXTS)
+def test_one_rational_rule_for_queries_values_and_cli(text, value):
+    readers = [
+        lambda t: parse_query(f"minimal: P([{t},1])").expr.event.left,
+        lambda t: parse_value(t, G).standard_part(),
+        parse_rational,
+    ]
+    for read in readers:
+        if value is None:
+            with pytest.raises(ParseError):
+                read(text)
+        else:
+            assert read(text) == value

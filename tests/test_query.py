@@ -41,6 +41,25 @@ def test_parse_reports_position_and_expected():
         parse_query("grid: P({1/3}) extra")
     assert "trailing input" in str(exc.value)
 
+    # a brace point with a zero denominator is a parse error at the
+    # denominator, like an interval endpoint
+    for text, position in (("grid: P({1/0})", 11), ("minimal: P({3/0})", 14),
+                           ("grid: P([0,1/0))", 13)):
+        with pytest.raises(ParseError) as exc:
+            parse_query(text)
+        assert str(exc.value) == "zero denominator in rational literal"
+        assert exc.value.position == position
+
+
+def test_parse_reads_every_whitespace_character_between_tokens():
+    expected = parse_query("grid: P(full)")
+    for text in ("grid:\x0bP(full)", "grid:\xa0P(full)", "grid: P(full)\x0b",
+                 "grid: P(full)\u3000", "\u3000grid :\x0cP (\tfull\n)"):
+        assert parse_query(text) == expected, repr(text)
+    with pytest.raises(ParseError, match="unexpected character '.'") as exc:
+        parse_query("grid:\xa0P(full) .")
+    assert exc.value.position == 14
+
 
 def test_parse_unknown_model():
     with pytest.raises(ParseError, match="unknown model 'uniform'"):

@@ -235,6 +235,13 @@ def test_stabilizer_rejects_empty_and_bad_grids():
         FiniteGrid((F(3, 2),))
     with pytest.raises(DomainError):
         FiniteGrid((F(1, 2), F(1, 2)))
+    # unsorted input: the range and the duplicate are found after sorting
+    with pytest.raises(DomainError, match="lie in"):
+        FiniteGrid((F(1, 2), F(-1, 4), F(1, 3)))
+    with pytest.raises(DomainError, match="lie in"):
+        FiniteGrid((F(1, 2), F(1), F(1, 3)))
+    with pytest.raises(DomainError, match="distinct"):
+        FiniteGrid((F(1, 2), F(1, 4), F(2, 4)))
     with pytest.raises(DomainError):
         finite_grid_stabilizer(FiniteGrid(()))
 
