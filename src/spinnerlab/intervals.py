@@ -164,14 +164,21 @@ class IntervalSet:
         return IntervalSet(self.components + other.components)
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
-        out: list[RawComponent] = []
+        # a sweep over both sorted component lists: the component that ends
+        # first meets nothing further on, so its pointer moves on
+        out: list[Piece] = []
+        mine = [(a.start, a.end) for a in self.components]
         theirs = [(b.start, b.end) for b in other.components]
-        for a in self.components:
-            a_start, a_end = a.start, a.end
-            for b_start, b_end in theirs:
-                start, end = max(a_start, b_start), min(a_end, b_end)
-                if start < end:
-                    out.append((start[0], not start[1], *end))
+        i = j = 0
+        while i < len(mine) and j < len(theirs):
+            (a_start, a_end), (b_start, b_end) = mine[i], theirs[j]
+            start, end = max(a_start, b_start), min(a_end, b_end)
+            if start < end:
+                out.append(Piece(start[0], not start[1], *end))
+            if a_end < b_end:
+                i += 1
+            else:
+                j += 1
         return IntervalSet(out)
 
     def complement(self) -> "IntervalSet":

@@ -102,6 +102,18 @@ SetNode = Union[IntervalLit, BraceLit, FullLit, SetOp, Complement, Translate,
                 CoinLit, TicketLit]
 
 
+def _unroll(node: SetOp) -> tuple[SetNode, list[tuple[str, SetNode]]]:
+    """The first operand of a left-nested ``SetOp`` chain, then its
+    (operator, operand) pairs in order: a loop over the left spine, so no
+    walk over a chain recurses once per operand."""
+    rest = []
+    while isinstance(node, SetOp):
+        rest.append((node.op, node.right))
+        node = node.left
+    rest.reverse()
+    return node, rest
+
+
 @dataclass(frozen=True)
 class Prob:
     event: SetNode
@@ -346,8 +358,11 @@ def render_set(node: SetNode) -> str:
     if isinstance(node, FullLit):
         return "full"
     if isinstance(node, SetOp):
-        op = "u" if node.op == "union" else "n"
-        return f"{render_set(node.left)} {op} {render_set(node.right)}"
+        first, rest = _unroll(node)
+        parts = [render_set(first)]
+        for op, operand in rest:
+            parts += ("u" if op == "union" else "n", render_set(operand))
+        return " ".join(parts)
     if isinstance(node, Complement):
         return f"compl({render_set(node.arg)})"
     if isinstance(node, Translate):
@@ -372,6 +387,26 @@ _POINT_RE = re.compile(r"\d+(?:/\d+)?$")
 _ADDRESS_RE = re.compile(r"[02]+$")
 
 
+def _fold(node: SetOp, build, union_all):
+    """Fold a set chain left to right, ``A u B n C`` as ``(A u B) n C``.
+
+    Operands are built in order, so the first bad one names the error; each
+    maximal run of ``u`` operands is one normalizing ``union_all`` call and
+    each ``n`` one intersection."""
+    def union(run):
+        return run[0] if len(run) == 1 else union_all(run)
+
+    first, rest = _unroll(node)
+    run = [build(first)]
+    for op, operand in rest:
+        event = build(operand)
+        if op == "union":
+            run.append(event)
+        else:
+            run = [union(run) & event]
+    return union(run)
+
+
 def _to_interval_set(node: SetNode, model: str) -> IntervalSet:
     if isinstance(node, IntervalLit):
         return IntervalSet.interval(node.left, node.left_in,
@@ -392,9 +427,9 @@ def _to_interval_set(node: SetNode, model: str) -> IntervalSet:
     if isinstance(node, FullLit):
         return IntervalSet.full()
     if isinstance(node, SetOp):
-        left = _to_interval_set(node.left, model)
-        right = _to_interval_set(node.right, model)
-        return left | right if node.op == "union" else left & right
+        return _fold(node, partial(_to_interval_set, model=model),
+                     lambda run: IntervalSet(
+                         [p for s in run for p in s.components]))
     if isinstance(node, Complement):
         return _to_interval_set(node.arg, model).complement()
     if isinstance(node, Translate):
@@ -418,9 +453,9 @@ def _to_cantor_event(node: SetNode) -> CantorEvent:
     if isinstance(node, FullLit):
         return CantorEvent.full()
     if isinstance(node, SetOp):
-        left = _to_cantor_event(node.left)
-        right = _to_cantor_event(node.right)
-        return left | right if node.op == "union" else left & right
+        return _fold(node, _to_cantor_event,
+                     lambda run: CantorEvent(
+                         [a for e in run for a in e.cylinders]))
     if isinstance(node, Complement):
         return _to_cantor_event(node.arg).complement()
     if isinstance(node, Translate):
@@ -437,10 +472,14 @@ def _to_coin_event(node: SetNode) -> CoinEvent:
                               pinned=dict(node.pins),
                               all_heads=node.all_heads)
     if isinstance(node, SetOp):
-        if node.op == "union":
+        first, rest = _unroll(node)
+        if any(op == "union" for op, _ in rest):
             raise QueryTypeError("union of coin events is not supported; "
                                  "only intersection is defined")
-        return _to_coin_event(node.left).intersect(_to_coin_event(node.right))
+        event = _to_coin_event(first)
+        for _, operand in rest:
+            event = event.intersect(_to_coin_event(operand))
+        return event
     raise QueryTypeError("only coin literals (allheads, pin) and their "
                          "intersections belong to the coinflip model")
 

@@ -32,6 +32,7 @@ values can be shared freely across threads.
 
 from __future__ import annotations
 
+import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -162,8 +163,13 @@ def finite_grid_stabilizer(g: FiniteGrid) -> StabilizerResult:
         raise DomainError("stabilizer of an empty grid is undefined")
     pts = g.points
     n = len(pts)
-    gaps = [b - a for a, b in zip(pts, pts[1:])]
-    gaps.append(1 + pts[0] - pts[-1])
+    # the gaps as integer numerators over the common denominator; a list,
+    # not a generator: unpacking a generator here raised the peak RSS of
+    # every further call under CPython 3.11
+    lcm = math.lcm(*[x.denominator for x in pts])
+    nums = [x.numerator * (lcm // x.denominator) for x in pts]
+    gaps = [b - a for a, b in zip(nums, nums[1:])]
+    gaps.append(lcm + nums[0] - nums[-1])
     k = next(n // d for d in range(1, n + 1)
              if n % d == 0 and gaps[d:] + gaps[:d] == gaps)
     rotation = Fraction(1, k) if k > 1 else Fraction(0)

@@ -196,3 +196,20 @@ def test_stabilizer_subcommand():
     assert json.loads(out)["order"] == 1
     code, _, err = run_cli("stabilizer", "--grid", "3/2")
     assert code == 1 and "error:" in err
+
+
+def test_long_set_chains_evaluate_without_recursion():
+    n = 5000
+    chains = {
+        "grid: P(" + " u ".join(f"{{{i}/{n}}}" for i in range(n)) + ")":
+            f"value: {n}*eps",
+        "cantor: P(" + " u ".join(["{0}"] * n) + ")": "value: 1/2",
+        "coinflip: P(" + " n ".join(["allheads"] * n) + ")": "value: h",
+        # (A u B) n C, read left to right: each n cuts the point 3/4 off
+        "grid: P([0,1/2)" + " u {3/4} n [0,1/2)" * (n // 2 - 1)
+        + " u {3/4})": "value: 1/2 + eps",
+    }
+    for query, value in chains.items():
+        code, out, err = run_cli("eval", query)
+        assert (code, err) == (0, ""), (query[:40], err[-300:])
+        assert out.splitlines()[0] == value, query[:40]

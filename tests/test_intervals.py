@@ -140,12 +140,16 @@ def test_boolean_argument_errors():
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.integers(0, 10 ** 6))
-def test_boolean_membership_is_pointwise(seed):
+@given(st.integers(0, 10 ** 6),
+       # (components, endpoint denominators, probe denominators); sets of up
+       # to 12 components make the intersection sweep move both pointers
+       st.sampled_from(((3, 6, 6), (12, 12, 24))))
+def test_boolean_membership_is_pointwise(seed, shape):
+    max_components, max_den, probe_den = shape
     rng = random.Random(seed)
-    a = rand_interval_set(rng, 3, 6)
-    b = rand_interval_set(rng, 3, 6)
-    for x in small_rationals(6):
+    a = rand_interval_set(rng, max_components, max_den)
+    b = rand_interval_set(rng, max_components, max_den)
+    for x in small_rationals(probe_den):
         assert (a | b).contains(x) == (a.contains(x) or b.contains(x))
         assert (a & b).contains(x) == (a.contains(x) and b.contains(x))
         assert a.complement().contains(x) == (not a.contains(x))

@@ -9,7 +9,8 @@ from spinnerlab.errors import DomainError, ParseError, QueryTypeError
 from spinnerlab.query import (BraceLit, CoinLit, Complement, CompareExpr,
                               EvalResult, FullLit, IntervalLit, Prob, Query,
                               SetOp, St, TicketLit, Translate, evaluate,
-                              evaluate_value, parse_query, render_query)
+                              evaluate_value, parse_query, render_query,
+                              _to_cantor_event, _to_interval_set)
 
 
 # -- parsing ----------------------------------------------------------------------
@@ -169,6 +170,63 @@ def test_render_parse_round_trip_to_depth_5():
         assert parse_query(render_query(q)) == q
 
 
+def test_render_parse_round_trip_of_a_5000_operand_chain():
+    rng = random.Random(75)
+    atoms = ("[0,1/2)", "(1/3,2/3]", "{1/3}", "{0, 1/2, 3/4}", "full",
+             "compl([0,1/2) n {1/3})", "translate(full,-1/8)")
+    text = "grid: P(" + rng.choice(atoms) + "".join(
+        f" {rng.choice('un')} {rng.choice(atoms)}" for _ in range(4999)) + ")"
+    # compared as text: dataclass == on a 5000-deep tree would recurse
+    assert render_query(parse_query(text)) == text
+
+
+# -- chains fold left to right --------------------------------------------------------
+
+def _rand_interval_operand(rng):
+    a, b = sorted(F(rng.randint(0, 12), 12) for _ in range(2))
+    kind = rng.randrange(5)
+    if kind == 0:
+        return f"{{{a}, {b}}}"
+    if kind == 1:
+        return "full"
+    if kind == 2:
+        return f"compl([{a},{b}))"
+    if kind == 3:
+        return f"translate(({a},{b}],{rng.randint(1, 11)}/12)"
+    return f"{rng.choice('[(')}{a},{b}{rng.choice(')]')}"
+
+
+def _rand_cantor_operand(rng):
+    def address():
+        return "".join(rng.choices("02", k=rng.randint(1, 4)))
+    kind = rng.randrange(4)
+    if kind == 0:
+        return "full"
+    if kind == 1:
+        return f"compl({{{address()}}})"
+    return "{" + ", ".join(address() for _ in range(rng.randint(1, 3))) + "}"
+
+
+def test_mixed_chains_equal_the_pairwise_left_fold():
+    rng = random.Random(74)
+    for model, operand, build in (
+            ("grid", _rand_interval_operand,
+             lambda node: _to_interval_set(node, "grid")),
+            ("cantor", _rand_cantor_operand, _to_cantor_event)):
+        for _ in range(150):
+            texts = [operand(rng) for _ in range(rng.randint(1, 40))]
+            ops = [rng.choice("un") for _ in texts[1:]]
+            chain = texts[0] + "".join(f" {op} {t}"
+                                       for op, t in zip(ops, texts[1:]))
+            sets = [build(parse_query(f"{model}: P({t})").expr.event)
+                    for t in texts]
+            expected = sets[0]
+            for op, s in zip(ops, sets[1:]):
+                expected = expected | s if op == "u" else expected & s
+            got = build(parse_query(f"{model}: P({chain})").expr.event)
+            assert got == expected, chain
+
+
 # -- parser totality (fuzz) -------------------------------------------------------------
 
 FUZZ_ALPHABET = string.ascii_letters + string.digits + "[](){}<>,:|&/^*-+. \t"
@@ -281,6 +339,16 @@ def test_eval_type_mismatches():
         evaluate(parse_query("lottery: P([0,1/2))"))
     with pytest.raises(QueryTypeError, match="coin events"):
         evaluate(parse_query("grid: P(allheads)"))
+    # the first bad operand of a chain names the error; a union anywhere in
+    # a coin chain comes before any operand is read
+    with pytest.raises(QueryTypeError, match="cylinder"):
+        evaluate(parse_query("grid: P({1/3} n {02} u [1/2,1/4])"))
+    with pytest.raises(QueryTypeError, match="not a cylinder address"):
+        evaluate(parse_query("cantor: P({0} u {1/3} n translate({0},1/2))"))
+    for text in ("coinflip: P({0} n allheads u allheads)",
+                 "coinflip: P(allheads u {0} n allheads)"):
+        with pytest.raises(QueryTypeError, match="union of coin events"):
+            evaluate(parse_query(text))
 
 
 def test_eval_domain_errors():
@@ -292,6 +360,8 @@ def test_eval_domain_errors():
         evaluate(parse_query("cantor: P(full | {})"))
     with pytest.raises(DomainError, match="inconsistent coin event"):
         evaluate(parse_query("coinflip: P(allheads | allheads&pin(1:T))"))
+    with pytest.raises(DomainError, match="out of order"):
+        evaluate(parse_query("grid: P({1/3} u [1/2,1/4] u {02})"))
 
 
 def _str_without_digit_limit(n: int) -> str:
