@@ -140,8 +140,11 @@ class CantorEvent:
 
 
 def hausdorff_measure(e: CantorEvent) -> Fraction:
-    """Sum of 2^-depth over cylinders, normalized to 1 on the full set."""
-    return sum((Fraction(1, 2 ** len(a)) for a in e.cylinders), Fraction(0))
+    """Sum of 2^-depth over cylinders, normalized to 1 on the full set:
+    one integer sum over 2^D, with D the deepest address."""
+    depth = max(map(len, e.cylinders), default=0)
+    return Fraction(sum(1 << (depth - len(a)) for a in e.cylinders),
+                    1 << depth)
 
 
 def cantor_probability(model: CantorModel, e: CantorEvent) -> NonArchValue:

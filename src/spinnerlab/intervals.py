@@ -17,20 +17,35 @@ and holds exactly the points between those two cuts.  Comparing cuts as
 tuples settles every open/closed endpoint case of membership, merging and
 intersection.
 
-Sets are immutable; every operation returns a new normalized set.
+Sets are immutable; every operation returns a new normalized set.  Outside
+input is validated once, where it enters:
+
+* validate: the constructor (and ``normalize``, ``point``, ``interval``)
+  checks every component, a :class:`Piece` like a raw 4-tuple, for endpoint
+  order, the [0,1] range and float endpoints, and wraps the point 1 to 0;
+* merge: ``union`` and ``translate_mod1`` start from normalized sets and
+  hand their (start, end) cut pairs straight to the sort and merge;
+* normal by construction: the ``intersect`` sweep and the gaps of
+  ``complement`` come out sorted, disjoint and non-adjacent, so they skip
+  the sort and merge.
+
+``length`` adds one integer numerator over the running lcm of the endpoint
+denominators and makes a single ``Fraction`` at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .errors import DomainError, ParseError, QueryTypeError
 from .report import PropertyReport
 
-RawComponent = tuple[Fraction, bool, Fraction, bool]
 Cut = tuple[Fraction, bool]
+CutPair = tuple[Cut, Cut]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -70,12 +85,18 @@ class Piece:
 
 
 def _as_fraction(x) -> Fraction:
+    if isinstance(x, Fraction):
+        return x
     if isinstance(x, float):
         raise DomainError("float endpoints are not allowed; use exact rationals")
     return Fraction(x)
 
 
-def _clean(left, left_in, right, right_in) -> "list[tuple[Cut, Cut]]":
+# the cut at which the sample space [0,1) ends
+_END_CUT: Cut = (_ONE, False)
+
+
+def _clean(left, left_in, right, right_in) -> "list[CutPair]":
     """Validate one raw component, wrap the point 1 back to 0 and return the
     nonempty pieces as (start, end) cuts."""
     left, right = _as_fraction(left), _as_fraction(right)
@@ -91,6 +112,25 @@ def _clean(left, left_in, right, right_in) -> "list[tuple[Cut, Cut]]":
     return out
 
 
+def _piece(start: Cut, end: Cut) -> "Piece":
+    return Piece(start[0], not start[1], end[0], end[1])
+
+
+def _merge(cuts: "list[CutPair]") -> "tuple[Piece, ...]":
+    """Sort nonempty cut pairs inside [0,1) and merge the ones that overlap
+    or touch into components."""
+    cuts.sort(key=itemgetter(0))
+    merged: list[list[Cut]] = []
+    for start, end in cuts:
+        if merged and start <= merged[-1][1]:
+            if end > merged[-1][1]:
+                merged[-1][1] = end
+        else:
+            merged.append([start, end])
+    # a list, not a generator: tuple(generator) multiplied peak memory
+    return tuple([_piece(start, end) for start, end in merged])
+
+
 class IntervalSet:
     """Normalized finite union of rational-endpoint intervals in [0,1).
 
@@ -101,25 +141,31 @@ class IntervalSet:
     __slots__ = ("components",)
 
     def __init__(self, raw: Iterable[Sequence] = ()):
-        cuts: list[tuple[Cut, Cut]] = []
+        cuts: list[CutPair] = []
         for comp in raw:
-            # a Piece comes from a normalized set, so it is already clean
             if isinstance(comp, Piece):
-                cuts.append((comp.start, comp.end))
-            else:
-                left, left_in, right, right_in = comp
-                cuts.extend(_clean(left, left_in, right, right_in))
-        cuts.sort(key=lambda c: c[0])
-        merged: list[list[Cut]] = []
-        for start, end in cuts:
-            if merged and start <= merged[-1][1]:
-                merged[-1][1] = max(merged[-1][1], end)
-            else:
-                merged.append([start, end])
-        # a list, not a generator: tuple(generator) multiplied peak memory
-        self.components: tuple[Piece, ...] = tuple([
-            Piece(left, not after, right, right_in)
-            for (left, after), (right, right_in) in merged])
+                comp = (comp.left, comp.left_in, comp.right, comp.right_in)
+            left, left_in, right, right_in = comp
+            cuts.extend(_clean(left, left_in, right, right_in))
+        self.components: tuple[Piece, ...] = _merge(cuts)
+
+    @classmethod
+    def _normal(cls, components: "tuple[Piece, ...]") -> "IntervalSet":
+        """A set from components already sorted, disjoint and non-adjacent:
+        the kernel's private path, which neither validates nor merges."""
+        s = object.__new__(cls)
+        s.components = components
+        return s
+
+    @classmethod
+    def _from_cuts(cls, cuts: "list[CutPair]") -> "IntervalSet":
+        """A set from cut pairs of validated pieces: sorted and merged, not
+        validated again."""
+        return cls._normal(_merge(cuts))
+
+    def _cuts(self) -> "list[CutPair]":
+        """The (start, end) cuts of the components, in order."""
+        return [(p.start, p.end) for p in self.components]
 
     # -- constructors ------------------------------------------------------
 
@@ -156,55 +202,70 @@ class IntervalSet:
 
     @property
     def length(self) -> Fraction:
-        return sum((p.right - p.left for p in self.components), _ZERO)
+        # one integer numerator over the running lcm of the denominators
+        num, den = 0, 1
+        for p in self.components:
+            for x, sign in ((p.right, 1), (p.left, -1)):
+                d = x.denominator
+                if den % d:
+                    scale = d // gcd(den, d)
+                    num, den = num * scale, den * scale
+                num += sign * x.numerator * (den // d)
+        return Fraction(num, den)
 
     # -- algebra -----------------------------------------------------------
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
-        return IntervalSet(self.components + other.components)
+        return IntervalSet._from_cuts(self._cuts() + other._cuts())
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
         # a sweep over both sorted component lists: the component that ends
-        # first meets nothing further on, so its pointer moves on
+        # first meets nothing further on, so its pointer moves on.  Two
+        # pieces of the output lie in different components of one operand,
+        # which are apart, so the output is normal as it comes.
         out: list[Piece] = []
-        mine = [(a.start, a.end) for a in self.components]
-        theirs = [(b.start, b.end) for b in other.components]
+        mine, theirs = self._cuts(), other._cuts()
         i = j = 0
         while i < len(mine) and j < len(theirs):
             (a_start, a_end), (b_start, b_end) = mine[i], theirs[j]
             start, end = max(a_start, b_start), min(a_end, b_end)
             if start < end:
-                out.append(Piece(start[0], not start[1], *end))
+                out.append(_piece(start, end))
             if a_end < b_end:
                 i += 1
             else:
                 j += 1
-        return IntervalSet(out)
+        return IntervalSet._normal(tuple(out))
 
     def complement(self) -> "IntervalSet":
-        """Complement relative to the sample space [0,1)."""
-        out: list[RawComponent] = []
-        cursor, cursor_in = _ZERO, True
+        """Complement relative to the sample space [0,1): the nonempty gaps
+        between the components, which are apart from each other."""
+        out: list[Piece] = []
+        cursor: Cut = (_ZERO, False)
         for p in self.components:
-            out.append((cursor, cursor_in, p.left, not p.left_in))
-            cursor, cursor_in = p.right, not p.right_in
-        out.append((cursor, cursor_in, _ONE, False))
-        return IntervalSet(out)
+            if cursor < p.start:
+                out.append(_piece(cursor, p.start))
+            cursor = p.end
+        if cursor < _END_CUT:
+            out.append(_piece(cursor, _END_CUT))
+        return IntervalSet._normal(tuple(out))
 
     def translate_mod1(self, t) -> "IntervalSet":
         """Shift every member by t modulo 1, splitting at the wrap point."""
         s = _as_fraction(t) % 1
-        out: list[RawComponent] = []
-        for p in self.components:
-            left, right = p.left + s, p.right + s
-            if right <= 1:
-                out.append((left, p.left_in, right, p.right_in))
-            elif left >= 1:
-                out.append((left - 1, p.left_in, right - 1, p.right_in))
-            else:
-                out.append((left, p.left_in, _ONE, False))
-                out.append((_ZERO, True, right - 1, p.right_in))
-        return IntervalSet(out)
+        low: list[CutPair] = []
+        wrapped: list[CutPair] = []
+        for (left, after), (right, right_in) in self._cuts():
+            start, end = (left + s, after), (right + s, right_in)
+            if start < _END_CUT:
+                low.append((start, min(end, _END_CUT)))
+            if end > _END_CUT:
+                # the part at or past 1, the point 1 itself included
+                left, after = max(start, _END_CUT)
+                wrapped.append(((left - 1, after), (end[0] - 1, right_in)))
+        # the wrapped parts lie below s and the rest from s on, so the list
+        # is sorted; the merge joins the pieces that meet at s
+        return IntervalSet._from_cuts(wrapped + low)
 
     def __or__(self, other):
         return self.union(other)

@@ -38,7 +38,7 @@ from .cantor import CantorEvent, CantorModel, cantor_probability
 from .errors import DomainError, ParseError, QueryTypeError
 from .field import (Classification, Kind, NonArchValue, Ordering, Sign,
                     TokenCursor, render_exact)
-from .intervals import IntervalSet, lebesgue_length
+from .intervals import CutPair, IntervalSet, _clean, lebesgue_length
 from .lottery import (CoinEvent, LotteryModel, coinflip_probability,
                       lottery_ticket_probability)
 from .spinner import GridModel, grid_probability
@@ -387,32 +387,31 @@ _POINT_RE = re.compile(r"\d+(?:/\d+)?$")
 _ADDRESS_RE = re.compile(r"[02]+$")
 
 
-def _fold(node: SetOp, build, union_all):
+def _fold(node: SetOp, build, union_all, parts):
     """Fold a set chain left to right, ``A u B n C`` as ``(A u B) n C``.
 
-    Operands are built in order, so the first bad one names the error; each
-    maximal run of ``u`` operands is one normalizing ``union_all`` call and
-    each ``n`` one intersection."""
-    def union(run):
-        return run[0] if len(run) == 1 else union_all(run)
-
+    ``build`` turns the operands into parts in order, so the first bad one
+    names the error; each maximal run of ``u`` operands is one
+    ``union_all`` call over their parts and each ``n`` one intersection,
+    whose event joins the next run as ``parts(event)``."""
     first, rest = _unroll(node)
     run = [build(first)]
     for op, operand in rest:
-        event = build(operand)
+        part = build(operand)
         if op == "union":
-            run.append(event)
+            run.append(part)
         else:
-            run = [union(run) & event]
-    return union(run)
+            run = [parts(union_all(run) & union_all([part]))]
+    return union_all(run)
 
 
-def _to_interval_set(node: SetNode, model: str) -> IntervalSet:
+def _interval_cuts(node: SetNode, model: str) -> "list[CutPair]":
+    """The validated (start, end) cut pairs of one set operand; a literal
+    never becomes an IntervalSet of its own."""
     if isinstance(node, IntervalLit):
-        return IntervalSet.interval(node.left, node.left_in,
-                                    node.right, node.right_in)
+        return _clean(node.left, node.left_in, node.right, node.right_in)
     if isinstance(node, BraceLit):
-        pieces = []
+        cuts = []
         for item in node.items:
             if len(item) > 1 and set(item) <= {"0", "2"}:
                 raise QueryTypeError(
@@ -422,14 +421,24 @@ def _to_interval_set(node: SetNode, model: str) -> IntervalSet:
             if not _POINT_RE.fullmatch(item):
                 raise QueryTypeError(
                     f"brace item {item!r} is not a rational point")
-            pieces += IntervalSet.point(Fraction(item)).components
-        return IntervalSet(pieces)
+            x = Fraction(item)
+            cuts += _clean(x, True, x, True)
+        return cuts
     if isinstance(node, FullLit):
-        return IntervalSet.full()
+        return _clean(0, True, 1, False)
+    return _to_interval_set(node, model)._cuts()
+
+
+def _union_of_cuts(run: "list[list[CutPair]]") -> IntervalSet:
+    return IntervalSet._from_cuts([c for cuts in run for c in cuts])
+
+
+def _to_interval_set(node: SetNode, model: str) -> IntervalSet:
+    if isinstance(node, (IntervalLit, BraceLit, FullLit)):
+        return IntervalSet._from_cuts(_interval_cuts(node, model))
     if isinstance(node, SetOp):
-        return _fold(node, partial(_to_interval_set, model=model),
-                     lambda run: IntervalSet(
-                         [p for s in run for p in s.components]))
+        return _fold(node, partial(_interval_cuts, model=model),
+                     _union_of_cuts, IntervalSet._cuts)
     if isinstance(node, Complement):
         return _to_interval_set(node.arg, model).complement()
     if isinstance(node, Translate):
@@ -440,6 +449,12 @@ def _to_interval_set(node: SetNode, model: str) -> IntervalSet:
         raise QueryTypeError(f"ticket events do not belong to the {model} "
                              f"model")
     raise TypeError(f"not a set node: {node!r}")
+
+
+def _union_of_events(run: "list[CantorEvent]") -> CantorEvent:
+    if len(run) == 1:
+        return run[0]
+    return CantorEvent([a for e in run for a in e.cylinders])
 
 
 def _to_cantor_event(node: SetNode) -> CantorEvent:
@@ -453,9 +468,7 @@ def _to_cantor_event(node: SetNode) -> CantorEvent:
     if isinstance(node, FullLit):
         return CantorEvent.full()
     if isinstance(node, SetOp):
-        return _fold(node, _to_cantor_event,
-                     lambda run: CantorEvent(
-                         [a for e in run for a in e.cylinders]))
+        return _fold(node, _to_cantor_event, _union_of_events, lambda e: e)
     if isinstance(node, Complement):
         return _to_cantor_event(node.arg).complement()
     if isinstance(node, Translate):

@@ -38,6 +38,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import pairwise
 
 from .errors import DomainError
 from .field import Generator, NonArchValue, Poly, render_exact
@@ -163,15 +164,21 @@ def finite_grid_stabilizer(g: FiniteGrid) -> StabilizerResult:
         raise DomainError("stabilizer of an empty grid is undefined")
     pts = g.points
     n = len(pts)
-    # the gaps as integer numerators over the common denominator; a list,
-    # not a generator: unpacking a generator here raised the peak RSS of
-    # every further call under CPython 3.11
-    lcm = math.lcm(*[x.denominator for x in pts])
-    nums = [x.numerator * (lcm // x.denominator) for x in pts]
-    gaps = [b - a for a, b in zip(nums, nums[1:])]
-    gaps.append(lcm + nums[0] - nums[-1])
+    # each gap as a reduced numerator and denominator, from one cross
+    # product and one gcd per pair of neighbours: the cost stays linear in
+    # the digits of the grid, where a common denominator of coprime ones
+    # would multiply them.  Two int lists take less memory and time than
+    # one list of pairs.
+    nums, dens = [], []
+    for (p, q), (r, s) in pairwise(map(Fraction.as_integer_ratio,
+                                       pts + (pts[0] + 1,))):
+        num, den = r * q - p * s, q * s
+        common = math.gcd(num, den)
+        nums.append(num // common)
+        dens.append(den // common)
     k = next(n // d for d in range(1, n + 1)
-             if n % d == 0 and gaps[d:] + gaps[:d] == gaps)
+             if n % d == 0
+             and all(seq[d:] + seq[:d] == seq for seq in (nums, dens)))
     rotation = Fraction(1, k) if k > 1 else Fraction(0)
     witness_rotation = Fraction(1, k + 1)
     for x in pts:

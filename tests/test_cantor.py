@@ -94,6 +94,14 @@ def test_measure_matches_counting_oracle():
         assert hausdorff_measure(e) == counting_fraction(e, 6)
 
 
+def test_measure_matches_fraction_sum_oracle():
+    rng = random.Random(45)
+    for _ in range(200):
+        e = rand_event(rng, 64, 200)
+        assert hausdorff_measure(e) == sum(
+            (F(1, 2 ** len(a)) for a in e.cylinders), F(0))
+
+
 def test_measure_additive_on_disjoint_events():
     rng = random.Random(44)
     checked = 0

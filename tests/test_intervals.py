@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinnerlab.errors import DomainError, ParseError
-from spinnerlab.intervals import (IntervalSet, boolean_combine,
+from spinnerlab.intervals import (IntervalSet, Piece, boolean_combine,
                                   dyadic_tail_family, format_set,
                                   lebesgue_length, normalize, parse_set,
                                   sigma_additivity_probe, translate_mod1)
@@ -80,6 +80,22 @@ def test_normalize_rejects_out_of_range():
         normalize([(F(1, 2), True, F(5, 4), False)])
     with pytest.raises(DomainError):
         normalize([(F(1, 2), True, F(1, 4), False)])
+
+
+def test_constructor_validates_pieces():
+    # a Piece is checked like a raw 4-tuple: order, range, floats
+    for bad in (Piece(F(3, 4), True, F(1, 4), True),
+                Piece(F(1, 2), True, F(5, 4), False),
+                Piece(F(-1, 4), False, F(1, 2), False),
+                Piece(0.25, True, F(1, 2), False),
+                Piece(F(1, 4), True, 0.5, False)):
+        with pytest.raises(DomainError):
+            normalize([bad])
+        with pytest.raises(DomainError):
+            IntervalSet([(F(0), True, F(1, 8), False), bad])
+    # and its point 1 wraps to 0
+    assert normalize([Piece(F(3, 4), True, F(1), True)]) \
+        == normalize([(F(3, 4), True, F(1), True)])
 
 
 def test_point_one_wraps_to_zero():
@@ -153,6 +169,30 @@ def test_boolean_membership_is_pointwise(seed, shape):
         assert (a | b).contains(x) == (a.contains(x) or b.contains(x))
         assert (a & b).contains(x) == (a.contains(x) and b.contains(x))
         assert a.complement().contains(x) == (not a.contains(x))
+
+
+def assert_normal(s: IntervalSet):
+    """Sorted, nonempty, pairwise apart components inside [0,1), equal to the
+    set rebuilt from plain tuples, with the summed-Fraction length."""
+    cuts = [(p.start, p.end) for p in s.components]
+    for start, end in cuts:
+        assert (F(0), False) <= start < end <= (F(1), False), s.components
+    for (_, end), (start, _) in zip(cuts, cuts[1:]):
+        assert end < start, s.components
+    assert IntervalSet([(p.left, p.left_in, p.right, p.right_in)
+                        for p in s.components]) == s
+    assert s.length == sum((p.right - p.left for p in s.components), F(0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_operations_keep_normal_form(seed):
+    rng = random.Random(seed)
+    a = rand_interval_set(rng, 12, 12)
+    b = rand_interval_set(rng, 12, 12)
+    q = F(rng.randint(-24, 24), rng.randint(1, 12))
+    for s in (a, a | b, a & b, a.complement(), a.translate_mod1(q)):
+        assert_normal(s)
 
 
 # -- translation --------------------------------------------------------------------

@@ -6,6 +6,7 @@ the affine count form evaluated at that n.
 """
 
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -228,6 +229,36 @@ def test_random_grid_stabilizers_cyclic_and_bounded():
         assert res.order == len(brute)
         assert res.generator_rotation == (brute[1] if len(brute) > 1
                                           else F(0))
+
+
+def primes_from(lo: int, count: int) -> list[int]:
+    hi = 2 * lo
+    sieve = bytearray([1]) * hi
+    for p in range(2, int(hi ** 0.5) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, hi, p)))
+    return [p for p in range(lo, hi) if sieve[p]][:count]
+
+
+def test_stabilizer_of_coprime_denominators_stays_small():
+    # 1000 points i/(2p) over distinct primes p > 10^6, each also shifted by
+    # 1/2: the lcm of the denominators has ~21000 bits, and scaling every
+    # point to it took ~10 MB where the gaps themselves need ~0.3 MB
+    base = [F(i, 2 * p) for i, p in enumerate(primes_from(10 ** 6, 1000), 1)]
+    pts = {x + j for x in base for j in (0, F(1, 2))}
+    grid = FiniteGrid(tuple(pts))
+    tracemalloc.start()
+    try:
+        res = finite_grid_stabilizer(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.order == 2 and res.generator_rotation == F(1, 2)
+    assert res.witness_rotation == F(1, 3)
+    assert res.witness_point in pts
+    assert res.witness_image == (res.witness_point + F(1, 3)) % 1
+    assert res.witness_image not in pts
+    assert peak < 2 * 10 ** 6
 
 
 def test_stabilizer_rejects_empty_and_bad_grids():
