@@ -98,7 +98,8 @@ def _cmd_suite(args) -> int:
 def _cmd_witness(args) -> int:
     mode = "uniform_points" if args.prop == "4.1" else "rational_orbit"
     witness = archimedean_regularity_witness(_parse_fraction(args.eps), mode)
-    print(json.dumps(witness.to_dict()))
+    sys.stdout.writelines(witness.json_chunks())
+    print()
     return 0
 
 

@@ -8,10 +8,22 @@ lowest-order coefficient of its canonical numerator is positive.  The
 generator itself is then smaller than every positive rational, so the field
 is non-Archimedean by construction.
 
-Canonical form, enforced on construction: numerator and denominator are
-coprime, the lowest-order nonzero coefficient of the denominator is 1, and
-zero is ``0/1``.  Equality and hashing are structural, so two values are
-equal iff they are the same field element.
+A value holds two tuples of Python ints, ``n`` and ``d``, and this integer
+form is canonical, enforced on construction: coefficients ascend by
+exponent with trailing zeros stripped, ``n`` and ``d`` are coprime as
+polynomials, the coefficients of both together have no common factor, the
+lowest-order nonzero coefficient of ``d`` is positive, and zero is
+``((), (1,))``.  Equality and hashing are structural, so two values are
+equal iff they are the same field element.  Every operation works on these
+integers: sums, products and quotients divide out common factors found by
+the primitive remainder sequence gcd (Knuth, TAOCP vol. 2, 4.6.1; Brown
+1971), and ``compare`` reads one sign of a cross product.
+
+``num`` and ``den`` are the exact-rational view of the same form, each
+tuple divided by the lowest-order coefficient of ``d``: two coprime
+``Poly`` objects with ``Fraction`` coefficients, the denominator's
+lowest-order coefficient 1, and zero as ``0/1``.  Rendering reads that
+view.
 
 This is deliberately only the computable fragment of a non-Archimedean
 continuum: the smallest ordered field containing the rationals and one
@@ -45,6 +57,13 @@ def _frac(x) -> Fraction:
     if isinstance(x, float):
         raise DomainError("float coefficients are not allowed; use exact rationals")
     return Fraction(x)
+
+
+def _ratio(x) -> "tuple[int, int]":
+    """Numerator and positive denominator of one exact rational input."""
+    if not isinstance(x, (int, Fraction)):
+        x = _frac(x)
+    return x.numerator, x.denominator
 
 
 class Poly:
@@ -84,11 +103,6 @@ class Poly:
                 return k
         return None
 
-    def coeff(self, k: int) -> Fraction:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return Fraction(0)
-
     def low_coeff(self) -> Fraction:
         k = self.ord()
         return self.coeffs[k] if k is not None else Fraction(0)
@@ -110,12 +124,6 @@ class Poly:
         for i, c in enumerate(b):
             out[i] += c
         return Poly(out)
-
-    def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
@@ -151,12 +159,6 @@ class Poly:
                     rem[k + j] -= c * d
         return Poly(quot), Poly(rem[: len(div) - 1])
 
-    def __floordiv__(self, other: "Poly") -> "Poly":
-        q, r = divmod(self, other)
-        if not r.is_zero():
-            raise DomainError("polynomial division is not exact")
-        return q
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.coeffs == other.coeffs
 
@@ -167,21 +169,73 @@ class Poly:
         return f"Poly({list(self.coeffs)!r})"
 
 
-def _int_primitive(p: Poly) -> "list[int]":
-    """Integer coefficients of p scaled primitive (content 1, positive lead)."""
-    den_lcm = 1
-    for c in p.coeffs:
-        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    ints = [int(c.numerator * (den_lcm // c.denominator)) for c in p.coeffs]
-    content = 0
-    for v in ints:
-        content = math.gcd(content, v)
-    if ints[-1] < 0:
-        content = -content
-    return [v // content for v in ints]
+# -- integer polynomials -------------------------------------------------------
+#
+# The kernel's polynomials are tuples of ints ascending by exponent with
+# trailing zeros stripped; () is zero.
+
+def _strip(cs: list) -> tuple:
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
 
 
-def _int_prem(a: "list[int]", b: "list[int]") -> "list[int]":
+def _ord(a: tuple) -> int:
+    """Least exponent carrying a nonzero coefficient of a nonzero a."""
+    k = 0
+    while not a[k]:
+        k += 1
+    return k
+
+
+def _cleared(*polys) -> "list[tuple]":
+    """Sequences of exact rationals, all times their least common
+    denominator, as integer polynomials."""
+    ratios = [[_ratio(c) for c in p] for p in polys]
+    scale = math.lcm(*(q for r in ratios for _, q in r))
+    return [_strip([p * (scale // q) for p, q in r]) for r in ratios]
+
+
+def _add(a: tuple, b: tuple) -> tuple:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return _strip(out)
+
+
+def _mul(a: tuple, b: tuple) -> tuple:
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        return ()
+    if len(b) == 1:
+        c = b[0]
+        return a if c == 1 else tuple(c * x for x in a)
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(b):
+        if x:
+            for j, y in enumerate(a, i):
+                out[j] += x * y
+    return tuple(out)
+
+
+def _coeff(a: tuple, b: tuple, k: int) -> int:
+    """The coefficient of g^k in a*b."""
+    return sum(a[i] * b[k - i]
+               for i in range(max(0, k - len(b) + 1), min(k + 1, len(a))))
+
+
+def _primitive(a: tuple) -> tuple:
+    """Nonzero a over its content, with a positive leading coefficient."""
+    c = math.gcd(*a)
+    if a[-1] < 0:
+        c = -c
+    return tuple(a) if c == 1 else tuple(x // c for x in a)
+
+
+def _int_prem(a, b) -> "list[int]":
     """Pseudo-remainder of integer polynomials (a scaled by powers of lc(b))."""
     a = list(a)
     db = len(b) - 1
@@ -199,35 +253,88 @@ def _int_prem(a: "list[int]", b: "list[int]") -> "list[int]":
     return a
 
 
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor, via a primitive integer remainder
-    sequence to keep coefficient growth in check."""
-    if a.is_zero():
-        return b if b.is_zero() else b * (1 / b.lead_coeff())
-    if b.is_zero():
-        return a * (1 / a.lead_coeff())
-    x, y = _int_primitive(a), _int_primitive(b)
-    if len(x) < len(y):
-        x, y = y, x
-    while True:
-        r = _int_prem(x, y)
+def _gcd(a: tuple, b: tuple) -> tuple:
+    """Primitive greatest common divisor, positive leading coefficient, of
+    nonzero integer polynomials, by the primitive remainder sequence."""
+    a, b = _primitive(a), _primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        r = _int_prem(a, b)
         if not r:
-            break
-        content = 0
-        for v in r:
-            content = math.gcd(content, v)
-        x, y = y, [v // content for v in r]
-    lead = y[-1]
-    return Poly([Fraction(v, lead) for v in y])
+            return b
+        a, b = b, _primitive(r)
+    return (1,)
 
 
-def _cancel(a: Poly, b: Poly) -> "tuple[Poly, Poly]":
+def _exquo(a: tuple, g: tuple) -> tuple:
+    """a / g for a primitive factor g of a.  By Gauss's lemma the quotient
+    has integer coefficients, so every step divides exactly."""
+    dg, lead = len(g) - 1, g[-1]
+    rem = list(a)
+    quot = [0] * (len(a) - dg)
+    for k in range(len(quot) - 1, -1, -1):
+        c = quot[k] = rem[k + dg] // lead
+        if c:
+            for j in range(dg):
+                rem[k + j] -= c * g[j]
+    return tuple(quot)
+
+
+def _cofactors(a: tuple, b: tuple) -> "tuple[tuple, tuple]":
     """a and b with their common factor of positive degree divided out."""
-    if a.degree() > 0 and b.degree() > 0:
-        g = poly_gcd(a, b)
-        if g.degree() > 0:
-            return a // g, b // g
+    if len(a) > 1 and len(b) > 1:
+        g = _gcd(a, b)
+        if len(g) > 1:
+            return _exquo(a, g), _exquo(b, g)
     return a, b
+
+
+def _canonical(n: tuple, d: tuple) -> "tuple[tuple, tuple]":
+    """Coprime n and nonzero d scaled to the canonical integer form."""
+    if not n:
+        return (), (1,)
+    c = math.gcd(*n, *d)
+    if d[_ord(d)] < 0:
+        c = -c
+    if c == 1:
+        return n, d
+    return tuple(x // c for x in n), tuple(x // c for x in d)
+
+
+def _sum(n1: tuple, d1: tuple, n2: tuple, d2: tuple) -> "tuple[tuple, tuple]":
+    """Canonical n1/d1 + n2/d2 of canonical operands.  Over g = gcd(d1, d2),
+    a common factor of the sum's numerator and denominator can only divide
+    g, so the one gcd left to take is that of the numerator with g."""
+    g = _gcd(d1, d2) if len(d1) > 1 and len(d2) > 1 else (1,)
+    if len(g) == 1:
+        return _canonical(_add(_mul(n1, d2), _mul(n2, d1)), _mul(d1, d2))
+    e1, e2 = _exquo(d1, g), _exquo(d2, g)
+    t, g = _cofactors(_add(_mul(n1, e2), _mul(n2, e1)), g)
+    return _canonical(t, _mul(_mul(e1, e2), g))
+
+
+def _cross_sign(n1: tuple, d1: tuple, n2: tuple, d2: tuple) -> int:
+    """Sign as g -> 0+ of n1/d1 - n2/d2, where d1 and d2 have positive
+    lowest-order coefficients: that of the lowest nonzero coefficient of
+    n1*d2 - n2*d1, read upward without forming the products."""
+    if d1 == d2:
+        d1 = d2 = (1,)  # (n1 - n2)*d has the lowest-order sign of n1 - n2
+    for k in range(max(len(n1) + len(d2), len(n2) + len(d1)) - 1):
+        c = _coeff(n1, d2, k) - _coeff(n2, d1, k)
+        if c:
+            return 1 if c > 0 else -1
+    return 0
+
+
+def poly_gcd(a: Poly, b: Poly) -> Poly:
+    """Monic greatest common divisor, by the kernel's primitive integer
+    remainder sequence."""
+    if a.is_zero() or b.is_zero():
+        p = b if a.is_zero() else a
+        return p if p.is_zero() else p * (1 / p.lead_coeff())
+    g = _gcd(*_cleared(a.coeffs, b.coeffs))
+    return Poly([Fraction(c, g[-1]) for c in g])
 
 
 _ONE = Poly((1,))
@@ -254,6 +361,10 @@ class Ordering(Enum):
 
     def __str__(self) -> str:
         return self.value
+
+
+# indexed by a sign plus one
+_ORDERINGS = (Ordering.LESS, Ordering.EQUAL, Ordering.GREATER)
 
 
 class Kind(Enum):
@@ -284,41 +395,65 @@ class NonArchValue:
     Fractions coerce to constants over the same generator.
     """
 
-    __slots__ = ("generator", "num", "den")
+    __slots__ = ("generator", "n", "d")
 
-    def __init__(self, generator: Generator, num, den=_ONE, *,
-                 _coprime: bool = False):
-        num = num if isinstance(num, Poly) else Poly.constant(num)
-        den = den if isinstance(den, Poly) else Poly.constant(den)
-        if den.is_zero():
+    def __init__(self, generator: Generator, num, den=1):
+        """num/den from Polys, ints or Fractions, canonicalized once."""
+        n, d = _cleared(*(p.coeffs if isinstance(p, Poly) else (p,)
+                          for p in (num, den)))
+        if not d:
             raise DomainError("denominator is the zero polynomial")
-        if num.is_zero():
-            num, den = Poly(), _ONE
-        else:
-            if not _coprime:
-                num, den = _cancel(num, den)
-            scale = 1 / den.low_coeff()
-            if scale != 1:
-                num, den = num * scale, den * scale
         self.generator = generator
-        self.num = num
-        self.den = den
+        self.n, self.d = _canonical(*_cofactors(n, d))
+
+    @classmethod
+    def _make(cls, generator: Generator, n: tuple, d: tuple) -> "NonArchValue":
+        """A value from tuples already in canonical integer form."""
+        value = object.__new__(cls)
+        value.generator, value.n, value.d = generator, n, d
+        return value
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def constant(cls, generator: Generator, value: Rat) -> "NonArchValue":
-        return cls(generator, Poly.constant(value))
+        p, q = _ratio(value)
+        return cls._make(generator, (p,) if p else (), (q,))
+
+    @classmethod
+    def affine(cls, generator: Generator, constant: Rat,
+               slope: Rat) -> "NonArchValue":
+        """constant + slope*g.  Over the least common denominator of the
+        two rationals the numerator and that denominator share no factor,
+        so the value is canonical with no gcd taken."""
+        (a, p), (b, q) = _ratio(constant), _ratio(slope)
+        m = math.lcm(p, q)
+        return cls._make(generator, _strip([a * (m // p), b * (m // q)]), (m,))
 
     @classmethod
     def infinitesimal(cls, generator: Generator) -> "NonArchValue":
         """The generator itself: the canonical positive infinitesimal."""
-        return cls(generator, Poly.monomial(1))
+        return cls._make(generator, (0, 1), (1,))
 
     # -- structure ---------------------------------------------------------
 
+    def _over_d_low(self, coeffs: tuple) -> Poly:
+        low = self.d[_ord(self.d)]
+        return Poly([Fraction(c, low) for c in coeffs])
+
+    @property
+    def num(self) -> Poly:
+        """The numerator over the rationals, scaled so that ``den`` has
+        lowest-order coefficient 1."""
+        return self._over_d_low(self.n)
+
+    @property
+    def den(self) -> Poly:
+        """The denominator over the rationals, lowest-order coefficient 1."""
+        return self._over_d_low(self.d)
+
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self.n
 
     def valuation(self) -> "int | None":
         """ord(num) - ord(den); None for zero.
@@ -326,15 +461,15 @@ class NonArchValue:
         Positive means infinitesimal, zero means limited-noninfinitesimal,
         negative means unlimited.
         """
-        if self.is_zero():
+        if not self.n:
             return None
-        return self.num.ord() - self.den.ord()
+        return _ord(self.n) - _ord(self.d)
 
     def sign(self) -> Sign:
-        if self.is_zero():
+        if not self.n:
             return Sign.ZERO
-        # canonical den has positive low coefficient, so the numerator decides
-        return Sign.POSITIVE if self.num.low_coeff() > 0 else Sign.NEGATIVE
+        # d has a positive lowest-order coefficient, so n decides
+        return Sign.POSITIVE if self.n[_ord(self.n)] > 0 else Sign.NEGATIVE
 
     def is_limited(self) -> bool:
         v = self.valuation()
@@ -357,35 +492,22 @@ class NonArchValue:
     # -- field operations ----------------------------------------------------
     #
     # Inputs are canonical (numerator and denominator coprime), so products
-    # and sums can be reduced with small cross-gcds and the results passed
-    # to the constructor already coprime; this keeps the coefficient growth
-    # of repeated arithmetic in check.
+    # and quotients are reduced with small cross-gcds and sums with one gcd
+    # of the denominators; only the integer content and the sign are left to
+    # fix, which keeps the coefficient growth of repeated arithmetic in check.
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
-        if d1.degree() < 1 or d2.degree() < 1:
-            g = _ONE
-        else:
-            g = poly_gcd(d1, d2)
-        if g.degree() < 1:
-            return NonArchValue(self.generator, n1 * d2 + n2 * d1, d1 * d2,
-                                _coprime=True)
-        t = n1 * (d2 // g) + n2 * (d1 // g)
-        if t.is_zero():
-            return NonArchValue(self.generator, t)
-        h = poly_gcd(t, g)
-        if h.degree() > 0:
-            t, d2 = t // h, d2 // h
-        return NonArchValue(self.generator, t, (d1 // g) * d2, _coprime=True)
+        return NonArchValue._make(
+            self.generator, *_sum(self.n, self.d, other.n, other.d))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return NonArchValue(self.generator, -self.num, self.den,
-                            _coprime=True)
+        return NonArchValue._make(self.generator, tuple(-c for c in self.n),
+                                  self.d)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -400,10 +522,10 @@ class NonArchValue:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
-        n1, d2 = _cancel(n1, d2)
-        n2, d1 = _cancel(n2, d1)
-        return NonArchValue(self.generator, n1 * n2, d1 * d2, _coprime=True)
+        n1, d2 = _cofactors(self.n, other.d)
+        n2, d1 = _cofactors(other.n, self.d)
+        return NonArchValue._make(
+            self.generator, *_canonical(_mul(n1, n2), _mul(d1, d2)))
 
     __rmul__ = __mul__
 
@@ -411,12 +533,12 @@ class NonArchValue:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if other.is_zero():
+        if not other.n:
             raise DomainError("division by zero")
-        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
-        n1, n2 = _cancel(n1, n2)
-        d1, d2 = _cancel(d1, d2)
-        return NonArchValue(self.generator, n1 * d2, d1 * n2, _coprime=True)
+        n1, n2 = _cofactors(self.n, other.n)
+        d1, d2 = _cofactors(self.d, other.d)
+        return NonArchValue._make(
+            self.generator, *_canonical(_mul(n1, d2), _mul(d1, n2)))
 
     def __rtruediv__(self, other):
         return NonArchValue.constant(self.generator, other) / self
@@ -427,10 +549,8 @@ class NonArchValue:
         coerced = self._coerce(other)
         if coerced is NotImplemented:
             raise TypeError(f"cannot compare a field value with {other!r}")
-        d = self - coerced
-        if d.is_zero():
-            return Ordering.EQUAL
-        return Ordering.GREATER if d.sign() is Sign.POSITIVE else Ordering.LESS
+        return _ORDERINGS[1 + _cross_sign(self.n, self.d,
+                                          coerced.n, coerced.d)]
 
     def __lt__(self, other):
         return self.compare(other) is Ordering.LESS
@@ -446,14 +566,16 @@ class NonArchValue:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = NonArchValue.constant(self.generator, other)
+            p = other.numerator
+            return (self.n == ((p,) if p else ())
+                    and self.d == (other.denominator,))
         if not isinstance(other, NonArchValue):
             return NotImplemented
         return (self.generator == other.generator
-                and self.num == other.num and self.den == other.den)
+                and self.n == other.n and self.d == other.d)
 
     def __hash__(self):
-        return hash((self.generator, self.num, self.den))
+        return hash((self.generator, self.n, self.d))
 
     # -- classification ------------------------------------------------------
 
@@ -466,7 +588,7 @@ class NonArchValue:
             raise DomainError("no standard part: value is unlimited")
         if v > 0:
             return Fraction(0)
-        return self.num.coeff(self.num.ord()) / self.den.coeff(self.den.ord())
+        return Fraction(self.n[_ord(self.n)], self.d[_ord(self.d)])
 
     def classify(self) -> Classification:
         v = self.valuation()
@@ -485,7 +607,7 @@ class NonArchValue:
         return f"({render_poly(self.num, g)}) / ({render_poly(self.den, g)})"
 
     def __str__(self) -> str:
-        if self.den == _ONE:
+        if len(self.d) == 1:
             return render_poly(self.num, self.generator.name)
         return self.render_canonical()
 

@@ -20,13 +20,14 @@ rotations of a single point already supply that many distinct outcomes.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
 from .errors import DomainError
-from .field import MAX_NUMERAL_DIGITS, Generator, NonArchValue, Ordering, Poly
+from .field import MAX_NUMERAL_DIGITS, Generator, NonArchValue, Ordering
 from .report import PropertyReport
 
 COIN_GENERATOR = Generator("h")
@@ -36,8 +37,10 @@ _OUTCOMES = ("H", "T")
 
 # 2^j for a larger drop count j is too costly to build and print
 MAX_DROPPED_PREFIX = 100_000
-# the CLI prints an orbit point by point; this bound admits every eps >= 1/10^6
+# the CLI streams an orbit; this bound admits every eps >= 1/10^6
 MAX_ORBIT_POINTS = 10 ** 6 + 1
+# orbit points per piece of streamed witness text
+_ORBIT_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -138,8 +141,7 @@ def coinflip_probability(e: CoinEvent) -> NonArchValue:
     if not e.consistent:
         return NonArchValue.constant(COIN_GENERATOR, 0)
     if e.all_heads:
-        return NonArchValue(COIN_GENERATOR,
-                            Poly.monomial(1, 2 ** e.dropped_prefix))
+        return NonArchValue.affine(COIN_GENERATOR, 0, 2 ** e.dropped_prefix)
     return NonArchValue.constant(
         COIN_GENERATOR, Fraction(1, 2 ** len(e.active_pins())))
 
@@ -199,7 +201,7 @@ def lottery_ticket_probability(model: LotteryModel,
     else:
         raise DomainError(f"ticket count must be 'single' or a positive "
                           f"integer, got {ticket_count!r}")
-    return n * NonArchValue.infinitesimal(model.generator)
+    return NonArchValue.affine(model.generator, 0, n)
 
 
 def _next_prime(n: int) -> int:
@@ -236,6 +238,21 @@ class RegularityWitness:
         if self.rotation is not None:
             out["points"] = [str(p) for p in self.points]
         return out
+
+    def json_chunks(self):
+        """The text of ``json.dumps(self.to_dict())`` in pieces, the orbit
+        written _ORBIT_BLOCK points at a time.  p is a prime above n, so
+        each point k/p is already in lowest terms and no Fraction is built."""
+        head = json.dumps({"n": self.n, "product": str(self.product)})
+        if self.rotation is None:
+            yield head
+            return
+        p = self.rotation.denominator
+        yield head[:-1] + ', "points": ["0"'
+        for start in range(1, self.n, _ORBIT_BLOCK):
+            stop = min(start + _ORBIT_BLOCK, self.n)
+            yield "".join(f', "{k}/{p}"' for k in range(start, stop))
+        yield "]}"
 
 
 def archimedean_regularity_witness(eps_r, mode: str = "uniform_points"

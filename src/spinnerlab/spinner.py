@@ -41,7 +41,7 @@ from functools import partial
 from itertools import pairwise
 
 from .errors import DomainError
-from .field import Generator, NonArchValue, Poly, render_exact
+from .field import Generator, NonArchValue, render_exact
 from .intervals import IntervalSet, lebesgue_length
 from .report import PropertyReport
 from . import sampling
@@ -91,7 +91,7 @@ def grid_count(model: GridModel, a: IntervalSet) -> CountForm:
 def grid_probability(model: GridModel, a: IntervalSet) -> NonArchValue:
     """Counting probability count/N = linear + constant*eps."""
     c = grid_count(model, a)
-    return NonArchValue(model.generator, Poly((c.linear, Fraction(c.constant))))
+    return NonArchValue.affine(model.generator, c.linear, c.constant)
 
 
 def conditional_probability(model: GridModel, a: IntervalSet,
@@ -128,7 +128,12 @@ class FiniteGrid:
             raise DomainError("uniform grid needs n >= 1")
         if n > MAX_GRID_POINTS:
             raise DomainError(f"uniform grid needs n <= {MAX_GRID_POINTS}")
-        return cls(tuple(Fraction(k, n) for k in range(n)))
+        # k/n for k < n are sorted, distinct and in [0,1) as built, so the
+        # checks of __post_init__ are skipped
+        grid = object.__new__(cls)
+        object.__setattr__(grid, "points",
+                           tuple(Fraction(k, n) for k in range(n)))
+        return grid
 
 
 @dataclass(frozen=True)

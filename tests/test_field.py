@@ -7,18 +7,25 @@ evaluate and compare signs.
 """
 
 import random
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spinnerlab.cantor import CantorEvent, CantorModel, cantor_probability
 from spinnerlab.errors import DomainError, GeneratorMismatchError, ParseError
 from spinnerlab.field import (Generator, Kind, NonArchValue, Ordering, Poly,
                               Sign, arith_add, arith_div, arith_mul, classify,
                               compare, parse_rational, parse_value, poly_gcd,
                               standard_part)
+from spinnerlab.lottery import (CoinEvent, LotteryModel, coinflip_probability,
+                                lottery_ticket_probability)
 from spinnerlab.query import parse_query
-from spinnerlab.sampling import rand_limited_value, rand_value
+from spinnerlab.sampling import (rand_interval_set, rand_limited_value,
+                                 rand_value)
+from spinnerlab.spinner import GridModel, grid_probability
 
 G = Generator("eps")
 EPS = NonArchValue.infinitesimal(G)
@@ -238,20 +245,94 @@ def test_non_archimedean_witness():
         assert compare(n * EPS, ONE) is Ordering.LESS
 
 
+# -- sympy's field of rational functions as the oracle -------------------------------
+
+@pytest.fixture(scope="module")
+def field_oracle():
+    pytest.importorskip("sympy")
+    root = str(Path(__file__).resolve().parents[1])
+    sys.path.insert(0, root)
+    try:
+        from perfbench.oracles import FieldOracle
+    finally:
+        sys.path.remove(root)
+    return FieldOracle()
+
+
+wide_polys = st.lists(fractions_st, min_size=0, max_size=9).map(Poly)
+
+
+@st.composite
+def wide_values(draw, nonzero=False):
+    """Values of degree at most 8, with their raw coefficients."""
+    num = draw(wide_polys.filter(lambda p: not (nonzero and p.is_zero())))
+    den = draw(wide_polys.filter(lambda p: not p.is_zero()))
+    return NonArchValue(G, num, den), (num.coeffs, den.coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_values(), wide_values(), wide_values(nonzero=True))
+def test_kernel_matches_sympy_field(field_oracle, a, b, c):
+    (a, raw_a), (b, raw_b), (c, raw_c) = a, b, c
+    ea, eb, ec = (field_oracle.expr(*raw) for raw in (raw_a, raw_b, raw_c))
+    s, p, q = a + b, a * b, (a + b) / c
+    for got, expected in ((a, ea), (s, ea + eb), (p, ea * eb),
+                          (q, (ea + eb) / ec)):
+        assert (list(got.num.coeffs), list(got.den.coeffs)) \
+            == field_oracle.canonical(expected)
+    signs = {Ordering.LESS: -1, Ordering.EQUAL: 0, Ordering.GREATER: 1}
+    assert signs[p.compare(q)] == field_oracle.sign(ea * eb - (ea + eb) / ec)
+    try:
+        expected_st = field_oracle.standard_part((ea + eb) / ec)
+    except ValueError:
+        with pytest.raises(DomainError):
+            q.standard_part()
+    else:
+        assert q.standard_part() == expected_st
+
+
 # -- canonical form ----------------------------------------------------------------
 
-def test_canonical_idempotent_and_structural():
-    rng = random.Random(31)
+def _values_from_every_path(rng):
+    """Values built by every way in: the public constructor from Polys,
+    ints and Fractions, affine, parse_value, the models' probabilities, and
+    the four operations."""
+    def rat(lo=-9):
+        return F(rng.randint(lo, 9), rng.randint(1, 9))
+
     for _ in range(200):
         v = rand_value(rng, G, max_degree=4, max_den=12)
-        w = NonArchValue(G, v.num, v.den)
-        assert (w.num, w.den) == (v.num, v.den)
-        assert v.den.low_coeff() == 1 or v.is_zero()
+        w = rand_value(rng, G, max_degree=4, max_den=12)
+        yield from (v, NonArchValue(G, rng.randint(-9, 9), rng.randint(1, 9)),
+                    NonArchValue(G, rat(), rat(1)),
+                    NonArchValue.affine(G, rat(), rat()),
+                    NonArchValue(G, v.num, rng.randint(-9, -1)),
+                    parse_value(f"({rng.randint(-9, 9)}*eps - {rat(0)}) / "
+                                f"(-{rat(1)} + {rng.randint(0, 9)}*eps^2)", G),
+                    v + w, v - w, v * w)
+        if not w.is_zero():
+            yield v / w
+        yield grid_probability(GridModel(),
+                               rand_interval_set(rng, 5, rng.randint(1, 12)))
+        yield cantor_probability(CantorModel(), CantorEvent(tuple(
+            "".join(rng.choice("02") for _ in range(rng.randint(0, 4)))
+            for _ in range(rng.randint(0, 3)))))
+        yield coinflip_probability(CoinEvent.allheads(rng.randint(0, 9)))
+        yield coinflip_probability(CoinEvent.make(pinned={
+            rng.randint(1, 9): rng.choice("HT") for _ in range(3)}))
+        yield lottery_ticket_probability(LotteryModel(), rng.randint(1, 99))
+
+
+def test_canonical_idempotent_and_structural():
+    for v in _values_from_every_path(random.Random(31)):
+        w = NonArchValue(v.generator, v.num, v.den)
+        assert (w.n, w.d) == (v.n, v.d) and w == v and hash(w) == hash(v)
+        assert v.den.low_coeff() == 1
         if not v.is_zero() and v.num.degree() > 0 and v.den.degree() > 0:
             assert poly_gcd(v.num, v.den).degree() == 0
         # scaled representations of the same element collapse
-        assert NonArchValue(G, v.num * 3, v.den * 3) == v
-        assert hash(NonArchValue(G, v.num * 3, v.den * 3)) == hash(v)
+        assert NonArchValue(v.generator, v.num * -3, v.den * -3) == v
+        assert hash(NonArchValue(v.generator, v.num * 3, v.den * 3)) == hash(v)
 
 
 def test_zero_is_zero_over_one():

@@ -1,3 +1,4 @@
+import json
 import random
 import tracemalloc
 from fractions import Fraction as F
@@ -199,3 +200,8 @@ def test_witness_json_shape():
     d = w.to_dict()
     assert set(d) == {"n", "product", "points"}
     assert d["points"][1] == "1/5"
+    # the streamed text is json.dumps of to_dict, across block boundaries
+    for eps in (F(2), F(1, 3), F(2, 9), F(1, 4095), F(1, 4096), F(1, 9000)):
+        for mode in ("uniform_points", "rational_orbit"):
+            w = archimedean_regularity_witness(eps, mode)
+            assert "".join(w.json_chunks()) == json.dumps(w.to_dict())

@@ -181,6 +181,8 @@ def test_uniform_stabilizers():
         assert res.witness_rotation == F(1, n + 1)
         pts = set(FiniteGrid.uniform(n).points)
         assert res.witness_point in pts and res.witness_image not in pts
+        # the unchecked uniform path builds what the checked one does
+        assert FiniteGrid.uniform(n) == FiniteGrid(tuple(pts))
 
 
 def test_singleton_and_irregular_grids():
