@@ -656,7 +656,9 @@ def classify(a: NonArchValue) -> Classification:
 # the full quotient form and the compact numerator-only form.  Every grammar
 # of the package reads its text through ``tokenize`` and ``TokenCursor``, so
 # a rational is read by one rule everywhere: queries, values, ``--eps`` and
-# ``--grid``.
+# ``--grid``.  ``tokenize`` is one ``re.split``: the cursor reads plain
+# token words, and a token's position is computed from the split pieces
+# only when a ParseError reports it.
 
 # Input numerals are capped at Python's default int->str limit, so every
 # numeral converts; computed values can grow past it and still print.
@@ -665,6 +667,10 @@ MAX_NUMERAL_DIGITS = 4300
 # A parsed exponent is the length of a coefficient list, so a short text
 # must not ask for an arbitrarily long one.
 MAX_EXPONENT = 10_000
+
+# the characters a name starts with
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+                        "abcdefghijklmnopqrstuvwxyz_")
 
 
 def render_exact(x) -> str:
@@ -709,101 +715,150 @@ def render_poly(p: Poly, name: str) -> str:
 
 @cache
 def _lexer(ops: str) -> "re.Pattern":
-    return re.compile(r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_]\w*)"
-                      rf"|(?P<op>[{re.escape(ops)}])|(?P<bad>\S))")
+    # group 1 is a token word, group 2 a character no token starts with;
+    # whitespace is left between the matches
+    return re.compile(rf"(\d+|[A-Za-z_]\w*|[{re.escape(ops)}])|(\S)")
 
 
-def tokenize(text: str, ops: str) -> "list[tuple[str, str, int]]":
-    """``(kind, text, position)`` tokens in one pass: ``num`` (a run of at
-    most MAX_NUMERAL_DIGITS digits), ``name`` and ``op``, one character of
-    the grammar's operator alphabet ``ops``.  Whitespace separates tokens;
-    any other character is a ParseError."""
-    tokens = []
-    for m in _lexer(ops).finditer(text):
-        kind = m.lastgroup
-        word, start = m.group(kind), m.start(kind)
-        if kind == "bad":
-            raise ParseError(f"syntax error at position {start}: "
-                             f"unexpected character {word!r}", position=start)
-        if kind == "num" and len(word) > MAX_NUMERAL_DIGITS:
-            raise ParseError(f"numeral at position {start} has more than "
-                             f"{MAX_NUMERAL_DIGITS} digits", position=start)
-        tokens.append((kind, word, start))
-    return tokens
+def _starts(parts: list) -> "list[int]":
+    """The start position of every token, read off the split pieces."""
+    starts, at = [], 0
+    for k in range(0, len(parts) - 1, 3):
+        at += len(parts[k])
+        starts.append(at)
+        at += len(parts[k + 1] or parts[k + 2])
+    return starts
 
 
-def _check_denominator(zero: bool, position: int):
-    if zero:
-        raise ParseError("zero denominator in rational literal",
-                         position=position)
+def tokenize(text: str, ops: str) -> list:
+    """The pieces of one ``re.split`` of ``text``: whitespace at ``[0::3]``,
+    token words at ``[1::3]``.  A word is a numeral (a run of at most
+    MAX_NUMERAL_DIGITS digits), a name or one character of the grammar's
+    operator alphabet ``ops``; any other character is a ParseError."""
+    parts = _lexer(ops).split(text)
+    words = parts[1::3]
+    if any(parts[2::3]) or (
+            words and max(map(len, words)) > MAX_NUMERAL_DIGITS):
+        for i, word in enumerate(words):
+            if word is None:
+                at = _starts(parts)[i]
+                raise ParseError(f"syntax error at position {at}: unexpected "
+                                 f"character {parts[3 * i + 2]!r}",
+                                 position=at)
+            if len(word) > MAX_NUMERAL_DIGITS and word.isdecimal():
+                at = _starts(parts)[i]
+                raise ParseError(f"numeral at position {at} has more than "
+                                 f"{MAX_NUMERAL_DIGITS} digits", position=at)
+    return parts
 
 
 class TokenCursor:
-    """A read position in the tokens of one text, with the token rules
-    every grammar over them shares, rationals among them."""
+    """A read position in the token words of one text, with the token rules
+    every grammar over them shares, rationals among them.
+
+    ``words`` ends with a ``""`` sentinel, so reading at the end needs no
+    bounds check, and a word's first character gives its kind: a digit for
+    a numeral, a letter or ``_`` for a name, anything else for an operator.
+    A token's position in the text is computed only for a ParseError."""
 
     def __init__(self, text: str, ops: str):
-        self.tokens = tokenize(text, ops)
+        self._parts = tokenize(text, ops)
+        self.words = self._parts[1::3]
+        self.words.append("")
         self.pos = 0
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def peek(self) -> str:
+        return self.words[self.pos]
+
+    def at_name(self) -> bool:
+        return self.words[self.pos][:1] in _NAME_START
+
+    def position(self, i: int) -> "int | None":
+        """Where token ``i`` starts in the text; None at the end of input."""
+        starts = _starts(self._parts)
+        return starts[i] if i < len(starts) else None
+
+    def located(self) -> "list[tuple[str, int]]":
+        """Every token's word and start position, in order."""
+        return list(zip(self.words, _starts(self._parts)))
 
     def fail(self, expected: str):
-        tok = self.peek()
-        if tok is None:
+        word = self.words[self.pos]
+        if not word:
             raise ParseError(f"syntax error at end of input, "
                              f"expected {expected}", expected=expected)
-        raise ParseError(f"syntax error at position {tok[2]}: got {tok[1]!r}, "
-                         f"expected {expected}", position=tok[2],
+        at = self.position(self.pos)
+        raise ParseError(f"syntax error at position {at}: got {word!r}, "
+                         f"expected {expected}", position=at,
                          expected=expected)
 
+    def fail_zero_denominator(self, i: int):
+        """Reject the denominator that starts at token ``i``."""
+        raise ParseError("zero denominator in rational literal",
+                         position=self.position(i))
+
     def expect_op(self, *ops: str) -> str:
-        tok = self.peek()
-        if tok is None or tok[0] != "op" or tok[1] not in ops:
+        word = self.words[self.pos]
+        if word not in ops:
             self.fail(" or ".join(f"'{o}'" for o in ops))
         self.pos += 1
-        return tok[1]
+        return word
 
     def accept_op(self, *ops: str) -> "str | None":
-        tok = self.peek()
-        if tok is not None and tok[0] == "op" and tok[1] in ops:
+        word = self.words[self.pos]
+        if word in ops:
             self.pos += 1
-            return tok[1]
+            return word
         return None
 
     def expect_name(self, *names: str) -> str:
-        tok = self.peek()
-        if tok is None or tok[0] != "name" or (names and tok[1] not in names):
-            self.fail(" or ".join(f"'{x}'" for x in names) or "a name")
+        word = self.words[self.pos]
+        if word not in names:
+            self.fail(" or ".join(f"'{x}'" for x in names))
         self.pos += 1
-        return tok[1]
+        return word
 
     def expect_nat(self) -> int:
-        tok = self.peek()
-        if tok is None or tok[0] != "num":
+        word = self.words[self.pos]
+        if not word.isdecimal():
             self.fail("an integer")
         self.pos += 1
-        return int(tok[1])
+        return int(word)
 
     def expect_end(self):
-        tok = self.peek()
-        if tok is not None:
-            raise ParseError(f"syntax error at position {tok[2]}: "
-                             f"trailing input {tok[1]!r}", position=tok[2])
+        word = self.words[self.pos]
+        if word:
+            at = self.position(self.pos)
+            raise ParseError(f"syntax error at position {at}: "
+                             f"trailing input {word!r}", position=at)
 
     def expect_denominator(self) -> int:
         den = self.expect_nat()
-        _check_denominator(den == 0, self.tokens[self.pos - 1][2])
+        if den == 0:
+            self.fail_zero_denominator(self.pos - 1)
         return den
 
     def expect_rational(self, signed: bool = True) -> Fraction:
         """``[-]p[/q]`` with q nonzero; the sign is read only if ``signed``."""
-        sign = -1 if signed and self.accept_op("-") else 1
-        num = sign * self.expect_nat()
-        if self.accept_op("/"):
-            return Fraction(num, self.expect_denominator())
-        return Fraction(num)
+        words, i = self.words, self.pos
+        sign = 1
+        if signed and words[i] == "-":
+            sign, i = -1, i + 1
+        if not words[i].isdecimal():
+            self.pos = i
+            self.fail("an integer")
+        num = sign * int(words[i])
+        if words[i + 1] != "/":
+            self.pos = i + 1
+            return Fraction(num)
+        self.pos = i = i + 2
+        if not words[i].isdecimal():
+            self.fail("an integer")
+        den = int(words[i])
+        if not den:
+            self.fail_zero_denominator(i)
+        self.pos = i + 1
+        return Fraction(num, den)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -829,10 +884,9 @@ class _PolyParser(TokenCursor):
             acc = acc + self.parse_term() * (-1 if op == "-" else 1)
 
     def parse_term(self) -> Poly:
-        tok = self.peek()
-        if tok is not None and tok[0] == "name":
+        if self.at_name():
             return Poly.monomial(self.parse_power())
-        if tok is None or tok[0] != "num":
+        if not self.peek().isdecimal():
             self.fail(f"a coefficient or '{self.generator.name}'")
         c = self.expect_rational(signed=False)
         if self.accept_op("*"):
@@ -845,7 +899,7 @@ class _PolyParser(TokenCursor):
             return 1
         exponent = self.expect_nat()
         if exponent > MAX_EXPONENT:
-            pos = self.tokens[self.pos - 1][2]
+            pos = self.position(self.pos - 1)
             raise ParseError(f"exponent at position {pos} is above "
                              f"{MAX_EXPONENT}", position=pos)
         return exponent
@@ -859,11 +913,12 @@ def parse_value(text: str, generator: Generator) -> NonArchValue:
         num = p.parse_poly()
         p.expect_op(")")
         if p.accept_op("/"):
-            tok = p.peek()
+            opening = p.pos
             p.expect_op("(")
             den = p.parse_poly()
             p.expect_op(")")
-            _check_denominator(den.is_zero(), tok[2])
+            if den.is_zero():
+                p.fail_zero_denominator(opening)
     else:
         num = p.parse_poly()
     p.expect_end()

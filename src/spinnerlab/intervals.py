@@ -29,16 +29,23 @@ input is validated once, where it enters:
   ``complement`` come out sorted, disjoint and non-adjacent, so they skip
   the sort and merge.
 
+A ``union`` or ``intersect`` of k components with n, where k*log2(n) < n,
+bisects each of the k into the n sorted components and splices, at
+O(k log n) comparisons plus list copies, instead of merging or sweeping
+all n + k; so a chain that keeps combining a growing set with small ones
+costs near-linear time, not quadratic.
+
 ``length`` adds one integer numerator over the running lcm of the endpoint
 denominators and makes a single ``Fraction`` at the end.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .errors import DomainError, ParseError, QueryTypeError
@@ -116,6 +123,17 @@ def _piece(start: Cut, end: Cut) -> "Piece":
     return Piece(start[0], not start[1], end[0], end[1])
 
 
+_START, _END = attrgetter("start"), attrgetter("end")
+
+
+def _large_small(a: "tuple[Piece, ...]", b: "tuple[Piece, ...]"):
+    """(larger, smaller) when bisecting the smaller's components into the
+    larger's costs fewer comparisons than a pass over both, else None."""
+    if len(a) < len(b):
+        a, b = b, a
+    return (a, b) if len(b) * len(a).bit_length() < len(a) else None
+
+
 def _merge(cuts: "list[CutPair]") -> "tuple[Piece, ...]":
     """Sort nonempty cut pairs inside [0,1) and merge the ones that overlap
     or touch into components."""
@@ -129,6 +147,28 @@ def _merge(cuts: "list[CutPair]") -> "tuple[Piece, ...]":
             merged.append([start, end])
     # a list, not a generator: tuple(generator) multiplied peak memory
     return tuple([_piece(start, end) for start, end in merged])
+
+
+def _clip(large: "tuple[Piece, ...]", small: "tuple[Piece, ...]"):
+    """The pieces of ``large & small``, in order: for each component p of
+    ``small``, the components of ``large`` that overlap it, the first and
+    last cut to p.  Pieces inside different components of one operand are
+    apart, so the output is normal as it comes."""
+    out: list[Piece] = []
+    for p in small:
+        start, end = p.start, p.end
+        i = bisect_right(large, start, key=_END)
+        j = bisect_left(large, end, i, key=_START)
+        if i == j:
+            continue
+        first, last = large[i], large[j - 1]
+        if i + 1 == j:
+            out.append(_piece(max(start, first.start), min(end, first.end)))
+            continue
+        out.append(_piece(max(start, first.start), first.end))
+        out += large[i + 1:j - 1]
+        out.append(_piece(last.start, min(end, last.end)))
+    return out
 
 
 class IntervalSet:
@@ -216,9 +256,25 @@ class IntervalSet:
     # -- algebra -----------------------------------------------------------
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
-        return IntervalSet._from_cuts(self._cuts() + other._cuts())
+        split = _large_small(self.components, other.components)
+        if split is None:
+            return IntervalSet._from_cuts(self._cuts() + other._cuts())
+        comps = list(split[0])
+        for p in split[1]:
+            # comps[i:j] overlap or touch p, so they merge with it
+            start, end = p.start, p.end
+            i = bisect_left(comps, start, key=_END)
+            j = bisect_right(comps, end, i, key=_START)
+            if i < j:
+                p = _piece(min(start, comps[i].start),
+                           max(end, comps[j - 1].end))
+            comps[i:j] = (p,)
+        return IntervalSet._normal(tuple(comps))
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
+        split = _large_small(self.components, other.components)
+        if split is not None:
+            return IntervalSet._normal(tuple(_clip(*split)))
         # a sweep over both sorted component lists: the component that ends
         # first meets nothing further on, so its pointer moves on.  Two
         # pieces of the output lie in different components of one operand,

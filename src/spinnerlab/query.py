@@ -146,7 +146,7 @@ class Query:
 
 _OPS = "[](){},:|&>/∪∩-"
 
-# the set operators, as names or as symbols
+# the set operators: the words u and n, and the symbols read as them
 _SET_OPS = {"u": "u", "n": "n", "∪": "u", "∩": "n"}
 
 _WRAPPERS = {"st": St, "classify": ClassifyExpr, "compare": CompareExpr}
@@ -155,32 +155,30 @@ _WRAPPERS = {"st": St, "classify": ClassifyExpr, "compare": CompareExpr}
 class _Parser(TokenCursor):
     def __init__(self, text: str):
         super().__init__(text, _OPS)
-        self.tokens = [("op", _SET_OPS[word], at)
-                       if kind != "num" and word in _SET_OPS
-                       else (kind, word, at)
-                       for kind, word, at in self.tokens]
+        if "∪" in text or "∩" in text:
+            self.words = [_SET_OPS.get(word, word) for word in self.words]
         self.depth = 0
 
     # grammar
 
     def parse_query(self) -> Query:
-        tok = self.peek()
-        if tok is None or tok[0] != "name":
-            self.fail("a model name")
-        if tok[1] not in MODELS:
-            raise ParseError(f"unknown model {tok[1]!r} at position {tok[2]}; "
+        model = self.peek()
+        if model not in MODELS:
+            # u and n are set operators, not names
+            if not self.at_name() or model in _SET_OPS:
+                self.fail("a model name")
+            at = self.position(self.pos)
+            raise ParseError(f"unknown model {model!r} at position {at}; "
                              f"expected one of {', '.join(MODELS)}",
-                             position=tok[2])
+                             position=at)
         self.pos += 1
-        model = tok[1]
         self.expect_op(":")
         expr = self.parse_expr()
         self.expect_end()
         return Query(model, expr)
 
     def parse_expr(self):
-        tok = self.peek()
-        wrap = _WRAPPERS.get(tok[1]) if tok and tok[0] == "name" else None
+        wrap = _WRAPPERS.get(self.peek())
         if wrap is None:
             return self.parse_prob()
         self.pos += 1
@@ -204,67 +202,66 @@ class _Parser(TokenCursor):
 
     def parse_set(self) -> SetNode:
         node = self.parse_atom()
+        words = self.words
         while True:
-            op = self.accept_op("u", "n")
-            if op is None:
+            op = words[self.pos]
+            if op != "u" and op != "n":
                 return node
+            self.pos += 1
             right = self.parse_atom()
             node = SetOp("union" if op == "u" else "intersect", node, right)
 
     def parse_atom(self) -> SetNode:
-        tok = self.peek()
-        if tok is None:
+        word = self.peek()
+        if not word:
             self.fail("a set expression")
-        if tok[0] == "op" and tok[1] in "([":
+        if word == "(" or word == "[":
             return self.parse_interval()
-        if tok[0] == "op" and tok[1] == "{":
+        if word == "{":
             return self.parse_braces()
-        if tok[0] == "name":
-            name = tok[1]
-            if name == "full":
-                self.pos += 1
-                return FullLit()
-            if name == "compl":
-                self.pos += 1
-                self.expect_op("(")
-                self._push_depth()
-                inner = self.parse_set()
-                self.depth -= 1
-                self.expect_op(")")
-                return Complement(inner)
-            if name == "translate":
-                self.pos += 1
-                self.expect_op("(")
-                self._push_depth()
-                inner = self.parse_set()
-                self.depth -= 1
-                self.expect_op(",")
-                offset = self.expect_rational()
-                self.expect_op(")")
-                return Translate(inner, offset)
-            if name == "allheads":
-                return self.parse_allheads()
-            if name == "pin":
-                pins = self.parse_pin()
-                return CoinLit(False, 0, pins)
-            if name == "ticket":
-                self.pos += 1
-                return TicketLit(None)
-            if name == "tickets":
-                self.pos += 1
-                self.expect_op("(")
-                count = self.expect_nat()
-                self.expect_op(")")
-                return TicketLit(count)
+        if word == "full":
+            self.pos += 1
+            return FullLit()
+        if word == "compl":
+            self.pos += 1
+            self.expect_op("(")
+            self._push_depth()
+            inner = self.parse_set()
+            self.depth -= 1
+            self.expect_op(")")
+            return Complement(inner)
+        if word == "translate":
+            self.pos += 1
+            self.expect_op("(")
+            self._push_depth()
+            inner = self.parse_set()
+            self.depth -= 1
+            self.expect_op(",")
+            offset = self.expect_rational()
+            self.expect_op(")")
+            return Translate(inner, offset)
+        if word == "allheads":
+            return self.parse_allheads()
+        if word == "pin":
+            pins = self.parse_pin()
+            return CoinLit(False, 0, pins)
+        if word == "ticket":
+            self.pos += 1
+            return TicketLit(None)
+        if word == "tickets":
+            self.pos += 1
+            self.expect_op("(")
+            count = self.expect_nat()
+            self.expect_op(")")
+            return TicketLit(count)
         self.fail("an interval, '{', 'full', 'compl', 'translate', "
                   "a coin literal or a ticket literal")
 
     def _push_depth(self):
         self.depth += 1
         if self.depth > _MAX_NESTING:
-            tok = self.peek()
-            pos = tok[2] if tok else None
-            raise ParseError("set expression nests too deeply", position=pos)
+            raise ParseError("set expression nests too deeply",
+                             position=self.position(self.pos))
 
     def parse_interval(self) -> IntervalLit:
         lb = self.expect_op("(", "[")
@@ -286,13 +283,13 @@ class _Parser(TokenCursor):
         return BraceLit(tuple(items))
 
     def parse_brace_item(self) -> str:
-        tok = self.peek()
-        if tok is None or tok[0] != "num":
+        word = self.peek()
+        if not word.isdecimal():
             self.fail("a point or cylinder address")
         self.pos += 1
         if self.accept_op("/"):
-            return f"{int(tok[1])}/{self.expect_denominator()}"
-        return tok[1]
+            return f"{int(word)}/{self.expect_denominator()}"
+        return word
 
     def parse_allheads(self) -> CoinLit:
         self.expect_name("allheads")
@@ -313,7 +310,7 @@ class _Parser(TokenCursor):
                 pos = self.expect_nat()
                 if pos < 1:
                     raise ParseError("pinned positions start at 1",
-                                     position=self.tokens[self.pos - 1][2])
+                                     position=self.position(self.pos - 1))
                 self.expect_op(":")
                 outcome = self.expect_name("H", "T")
                 pins.append((pos, outcome))
@@ -387,22 +384,23 @@ _POINT_RE = re.compile(r"\d+(?:/\d+)?$")
 _ADDRESS_RE = re.compile(r"[02]+$")
 
 
-def _fold(node: SetOp, build, union_all, parts):
+def _fold(node: SetOp, build, union_all):
     """Fold a set chain left to right, ``A u B n C`` as ``(A u B) n C``.
 
     ``build`` turns the operands into parts in order, so the first bad one
-    names the error; each maximal run of ``u`` operands is one
-    ``union_all`` call over their parts and each ``n`` one intersection,
-    whose event joins the next run as ``parts(event)``."""
+    names the error.  The event of the chain up to the last ``n`` is kept
+    as it is; ``union_all(event, run)`` joins it (None before the first
+    ``n``) with one maximal run of ``u`` operands' parts in one call."""
     first, rest = _unroll(node)
-    run = [build(first)]
+    event, run = None, [build(first)]
     for op, operand in rest:
         part = build(operand)
         if op == "union":
             run.append(part)
         else:
-            run = [parts(union_all(run) & union_all([part]))]
-    return union_all(run)
+            event = union_all(event, run) & union_all(None, [part])
+            run = []
+    return union_all(event, run)
 
 
 def _interval_cuts(node: SetNode, model: str) -> "list[CutPair]":
@@ -429,8 +427,10 @@ def _interval_cuts(node: SetNode, model: str) -> "list[CutPair]":
     return _to_interval_set(node, model)._cuts()
 
 
-def _union_of_cuts(run: "list[list[CutPair]]") -> IntervalSet:
-    return IntervalSet._from_cuts([c for cuts in run for c in cuts])
+def _union_of_cuts(event: "IntervalSet | None",
+                   run: "list[list[CutPair]]") -> IntervalSet:
+    union = IntervalSet._from_cuts([c for cuts in run for c in cuts])
+    return union if event is None else event | union
 
 
 def _to_interval_set(node: SetNode, model: str) -> IntervalSet:
@@ -438,7 +438,7 @@ def _to_interval_set(node: SetNode, model: str) -> IntervalSet:
         return IntervalSet._from_cuts(_interval_cuts(node, model))
     if isinstance(node, SetOp):
         return _fold(node, partial(_interval_cuts, model=model),
-                     _union_of_cuts, IntervalSet._cuts)
+                     _union_of_cuts)
     if isinstance(node, Complement):
         return _to_interval_set(node.arg, model).complement()
     if isinstance(node, Translate):
@@ -451,7 +451,10 @@ def _to_interval_set(node: SetNode, model: str) -> IntervalSet:
     raise TypeError(f"not a set node: {node!r}")
 
 
-def _union_of_events(run: "list[CantorEvent]") -> CantorEvent:
+def _union_of_events(event: "CantorEvent | None",
+                     run: "list[CantorEvent]") -> CantorEvent:
+    if event is not None:
+        run = [event, *run]
     if len(run) == 1:
         return run[0]
     return CantorEvent([a for e in run for a in e.cylinders])
@@ -468,7 +471,7 @@ def _to_cantor_event(node: SetNode) -> CantorEvent:
     if isinstance(node, FullLit):
         return CantorEvent.full()
     if isinstance(node, SetOp):
-        return _fold(node, _to_cantor_event, _union_of_events, lambda e: e)
+        return _fold(node, _to_cantor_event, _union_of_events)
     if isinstance(node, Complement):
         return _to_cantor_event(node.arg).complement()
     if isinstance(node, Translate):
@@ -506,16 +509,28 @@ def _to_ticket_count(node: SetNode) -> int:
 Value = Union[Fraction, NonArchValue]
 
 
+_GRID, _CANTOR = GridModel(), CantorModel()
+
+
+# these rules look their probability function up in this module at each
+# call, so a wrapper installed on the name (a tracer, a test) sees every query
+def _grid_probability(event: IntervalSet) -> NonArchValue:
+    return grid_probability(_GRID, event)
+
+
+def _cantor_probability(event: CantorEvent) -> NonArchValue:
+    return cantor_probability(_CANTOR, event)
+
+
 # model -> (event builder, probability, DomainError message for a condition
 # of probability 0, or None where the model has no conditional queries)
 _RULES = {
     "minimal": (partial(_to_interval_set, model="minimal"), lebesgue_length,
                 "conditioning on a null event: the minimal model assigns it "
                 "measure 0, so the conditional is undefined here"),
-    "grid": (partial(_to_interval_set, model="grid"),
-             partial(grid_probability, GridModel()),
+    "grid": (partial(_to_interval_set, model="grid"), _grid_probability,
              "conditioning on the empty event"),
-    "cantor": (_to_cantor_event, partial(cantor_probability, CantorModel()),
+    "cantor": (_to_cantor_event, _cantor_probability,
                "conditioning on the empty event"),
     "coinflip": (_to_coin_event, coinflip_probability,
                  "conditioning on an inconsistent coin event"),

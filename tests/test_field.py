@@ -7,6 +7,7 @@ evaluate and compare signs.
 """
 
 import random
+import re
 import sys
 from fractions import Fraction as F
 from pathlib import Path
@@ -16,8 +17,9 @@ from hypothesis import given, settings, strategies as st
 
 from spinnerlab.cantor import CantorEvent, CantorModel, cantor_probability
 from spinnerlab.errors import DomainError, GeneratorMismatchError, ParseError
-from spinnerlab.field import (Generator, Kind, NonArchValue, Ordering, Poly,
-                              Sign, arith_add, arith_div, arith_mul, classify,
+from spinnerlab.field import (MAX_NUMERAL_DIGITS, Generator, Kind,
+                              NonArchValue, Ordering, Poly, Sign, TokenCursor,
+                              arith_add, arith_div, arith_mul, classify,
                               compare, parse_rational, parse_value, poly_gcd,
                               standard_part)
 from spinnerlab.lottery import (CoinEvent, LotteryModel, coinflip_probability,
@@ -411,3 +413,67 @@ def test_one_rational_rule_for_queries_values_and_cli(text, value):
                 read(text)
         else:
             assert read(text) == value
+
+
+# -- the one-split lexer against the finditer lexer it replaced ------------------
+
+def reference_tokens(text, ops):
+    """(kind, word, position) per token, one regex match at a time."""
+    lexer = re.compile(r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_]\w*)"
+                       rf"|(?P<op>[{re.escape(ops)}])|(?P<bad>\S))")
+    tokens = []
+    for m in lexer.finditer(text):
+        kind = m.lastgroup
+        word, start = m.group(kind), m.start(kind)
+        if kind == "bad":
+            raise ParseError(f"syntax error at position {start}: "
+                             f"unexpected character {word!r}", position=start)
+        if kind == "num" and len(word) > MAX_NUMERAL_DIGITS:
+            raise ParseError(f"numeral at position {start} has more than "
+                             f"{MAX_NUMERAL_DIGITS} digits", position=start)
+        tokens.append((kind, word, start))
+    return tokens
+
+
+def first_char_kind(word):
+    if word[0].isdecimal():
+        return "num"
+    if word[0] == "_" or (word[0].isascii() and word[0].isalpha()):
+        return "name"
+    return "op"
+
+
+# the characters and words that can occur around each grammar's tokens:
+# Unicode whitespace and digits, letters \w accepts but no token starts
+# with, the set symbols, a zero denominator, and numerals at and one past
+# the digit cap
+ODD_PIECES = [" ", "\t", "\n", "\x0b", "\xa0", "\u3000", "\u2028", "é", "²",
+              "٣", "１", "_", "∪", "∩", "1/0", "/", ".", "1" * MAX_NUMERAL_DIGITS,
+              "9" * (MAX_NUMERAL_DIGITS + 1)]
+LEXER_CASES = {
+    "query": ("[](){},:|&>/∪∩-", list("[](){},:|&>/-0123456789") + [
+        "grid", "minimal", "cantor", "P", "st", "u", "n", "full", "compl",
+        "translate", "allheads", "pin", "H", "T", "tickets", "02"]),
+    "value": ("-+*/^()", list("-+*/^()0123456789") + ["eps", "eps^2", "x"]),
+    "grid": ("-/", list("-/0123456789,") + ["uniform:", "12/35"]),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(LEXER_CASES)), st.data())
+def test_lexer_matches_the_finditer_reference(grammar, data):
+    ops, pieces = LEXER_CASES[grammar]
+    text = "".join(data.draw(st.lists(st.sampled_from(pieces + ODD_PIECES),
+                                      max_size=30)))
+    try:
+        expected = reference_tokens(text, ops)
+    except ParseError as want:
+        with pytest.raises(ParseError) as got:
+            TokenCursor(text, ops)
+        assert (str(got.value), got.value.position) \
+            == (str(want), want.position)
+        return
+    located = TokenCursor(text, ops).located()
+    assert located == [(word, at) for _, word, at in expected]
+    assert [first_char_kind(word) for word, _ in located] \
+        == [kind for kind, _, _ in expected]

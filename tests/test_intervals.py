@@ -195,6 +195,30 @@ def test_operations_keep_normal_form(seed):
         assert_normal(s)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_small_operand_bisected_into_a_large_set(seed):
+    # up to 30 components against up to 3: union and intersect bisect the
+    # small set's components into the large one's instead of merging both
+    rng = random.Random(seed)
+    ends = sorted(rng.sample(range(97), 2 * rng.randint(8, 30)))
+    large = IntervalSet([(F(a, 96), rng.random() < 0.5, F(b, 96),
+                          rng.random() < 0.5)
+                         for a, b in zip(ends[::2], ends[1::2])])
+    small = rand_interval_set(rng, 3, 12)
+    cuts = sorted({x for s in (large, small) for p in s.components
+                   for x in (p.left, p.right)} | {F(0), F(1)})
+    probes = cuts[:-1] + [(x + y) / 2 for x, y in zip(cuts, cuts[1:])]
+    for a, b in ((large, small), (small, large)):
+        union, common = a | b, a & b
+        assert union == IntervalSet._from_cuts(a._cuts() + b._cuts())
+        for s in (union, common):
+            assert_normal(s)
+        for x in probes:
+            assert union.contains(x) == (a.contains(x) or b.contains(x))
+            assert common.contains(x) == (a.contains(x) and b.contains(x))
+
+
 # -- translation --------------------------------------------------------------------
 
 def test_translate_examples():

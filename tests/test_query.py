@@ -5,12 +5,15 @@ from fractions import Fraction as F
 
 import pytest
 
+from spinnerlab import query
 from spinnerlab.errors import DomainError, ParseError, QueryTypeError
+from spinnerlab.field import NonArchValue
 from spinnerlab.query import (BraceLit, CoinLit, Complement, CompareExpr,
                               EvalResult, FullLit, IntervalLit, Prob, Query,
                               SetOp, St, TicketLit, Translate, evaluate,
                               evaluate_value, parse_query, render_query,
                               _to_cantor_event, _to_interval_set)
+from spinnerlab.spinner import SPINNER_GENERATOR
 
 
 # -- parsing ----------------------------------------------------------------------
@@ -225,6 +228,68 @@ def test_mixed_chains_equal_the_pairwise_left_fold():
                 expected = expected | s if op == "u" else expected & s
             got = build(parse_query(f"{model}: P({chain})").expr.event)
             assert got == expected, chain
+
+
+def test_alternating_4000_operand_chain_matches_a_point_count():
+    # every endpoint lies on the lattice k/N, so a set is a bit set with
+    # bit 2k for the point k/N and bit 2k+1 for the open cell after it
+    n_lattice, rng = 2000, random.Random(76)
+    points = int("01" * n_lattice, 2)
+
+    def interval(a, a_in, b, b_in):
+        bits = ((1 << 2 * b) - 1) ^ ((1 << 2 * a + 1) - 1)
+        bits |= a_in << 2 * a | b_in << 2 * b
+        lb, rb = "[" if a_in else "(", "]" if b_in else ")"
+        return f"{lb}{F(a, n_lattice)},{F(b, n_lattice)}{rb}", bits
+
+    def union_operand():
+        k = rng.randrange(n_lattice - 3)
+        if rng.random() < 0.7:
+            return f"{{{k}/{n_lattice}}}", 1 << 2 * k
+        return interval(k, rng.random() < 0.5, k + rng.randint(1, 3),
+                        rng.random() < 0.5)
+
+    def intersect_operand():
+        r, k = rng.random(), rng.randrange(n_lattice)
+        if r < 0.7:
+            return "full", (1 << 2 * n_lattice) - 1
+        if r < 0.85:
+            return f"compl({{{k}/{n_lattice}}})", \
+                ((1 << 2 * n_lattice) - 1) ^ (1 << 2 * k)
+        if r < 0.93:
+            return interval(0, True, n_lattice - rng.randint(1, 20), False)
+        return interval(rng.randint(1, 20), False, n_lattice, False)
+
+    text, members = union_operand()
+    for i in range(1, 4000):
+        op = "u" if i % 2 else "n"
+        operand, bits = union_operand() if op == "u" else intersect_operand()
+        text += f" {op} {operand}"
+        members = members | bits if op == "u" else members & bits
+    cells = (members & points << 1).bit_count()
+    dots = (members & points).bit_count()
+    assert dots > 1000 and cells > 100  # the set kept growing
+    for model, expected in (
+            ("minimal", F(cells, n_lattice)),
+            ("grid", NonArchValue.affine(SPINNER_GENERATOR,
+                                         F(cells, n_lattice), dots - cells))):
+        q = f"{model}: P({text})"
+        assert evaluate_value(parse_query(q)) == expected
+        assert render_query(parse_query(q)) == q
+
+
+def test_grid_and_cantor_probabilities_are_looked_up_at_call_time(
+        monkeypatch):
+    calls = []
+    for name in ("grid_probability", "cantor_probability"):
+        def counted(*args, _real=getattr(query, name), _name=name):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(query, name, counted)
+    assert evaluate(parse_query("grid: P({1/3} | [0,1/2))")).value_text \
+        == "2*eps"
+    assert evaluate(parse_query("cantor: P({0})")).value_text == "1/2"
+    assert calls == ["grid_probability"] * 2 + ["cantor_probability"]
 
 
 # -- parser totality (fuzz) -------------------------------------------------------------
