@@ -10,21 +10,37 @@ wrap it around to 0.
 model: translation invariant, finitely additive, and it assigns length 0
 to points, so a possible point outcome carries zero measure here.
 
-Endpoints are compared as cuts.  A cut ``(x, after)`` sits just before x
-when ``after`` is False and just after x when it is True; a component
-starts at the cut ``(left, not left_in)``, ends at ``(right, right_in)``
-and holds exactly the points between those two cuts.  Comparing cuts as
-tuples settles every open/closed endpoint case of membership, merging and
-intersection.
+Endpoints are compared as cuts.  A cut ``(k, x, after)`` sits just before
+the rational x when ``after`` is False and just after x when it is True; a
+component starts at the cut ``(k, left, not left_in)``, ends at
+``(k', right, right_in)`` and holds exactly the points between those two
+cuts.  Comparing cuts as tuples settles every open/closed endpoint case of
+membership, merging and intersection.
+
+``k`` is an integer sort key, ``floor(x * 2**64)``, computed once where the
+cut is made: in ``_clean`` for outside input, in ``translate_mod1`` for
+shifted endpoints (``k - 2**64`` for the ones that wrap past 1) and in the
+module constants for 0 and 1.  The floor is monotone, so two cuts whose
+keys differ are ordered by one integer comparison; when the keys are equal
+(the same endpoint, or endpoints with denominators above 2**32 that agree
+in their first 64 binary digits) the tuple comparison falls back to the
+exact ``Fraction`` and then to the flag.  The order is exactly the order of
+``(x, after)``, only cheaper.
+
+A set stores its components as the tuple ``cuts`` of (start, end) cut
+pairs, and every operation reads and writes those.  ``components`` is a
+view: the :class:`Piece` objects are built from the cuts the first time it
+is read, and kept.
 
 Sets are immutable; every operation returns a new normalized set.  Outside
 input is validated once, where it enters:
 
 * validate: the constructor (and ``normalize``, ``point``, ``interval``)
   checks every component, a :class:`Piece` like a raw 4-tuple, for endpoint
-  order, the [0,1] range and float endpoints, and wraps the point 1 to 0;
+  order and the [0,1] range by integer cross-products, rejects float
+  endpoints, and wraps the point 1 to 0;
 * merge: ``union`` and ``translate_mod1`` start from normalized sets and
-  hand their (start, end) cut pairs straight to the sort and merge;
+  hand their cut pairs straight to the sort and merge;
 * normal by construction: the ``intersect`` sweep and the gaps of
   ``complement`` come out sorted, disjoint and non-adjacent, so they skip
   the sort and merge.
@@ -33,7 +49,7 @@ A ``union`` or ``intersect`` of k components with n, where k*log2(n) < n,
 bisects each of the k into the n sorted components and splices, at
 O(k log n) comparisons plus list copies, instead of merging or sweeping
 all n + k; so a chain that keeps combining a growing set with small ones
-costs near-linear time, not quadratic.
+costs near-linear time, not quadratic.  ``contains`` bisects too.
 
 ``length`` adds one integer numerator over the running lcm of the endpoint
 denominators and makes a single ``Fraction`` at the end.
@@ -45,17 +61,20 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .errors import DomainError, ParseError, QueryTypeError
 from .report import PropertyReport
 
-Cut = tuple[Fraction, bool]
+Cut = tuple[int, Fraction, bool]
 CutPair = tuple[Cut, Cut]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+# a cut's key is floor(x * 2**_KEY_BITS)
+_KEY_BITS = 64
+_KEY_ONE = 1 << _KEY_BITS
 
 
 @dataclass(frozen=True, order=True)
@@ -68,13 +87,13 @@ class Piece:
     right_in: bool
 
     @property
-    def start(self) -> Cut:
-        """Cut just before the first member."""
+    def start(self) -> "tuple[Fraction, bool]":
+        """Cut just before the first member, without its key."""
         return (self.left, not self.left_in)
 
     @property
-    def end(self) -> Cut:
-        """Cut just after the last member."""
+    def end(self) -> "tuple[Fraction, bool]":
+        """Cut just after the last member, without its key."""
         return (self.right, self.right_in)
 
     def is_point(self) -> bool:
@@ -99,34 +118,46 @@ def _as_fraction(x) -> Fraction:
     return Fraction(x)
 
 
-# the cut at which the sample space [0,1) ends
-_END_CUT: Cut = (_ONE, False)
+def _key(x: Fraction) -> int:
+    return (x.numerator << _KEY_BITS) // x.denominator
+
+
+# the cuts at which the sample space [0,1) starts and ends
+_START_CUT: Cut = (0, _ZERO, False)
+_END_CUT: Cut = (_KEY_ONE, _ONE, False)
+# the point 0, which the point 1 wraps to
+_ZERO_POINT: CutPair = (_START_CUT, (0, _ZERO, True))
 
 
 def _clean(left, left_in, right, right_in) -> "list[CutPair]":
     """Validate one raw component, wrap the point 1 back to 0 and return the
     nonempty pieces as (start, end) cuts."""
     left, right = _as_fraction(left), _as_fraction(right)
-    if left > right:
+    p, q = left.numerator, left.denominator
+    r, s = right.numerator, right.denominator
+    ps, rq = p * s, r * q
+    if ps > rq:
         raise DomainError(f"interval endpoints out of order: {left} > {right}")
-    if left < 0 or right > 1:
+    if p < 0 or r > s:
         raise DomainError(f"endpoint outside [0,1]: [{left},{right}]")
-    wrap = right == 1 and right_in
-    start, end = (left, not left_in), (right, bool(right_in) and not wrap)
-    out = [(start, end)] if start < end else []
+    # the component holds the point 1, which wraps to 0
+    wrap = r == s and right_in and (ps < rq or left_in)
+    end_after = bool(right_in) and not wrap
+    # left < right, or one point with both ends closed
+    if ps < rq or (left_in and end_after):
+        out = [(((p << _KEY_BITS) // q, left, not left_in),
+                ((r << _KEY_BITS) // s, right, end_after))]
+    else:
+        out = []
     if wrap:
-        out.append(((_ZERO, False), (_ZERO, True)))
+        out.append(_ZERO_POINT)
     return out
 
 
-def _piece(start: Cut, end: Cut) -> "Piece":
-    return Piece(start[0], not start[1], end[0], end[1])
+_START, _END = itemgetter(0), itemgetter(1)
 
 
-_START, _END = attrgetter("start"), attrgetter("end")
-
-
-def _large_small(a: "tuple[Piece, ...]", b: "tuple[Piece, ...]"):
+def _large_small(a: "tuple[CutPair, ...]", b: "tuple[CutPair, ...]"):
     """(larger, smaller) when bisecting the smaller's components into the
     larger's costs fewer comparisons than a pass over both, else None."""
     if len(a) < len(b):
@@ -134,40 +165,43 @@ def _large_small(a: "tuple[Piece, ...]", b: "tuple[Piece, ...]"):
     return (a, b) if len(b) * len(a).bit_length() < len(a) else None
 
 
-def _merge(cuts: "list[CutPair]") -> "tuple[Piece, ...]":
+def _merge(cuts: "list[CutPair]") -> "tuple[CutPair, ...]":
     """Sort nonempty cut pairs inside [0,1) and merge the ones that overlap
     or touch into components."""
-    cuts.sort(key=itemgetter(0))
-    merged: list[list[Cut]] = []
-    for start, end in cuts:
-        if merged and start <= merged[-1][1]:
-            if end > merged[-1][1]:
-                merged[-1][1] = end
+    if not cuts:
+        return ()
+    cuts.sort(key=_START)
+    merged: list[CutPair] = []
+    start, end = cuts[0]
+    for s, e in cuts:
+        if s <= end:
+            if e > end:
+                end = e
         else:
-            merged.append([start, end])
-    # a list, not a generator: tuple(generator) multiplied peak memory
-    return tuple([_piece(start, end) for start, end in merged])
+            merged.append((start, end))
+            start, end = s, e
+    merged.append((start, end))
+    return tuple(merged)
 
 
-def _clip(large: "tuple[Piece, ...]", small: "tuple[Piece, ...]"):
-    """The pieces of ``large & small``, in order: for each component p of
+def _clip(large: "tuple[CutPair, ...]", small: "tuple[CutPair, ...]"):
+    """The cut pairs of ``large & small``, in order: for each component of
     ``small``, the components of ``large`` that overlap it, the first and
-    last cut to p.  Pieces inside different components of one operand are
+    last cut to it.  Pieces inside different components of one operand are
     apart, so the output is normal as it comes."""
-    out: list[Piece] = []
-    for p in small:
-        start, end = p.start, p.end
+    out: list[CutPair] = []
+    for start, end in small:
         i = bisect_right(large, start, key=_END)
         j = bisect_left(large, end, i, key=_START)
         if i == j:
             continue
         first, last = large[i], large[j - 1]
         if i + 1 == j:
-            out.append(_piece(max(start, first.start), min(end, first.end)))
+            out.append((max(start, first[0]), min(end, first[1])))
             continue
-        out.append(_piece(max(start, first.start), first.end))
+        out.append((max(start, first[0]), first[1]))
         out += large[i + 1:j - 1]
-        out.append(_piece(last.start, min(end, last.end)))
+        out.append((last[0], min(end, last[1])))
     return out
 
 
@@ -176,9 +210,10 @@ class IntervalSet:
 
     Components are pairwise disjoint, non-adjacent, and sorted; equality is
     structural, and two sets are equal iff they have the same members.
+    ``cuts`` holds the components as (start, end) cut pairs.
     """
 
-    __slots__ = ("components",)
+    __slots__ = ("cuts", "_pieces")
 
     def __init__(self, raw: Iterable[Sequence] = ()):
         cuts: list[CutPair] = []
@@ -187,14 +222,16 @@ class IntervalSet:
                 comp = (comp.left, comp.left_in, comp.right, comp.right_in)
             left, left_in, right, right_in = comp
             cuts.extend(_clean(left, left_in, right, right_in))
-        self.components: tuple[Piece, ...] = _merge(cuts)
+        self.cuts: tuple[CutPair, ...] = _merge(cuts)
+        self._pieces = None
 
     @classmethod
-    def _normal(cls, components: "tuple[Piece, ...]") -> "IntervalSet":
-        """A set from components already sorted, disjoint and non-adjacent:
+    def _normal(cls, cuts: "tuple[CutPair, ...]") -> "IntervalSet":
+        """A set from cut pairs already sorted, disjoint and non-adjacent:
         the kernel's private path, which neither validates nor merges."""
         s = object.__new__(cls)
-        s.components = components
+        s.cuts = cuts
+        s._pieces = None
         return s
 
     @classmethod
@@ -203,9 +240,14 @@ class IntervalSet:
         validated again."""
         return cls._normal(_merge(cuts))
 
-    def _cuts(self) -> "list[CutPair]":
-        """The (start, end) cuts of the components, in order."""
-        return [(p.start, p.end) for p in self.components]
+    @property
+    def components(self) -> "tuple[Piece, ...]":
+        """The components as Pieces, built from the cuts when first read."""
+        if self._pieces is None:
+            self._pieces = tuple([Piece(left, not after, right, right_in)
+                                  for (_, left, after), (_, right, right_in)
+                                  in self.cuts])
+        return self._pieces
 
     # -- constructors ------------------------------------------------------
 
@@ -229,23 +271,27 @@ class IntervalSet:
     # -- structure ---------------------------------------------------------
 
     def is_empty(self) -> bool:
-        return not self.components
+        return not self.cuts
 
     def contains(self, x) -> bool:
         x = _as_fraction(x)
-        return any(p.contains(x) for p in self.components)
+        k = _key(x)
+        # the last component that starts at or before x, if any, holds it
+        i = bisect_right(self.cuts, (k, x, False), key=_START)
+        return i > 0 and (k, x, True) <= self.cuts[i - 1][1]
 
     def half_open_only(self) -> bool:
         """True when every component has the shape [a,b) with a < b."""
-        return all(p.left_in and not p.right_in and not p.is_point()
-                   for p in self.components)
+        # a nonempty component from the cut before a to the cut before b
+        # has a < b
+        return not any(start[2] or end[2] for start, end in self.cuts)
 
     @property
     def length(self) -> Fraction:
         # one integer numerator over the running lcm of the denominators
         num, den = 0, 1
-        for p in self.components:
-            for x, sign in ((p.right, 1), (p.left, -1)):
+        for (_, left, _), (_, right, _) in self.cuts:
+            for x, sign in ((right, 1), (left, -1)):
                 d = x.denominator
                 if den % d:
                     scale = d // gcd(den, d)
@@ -256,37 +302,36 @@ class IntervalSet:
     # -- algebra -----------------------------------------------------------
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
-        split = _large_small(self.components, other.components)
+        split = _large_small(self.cuts, other.cuts)
         if split is None:
-            return IntervalSet._from_cuts(self._cuts() + other._cuts())
+            return IntervalSet._from_cuts([*self.cuts, *other.cuts])
         comps = list(split[0])
-        for p in split[1]:
-            # comps[i:j] overlap or touch p, so they merge with it
-            start, end = p.start, p.end
+        for start, end in split[1]:
+            # comps[i:j] overlap or touch the component, so they merge with it
             i = bisect_left(comps, start, key=_END)
             j = bisect_right(comps, end, i, key=_START)
             if i < j:
-                p = _piece(min(start, comps[i].start),
-                           max(end, comps[j - 1].end))
-            comps[i:j] = (p,)
+                start = min(start, comps[i][0])
+                end = max(end, comps[j - 1][1])
+            comps[i:j] = ((start, end),)
         return IntervalSet._normal(tuple(comps))
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
-        split = _large_small(self.components, other.components)
+        split = _large_small(self.cuts, other.cuts)
         if split is not None:
             return IntervalSet._normal(tuple(_clip(*split)))
         # a sweep over both sorted component lists: the component that ends
         # first meets nothing further on, so its pointer moves on.  Two
         # pieces of the output lie in different components of one operand,
         # which are apart, so the output is normal as it comes.
-        out: list[Piece] = []
-        mine, theirs = self._cuts(), other._cuts()
+        out: list[CutPair] = []
+        mine, theirs = self.cuts, other.cuts
         i = j = 0
         while i < len(mine) and j < len(theirs):
             (a_start, a_end), (b_start, b_end) = mine[i], theirs[j]
             start, end = max(a_start, b_start), min(a_end, b_end)
             if start < end:
-                out.append(_piece(start, end))
+                out.append((start, end))
             if a_end < b_end:
                 i += 1
             else:
@@ -296,14 +341,14 @@ class IntervalSet:
     def complement(self) -> "IntervalSet":
         """Complement relative to the sample space [0,1): the nonempty gaps
         between the components, which are apart from each other."""
-        out: list[Piece] = []
-        cursor: Cut = (_ZERO, False)
-        for p in self.components:
-            if cursor < p.start:
-                out.append(_piece(cursor, p.start))
-            cursor = p.end
+        out: list[CutPair] = []
+        cursor = _START_CUT
+        for start, end in self.cuts:
+            if cursor < start:
+                out.append((cursor, start))
+            cursor = end
         if cursor < _END_CUT:
-            out.append(_piece(cursor, _END_CUT))
+            out.append((cursor, _END_CUT))
         return IntervalSet._normal(tuple(out))
 
     def translate_mod1(self, t) -> "IntervalSet":
@@ -311,14 +356,17 @@ class IntervalSet:
         s = _as_fraction(t) % 1
         low: list[CutPair] = []
         wrapped: list[CutPair] = []
-        for (left, after), (right, right_in) in self._cuts():
-            start, end = (left + s, after), (right + s, right_in)
+        for (_, left, after), (_, right, right_in) in self.cuts:
+            left, right = left + s, right + s
+            start = (_key(left), left, after)
+            end = (_key(right), right, right_in)
             if start < _END_CUT:
                 low.append((start, min(end, _END_CUT)))
             if end > _END_CUT:
                 # the part at or past 1, the point 1 itself included
-                left, after = max(start, _END_CUT)
-                wrapped.append(((left - 1, after), (end[0] - 1, right_in)))
+                k, left, after = max(start, _END_CUT)
+                wrapped.append(((k - _KEY_ONE, left - 1, after),
+                                (end[0] - _KEY_ONE, right - 1, right_in)))
         # the wrapped parts lie below s and the rest from s on, so the list
         # is sorted; the merge joins the pieces that meet at s
         return IntervalSet._from_cuts(wrapped + low)
@@ -330,14 +378,13 @@ class IntervalSet:
         return self.intersect(other)
 
     def __eq__(self, other):
-        return (isinstance(other, IntervalSet)
-                and self.components == other.components)
+        return isinstance(other, IntervalSet) and self.cuts == other.cuts
 
     def __hash__(self):
-        return hash(self.components)
+        return hash(self.cuts)
 
     def render(self) -> str:
-        if not self.components:
+        if not self.cuts:
             return "∅"
         return " ∪ ".join(p.render() for p in self.components)
 

@@ -32,7 +32,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Union
+from typing import Sequence, Union
 
 from .cantor import CantorEvent, CantorModel, cantor_probability
 from .errors import DomainError, ParseError, QueryTypeError
@@ -403,7 +403,7 @@ def _fold(node: SetOp, build, union_all):
     return union_all(event, run)
 
 
-def _interval_cuts(node: SetNode, model: str) -> "list[CutPair]":
+def _interval_cuts(node: SetNode, model: str) -> "Sequence[CutPair]":
     """The validated (start, end) cut pairs of one set operand; a literal
     never becomes an IntervalSet of its own."""
     if isinstance(node, IntervalLit):
@@ -424,11 +424,11 @@ def _interval_cuts(node: SetNode, model: str) -> "list[CutPair]":
         return cuts
     if isinstance(node, FullLit):
         return _clean(0, True, 1, False)
-    return _to_interval_set(node, model)._cuts()
+    return _to_interval_set(node, model).cuts
 
 
 def _union_of_cuts(event: "IntervalSet | None",
-                   run: "list[list[CutPair]]") -> IntervalSet:
+                   run: "list[Sequence[CutPair]]") -> IntervalSet:
     union = IntervalSet._from_cuts([c for cuts in run for c in cuts])
     return union if event is None else event | union
 

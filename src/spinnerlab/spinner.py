@@ -84,8 +84,9 @@ def grid_count(model: GridModel, a: IntervalSet) -> CountForm:
     A component (a,b) holds (b-a)*N - 1 grid points and each closed end adds
     one more, so [a,b) holds (b-a)*N and a single point [a,a] exactly one.
     """
-    return CountForm(a.length, sum(p.left_in + p.right_in - 1
-                                   for p in a.components))
+    # left_in + right_in - 1 is the end cut's flag minus the start cut's
+    return CountForm(a.length, sum(end[2] - start[2]
+                                   for start, end in a.cuts))
 
 
 def grid_probability(model: GridModel, a: IntervalSet) -> NonArchValue:
@@ -303,7 +304,7 @@ def _check_count_uniformity(model, config) -> PropertyReport:
         outside = closed.complement()
         if outside.is_empty():
             continue
-        x = outside.components[0].left
+        (_, x, _), _ = outside.cuts[0]
         if not outside.contains(x):
             continue
         traded = IntervalSet.interval(left, True, right, False) \

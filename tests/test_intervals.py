@@ -4,6 +4,7 @@ The membership oracle checks raw flag logic point by point over all
 rationals with small denominators, independently of normalization.
 """
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -100,6 +101,8 @@ def test_constructor_validates_pieces():
 
 def test_point_one_wraps_to_zero():
     assert normalize([(F(1), True, F(1), True)]) == IntervalSet.point(0)
+    # the empty (1,1] holds no point 1 to wrap
+    assert normalize([(F(1), False, F(1), True)]).is_empty()
     s = normalize([(F(3, 4), True, F(1), True)])
     assert s.render() == "{0} ∪ [3/4,1)"
     assert s.contains(0) and s.contains(F(99, 100)) and not s.contains(F(1, 2))
@@ -173,7 +176,15 @@ def test_boolean_membership_is_pointwise(seed, shape):
 
 def assert_normal(s: IntervalSet):
     """Sorted, nonempty, pairwise apart components inside [0,1), equal to the
-    set rebuilt from plain tuples, with the summed-Fraction length."""
+    set rebuilt from plain tuples, with the summed-Fraction length; every
+    stored cut's key is floor(x * 2**64), and the components are the Pieces
+    of the stored cuts."""
+    for cut in (c for pair in s.cuts for c in pair):
+        k, x, _ = cut
+        assert k == math.floor(x * 2 ** 64), cut
+    assert s.components == tuple(
+        Piece(left, not after, right, right_in)
+        for (_, left, after), (_, right, right_in) in s.cuts)
     cuts = [(p.start, p.end) for p in s.components]
     for start, end in cuts:
         assert (F(0), False) <= start < end <= (F(1), False), s.components
@@ -211,12 +222,54 @@ def test_small_operand_bisected_into_a_large_set(seed):
     probes = cuts[:-1] + [(x + y) / 2 for x, y in zip(cuts, cuts[1:])]
     for a, b in ((large, small), (small, large)):
         union, common = a | b, a & b
-        assert union == IntervalSet._from_cuts(a._cuts() + b._cuts())
+        assert union == IntervalSet._from_cuts([*a.cuts, *b.cuts])
         for s in (union, common):
             assert_normal(s)
         for x in probes:
             assert union.contains(x) == (a.contains(x) or b.contains(x))
             assert common.contains(x) == (a.contains(x) and b.contains(x))
+
+
+def member(raw, x):
+    """Membership in raw flagged intervals inside [0,1), with the point 1
+    wrapped to 0."""
+    return raw_member(raw, x) or (x == 0 and raw_member(raw, F(1)))
+
+
+# endpoints i/(2**65 + j): denominators above 2**32 make distinct endpoints
+# share the key floor(x * 2**64), so cut order falls back to the Fractions
+_TIE_POINTS = st.one_of(
+    st.builds(F, st.integers(0, 12), st.sampled_from(
+        [2 ** 65 + j for j in range(4)])),
+    st.sampled_from([F(0), F(1, 2), F(1)]))
+_TIE_RAW = st.lists(
+    st.tuples(_TIE_POINTS, st.booleans(), _TIE_POINTS, st.booleans()).map(
+        lambda c: c if c[0] <= c[2] else (c[2], c[1], c[0], c[3])),
+    max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_TIE_RAW, _TIE_RAW, _TIE_POINTS,
+       st.sampled_from([F(0), F(1, 3), F(-5, 7)]))
+def test_key_ties_fall_back_to_exact_order(ra, rb, shift, q):
+    a, b = IntervalSet(ra), IntervalSet(rb)
+    # an offset over a tie-prone denominator, so shifted endpoints tie too
+    q = q - shift
+    union, common, rest, moved = a | b, a & b, a.complement(), \
+        a.translate_mod1(q)
+    for s in (a, b, union, common, rest, moved):
+        assert_normal(s)
+    ends = {x for raw in (ra, rb) for c in raw for x in (c[0], c[2])}
+    ends |= {(x + q) % 1 for x in ends} | {F(0)}
+    ends = sorted(x for x in ends if x < 1) + [F(1)]
+    probes = ends[:-1] + [(x + y) / 2 for x, y in zip(ends, ends[1:])]
+    for x in probes:
+        in_a, in_b = member(ra, x), member(rb, x)
+        assert a.contains(x) == in_a and b.contains(x) == in_b
+        assert union.contains(x) == (in_a or in_b)
+        assert common.contains(x) == (in_a and in_b)
+        assert rest.contains(x) == (not in_a)
+        assert moved.contains(x) == member(ra, (x - q) % 1)
 
 
 # -- translation --------------------------------------------------------------------
