@@ -714,10 +714,12 @@ def render_poly(p: Poly, name: str) -> str:
 
 
 @cache
-def _lexer(ops: str) -> "re.Pattern":
+def _lexer(ops: str, extra_word: str) -> "re.Pattern":
     # group 1 is a token word, group 2 a character no token starts with;
-    # whitespace is left between the matches
-    return re.compile(rf"(\d+|[A-Za-z_]\w*|[{re.escape(ops)}])|(\S)")
+    # whitespace is left between the matches.  ``extra_word``, when given,
+    # is one more token-word pattern, tried before the operator characters
+    extra = f"{extra_word}|" if extra_word else ""
+    return re.compile(rf"(\d+|[A-Za-z_]\w*|{extra}[{re.escape(ops)}])|(\S)")
 
 
 def _starts(parts: list) -> "list[int]":
@@ -730,12 +732,14 @@ def _starts(parts: list) -> "list[int]":
     return starts
 
 
-def tokenize(text: str, ops: str) -> list:
+def tokenize(text: str, ops: str, extra_word: str = "") -> list:
     """The pieces of one ``re.split`` of ``text``: whitespace at ``[0::3]``,
     token words at ``[1::3]``.  A word is a numeral (a run of at most
     MAX_NUMERAL_DIGITS digits), a name or one character of the grammar's
-    operator alphabet ``ops``; any other character is a ParseError."""
-    parts = _lexer(ops).split(text)
+    operator alphabet ``ops``; any other character is a ParseError.  A
+    grammar may add one word pattern of its own, ``extra_word``, which must
+    not match a numeral of more than MAX_NUMERAL_DIGITS digits."""
+    parts = _lexer(ops, extra_word).split(text)
     words = parts[1::3]
     if any(parts[2::3]) or (
             words and max(map(len, words)) > MAX_NUMERAL_DIGITS):
@@ -761,8 +765,8 @@ class TokenCursor:
     a numeral, a letter or ``_`` for a name, anything else for an operator.
     A token's position in the text is computed only for a ParseError."""
 
-    def __init__(self, text: str, ops: str):
-        self._parts = tokenize(text, ops)
+    def __init__(self, text: str, ops: str, extra_word: str = ""):
+        self._parts = tokenize(text, ops, extra_word)
         self.words = self._parts[1::3]
         self.words.append("")
         self.pos = 0

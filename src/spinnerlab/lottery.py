@@ -24,7 +24,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .errors import DomainError
 from .field import MAX_NUMERAL_DIGITS, Generator, NonArchValue, Ordering
@@ -95,25 +95,32 @@ class CoinEvent:
             return True
         return all(o == "H" for _, o in self.active_pins())
 
-    def intersect(self, other: "CoinEvent") -> "CoinEvent":
-        """Conjunction of the two constraints.
+    @classmethod
+    def conjunction(cls, events: "Sequence[CoinEvent]") -> "CoinEvent":
+        """Conjunction of one or more constraints, with one dict of pins
+        and one sort, so a chain of n events costs O(n log n).
 
-        Two all-heads events conjoin to the stricter (smaller) drop;
-        disagreeing pins mark the result contradictory, which the
-        probability maps to zero.
+        All-heads events conjoin to the stricter (smallest) drop; a pin
+        that disagrees with an earlier event's pin at its position marks
+        the result contradictory, which the probability maps to zero.
         """
-        pins = dict(self.pinned)
-        contradictory = self.contradictory or other.contradictory
-        for pos, o in other.pinned:
-            if pins.get(pos, o) != o:
-                contradictory = True
-            else:
-                pins[pos] = o
-        all_heads = self.all_heads or other.all_heads
-        drops = [e.dropped_prefix for e in (self, other) if e.all_heads]
-        dropped = min(drops) if drops else 0
-        return CoinEvent(dropped, tuple(sorted(pins.items())), all_heads,
-                         contradictory)
+        first, *rest = events
+        if not rest:
+            return first
+        pins = dict(first.pinned)
+        contradictory = first.contradictory
+        for e in rest:
+            contradictory = contradictory or e.contradictory
+            for pos, o in e.pinned:
+                if pins.setdefault(pos, o) != o:
+                    contradictory = True
+        drops = [e.dropped_prefix for e in events if e.all_heads]
+        return cls(min(drops) if drops else 0, tuple(sorted(pins.items())),
+                   bool(drops), contradictory)
+
+    def intersect(self, other: "CoinEvent") -> "CoinEvent":
+        """Conjunction of the two constraints."""
+        return CoinEvent.conjunction((self, other))
 
     __and__ = intersect
 

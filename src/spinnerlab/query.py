@@ -7,7 +7,8 @@ Grammar (ASCII aliases next to the set symbols):
     expr     := "st" "(" prob ")" | "classify" "(" prob ")"
               | "compare" "(" prob "," prob ")" | prob
     prob     := "P" "(" set [ "|" set ] ")"
-    set      := atom { ("u" | "∪" | "n" | "∩") atom }
+    set      := run { ("u" | "∪") run | ("n" | "∩") atom }
+    run      := interval { ("u" | "∪") interval } | atom
     atom     := interval | braces | "full"
               | "compl" "(" set ")" | "translate" "(" set "," rational ")"
               | coin | ticket
@@ -24,6 +25,16 @@ digits (a numeral or an address) holds at most 4300 of them.  Parse errors
 carry the offending position and the expected tokens; vocabulary
 mismatches (a cylinder set under the grid model, set union of coin
 events, ...) raise :class:`QueryTypeError` during evaluation.
+
+An interval literal with unsigned endpoints, ``[1/3, 2/3)``, is read as one
+token word, and a ``u`` run of such literals where a run of ``u`` operands
+starts (at the start of a set and after each ``u``, not after ``n``)
+becomes one :class:`IntervalRun` node, so a long union of intervals costs
+one regular-expression match per literal.  A literal with a signed or
+over-long endpoint is read token by token.  When the literal-word pass
+raises a ParseError, the text is parsed again token by token and that
+error is raised, so messages and positions do not depend on the literal
+words.  Endpoints are still validated at evaluation, in operand order.
 """
 
 from __future__ import annotations
@@ -36,8 +47,8 @@ from typing import Sequence, Union
 
 from .cantor import CantorEvent, CantorModel, cantor_probability
 from .errors import DomainError, ParseError, QueryTypeError
-from .field import (Classification, Kind, NonArchValue, Ordering, Sign,
-                    TokenCursor, render_exact)
+from .field import (MAX_NUMERAL_DIGITS, Classification, Kind, NonArchValue,
+                    Ordering, Sign, TokenCursor, render_exact)
 from .intervals import CutPair, IntervalSet, _clean, lebesgue_length
 from .lottery import (CoinEvent, LotteryModel, coinflip_probability,
                       lottery_ticket_probability)
@@ -56,6 +67,13 @@ class IntervalLit:
     left_in: bool
     right: Fraction
     right_in: bool
+
+
+@dataclass(frozen=True)
+class IntervalRun:
+    """Two or more interval literals joined by ``u``: each literal is its
+    (left, left_in, right, right_in) tuple."""
+    literals: tuple[tuple[Fraction, bool, Fraction, bool], ...]
 
 
 @dataclass(frozen=True)
@@ -98,8 +116,8 @@ class TicketLit:
     count: "int | None"  # None means a single ticket
 
 
-SetNode = Union[IntervalLit, BraceLit, FullLit, SetOp, Complement, Translate,
-                CoinLit, TicketLit]
+SetNode = Union[IntervalLit, IntervalRun, BraceLit, FullLit, SetOp,
+                Complement, Translate, CoinLit, TicketLit]
 
 
 def _unroll(node: SetOp) -> tuple[SetNode, list[tuple[str, SetNode]]]:
@@ -151,10 +169,37 @@ _SET_OPS = {"u": "u", "n": "n", "∪": "u", "∩": "n"}
 
 _WRAPPERS = {"st": St, "classify": ClassifyExpr, "compare": CompareExpr}
 
+# an interval literal with unsigned endpoints, as one token word; a longer
+# numeral does not match, so it is lexed token by token and meets the
+# lexer's digit cap
+_NUMERAL = rf"\d{{1,{MAX_NUMERAL_DIGITS}}}"
+_ENDPOINT = rf"{_NUMERAL}(?:\s*/\s*{_NUMERAL})?"
+_LITERAL_WORD = rf"[\[(]\s*{_ENDPOINT}\s*,\s*{_ENDPOINT}\s*[\])]"
+_LITERAL_RE = re.compile(
+    r"([\[(])\s*(\d+)(?:\s*/\s*(\d+))?\s*,\s*(\d+)(?:\s*/\s*(\d+))?\s*([\])])")
+
+
+def _is_literal(word: str) -> bool:
+    # a literal word starts with "[" or "(", which alone are operator words
+    return len(word) > 1 and word[0] in "[("
+
+
+def _literals(words: "list[str]") -> "list[tuple]":
+    """The (left, left_in, right, right_in) tuple of each literal word."""
+    try:
+        return [(Fraction(int(p), int(q)) if q else Fraction(int(p)),
+                 lb == "[",
+                 Fraction(int(r), int(s)) if s else Fraction(int(r)),
+                 rb == "]")
+                for lb, p, q, r, s, rb in _LITERAL_RE.findall("".join(words))]
+    except ZeroDivisionError:
+        # the token-by-token pass reports where
+        raise ParseError("zero denominator in rational literal") from None
+
 
 class _Parser(TokenCursor):
-    def __init__(self, text: str):
-        super().__init__(text, _OPS)
+    def __init__(self, text: str, literal_words: bool = False):
+        super().__init__(text, _OPS, _LITERAL_WORD if literal_words else "")
         if "∪" in text or "∩" in text:
             self.words = [_SET_OPS.get(word, word) for word in self.words]
         self.depth = 0
@@ -215,7 +260,9 @@ class _Parser(TokenCursor):
         word = self.peek()
         if not word:
             self.fail("a set expression")
-        if word == "(" or word == "[":
+        if word[0] == "(" or word[0] == "[":
+            if len(word) > 1:
+                return self.parse_literals()
             return self.parse_interval()
         if word == "{":
             return self.parse_braces()
@@ -262,6 +309,20 @@ class _Parser(TokenCursor):
         if self.depth > _MAX_NESTING:
             raise ParseError("set expression nests too deeply",
                              position=self.position(self.pos))
+
+    def parse_literals(self) -> SetNode:
+        """A literal word.  Where a run of ``u`` operands starts, at the
+        start of a set or after ``u`` but not after ``n``, the literal
+        words joined by ``u`` that follow it are read too, as one
+        IntervalRun."""
+        words = self.words
+        i = j = self.pos
+        if words[i - 1] != "n":
+            while words[j + 1] == "u" and _is_literal(words[j + 2]):
+                j += 2
+        self.pos = j + 1
+        run = _literals(words[i:j + 1:2])
+        return IntervalLit(*run[0]) if i == j else IntervalRun(tuple(run))
 
     def parse_interval(self) -> IntervalLit:
         lb = self.expect_op("(", "[")
@@ -322,6 +383,11 @@ class _Parser(TokenCursor):
 
 def parse_query(text: str) -> Query:
     """Parse a query; ParseError carries position and expected tokens."""
+    try:
+        return _Parser(text, literal_words=True).parse_query()
+    except ParseError:
+        pass
+    # the token-by-token pass gives the error its position and message
     return _Parser(text).parse_query()
 
 
@@ -345,11 +411,16 @@ def _render_expr(e) -> str:
     raise TypeError(f"not an expression node: {e!r}")
 
 
+def _render_interval(left, left_in, right, right_in) -> str:
+    return f"{'[' if left_in else '('}{left},{right}{']' if right_in else ')'}"
+
+
 def render_set(node: SetNode) -> str:
     if isinstance(node, IntervalLit):
-        lb = "[" if node.left_in else "("
-        rb = "]" if node.right_in else ")"
-        return f"{lb}{node.left},{node.right}{rb}"
+        return _render_interval(node.left, node.left_in, node.right,
+                                node.right_in)
+    if isinstance(node, IntervalRun):
+        return " u ".join(_render_interval(*lit) for lit in node.literals)
     if isinstance(node, BraceLit):
         return "{" + ", ".join(node.items) + "}"
     if isinstance(node, FullLit):
@@ -408,6 +479,11 @@ def _interval_cuts(node: SetNode, model: str) -> "Sequence[CutPair]":
     never becomes an IntervalSet of its own."""
     if isinstance(node, IntervalLit):
         return _clean(node.left, node.left_in, node.right, node.right_in)
+    if isinstance(node, IntervalRun):
+        cuts = []
+        for literal in node.literals:
+            cuts += _clean(*literal)
+        return cuts
     if isinstance(node, BraceLit):
         cuts = []
         for item in node.items:
@@ -434,7 +510,7 @@ def _union_of_cuts(event: "IntervalSet | None",
 
 
 def _to_interval_set(node: SetNode, model: str) -> IntervalSet:
-    if isinstance(node, (IntervalLit, BraceLit, FullLit)):
+    if isinstance(node, (IntervalLit, IntervalRun, BraceLit, FullLit)):
         return IntervalSet._from_cuts(_interval_cuts(node, model))
     if isinstance(node, SetOp):
         return _fold(node, partial(_interval_cuts, model=model),
@@ -476,7 +552,7 @@ def _to_cantor_event(node: SetNode) -> CantorEvent:
         return _to_cantor_event(node.arg).complement()
     if isinstance(node, Translate):
         raise QueryTypeError("translate is not defined for cylinder events")
-    if isinstance(node, IntervalLit):
+    if isinstance(node, (IntervalLit, IntervalRun)):
         raise QueryTypeError("interval sets do not belong to the cantor "
                              "model; use cylinder addresses over {0,2}")
     raise QueryTypeError("this event does not belong to the cantor model")
@@ -487,17 +563,17 @@ def _to_coin_event(node: SetNode) -> CoinEvent:
         return CoinEvent.make(dropped_prefix=node.dropped,
                               pinned=dict(node.pins),
                               all_heads=node.all_heads)
-    if isinstance(node, SetOp):
-        first, rest = _unroll(node)
-        if any(op == "union" for op, _ in rest):
-            raise QueryTypeError("union of coin events is not supported; "
-                                 "only intersection is defined")
-        event = _to_coin_event(first)
-        for _, operand in rest:
-            event = event.intersect(_to_coin_event(operand))
-        return event
-    raise QueryTypeError("only coin literals (allheads, pin) and their "
-                         "intersections belong to the coinflip model")
+    first, rest = _unroll(node) if isinstance(node, SetOp) else (node, [])
+    # an IntervalRun is a union of its literals
+    if isinstance(first, IntervalRun) or any(op == "union" for op, _ in rest):
+        raise QueryTypeError("union of coin events is not supported; "
+                             "only intersection is defined")
+    if not rest:
+        raise QueryTypeError("only coin literals (allheads, pin) and their "
+                             "intersections belong to the coinflip model")
+    return CoinEvent.conjunction(
+        [_to_coin_event(first)]
+        + [_to_coin_event(operand) for _, operand in rest])
 
 
 def _to_ticket_count(node: SetNode) -> int:

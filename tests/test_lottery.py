@@ -2,8 +2,10 @@ import json
 import random
 import tracemalloc
 from fractions import Fraction as F
+from functools import reduce
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinnerlab.errors import DomainError
 from spinnerlab.field import NonArchValue, Ordering
@@ -12,6 +14,7 @@ from spinnerlab.lottery import (COIN_GENERATOR, LOTTERY_GENERATOR, CoinEvent,
                                 coinflip_probability,
                                 lottery_ticket_probability, part_whole_check,
                                 shift_compare)
+from spinnerlab.query import evaluate, parse_query
 
 H = NonArchValue.infinitesimal(COIN_GENERATOR)
 DELTA = NonArchValue.infinitesimal(LOTTERY_GENERATOR)
@@ -63,6 +66,53 @@ def test_event_intersection():
         CoinEvent.make(pinned={1: "T"}))
     assert not clash.consistent
     assert coinflip_probability(clash).is_zero()
+
+
+def _pairwise_intersect(a, b):
+    """Conjunction of two events by the two-event rule, written out: the
+    earlier pin wins a disagreement, which marks the result contradictory,
+    and all-heads events keep the smallest drop."""
+    pins = dict(a.pinned)
+    contradictory = a.contradictory or b.contradictory
+    for pos, o in b.pinned:
+        if pins.get(pos, o) != o:
+            contradictory = True
+        else:
+            pins[pos] = o
+    drops = [e.dropped_prefix for e in (a, b) if e.all_heads]
+    return CoinEvent(min(drops) if drops else 0, tuple(sorted(pins.items())),
+                     a.all_heads or b.all_heads, contradictory)
+
+
+_COIN_EVENTS = st.builds(
+    lambda dropped, pins, all_heads: CoinEvent.make(
+        dropped_prefix=dropped, pinned=pins, all_heads=all_heads),
+    st.integers(0, 6),
+    st.dictionaries(st.integers(1, 8), st.sampled_from("HT"), max_size=5),
+    st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_COIN_EVENTS, min_size=1, max_size=8))
+def test_conjunction_equals_the_pairwise_fold(events):
+    # small positions, so pins repeat and clash across events
+    got = CoinEvent.conjunction(events)
+    assert got == reduce(_pairwise_intersect, events)
+    assert got == reduce(CoinEvent.intersect, events)
+    assert coinflip_probability(got) == coinflip_probability(
+        reduce(_pairwise_intersect, events))
+
+
+def test_a_pin_chain_is_one_conjunction(monkeypatch):
+    # folding intersect pairwise copies and sorts the pins so far at every
+    # step, so a 9000-operand chain would cost seconds
+    def pairwise(self, other):
+        raise AssertionError("a chain is conjoined pairwise")
+    monkeypatch.setattr(CoinEvent, "intersect", pairwise)
+    n = 9000
+    pins = " n ".join(f"pin({i}:H)" for i in range(1, n + 1))
+    lines = evaluate(parse_query(f"coinflip: P({pins})")).lines()
+    assert lines[0] == f"value: {F(1, 2 ** n)}"
 
 
 def test_event_validation():

@@ -4,14 +4,16 @@ import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinnerlab import query
 from spinnerlab.errors import DomainError, ParseError, QueryTypeError
 from spinnerlab.field import NonArchValue
 from spinnerlab.query import (BraceLit, CoinLit, Complement, CompareExpr,
-                              EvalResult, FullLit, IntervalLit, Prob, Query,
-                              SetOp, St, TicketLit, Translate, evaluate,
-                              evaluate_value, parse_query, render_query,
+                              EvalResult, FullLit, IntervalLit, IntervalRun,
+                              Prob, Query, SetOp, St, TicketLit, Translate,
+                              evaluate, evaluate_value, parse_query,
+                              render_query, render_set, _Parser,
                               _to_cantor_event, _to_interval_set)
 from spinnerlab.spinner import SPINNER_GENERATOR
 
@@ -103,6 +105,49 @@ def test_parse_nesting_guard():
         parse_query(deep)
 
 
+# errors that must read the same whether or not a text holds interval
+# literals: (query, message, position)
+PINNED_PARSE_ERRORS = [
+    ("lottery: P(tickets(1,2))",
+     "syntax error at position 20: got ',', expected ')'", 20),
+    ("coinflip: P(pin(1,2))",
+     "syntax error at position 17: got ',', expected ':'", 17),
+    ("grid: P(full [0,1))",
+     "syntax error at position 13: got '[', expected ')'", 13),
+    ("grid: P([0,1/0) u [0,1))", "zero denominator in rational literal", 13),
+    ("minimal: P([0,1/\u0660))", "zero denominator in rational literal", 16),
+]
+
+
+@pytest.mark.parametrize("text, message, position", PINNED_PARSE_ERRORS)
+def test_parse_errors_keep_message_and_position(text, message, position):
+    with pytest.raises(ParseError) as exc:
+        parse_query(text)
+    assert str(exc.value) == message
+    assert exc.value.position == position
+
+
+def test_interval_literals_are_validated_at_evaluation_in_operand_order():
+    q = parse_query("cantor: P([1/2,0))")
+    with pytest.raises(QueryTypeError, match="interval sets do not belong"):
+        evaluate(q)
+    with pytest.raises(DomainError,
+                       match="interval endpoints out of order: 1/2 > 0"):
+        evaluate(parse_query("grid: P([1/2,0) u {0202})"))
+    with pytest.raises(QueryTypeError, match="brace item '0202' looks like"):
+        evaluate(parse_query("grid: P({0202} u [1/2,0))"))
+    # a union of interval literals under the coin model is a union first
+    for text in ("coinflip: P([0,1) u [0,1))",
+                 "coinflip: P([0,1) u [0,1) n pin(1:H))"):
+        with pytest.raises(QueryTypeError, match="union of coin events"):
+            evaluate(parse_query(text))
+
+
+def test_interval_literals_read_unicode_decimal_digits():
+    r = evaluate(parse_query("minimal: P([0,\u0661/\u0663))"))
+    assert r.lines()[0] == "value: 1/3"
+
+
 # -- render/parse round trip ----------------------------------------------------------
 
 INTERVAL_ATOMS = [
@@ -112,6 +157,29 @@ INTERVAL_ATOMS = [
     BraceLit(("0", "1/2", "3/4")),
     FullLit(),
 ]
+
+
+def _run_literals(node):
+    """The literal tuples of an IntervalLit or IntervalRun, else ()."""
+    if isinstance(node, IntervalLit):
+        return ((node.left, node.left_in, node.right, node.right_in),)
+    if isinstance(node, IntervalRun):
+        return node.literals
+    return ()
+
+
+def canonical_union(left, right):
+    """The node the parser builds for ``left u right``: where a run of u
+    operands starts (a chain's first operand, or one after u), literals
+    joined by u are one IntervalRun."""
+    if isinstance(right, IntervalLit):
+        if not isinstance(left, SetOp) and _run_literals(left):
+            return IntervalRun(_run_literals(left) + _run_literals(right))
+        if isinstance(left, SetOp) and left.op == "union" \
+                and _run_literals(left.right):
+            return SetOp("union", left.left, IntervalRun(
+                _run_literals(left.right) + _run_literals(right)))
+    return SetOp("union", left, right)
 
 
 def gen_interval_set(rng, depth):
@@ -125,7 +193,9 @@ def gen_interval_set(rng, depth):
                          F(rng.randint(-8, 8), rng.randint(1, 8)))
     left = gen_interval_set(rng, depth - 1)
     right = gen_interval_set(rng, 0)
-    return SetOp("union" if kind == 2 else "intersect", left, right)
+    if kind == 2:
+        return canonical_union(left, right)
+    return SetOp("intersect", left, right)
 
 
 def gen_cantor_set(rng, depth):
@@ -173,6 +243,25 @@ def test_render_parse_round_trip_to_depth_5():
         assert parse_query(render_query(q)) == q
 
 
+def test_render_parse_round_trip_of_non_canonical_chains():
+    # a chain of literals built pair by pair renders as the run the parser
+    # reads back: the text and the value survive, the tree shape need not
+    rng = random.Random(77)
+    atoms = INTERVAL_ATOMS + [IntervalLit(F(1, 5), True, F(1, 5), True)]
+    runs = 0
+    for _ in range(300):
+        node = rng.choice(atoms)
+        for _ in range(rng.randint(1, 12)):
+            node = SetOp(rng.choice(("union", "union", "intersect")), node,
+                         rng.choice(atoms))
+        text = f"grid: P({render_set(node)})"
+        parsed = parse_query(text)
+        runs += "IntervalRun" in repr(parsed)
+        assert render_query(parsed) == text
+        assert evaluate(parsed) == evaluate(Query("grid", Prob(node)))
+    assert runs > 50
+
+
 def test_render_parse_round_trip_of_a_5000_operand_chain():
     rng = random.Random(75)
     atoms = ("[0,1/2)", "(1/3,2/3]", "{1/3}", "{0, 1/2, 3/4}", "full",
@@ -181,6 +270,121 @@ def test_render_parse_round_trip_of_a_5000_operand_chain():
         f" {rng.choice('un')} {rng.choice(atoms)}" for _ in range(4999)) + ")"
     # compared as text: dataclass == on a 5000-deep tree would recurse
     assert render_query(parse_query(text)) == text
+
+
+# -- interval literals as one token word ----------------------------------------
+
+def test_a_u_run_of_interval_literals_is_one_node():
+    a = (F(0), True, F(1, 4), False)
+    b = (F(1, 3), False, F(1, 2), True)
+    assert parse_query("grid: P([0,1/4) u (1/3,1/2])").expr.event \
+        == IntervalRun((a, b))
+    # a literal after n is one operand, so the chain still folds left to
+    # right: ((a n b) u a) u b
+    assert parse_query("grid: P([0,1/4) n (1/3,1/2] u [0,1/4) u (1/3,1/2])"
+                       ).expr.event \
+        == SetOp("union", SetOp("intersect", IntervalLit(*a), IntervalLit(*b)),
+                 IntervalRun((a, b)))
+    # a literal is one word with any whitespace inside it
+    assert parse_query("grid: P(\u3000( 1 /3 ,\xa01/2\t] u [0,1/4))") \
+        == parse_query("grid: P((1/3,1/2] u [0,1/4))")
+
+
+_SPACE = st.text(" \t\xa0\u3000", max_size=2)
+_DIGITS = st.text("0123456789\u0660\u0661\u0663", min_size=1, max_size=3)
+
+
+@st.composite
+def _numeral(draw):
+    # mostly short numerals; zeros for denominators, and numerals at and
+    # just past the digit cap
+    kind = draw(st.integers(0, 49))
+    if kind == 0:
+        return draw(st.sampled_from(["1" * 4300, "1" * 4301]))
+    if kind < 4:
+        return draw(st.sampled_from(["0", "00", "\u0660"]))
+    return draw(_DIGITS)
+
+
+@st.composite
+def _endpoint_text(draw):
+    sign = draw(st.sampled_from(["", "", "", "-"]))
+    text = sign + draw(_SPACE) + draw(_numeral())
+    if draw(st.booleans()):
+        text += draw(_SPACE) + "/" + draw(_SPACE) + draw(_numeral())
+    return text
+
+
+@st.composite
+def _literal_text(draw):
+    s = _SPACE
+    return (draw(st.sampled_from("[(")) + draw(s) + draw(_endpoint_text())
+            + draw(s) + "," + draw(s) + draw(_endpoint_text()) + draw(s)
+            + draw(st.sampled_from(")]")))
+
+
+@st.composite
+def _unit_literal_text(draw):
+    """A literal inside [0,1] with its endpoints in order."""
+    d = draw(st.integers(1, 12))
+    a = draw(st.integers(0, d))
+    b = draw(st.integers(a, d))
+    return (draw(st.sampled_from("[(")) + draw(_SPACE) + f"{a}/{d}"
+            + draw(_SPACE) + "," + f"{b}" + draw(_SPACE) + f"/{d}"
+            + draw(st.sampled_from(")]")))
+
+
+@st.composite
+def _operand_text(draw):
+    kind = draw(st.integers(0, 29))
+    if kind < 2:
+        return ("tickets", "pin")[kind] + draw(_literal_text())
+    if kind < 5:
+        return draw(st.sampled_from(["{1/3}", "full"]))
+    if kind < 15:
+        return draw(_unit_literal_text())
+    return draw(_literal_text())
+
+
+@st.composite
+def _literal_query(draw):
+    """A query whose set holds interval literals, some of them where the
+    grammar wants something else (after tickets, pin, P or n)."""
+    operands = draw(st.lists(_operand_text(), min_size=1, max_size=6))
+    ops = draw(st.lists(st.sampled_from(["u", "n", "∪", "∩"]),
+                        min_size=len(operands) - 1,
+                        max_size=len(operands) - 1))
+    chain = operands[0] + "".join(
+        f"{draw(_SPACE)} {op} {draw(_SPACE)}{x}"
+        for op, x in zip(ops, operands[1:]))
+    model = draw(st.sampled_from(["minimal", "grid", "cantor", "coinflip",
+                                  "lottery"]))
+    if draw(st.integers(0, 29)) == 0:
+        return f"{model}: P{operands[0]}"
+    return f"{model}: P({chain})"
+
+
+def _outcome(run):
+    try:
+        return run()
+    except (ParseError, QueryTypeError, DomainError) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "position", None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_literal_query())
+def test_literal_words_agree_with_the_plain_token_pass(text):
+    plain = _outcome(lambda: _Parser(text).parse_query())
+    try:
+        fast = _Parser(text, literal_words=True).parse_query()
+    except ParseError:
+        # parse_query falls back to the plain pass, error and all
+        assert _outcome(lambda: parse_query(text)) == plain
+        return
+    assert isinstance(plain, Query), (text, plain)
+    assert render_query(fast) == render_query(plain)
+    assert _outcome(lambda: evaluate(fast).lines()) \
+        == _outcome(lambda: evaluate(plain).lines())
 
 
 # -- chains fold left to right --------------------------------------------------------
