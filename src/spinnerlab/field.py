@@ -22,8 +22,8 @@ the primitive remainder sequence gcd (Knuth, TAOCP vol. 2, 4.6.1; Brown
 ``num`` and ``den`` are the exact-rational view of the same form, each
 tuple divided by the lowest-order coefficient of ``d``: two coprime
 ``Poly`` objects with ``Fraction`` coefficients, the denominator's
-lowest-order coefficient 1, and zero as ``0/1``.  Rendering reads that
-view.
+lowest-order coefficient 1, and zero as ``0/1``.  ``Poly`` is a read-only
+view with no arithmetic, and rendering reads it.
 
 This is deliberately only the computable fragment of a non-Archimedean
 continuum: the smallest ordered field containing the rationals and one
@@ -67,8 +67,8 @@ def _ratio(x) -> "tuple[int, int]":
 
 
 class Poly:
-    """Dense univariate polynomial with Fraction coefficients.
-
+    """Read-only polynomial view with Fraction coefficients, as
+    ``NonArchValue.num`` and ``.den`` return it; it has no arithmetic.
     Coefficients are stored ascending by exponent with trailing zeros
     stripped; the zero polynomial has an empty coefficient tuple.
     """
@@ -80,14 +80,6 @@ class Poly:
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs: tuple[Fraction, ...] = tuple(cs)
-
-    @classmethod
-    def constant(cls, c: Rat) -> "Poly":
-        return cls((c,))
-
-    @classmethod
-    def monomial(cls, k: int, c: Rat = 1) -> "Poly":
-        return cls((0,) * k + (c,))
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -107,57 +99,11 @@ class Poly:
         k = self.ord()
         return self.coeffs[k] if k is not None else Fraction(0)
 
-    def lead_coeff(self) -> Fraction:
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
-
     def evaluate(self, x: Rat) -> Fraction:
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
-
-    def __mul__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            return Poly(tuple(c * other for c in self.coeffs))
-        if self.is_zero() or other.is_zero():
-            return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] += a * b
-        return Poly(out)
-
-    __rmul__ = __mul__
-
-    def __divmod__(self, other: "Poly") -> "tuple[Poly, Poly]":
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        div = other.coeffs
-        dq = len(rem) - len(div)
-        if dq < 0:
-            return Poly(), self
-        quot = [Fraction(0)] * (dq + 1)
-        inv_lead = 1 / div[-1]
-        for k in range(dq, -1, -1):
-            c = rem[k + len(div) - 1] * inv_lead
-            quot[k] = c
-            if c:
-                for j, d in enumerate(div):
-                    rem[k + j] -= c * d
-        return Poly(quot), Poly(rem[: len(div) - 1])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.coeffs == other.coeffs
@@ -325,19 +271,6 @@ def _cross_sign(n1: tuple, d1: tuple, n2: tuple, d2: tuple) -> int:
         if c:
             return 1 if c > 0 else -1
     return 0
-
-
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor, by the kernel's primitive integer
-    remainder sequence."""
-    if a.is_zero() or b.is_zero():
-        p = b if a.is_zero() else a
-        return p if p.is_zero() else p * (1 / p.lead_coeff())
-    g = _gcd(*_cleared(a.coeffs, b.coeffs))
-    return Poly([Fraction(c, g[-1]) for c in g])
-
-
-_ONE = Poly((1,))
 
 
 @dataclass(frozen=True)
@@ -879,23 +812,28 @@ class _PolyParser(TokenCursor):
         self.generator = generator
 
     def parse_poly(self) -> Poly:
-        sign = -1 if self.accept_op("+", "-") == "-" else 1
-        acc = self.parse_term() * sign
+        """Each signed term's coefficient added in at its exponent."""
+        coeffs: "list[Rat]" = []
+        op = self.accept_op("+", "-")
         while True:
+            k, c = self.parse_term()
+            if k >= len(coeffs):
+                coeffs.extend([0] * (k + 1 - len(coeffs)))
+            coeffs[k] += -c if op == "-" else c
             op = self.accept_op("+", "-")
             if op is None:
-                return acc
-            acc = acc + self.parse_term() * (-1 if op == "-" else 1)
+                return Poly(coeffs)
 
-    def parse_term(self) -> Poly:
+    def parse_term(self) -> "tuple[int, Rat]":
+        """(exponent, coefficient) of one unsigned term."""
         if self.at_name():
-            return Poly.monomial(self.parse_power())
+            return self.parse_power(), 1
         if not self.peek().isdecimal():
             self.fail(f"a coefficient or '{self.generator.name}'")
         c = self.expect_rational(signed=False)
         if self.accept_op("*"):
-            return Poly.monomial(self.parse_power(), c)
-        return Poly.constant(c)
+            return self.parse_power(), c
+        return 0, c
 
     def parse_power(self) -> int:
         self.expect_name(self.generator.name)
@@ -912,7 +850,7 @@ class _PolyParser(TokenCursor):
 def parse_value(text: str, generator: Generator) -> NonArchValue:
     """Parse either text form back into a value."""
     p = _PolyParser(text, generator)
-    den = _ONE
+    den = 1
     if p.accept_op("("):
         num = p.parse_poly()
         p.expect_op(")")

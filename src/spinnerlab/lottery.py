@@ -48,7 +48,8 @@ class CoinEvent:
     """Constraint on an unlimited sequence of fair coin tosses.
 
     ``dropped_prefix`` removes that many tosses from the front;
-    ``pinned`` fixes outcomes at standard positions; with ``all_heads``
+    ``pinned`` fixes outcomes at standard positions (``make`` keeps only
+    the pins past the dropped prefix); with ``all_heads``
     every remaining unpinned toss must come up heads.  ``contradictory``
     marks an intersection whose pins disagreed outright.
     """
@@ -74,7 +75,8 @@ class CoinEvent:
                                   "positive integer")
             if outcome not in _OUTCOMES:
                 raise DomainError(f"pinned outcome {outcome!r} must be H or T")
-            pins.append((pos, outcome))
+            if pos > dropped_prefix:
+                pins.append((pos, outcome))
         return cls(dropped_prefix, tuple(pins), all_heads)
 
     @classmethod

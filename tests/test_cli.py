@@ -48,6 +48,20 @@ def test_golden_queries_cover_models_and_error_paths():
     assert "null event" in kinds        # domain error
 
 
+def test_a_reader_that_exits_early_gets_no_traceback():
+    # stdout is a pipe whose read end is already closed, as when the
+    # reader of `spinnerlab eval ... | head -n 1` exits first
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "spinnerlab", "eval", "grid: P([0,1/2))"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")
+
+
 def test_compare_subcommand():
     code, out, err = run_cli("compare", "coinflip: P(allheads)",
                              "coinflip: P(allheads>1)")

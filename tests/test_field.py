@@ -6,10 +6,12 @@ x below an explicit threshold derived from the coefficients, so we
 evaluate and compare signs.
 """
 
+import math
 import random
 import re
 import sys
 from fractions import Fraction as F
+from itertools import zip_longest
 from pathlib import Path
 
 import pytest
@@ -20,8 +22,9 @@ from spinnerlab.errors import DomainError, GeneratorMismatchError, ParseError
 from spinnerlab.field import (MAX_NUMERAL_DIGITS, Generator, Kind,
                               NonArchValue, Ordering, Poly, Sign, TokenCursor,
                               arith_add, arith_div, arith_mul, classify,
-                              compare, parse_rational, parse_value, poly_gcd,
-                              standard_part)
+                              compare, parse_rational, parse_value,
+                              standard_part, _exquo, _gcd, _int_prem, _mul,
+                              _strip)
 from spinnerlab.lottery import (CoinEvent, LotteryModel, coinflip_probability,
                                 lottery_ticket_probability)
 from spinnerlab.query import parse_query
@@ -60,32 +63,50 @@ def oracle_sign(v: NonArchValue) -> int:
     return (value > 0) - (value < 0)
 
 
-# -- polynomial layer -----------------------------------------------------------
+# -- integer polynomial layer ---------------------------------------------------
 
-def test_poly_divmod_reconstructs():
+def _is_multiple(x, b):
+    """Whether integer polynomial x is b times an integer polynomial."""
+    return not x or _mul(_exquo(x, b), b) == x
+
+
+def _integer_coeffs(coeffs):
+    """Fraction coefficients times their least common denominator."""
+    m = math.lcm(*(c.denominator for c in coeffs))
+    return _strip([int(c * m) for c in coeffs])
+
+
+def test_int_prem_is_a_pseudo_remainder():
     rng = random.Random(7)
     for _ in range(200):
-        a = Poly([F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(6)])
-        b = Poly([F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(4)])
-        if b.is_zero():
+        a, b = (_integer_coeffs([F(rng.randint(-9, 9), rng.randint(1, 9))
+                                 for _ in range(n)]) for n in (6, 4))
+        if not b:
             continue
-        q, r = divmod(a, b)
-        assert q * b + r == a
-        assert r.is_zero() or r.degree() < b.degree()
+        r = tuple(_int_prem(a, b))
+        # lc(b)^s * a - r is a multiple of b, where s <= deg a - deg b + 1
+        # counts the reduction steps: a step is skipped when the degree
+        # drops by more than one
+        steps = range(max(len(a) - len(b) + 1, 0) + 1)
+        assert any(_is_multiple(_strip([b[-1] ** s * c - x for c, x in
+                                        zip_longest(a, r, fillvalue=0)]), b)
+                   for s in steps)
+        assert len(r) < len(b)
 
 
-def test_poly_gcd_divides_both():
+def test_gcd_divides_both():
     rng = random.Random(8)
     for _ in range(100):
-        g = Poly([F(rng.randint(-5, 5)) for _ in range(3)])
-        a = Poly([F(rng.randint(-5, 5)) for _ in range(3)])
-        b = Poly([F(rng.randint(-5, 5)) for _ in range(3)])
-        if g.is_zero() or a.is_zero() or b.is_zero():
+        g, a, b = (_strip([rng.randint(-5, 5) for _ in range(3)])
+                   for _ in range(3))
+        if not (g and a and b):
             continue
-        d = poly_gcd(a * g, b * g)
-        assert divmod(a * g, d)[1].is_zero()
-        assert divmod(b * g, d)[1].is_zero()
-        assert d.lead_coeff() == 1
+        d = _gcd(_mul(a, g), _mul(b, g))
+        assert _is_multiple(_mul(a, g), d)
+        assert _is_multiple(_mul(b, g), d)
+        assert len(d) >= len(g)
+        # primitive with a positive leading coefficient
+        assert math.gcd(*d) == 1 and d[-1] > 0
 
 
 # -- frozen operation examples --------------------------------------------------
@@ -325,21 +346,42 @@ def _values_from_every_path(rng):
         yield lottery_ticket_probability(LotteryModel(), rng.randint(1, 99))
 
 
+def _scaled(p, c):
+    return Poly([c * x for x in p.coeffs])
+
+
 def test_canonical_idempotent_and_structural():
     for v in _values_from_every_path(random.Random(31)):
         w = NonArchValue(v.generator, v.num, v.den)
         assert (w.n, w.d) == (v.n, v.d) and w == v and hash(w) == hash(v)
         assert v.den.low_coeff() == 1
         if not v.is_zero() and v.num.degree() > 0 and v.den.degree() > 0:
-            assert poly_gcd(v.num, v.den).degree() == 0
+            assert len(_gcd(v.n, v.d)) == 1
         # scaled representations of the same element collapse
-        assert NonArchValue(v.generator, v.num * -3, v.den * -3) == v
-        assert hash(NonArchValue(v.generator, v.num * 3, v.den * 3)) == hash(v)
+        assert NonArchValue(v.generator, _scaled(v.num, -3),
+                            _scaled(v.den, -3)) == v
+        assert hash(NonArchValue(v.generator, _scaled(v.num, 3),
+                                 _scaled(v.den, 3))) == hash(v)
 
 
 def test_zero_is_zero_over_one():
     z = NonArchValue(G, Poly((0,)), Poly((5, 3)))
     assert z.num == Poly() and z.den == Poly((1,))
+
+
+def _times(p, q):
+    """The product of two Polys by the schoolbook convolution over the
+    Fractions, independent of the kernel's integer arithmetic."""
+    out = [F(0)] * max(len(p.coeffs) + len(q.coeffs) - 1, 0)
+    for i, x in enumerate(p.coeffs):
+        for j, y in enumerate(q.coeffs):
+            out[i + j] += x * y
+    return Poly(out)
+
+
+def _plus(p, q):
+    return Poly([x + y for x, y in zip_longest(p.coeffs, q.coeffs,
+                                                fillvalue=0)])
 
 
 def test_fast_arithmetic_matches_full_reduction():
@@ -350,14 +392,15 @@ def test_fast_arithmetic_matches_full_reduction():
         a = rand_value(rng, G, max_degree=4, max_den=10)
         b = rand_value(rng, G, max_degree=4, max_den=10)
         s = a + b
-        ref = NonArchValue(G, a.num * b.den + b.num * a.den, a.den * b.den)
+        num = _plus(_times(a.num, b.den), _times(b.num, a.den))
+        ref = NonArchValue(G, num, _times(a.den, b.den))
         assert (s.num, s.den) == (ref.num, ref.den)
         p = a * b
-        ref = NonArchValue(G, a.num * b.num, a.den * b.den)
+        ref = NonArchValue(G, _times(a.num, b.num), _times(a.den, b.den))
         assert (p.num, p.den) == (ref.num, ref.den)
         if not b.is_zero():
             q = a / b
-            ref = NonArchValue(G, a.num * b.den, a.den * b.num)
+            ref = NonArchValue(G, _times(a.num, b.den), _times(a.den, b.num))
             assert (q.num, q.den) == (ref.num, ref.den)
 
 
@@ -377,16 +420,29 @@ def test_parse_round_trip():
         v = rand_value(rng, G, max_degree=4, max_den=12)
         assert parse_value(v.render_canonical(), G) == v
         assert parse_value(str(v), G) == v
+    # terms repeated, out of order or cancelling are added in at their
+    # exponents
+    for text, num, den in (
+            ("eps + 2*eps", (0, 3), (1,)),
+            ("eps^2 - 1/2 + eps", (F(-1, 2), 1, 1), (1,)),
+            ("eps - eps", (), (1,)),
+            ("(eps - eps) / (1 - eps)", (), (1,)),
+            ("(1 + eps^2 - eps^2) / (2*eps - eps)", (1,), (0, 1)),
+            ("eps^10000", (0,) * 10000 + (1,), (1,))):
+        v = parse_value(text, G)
+        assert v == val(num, den)
+        assert parse_value(str(v), G) == v
 
 
 def test_parse_rejects_garbage():
     for text in ("", "(1", "1 +", "eps^", "1 ** eps", "foo", "1/0",
                  "1" + "0" * 4400, "eps^200000", "(1) / (0)",
-                 "(1) / (eps - eps)"):
+                 "(1) / (eps - eps)", "(1) / (eps^2 - 1 + 1 - eps^2)"):
         with pytest.raises(ParseError):
             parse_value(text, G)
     # a zero denominator polynomial is reported at its opening parenthesis
-    for text in ("(1) / (0)", "(1) / (eps - eps)"):
+    for text in ("(1) / (0)", "(1) / (eps - eps)",
+                 "(1) / (eps^2 - 1 + 1 - eps^2)"):
         with pytest.raises(ParseError, match="zero denominator") as exc:
             parse_value(text, G)
         assert exc.value.position == 6

@@ -103,6 +103,22 @@ def test_conjunction_equals_the_pairwise_fold(events):
         reduce(_pairwise_intersect, events))
 
 
+@settings(max_examples=300, deadline=None)
+@given(_COIN_EVENTS)
+def test_pins_inside_the_dropped_prefix_stay_ignored_in_a_conjunction(e):
+    for other in (e, CoinEvent.make()):
+        assert coinflip_probability(CoinEvent.conjunction([e, other])) \
+            == coinflip_probability(e)
+
+
+def test_a_dropped_pin_stays_ignored_in_a_query_chain():
+    # allheads>5&pin(3:T) is allheads>5, whose conjunction with
+    # allheads>2 is allheads>2
+    lines = evaluate(parse_query(
+        "coinflip: P(allheads>5&pin(3:T) n allheads>2)")).lines()
+    assert lines[0] == "value: 4*h"
+
+
 def test_a_pin_chain_is_one_conjunction(monkeypatch):
     # folding intersect pairwise copies and sorts the pins so far at every
     # step, so a 9000-operand chain would cost seconds
