@@ -11,21 +11,28 @@ its counting probability is exactly 2^-n as well.  Conditional counting
 probabilities on cylinder events therefore agree exactly with Hausdorff
 measure ratios, including conditioning on events the interval-length model
 cannot see at all (the whole Cantor set has length zero).
+
+Address w of length n is the dyadic interval [b/2^n, (b+1)/2^n) of length
+2^-n, b being w in binary with 2 as 1: an event is a set of integer cut
+pairs over 2^depth, under the interval kernel's cut algebra over ints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable
 
 from .errors import DomainError
 from .field import Generator, NonArchValue
+from .intervals import _gaps, _intersect, _merge, _union
 from .report import PropertyReport
 
 CANTOR_GENERATOR = Generator("c")
 
 _ALPHABET = frozenset("02")
+_TO_BITS, _TO_DIGITS = str.maketrans("2", "1"), str.maketrans("1", "2")
 
 
 @dataclass(frozen=True)
@@ -36,38 +43,22 @@ class CantorModel:
 
 
 class CantorEvent:
-    """Finite union of cylinders, normalized to a prefix-free address set.
-
-    Normalization removes addresses covered by a shorter one and merges
-    complete sibling pairs (w0, w2 -> w) until none is left; the full set is
-    the single empty address, the empty event has no addresses.
-
-    Every operation is a pass over sorted addresses.  In sorted order an
-    address comes right after the cylinders that cover it, apart from
-    addresses they also cover, and the siblings w0 and w2 of a prefix-free
-    set are neighbours.
-    """
-
-    __slots__ = ("cylinders",)
+    """Finite cylinder union: merged int cut pairs [lo, hi) over 2^depth."""
 
     def __init__(self, addresses: Iterable[str] = ()):
-        s = set()
-        for a in addresses:
-            if not _ALPHABET.issuperset(a):
-                raise DomainError(f"invalid cylinder address {a!r}: "
-                                  "digits must be 0 or 2")
-            s.add(a)
-        # a stack of prefix-free addresses; a merged parent stays on top,
-        # where the next address meets it as its sibling or its cover
-        kept: list[str] = []
-        for a in sorted(s):
-            if kept and a.startswith(kept[-1]):
-                continue
-            while a.endswith("2") and kept and kept[-1] == a[:-1] + "0":
-                kept.pop()
-                a = a[:-1]
-            kept.append(a)
-        self.cylinders: frozenset[str] = frozenset(kept)
+        addresses = list(addresses)
+        text = "".join(addresses)
+        if not _ALPHABET.issuperset(text):
+            bad = next(a for a in addresses if not _ALPHABET.issuperset(a))
+            raise DomainError(f"invalid cylinder address {bad!r}: "
+                              "digits must be 0 or 2")
+        depth = max(map(len, addresses), default=0)
+        bits, at, cuts = text.translate(_TO_BITS), 0, []
+        for n in map(len, addresses):
+            lo = int(bits[at:at + n] or "0", 2) << (depth - n)
+            at += n
+            cuts.append((lo, lo + (1 << (depth - n))))
+        self.depth, self.cuts = depth, _merge(cuts)
 
     @classmethod
     def full(cls) -> "CantorEvent":
@@ -78,40 +69,48 @@ class CantorEvent:
         return cls()
 
     def is_empty(self) -> bool:
-        return not self.cylinders
+        return not self.cuts
 
-    def union(self, other: "CantorEvent") -> "CantorEvent":
-        return CantorEvent(self.cylinders | other.cylinders)
+    def _at(self, depth: int) -> tuple:
+        s = depth - self.depth
+        return tuple((a << s, b << s) for a, b in self.cuts) if s else self.cuts
+
+    def union(self, *others: "CantorEvent") -> "CantorEvent":
+        """Bisect-splice with one event, one merge with several."""
+        depth = max(e.depth for e in (self, *others))
+        cuts = [e._at(depth) for e in (self, *others)]
+        return _event(depth, _union(*cuts) if len(cuts) == 2
+                      else _merge([c for pairs in cuts for c in pairs]))
 
     def intersect(self, other: "CantorEvent") -> "CantorEvent":
-        # two cylinders meet iff one address prefixes the other, and then
-        # the intersection is the longer one; in sorted order the shorter
-        # one is the last address of its event before the longer one
-        last = ["1", "1"]  # "1" prefixes no address
-        out = []
-        for a, side in sorted([(a, 0) for a in self.cylinders]
-                              + [(a, 1) for a in other.cylinders]):
-            if a.startswith(last[1 - side]):
-                out.append(a)
-            last[side] = a
-        return CantorEvent(out)
+        depth = max(self.depth, other.depth)
+        return _event(depth, _intersect(self._at(depth), other._at(depth)))
 
     def complement(self) -> "CantorEvent":
-        """Complement within the full Cantor set; again a cylinder union:
-        the root and the children of the cylinders' proper prefixes that are
-        neither cylinders nor proper prefixes."""
-        prefixes: set[str] = set()
-        for a in self.cylinders:
-            # the set stays prefix-closed, so the first prefix already in
-            # it ends the walk and every prefix is sliced once
-            for k in range(len(a) - 1, -1, -1):
-                p = a[:k]
-                if p in prefixes:
-                    break
-                prefixes.add(p)
-        nodes = [""] + [p + d for p in prefixes for d in "02"]
-        return CantorEvent(c for c in nodes
-                           if c not in prefixes and c not in self.cylinders)
+        """Complement within the full Cantor set: the gaps in [0, 2^depth)."""
+        return _event(self.depth, _gaps(self.cuts, 0, 1 << self.depth))
+
+    @cached_property
+    def cylinders(self) -> "frozenset[str]":
+        """The prefix-free addresses, built on first read: each cut pair
+        split greedily into blocks 2^k wide, k = min(tz(lo), log2(hi - lo))."""
+        out = []
+        for lo, hi in self.cuts:
+            while lo < hi:
+                k = min(hi - lo, lo & -lo or hi).bit_length() - 1
+                # a leading 1 keeps the address's leading zeros
+                word = format(lo >> k | 1 << (self.depth - k), "b")[1:]
+                out.append(word.translate(_TO_DIGITS))
+                lo += 1 << k
+        return frozenset(out)
+
+    def _least(self) -> tuple:
+        """(depth, cuts) at the least depth that keeps the cuts integers."""
+        low = 0
+        for lo, hi in self.cuts:
+            low |= lo | hi
+        s = (low & -low or 1 << self.depth).bit_length() - 1
+        return self.depth - s, tuple([(a >> s, b >> s) for a, b in self.cuts])
 
     def __or__(self, other):
         return self.union(other)
@@ -121,17 +120,14 @@ class CantorEvent:
 
     def __eq__(self, other):
         return (isinstance(other, CantorEvent)
-                and self.cylinders == other.cylinders)
+                and self._least() == other._least())
 
     def __hash__(self):
-        return hash(self.cylinders)
+        return hash(self._least())
 
     def render(self) -> str:
-        if not self.cylinders:
-            return "{}"
-        if self.cylinders == frozenset(("",)):
-            return "full"
-        return "{" + ", ".join(sorted(self.cylinders)) + "}"
+        words = sorted(self.cylinders)
+        return "full" if words == [""] else "{" + ", ".join(words) + "}"
 
     __str__ = render
 
@@ -139,12 +135,15 @@ class CantorEvent:
         return f"CantorEvent<{self.render()}>"
 
 
+def _event(depth: int, cuts: tuple) -> CantorEvent:
+    e = object.__new__(CantorEvent)
+    e.depth, e.cuts = depth, cuts
+    return e
+
+
 def hausdorff_measure(e: CantorEvent) -> Fraction:
-    """Sum of 2^-depth over cylinders, normalized to 1 on the full set:
-    one integer sum over 2^D, with D the deepest address."""
-    depth = max(map(len, e.cylinders), default=0)
-    return Fraction(sum(1 << (depth - len(a)) for a in e.cylinders),
-                    1 << depth)
+    """Normalized Hausdorff measure: the cut pairs' total length / 2^depth."""
+    return Fraction(sum([hi - lo for lo, hi in e.cuts]), 1 << e.depth)
 
 
 def cantor_probability(model: CantorModel, e: CantorEvent) -> NonArchValue:

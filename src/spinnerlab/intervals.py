@@ -32,24 +32,23 @@ pairs, and every operation reads and writes those.  ``components`` is a
 view: the :class:`Piece` objects are built from the cuts the first time it
 is read, and kept.
 
-Sets are immutable; every operation returns a new normalized set.  Outside
-input is validated once, where it enters:
+Sets are immutable, and outside input is validated once, where it enters:
+the constructor (and ``normalize``, ``point``, ``interval``) checks every
+component, a :class:`Piece` like a raw 4-tuple, for endpoint order and the
+[0,1] range by integer cross-products, rejects float endpoints, and wraps
+the point 1 to 0.
 
-* validate: the constructor (and ``normalize``, ``point``, ``interval``)
-  checks every component, a :class:`Piece` like a raw 4-tuple, for endpoint
-  order and the [0,1] range by integer cross-products, rejects float
-  endpoints, and wraps the point 1 to 0;
-* merge: ``union`` and ``translate_mod1`` start from normalized sets and
-  hand their cut pairs straight to the sort and merge;
-* normal by construction: the ``intersect`` sweep and the gaps of
-  ``complement`` come out sorted, disjoint and non-adjacent, so they skip
-  the sort and merge.
-
-A ``union`` or ``intersect`` of k components with n, where k*log2(n) < n,
-bisects each of the k into the n sorted components and splices, at
-O(k log n) comparisons plus list copies, instead of merging or sweeping
-all n + k; so a chain that keeps combining a growing set with small ones
-costs near-linear time, not quadratic.  ``contains`` bisects too.
+Every operation after that is one cut algebra over tuples of normal
+(start, end) cut pairs, in module functions: ``_merge`` sorts and merges,
+``_union`` merges or bisect-splices, ``_intersect`` clips, and ``_gaps``
+gives the complement, normal as it comes.  They compare cuts only by
+``<``, ``min`` and ``max``, so they serve two cut types: ``IntervalSet``
+passes its ``(k, x, after)`` cuts, ``cantor.CantorEvent`` plain ints.  An
+intersection bisects each component of the smaller operand into the
+larger, and so does a union of k components with n where k*log2(n) < n,
+at O(k log n) comparisons plus list copies, so a chain that keeps
+combining a growing set with small ones costs near-linear time, not
+quadratic.  ``contains`` bisects too.
 
 ``length`` adds one integer numerator over the running lcm of the endpoint
 denominators and makes a single ``Fraction`` at the end.
@@ -157,17 +156,8 @@ def _clean(left, left_in, right, right_in) -> "list[CutPair]":
 _START, _END = itemgetter(0), itemgetter(1)
 
 
-def _large_small(a: "tuple[CutPair, ...]", b: "tuple[CutPair, ...]"):
-    """(larger, smaller) when bisecting the smaller's components into the
-    larger's costs fewer comparisons than a pass over both, else None."""
-    if len(a) < len(b):
-        a, b = b, a
-    return (a, b) if len(b) * len(a).bit_length() < len(a) else None
-
-
 def _merge(cuts: "list[CutPair]") -> "tuple[CutPair, ...]":
-    """Sort nonempty cut pairs inside [0,1) and merge the ones that overlap
-    or touch into components."""
+    """Sort nonempty cut pairs and merge the ones that overlap or touch."""
     if not cuts:
         return ()
     cuts.sort(key=_START)
@@ -184,11 +174,31 @@ def _merge(cuts: "list[CutPair]") -> "tuple[CutPair, ...]":
     return tuple(merged)
 
 
-def _clip(large: "tuple[CutPair, ...]", small: "tuple[CutPair, ...]"):
-    """The cut pairs of ``large & small``, in order: for each component of
-    ``small``, the components of ``large`` that overlap it, the first and
-    last cut to it.  Pieces inside different components of one operand are
-    apart, so the output is normal as it comes."""
+def _union(a: "Sequence[CutPair]", b: "Sequence[CutPair]") -> tuple:
+    """The union of two normal cut-pair tuples: the smaller's components
+    bisected into the larger and spliced, or merged where that is cheaper."""
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) * len(a).bit_length() >= len(a):
+        return _merge([*a, *b])
+    comps = list(a)
+    for start, end in b:
+        # comps[i:j] overlap or touch the component, so they merge with it
+        i = bisect_left(comps, start, key=_END)
+        j = bisect_right(comps, end, i, key=_START)
+        if i < j:
+            start = min(start, comps[i][0])
+            end = max(end, comps[j - 1][1])
+        comps[i:j] = ((start, end),)
+    return tuple(comps)
+
+
+def _intersect(a: "Sequence[CutPair]", b: "Sequence[CutPair]") -> tuple:
+    """The intersection of two normal cut-pair tuples: for each component of
+    the smaller, the components of the larger that overlap it, the first
+    and last cut to it.  Pieces inside different components of one operand
+    are apart, so the output is normal as it comes."""
+    large, small = (a, b) if len(a) >= len(b) else (b, a)
     out: list[CutPair] = []
     for start, end in small:
         i = bisect_right(large, start, key=_END)
@@ -202,7 +212,20 @@ def _clip(large: "tuple[CutPair, ...]", small: "tuple[CutPair, ...]"):
         out.append((max(start, first[0]), first[1]))
         out += large[i + 1:j - 1]
         out.append((last[0], min(end, last[1])))
-    return out
+    return tuple(out)
+
+
+def _gaps(cuts: "Sequence[CutPair]", first, last) -> tuple:
+    """The nonempty gaps between the cuts ``first``, ``cuts`` and ``last``."""
+    out: list[CutPair] = []
+    cursor = first
+    for start, end in cuts:
+        if cursor < start:
+            out.append((cursor, start))
+        cursor = end
+    if cursor < last:
+        out.append((cursor, last))
+    return tuple(out)
 
 
 class IntervalSet:
@@ -230,8 +253,7 @@ class IntervalSet:
         """A set from cut pairs already sorted, disjoint and non-adjacent:
         the kernel's private path, which neither validates nor merges."""
         s = object.__new__(cls)
-        s.cuts = cuts
-        s._pieces = None
+        s.cuts, s._pieces = cuts, None
         return s
 
     @classmethod
@@ -302,54 +324,14 @@ class IntervalSet:
     # -- algebra -----------------------------------------------------------
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
-        split = _large_small(self.cuts, other.cuts)
-        if split is None:
-            return IntervalSet._from_cuts([*self.cuts, *other.cuts])
-        comps = list(split[0])
-        for start, end in split[1]:
-            # comps[i:j] overlap or touch the component, so they merge with it
-            i = bisect_left(comps, start, key=_END)
-            j = bisect_right(comps, end, i, key=_START)
-            if i < j:
-                start = min(start, comps[i][0])
-                end = max(end, comps[j - 1][1])
-            comps[i:j] = ((start, end),)
-        return IntervalSet._normal(tuple(comps))
+        return IntervalSet._normal(_union(self.cuts, other.cuts))
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
-        split = _large_small(self.cuts, other.cuts)
-        if split is not None:
-            return IntervalSet._normal(tuple(_clip(*split)))
-        # a sweep over both sorted component lists: the component that ends
-        # first meets nothing further on, so its pointer moves on.  Two
-        # pieces of the output lie in different components of one operand,
-        # which are apart, so the output is normal as it comes.
-        out: list[CutPair] = []
-        mine, theirs = self.cuts, other.cuts
-        i = j = 0
-        while i < len(mine) and j < len(theirs):
-            (a_start, a_end), (b_start, b_end) = mine[i], theirs[j]
-            start, end = max(a_start, b_start), min(a_end, b_end)
-            if start < end:
-                out.append((start, end))
-            if a_end < b_end:
-                i += 1
-            else:
-                j += 1
-        return IntervalSet._normal(tuple(out))
+        return IntervalSet._normal(_intersect(self.cuts, other.cuts))
 
     def complement(self) -> "IntervalSet":
-        """Complement relative to the sample space [0,1): the nonempty gaps
-        between the components, which are apart from each other."""
-        out: list[CutPair] = []
-        cursor = _START_CUT
-        for start, end in self.cuts:
-            if cursor < start:
-                out.append((cursor, start))
-            cursor = end
-        if cursor < _END_CUT:
-            out.append((cursor, _END_CUT))
-        return IntervalSet._normal(tuple(out))
+        """Complement relative to the sample space [0,1)."""
+        return IntervalSet._normal(_gaps(self.cuts, _START_CUT, _END_CUT))
 
     def translate_mod1(self, t) -> "IntervalSet":
         """Shift every member by t modulo 1, splitting at the wrap point."""

@@ -14,6 +14,7 @@ Grammar (ASCII aliases next to the set symbols):
               | coin | ticket
     interval := ("[" | "(") rational "," rational (")" | "]")
     braces   := "{" [ item { "," item } ] "}"
+    item     := nat [ "/" nat ]
     coin     := "allheads" [">" nat] ["&" pin] | pin
     pin      := "pin" "(" [ nat ":" ("H"|"T") { "," ... } ] ")"
     ticket   := "ticket" | "tickets" "(" nat ")"
@@ -26,15 +27,17 @@ carry the offending position and the expected tokens; vocabulary
 mismatches (a cylinder set under the grid model, set union of coin
 events, ...) raise :class:`QueryTypeError` during evaluation.
 
-An interval literal with unsigned endpoints, ``[1/3, 2/3)``, is read as one
-token word, and a ``u`` run of such literals where a run of ``u`` operands
+An interval literal with unsigned endpoints, ``[1/3, 2/3)``, and a brace
+list, ``{0022, 2}`` or ``{1/3, 0}``, are each read as one token word; one
+``findall`` gives a brace word's items, written as the token pass writes
+them.  A ``u`` run of interval literals where a run of ``u`` operands
 starts (at the start of a set and after each ``u``, not after ``n``)
 becomes one :class:`IntervalRun` node, so a long union of intervals costs
-one regular-expression match per literal.  A literal with a signed or
-over-long endpoint is read token by token.  When the literal-word pass
-raises a ParseError, the text is parsed again token by token and that
-error is raised, so messages and positions do not depend on the literal
-words.  Endpoints are still validated at evaluation, in operand order.
+one regular-expression match per literal.  A signed or over-long numeral
+is read token by token.  When the literal-word pass raises a ParseError,
+the text is parsed again token by token and that error is raised, so
+messages and positions do not depend on the literal words.  Endpoints
+are still validated at evaluation, in operand order.
 """
 
 from __future__ import annotations
@@ -169,12 +172,14 @@ _SET_OPS = {"u": "u", "n": "n", "∪": "u", "∩": "n"}
 
 _WRAPPERS = {"st": St, "classify": ClassifyExpr, "compare": CompareExpr}
 
-# an interval literal with unsigned endpoints, as one token word; a longer
-# numeral does not match, so it is lexed token by token and meets the
-# lexer's digit cap
+# an interval literal with unsigned endpoints, or a brace list, as one token
+# word; a longer numeral does not match, so it is lexed token by token and
+# meets the lexer's digit cap
 _NUMERAL = rf"\d{{1,{MAX_NUMERAL_DIGITS}}}"
 _ENDPOINT = rf"{_NUMERAL}(?:\s*/\s*{_NUMERAL})?"
 _LITERAL_WORD = rf"[\[(]\s*{_ENDPOINT}\s*,\s*{_ENDPOINT}\s*[\])]"
+_BRACE_WORD = rf"\{{\s*(?:{_ENDPOINT}(?:\s*,\s*{_ENDPOINT})*\s*)?\}}"
+_BRACE_ITEM_RE = re.compile(r"\d+(?:\s*/\s*\d+)?")
 _LITERAL_RE = re.compile(
     r"([\[(])\s*(\d+)(?:\s*/\s*(\d+))?\s*,\s*(\d+)(?:\s*/\s*(\d+))?\s*([\])])")
 
@@ -197,9 +202,22 @@ def _literals(words: "list[str]") -> "list[tuple]":
         raise ParseError("zero denominator in rational literal") from None
 
 
+def _brace_word(word: str) -> BraceLit:
+    """A brace word's items, each written as the token pass writes it."""
+    items = _BRACE_ITEM_RE.findall(word)
+    for i, item in enumerate(items if "/" in word else ()):
+        if "/" in item:
+            p, q = map(int, item.split("/"))
+            if not q:  # the token-by-token pass reports where
+                raise ParseError("zero denominator in rational literal")
+            items[i] = f"{p}/{q}"
+    return BraceLit(tuple(items))
+
+
 class _Parser(TokenCursor):
     def __init__(self, text: str, literal_words: bool = False):
-        super().__init__(text, _OPS, _LITERAL_WORD if literal_words else "")
+        super().__init__(text, _OPS, f"{_LITERAL_WORD}|{_BRACE_WORD}"
+                         if literal_words else "")
         if "∪" in text or "∩" in text:
             self.words = [_SET_OPS.get(word, word) for word in self.words]
         self.depth = 0
@@ -264,7 +282,10 @@ class _Parser(TokenCursor):
             if len(word) > 1:
                 return self.parse_literals()
             return self.parse_interval()
-        if word == "{":
+        if word[0] == "{":
+            if len(word) > 1:
+                self.pos += 1
+                return _brace_word(word)
             return self.parse_braces()
         if word == "full":
             self.pos += 1
@@ -452,7 +473,6 @@ def render_set(node: SetNode) -> str:
 # -- evaluation -----------------------------------------------------------------
 
 _POINT_RE = re.compile(r"\d+(?:/\d+)?$")
-_ADDRESS_RE = re.compile(r"[02]+$")
 
 
 def _fold(node: SetOp, build, union_all):
@@ -480,10 +500,7 @@ def _interval_cuts(node: SetNode, model: str) -> "Sequence[CutPair]":
     if isinstance(node, IntervalLit):
         return _clean(node.left, node.left_in, node.right, node.right_in)
     if isinstance(node, IntervalRun):
-        cuts = []
-        for literal in node.literals:
-            cuts += _clean(*literal)
-        return cuts
+        return [cut for lit in node.literals for cut in _clean(*lit)]
     if isinstance(node, BraceLit):
         cuts = []
         for item in node.items:
@@ -529,21 +546,22 @@ def _to_interval_set(node: SetNode, model: str) -> IntervalSet:
 
 def _union_of_events(event: "CantorEvent | None",
                      run: "list[CantorEvent]") -> CantorEvent:
-    if event is not None:
-        run = [event, *run]
-    if len(run) == 1:
-        return run[0]
-    return CantorEvent([a for e in run for a in e.cylinders])
+    """A ``u`` run's events in one union, then one with the event, if any."""
+    if not run:
+        return event
+    union = run[0].union(*run[1:]) if len(run) > 1 else run[0]
+    return union if event is None else event | union
 
 
 def _to_cantor_event(node: SetNode) -> CantorEvent:
     if isinstance(node, BraceLit):
-        for item in node.items:
-            if not _ADDRESS_RE.fullmatch(item):
-                raise QueryTypeError(
-                    f"brace item {item!r} is not a cylinder address over "
-                    f"{{0,2}}; rational points belong to the interval models")
-        return CantorEvent(node.items)
+        try:
+            return CantorEvent(node.items)
+        except DomainError:
+            bad = next(i for i in node.items if not set(i) <= {"0", "2"})
+            raise QueryTypeError(
+                f"brace item {bad!r} is not a cylinder address over {{0,2}}; "
+                f"rational points belong to the interval models") from None
     if isinstance(node, FullLit):
         return CantorEvent.full()
     if isinstance(node, SetOp):

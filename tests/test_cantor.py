@@ -9,6 +9,7 @@ from fractions import Fraction as F
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinnerlab.cantor import (CantorEvent, CantorModel, cantor_probability,
                                coherence_check, conditional_probability,
@@ -190,3 +191,106 @@ def test_conditional_matches_counting_oracle():
         got = conditional_probability(CM, a, b)
         want = counting_fraction(a & b, 6) / counting_fraction(b, 6)
         assert got == NonArchValue.constant(CM.generator, want)
+
+
+# -- differential: the string-stack event as the reference ----------------------------
+
+class StackEvent:
+    """The earlier cylinder event, kept as the reference: a prefix-free
+    address set, normalized by a stack pass over the sorted addresses."""
+
+    def __init__(self, addresses=()):
+        s = set()
+        for a in addresses:
+            if not frozenset("02").issuperset(a):
+                raise DomainError(f"invalid cylinder address {a!r}: "
+                                  "digits must be 0 or 2")
+            s.add(a)
+        kept = []
+        for a in sorted(s):
+            if kept and a.startswith(kept[-1]):
+                continue
+            while a.endswith("2") and kept and kept[-1] == a[:-1] + "0":
+                kept.pop()
+                a = a[:-1]
+            kept.append(a)
+        self.cylinders = frozenset(kept)
+
+    def __or__(self, other):
+        return StackEvent(self.cylinders | other.cylinders)
+
+    def __and__(self, other):
+        last = ["1", "1"]  # "1" prefixes no address
+        out = []
+        for a, side in sorted([(a, 0) for a in self.cylinders]
+                              + [(a, 1) for a in other.cylinders]):
+            if a.startswith(last[1 - side]):
+                out.append(a)
+            last[side] = a
+        return StackEvent(out)
+
+    def complement(self):
+        prefixes = set()
+        for a in self.cylinders:
+            for k in range(len(a) - 1, -1, -1):
+                p = a[:k]
+                if p in prefixes:
+                    break
+                prefixes.add(p)
+        nodes = [""] + [p + d for p in prefixes for d in "02"]
+        return StackEvent(c for c in nodes
+                          if c not in prefixes and c not in self.cylinders)
+
+    def measure(self):
+        depth = max(map(len, self.cylinders), default=0)
+        return F(sum(1 << (depth - len(a)) for a in self.cylinders),
+                 1 << depth)
+
+    def render(self):
+        if not self.cylinders:
+            return "{}"
+        if self.cylinders == frozenset(("",)):
+            return "full"
+        return "{" + ", ".join(sorted(self.cylinders)) + "}"
+
+
+@st.composite
+def _addresses(draw):
+    """Addresses under a shared prefix of up to 80 digits, so that siblings
+    meet and merge past depth 64, and a few free ones."""
+    prefix = draw(st.text("02", max_size=80))
+    near = draw(st.lists(st.text("02", max_size=4), max_size=5))
+    free = draw(st.lists(st.text("02", max_size=70), max_size=2))
+    return [prefix + a for a in near] + free
+
+
+def _agree(new: CantorEvent, old: StackEvent):
+    assert new.cylinders == old.cylinders
+    assert new.render() == old.render()
+    assert hausdorff_measure(new) == old.measure()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_addresses(), _addresses())
+def test_cut_pairs_agree_with_the_stack_event(xs, ys):
+    a, b = CantorEvent(xs), CantorEvent(iter(ys))
+    old_a, old_b = StackEvent(xs), StackEvent(ys)
+    _agree(a, old_a)
+    _agree(a | b, old_a | old_b)
+    _agree(a & b, old_a & old_b)
+    _agree(a.complement(), old_a.complement())
+    _agree(a.union(b, a.complement()), old_a | old_b | old_a.complement())
+    assert (a == b) == (old_a.cylinders == old_b.cylinders)
+    # the same members at another depth: equal, with equal hashes
+    for same in (CantorEvent(a.cylinders), a.complement().complement(),
+                 a | (b & a), a & CantorEvent.full()):
+        assert same == a and hash(same) == hash(a)
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+def test_deep_complement_agrees_with_the_stack_event():
+    for address in ("0" * 4300, "2" * 4300, "02" * 2150):
+        new, old = CantorEvent((address,)), StackEvent((address,))
+        _agree(new.complement(), old.complement())
+        assert new.complement().complement() == new

@@ -161,7 +161,7 @@ def test_boolean_argument_errors():
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 10 ** 6),
        # (components, endpoint denominators, probe denominators); sets of up
-       # to 12 components make the intersection sweep move both pointers
+       # to 12 components make an intersection clip span several components
        st.sampled_from(((3, 6, 6), (12, 12, 24))))
 def test_boolean_membership_is_pointwise(seed, shape):
     max_components, max_den, probe_den = shape

@@ -1,6 +1,7 @@
 import random
 import string
 import sys
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -335,15 +336,41 @@ def _unit_literal_text(draw):
 
 
 @st.composite
+def _brace_item_text(draw):
+    # an address, often with leading zeros, or any numeral; sometimes a
+    # denominator, which may be 0 or 00
+    if draw(st.booleans()):
+        text = draw(st.text("02", min_size=1, max_size=6))
+    else:
+        text = draw(_numeral())
+    if draw(st.integers(0, 3)) == 0:
+        text += draw(_SPACE) + "/" + draw(_SPACE) + draw(_numeral())
+    return text
+
+
+@st.composite
+def _brace_text(draw):
+    """A brace list, now and then with a stray leading or trailing comma."""
+    items = draw(st.lists(_brace_item_text(), max_size=4))
+    inner = "".join(draw(_SPACE) + "," + draw(_SPACE) + item
+                    for item in items)[1:]
+    if draw(st.integers(0, 9)) == 0:
+        inner += ","
+    return "{" + draw(_SPACE) + inner + draw(_SPACE) + "}"
+
+
+@st.composite
 def _operand_text(draw):
-    kind = draw(st.integers(0, 29))
+    kind = draw(st.integers(0, 39))
     if kind < 2:
         return ("tickets", "pin")[kind] + draw(_literal_text())
     if kind < 5:
         return draw(st.sampled_from(["{1/3}", "full"]))
     if kind < 15:
         return draw(_unit_literal_text())
-    return draw(_literal_text())
+    if kind < 30:
+        return draw(_literal_text())
+    return draw(_brace_text())
 
 
 @st.composite
@@ -374,6 +401,31 @@ def _outcome(run):
 @settings(max_examples=300, deadline=None)
 @given(_literal_query())
 def test_literal_words_agree_with_the_plain_token_pass(text):
+    _assert_literal_words_agree(text)
+
+
+# brace lists that must read the same as one word and token by token
+BRACE_EDGE_CASES = [
+    "{}", "{ }", "{\u3000}", "{0002, 02}", "{007/0010, 0}", "{1/0}",
+    "{1/00}", "{1 / \u0660}", "{0,}", "{0, 2,}", "{,}", "{0 2}",
+    "{\u0661/\u0663,\xa0\u0660}", "{\t0\u3000,\xa02 }",
+    "{" + "0" * 4300 + "}", "{" + "0" * 4301 + "}",
+    "{1/" + "1" * 4300 + "}", "{1/" + "1" * 4301 + "}",
+    "{1/2/3}", "{-1/2}", "{0} u {2}", "compl({00, 02})",
+]
+
+
+@pytest.mark.parametrize("model", query.MODELS)
+@pytest.mark.parametrize("braces", BRACE_EDGE_CASES,
+                         ids=[ascii(b)[:24] for b in BRACE_EDGE_CASES])
+def test_brace_words_agree_with_the_plain_token_pass(model, braces):
+    _assert_literal_words_agree(f"{model}: P({braces})")
+    _assert_literal_words_agree(f"{model}: P(full | {braces})")
+
+
+def _assert_literal_words_agree(text):
+    """Both passes give the same query, or the same error type, message and
+    position; parse_query falls back to the plain pass on a ParseError."""
     plain = _outcome(lambda: _Parser(text).parse_query())
     try:
         fast = _Parser(text, literal_words=True).parse_query()
@@ -668,6 +720,18 @@ def test_over_long_numerals_and_drop_counts_are_user_errors():
     evaluate(parse_query("coinflip: P(allheads>100000)"))
     with pytest.raises(DomainError, match="at most 100000"):
         evaluate(parse_query("coinflip: P(allheads>100001)"))
+
+
+def test_complement_of_deep_addresses_takes_linear_time():
+    rng = random.Random(13)
+    addresses = ["".join(rng.choices("02", k=4300)) for _ in range(24)]
+    text = "cantor: P(compl({" + ", ".join(addresses) + "}))"
+    start = time.perf_counter()
+    r = evaluate(parse_query(text))
+    elapsed = time.perf_counter() - start
+    # 24 distinct cylinders of depth 4300
+    assert r.value_text == str(1 - F(24, 2 ** 4300))
+    assert elapsed < 1.0, elapsed
 
 
 def test_eval_point_outside_range():
