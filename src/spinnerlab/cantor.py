@@ -21,12 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterable
 
 from .errors import DomainError
 from .field import Generator, NonArchValue
-from .intervals import _gaps, _intersect, _merge, _union
+from .intervals import _gaps, _intersect, _merge, _union, conditional
 from .report import PropertyReport
 
 CANTOR_GENERATOR = Generator("c")
@@ -159,9 +159,8 @@ def point_probability(model: CantorModel) -> NonArchValue:
 
 def conditional_probability(model: CantorModel, a: CantorEvent,
                             b: CantorEvent) -> NonArchValue:
-    if b.is_empty():
-        raise DomainError("conditioning on the empty event")
-    return cantor_probability(model, a & b) / cantor_probability(model, b)
+    return conditional(partial(cantor_probability, model), a, b,
+                       "conditioning on the empty event")
 
 
 def coherence_check(model: CantorModel, a: CantorEvent,

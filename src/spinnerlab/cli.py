@@ -26,25 +26,10 @@ from .errors import DomainError, ParseError, QueryTypeError
 from .lottery import archimedean_regularity_witness
 from .field import parse_rational, render_exact
 from .query import compare_values, evaluate, evaluate_value, parse_query
-from .spinner import FiniteGrid, SuiteConfig, finite_grid_stabilizer
+from .spinner import FiniteGrid, finite_grid_stabilizer
 from . import suites
 
 _USER_ERRORS = (ParseError, QueryTypeError, DomainError)
-
-
-def _load_config(path: "str | None") -> SuiteConfig:
-    if path is None:
-        config = SuiteConfig()
-    else:
-        config = SuiteConfig.from_file(path)
-    seed = os.environ.get("SPINNERLAB_SEED")
-    if seed is not None:
-        try:
-            config.seed = int(seed)
-        except ValueError:
-            raise DomainError(f"SPINNERLAB_SEED must be an integer, "
-                              f"got {seed!r}") from None
-    return config
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -74,11 +59,10 @@ def _cmd_compare(args) -> int:
 
 def _cmd_suite(args) -> int:
     try:
-        config = _load_config(args.config)
+        code, results = suites.run_suites(args.config, args.corrupt_oracle)
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
-    results = suites.run_all(config, corrupt=args.corrupt_oracle)
     if args.json:
         for r in results:
             print(json.dumps(r))
@@ -89,10 +73,9 @@ def _cmd_suite(args) -> int:
                   f"cases={r['cases']}")
             for c in r["counterexamples"][:3]:
                 print(f"     counterexample: {c}")
-    ok = suites.all_passed(results)
     if not args.json:
-        print("all suites passed" if ok else "suite failures detected")
-    return 0 if ok else 1
+        print("all suites passed" if code == 0 else "suite failures detected")
+    return code
 
 
 def _cmd_witness(args) -> int:

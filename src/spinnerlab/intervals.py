@@ -323,8 +323,12 @@ class IntervalSet:
 
     # -- algebra -----------------------------------------------------------
 
-    def union(self, other: "IntervalSet") -> "IntervalSet":
-        return IntervalSet._normal(_union(self.cuts, other.cuts))
+    def union(self, *others: "IntervalSet") -> "IntervalSet":
+        """Bisect-splice with one set, one merge with several."""
+        if len(others) == 1:
+            return IntervalSet._normal(_union(self.cuts, others[0].cuts))
+        return IntervalSet._from_cuts(
+            [c for s in (self, *others) for c in s.cuts])
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
         return IntervalSet._normal(_intersect(self.cuts, other.cuts))
@@ -405,6 +409,15 @@ def translate_mod1(a: IntervalSet, t) -> IntervalSet:
 def lebesgue_length(a: IntervalSet) -> Fraction:
     """Sum of component lengths; endpoint flags carry no mass."""
     return a.length
+
+
+def conditional(probability: Callable, a, b, null_message: str):
+    """P(a | b) = P(a & b) / P(b) under ``probability``; DomainError with
+    ``null_message`` when P(b) = 0."""
+    pb = probability(b)
+    if pb == 0:
+        raise DomainError(null_message)
+    return probability(a & b) / pb
 
 
 def dyadic_tail_family(n: int) -> IntervalSet:

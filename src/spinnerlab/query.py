@@ -38,6 +38,10 @@ is read token by token.  When the literal-word pass raises a ParseError,
 the text is parsed again token by token and that error is raised, so
 messages and positions do not depend on the literal words.  Endpoints
 are still validated at evaluation, in operand order.
+
+Interval sets and cylinder events are built by one fold over ``u``/``n``
+chains and ``compl``, with a leaf builder for each model.  Every model's
+``P(A | B)`` is ``intervals.conditional``, as in the kernels.
 """
 
 from __future__ import annotations
@@ -46,13 +50,13 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Sequence, Union
+from typing import Union
 
 from .cantor import CantorEvent, CantorModel, cantor_probability
 from .errors import DomainError, ParseError, QueryTypeError
 from .field import (MAX_NUMERAL_DIGITS, Classification, Kind, NonArchValue,
                     Ordering, Sign, TokenCursor, render_exact)
-from .intervals import CutPair, IntervalSet, _clean, lebesgue_length
+from .intervals import IntervalSet, _clean, conditional, lebesgue_length
 from .lottery import (CoinEvent, LotteryModel, coinflip_probability,
                       lottery_ticket_probability)
 from .spinner import GridModel, grid_probability
@@ -475,33 +479,42 @@ def render_set(node: SetNode) -> str:
 _POINT_RE = re.compile(r"\d+(?:/\d+)?$")
 
 
-def _fold(node: SetOp, build, union_all):
-    """Fold a set chain left to right, ``A u B n C`` as ``(A u B) n C``.
-
-    ``build`` turns the operands into parts in order, so the first bad one
-    names the error.  The event of the chain up to the last ``n`` is kept
-    as it is; ``union_all(event, run)`` joins it (None before the first
-    ``n``) with one maximal run of ``u`` operands' parts in one call."""
+def _fold(node: SetNode, leaf):
+    """The set of ``node``, built by ``leaf`` but for chains and ``compl``:
+    ``A u B n C`` is ``(A u B) n C``, operands are built in order so the
+    first bad one names the error, and each maximal ``u`` run is one union."""
+    if isinstance(node, Complement):
+        return _fold(node.arg, leaf).complement()
+    if not isinstance(node, SetOp):
+        return leaf(node)
     first, rest = _unroll(node)
-    event, run = None, [build(first)]
+    event, run = None, [_fold(first, leaf)]
     for op, operand in rest:
-        part = build(operand)
+        part = _fold(operand, leaf)
         if op == "union":
             run.append(part)
         else:
-            event = union_all(event, run) & union_all(None, [part])
+            event = _join(event, run) & part
             run = []
-    return union_all(event, run)
+    return _join(event, run)
 
 
-def _interval_cuts(node: SetNode, model: str) -> "Sequence[CutPair]":
-    """The validated (start, end) cut pairs of one set operand; a literal
-    never becomes an IntervalSet of its own."""
+def _join(event, run: list):
+    """The union of a ``u`` run's sets, then with the event, if any."""
+    if not run:
+        return event
+    union = run[0].union(*run[1:]) if len(run) > 1 else run[0]
+    return union if event is None else event | union
+
+
+def _interval_leaf(node: SetNode, model: str) -> IntervalSet:
+    """One operand under an interval model; an IntervalRun's literals make
+    one set."""
     if isinstance(node, IntervalLit):
-        return _clean(node.left, node.left_in, node.right, node.right_in)
-    if isinstance(node, IntervalRun):
-        return [cut for lit in node.literals for cut in _clean(*lit)]
-    if isinstance(node, BraceLit):
+        cuts = _clean(node.left, node.left_in, node.right, node.right_in)
+    elif isinstance(node, IntervalRun):
+        cuts = [cut for lit in node.literals for cut in _clean(*lit)]
+    elif isinstance(node, BraceLit):
         cuts = []
         for item in node.items:
             if len(item) > 1 and set(item) <= {"0", "2"}:
@@ -514,46 +527,25 @@ def _interval_cuts(node: SetNode, model: str) -> "Sequence[CutPair]":
                     f"brace item {item!r} is not a rational point")
             x = Fraction(item)
             cuts += _clean(x, True, x, True)
-        return cuts
-    if isinstance(node, FullLit):
-        return _clean(0, True, 1, False)
-    return _to_interval_set(node, model).cuts
-
-
-def _union_of_cuts(event: "IntervalSet | None",
-                   run: "list[Sequence[CutPair]]") -> IntervalSet:
-    union = IntervalSet._from_cuts([c for cuts in run for c in cuts])
-    return union if event is None else event | union
+    elif isinstance(node, FullLit):
+        cuts = _clean(0, True, 1, False)
+    elif isinstance(node, Translate):
+        return _to_interval_set(node.arg, model).translate_mod1(node.offset)
+    elif isinstance(node, CoinLit):
+        raise QueryTypeError(f"coin events do not belong to the {model} model")
+    elif isinstance(node, TicketLit):
+        raise QueryTypeError(f"ticket events do not belong to the {model} "
+                             f"model")
+    else:
+        raise TypeError(f"not a set node: {node!r}")
+    return IntervalSet._from_cuts(cuts)
 
 
 def _to_interval_set(node: SetNode, model: str) -> IntervalSet:
-    if isinstance(node, (IntervalLit, IntervalRun, BraceLit, FullLit)):
-        return IntervalSet._from_cuts(_interval_cuts(node, model))
-    if isinstance(node, SetOp):
-        return _fold(node, partial(_interval_cuts, model=model),
-                     _union_of_cuts)
-    if isinstance(node, Complement):
-        return _to_interval_set(node.arg, model).complement()
-    if isinstance(node, Translate):
-        return _to_interval_set(node.arg, model).translate_mod1(node.offset)
-    if isinstance(node, CoinLit):
-        raise QueryTypeError(f"coin events do not belong to the {model} model")
-    if isinstance(node, TicketLit):
-        raise QueryTypeError(f"ticket events do not belong to the {model} "
-                             f"model")
-    raise TypeError(f"not a set node: {node!r}")
+    return _fold(node, partial(_interval_leaf, model=model))
 
 
-def _union_of_events(event: "CantorEvent | None",
-                     run: "list[CantorEvent]") -> CantorEvent:
-    """A ``u`` run's events in one union, then one with the event, if any."""
-    if not run:
-        return event
-    union = run[0].union(*run[1:]) if len(run) > 1 else run[0]
-    return union if event is None else event | union
-
-
-def _to_cantor_event(node: SetNode) -> CantorEvent:
+def _cantor_leaf(node: SetNode) -> CantorEvent:
     if isinstance(node, BraceLit):
         try:
             return CantorEvent(node.items)
@@ -564,16 +556,16 @@ def _to_cantor_event(node: SetNode) -> CantorEvent:
                 f"rational points belong to the interval models") from None
     if isinstance(node, FullLit):
         return CantorEvent.full()
-    if isinstance(node, SetOp):
-        return _fold(node, _to_cantor_event, _union_of_events)
-    if isinstance(node, Complement):
-        return _to_cantor_event(node.arg).complement()
     if isinstance(node, Translate):
         raise QueryTypeError("translate is not defined for cylinder events")
     if isinstance(node, (IntervalLit, IntervalRun)):
         raise QueryTypeError("interval sets do not belong to the cantor "
                              "model; use cylinder addresses over {0,2}")
     raise QueryTypeError("this event does not belong to the cantor model")
+
+
+def _to_cantor_event(node: SetNode) -> CantorEvent:
+    return _fold(node, _cantor_leaf)
 
 
 def _to_coin_event(node: SetNode) -> CoinEvent:
@@ -644,11 +636,7 @@ def _eval_prob(p: Prob, model: str) -> Value:
     event = build(p.event)
     if p.given is None:
         return probability(event)
-    given = build(p.given)
-    pg = probability(given)
-    if pg == 0:
-        raise DomainError(null_condition)
-    return probability(event & given) / pg
+    return conditional(probability, event, build(p.given), null_condition)
 
 
 def _classify_rational(r: Fraction) -> Classification:

@@ -42,7 +42,7 @@ from itertools import pairwise
 
 from .errors import DomainError
 from .field import Generator, NonArchValue, render_exact
-from .intervals import IntervalSet, lebesgue_length
+from .intervals import IntervalSet, conditional, lebesgue_length
 from .report import PropertyReport
 from . import sampling
 
@@ -98,9 +98,8 @@ def grid_probability(model: GridModel, a: IntervalSet) -> NonArchValue:
 def conditional_probability(model: GridModel, a: IntervalSet,
                             b: IntervalSet) -> NonArchValue:
     """P(a | b) as an exact field element; b may be a single point."""
-    if b.is_empty():
-        raise DomainError("conditioning on the empty event")
-    return grid_probability(model, a & b) / grid_probability(model, b)
+    return conditional(partial(grid_probability, model), a, b,
+                       "conditioning on the empty event")
 
 
 # -- finite grids and their rotation stabilizers -------------------------------

@@ -9,12 +9,15 @@ overflow witnesses.  Each produces one JSON-ready dict in the schema
 
 from __future__ import annotations
 
+import os
 import time
 from fractions import Fraction
+from itertools import product
 
 from . import cantor as cantor_mod
 from . import lottery as lottery_mod
 from .cantor import CantorEvent, CantorModel
+from .errors import DomainError
 from .intervals import IntervalSet, dyadic_tail_family, sigma_additivity_probe
 from .report import PropertyReport
 from .spinner import (FiniteGrid, GridModel, SuiteConfig,
@@ -41,7 +44,7 @@ def cantor_coherence_suite(config: SuiteConfig) -> PropertyReport:
     counterexamples: list[str] = []
     cases = 0
     singles = [""] + ["".join(addr) for d in range(1, 4)
-                      for addr in _all_addresses(d)]
+                      for addr in product("02", repeat=d)]
     for a in singles:
         for b in singles:
             cases += 1
@@ -58,15 +61,6 @@ def cantor_coherence_suite(config: SuiteConfig) -> PropertyReport:
                  "on every checked pair"] + config.coverage_warnings()
     return PropertyReport.from_checks(
         "cantor-conditional-coherence", cases, counterexamples, witnesses)
-
-
-def _all_addresses(depth: int):
-    if depth == 0:
-        yield ()
-        return
-    for rest in _all_addresses(depth - 1):
-        yield ("0",) + rest
-        yield ("2",) + rest
 
 
 def sigma_probe_suite(config: SuiteConfig) -> PropertyReport:
@@ -149,10 +143,19 @@ def run_suites(config_path: "str | None" = None,
                corrupt: bool = False) -> "tuple[int, list[dict]]":
     """Run every suite from a config file; returns (exit_code, reports).
 
-    Exit code 0 iff no suite failed.  An unreadable path propagates OSError
-    so callers can map it to their own exit status.
+    ``SPINNERLAB_SEED``, when set, overrides the configured seed; a value
+    that is not an integer is a DomainError.  ``spinnerlab suite`` calls
+    this.  Exit code 0 iff no suite failed.  An unreadable path propagates
+    OSError so callers can map it to their own exit status.
     """
     config = SuiteConfig() if config_path is None \
         else SuiteConfig.from_file(config_path)
+    seed = os.environ.get("SPINNERLAB_SEED")
+    if seed is not None:
+        try:
+            config.seed = int(seed)
+        except ValueError:
+            raise DomainError(f"SPINNERLAB_SEED must be an integer, "
+                              f"got {seed!r}") from None
     results = run_all(config, corrupt=corrupt)
     return (0 if all_passed(results) else 1), results

@@ -4,6 +4,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from spinnerlab.errors import DomainError
+from spinnerlab.suites import run_suites
+
 GOLDEN = Path(__file__).parent / "golden_queries.jsonl"
 
 
@@ -123,10 +128,14 @@ def test_suite_corrupt_oracle_exits_one():
     assert bad and bad[0]["counterexamples"]
 
 
-def test_suite_config_file_and_seed_env(tmp_path):
+def _without_durations(rows):
+    return [{k: v for k, v in r.items() if k != "duration_ms"} for r in rows]
+
+
+def test_suite_config_file_and_seed_env(tmp_path, monkeypatch):
     cfg = tmp_path / "suite.cfg"
-    cfg.write_text("seed = 5\ncases = 25\nmax_denominator = 12\n"
-                   "max_grid_size = 6\n")
+    sizes = "cases = 25\nmax_denominator = 12\nmax_grid_size = 6\n"
+    cfg.write_text("seed = 5\n" + sizes)
     code, out, _ = run_cli("suite", "--config", str(cfg), "--json")
     assert code == 0
     rows = [json.loads(l) for l in out.splitlines()]
@@ -135,6 +144,32 @@ def test_suite_config_file_and_seed_env(tmp_path):
     code, out2, _ = run_cli("suite", "--config", str(cfg), "--json",
                             env_extra={"SPINNERLAB_SEED": "99"})
     assert code == 0
+
+    # passing suites print the same for every seed, so read the seed off
+    # the corrupted suite's sampled counterexamples
+    def corrupted(config_seed, env_seed=None):
+        path = tmp_path / f"seed{config_seed}.cfg"
+        path.write_text(f"seed = {config_seed}\n" + sizes)
+        env = None if env_seed is None else {"SPINNERLAB_SEED": env_seed}
+        code, out, _ = run_cli("suite", "--config", str(path), "--json",
+                               "--corrupt-oracle", env_extra=env)
+        assert code == 1
+        return _without_durations(json.loads(l) for l in out.splitlines())
+
+    by_env = corrupted(5, "99")
+    assert by_env == corrupted(99)
+    assert by_env != corrupted(5)
+    code, out, err = run_cli("suite", env_extra={"SPINNERLAB_SEED": "x"})
+    assert (code, out) == (1, "")
+    assert err == "error: SPINNERLAB_SEED must be an integer, got 'x'\n"
+
+    # in process, run_suites applies the variable itself
+    monkeypatch.setenv("SPINNERLAB_SEED", "99")
+    code, rows = run_suites(str(tmp_path / "seed5.cfg"), corrupt=True)
+    assert code == 1 and _without_durations(rows) == by_env
+    monkeypatch.setenv("SPINNERLAB_SEED", "x")
+    with pytest.raises(DomainError, match="got 'x'"):
+        run_suites(str(cfg))
 
 
 def test_suite_unreadable_config_exits_two(tmp_path):

@@ -201,9 +201,13 @@ def test_operations_keep_normal_form(seed):
     rng = random.Random(seed)
     a = rand_interval_set(rng, 12, 12)
     b = rand_interval_set(rng, 12, 12)
+    c = rand_interval_set(rng, 12, 12)
     q = F(rng.randint(-24, 24), rng.randint(1, 12))
-    for s in (a, a | b, a & b, a.complement(), a.translate_mod1(q)):
+    for s in (a, a | b, a & b, a.complement(), a.translate_mod1(q),
+              a.union(b, c), a.union()):
         assert_normal(s)
+    assert a.union(b, c) == (a | b) | c
+    assert a.union() == a
 
 
 @settings(max_examples=100, deadline=None)

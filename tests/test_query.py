@@ -3,11 +3,12 @@ import string
 import sys
 import time
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinnerlab import query
+from spinnerlab import cantor, query, spinner
 from spinnerlab.errors import DomainError, ParseError, QueryTypeError
 from spinnerlab.field import NonArchValue
 from spinnerlab.query import (BraceLit, CoinLit, Complement, CompareExpr,
@@ -683,6 +684,37 @@ def test_eval_domain_errors():
         evaluate(parse_query("coinflip: P(allheads | allheads&pin(1:T))"))
     with pytest.raises(DomainError, match="out of order"):
         evaluate(parse_query("grid: P({1/3} u [1/2,1/4] u {02})"))
+
+
+def test_query_conditionals_equal_the_kernel_conditionals():
+    def outcome(fn, *args):
+        try:
+            return fn(*args)
+        except DomainError as exc:
+            return str(exc)
+
+    rng = random.Random(14)
+    for model, operand, build, kernel in (
+            ("grid", _rand_interval_operand,
+             lambda node: _to_interval_set(node, "grid"),
+             partial(spinner.conditional_probability, spinner.GridModel())),
+            ("cantor", _rand_cantor_operand, _to_cantor_event,
+             partial(cantor.conditional_probability, cantor.CantorModel()))):
+        for _ in range(200):
+            a, b = (" u ".join(operand(rng)
+                               for _ in range(rng.randint(1, 3)))
+                    for _ in range(2))
+            events = [build(parse_query(f"{model}: P({t})").expr.event)
+                      for t in (a, b)]
+            q = parse_query(f"{model}: P({a} | {b})")
+            assert outcome(evaluate_value, q) == outcome(kernel, *events), q
+        with pytest.raises(DomainError,
+                           match="^conditioning on the empty event$"):
+            evaluate_value(parse_query(f"{model}: P(full | compl(full))"))
+        full = build(FullLit())
+        with pytest.raises(DomainError,
+                           match="^conditioning on the empty event$"):
+            kernel(full, full.complement())
 
 
 def _str_without_digit_limit(n: int) -> str:

@@ -63,7 +63,8 @@ def test_corrupt_hook_fails_exactly_one_suite():
     assert failing[0]["witnesses"] == []
 
 
-def test_run_suites_entry_point(tmp_path):
+def test_run_suites_entry_point(tmp_path, monkeypatch):
+    monkeypatch.delenv("SPINNERLAB_SEED", raising=False)
     cfg = tmp_path / "s.cfg"
     cfg.write_text("cases = 20\nmax_grid_size = 5\n")
     code, results = run_suites(str(cfg))
