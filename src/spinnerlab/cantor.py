@@ -76,11 +76,9 @@ class CantorEvent:
         return tuple((a << s, b << s) for a, b in self.cuts) if s else self.cuts
 
     def union(self, *others: "CantorEvent") -> "CantorEvent":
-        """Bisect-splice with one event, one merge with several."""
-        depth = max(e.depth for e in (self, *others))
-        cuts = [e._at(depth) for e in (self, *others)]
-        return _event(depth, _union(*cuts) if len(cuts) == 2
-                      else _merge([c for pairs in cuts for c in pairs]))
+        events = (self, *others)
+        depth = max(e.depth for e in events)
+        return _event(depth, _union(*[e._at(depth) for e in events]))
 
     def intersect(self, other: "CantorEvent") -> "CantorEvent":
         depth = max(self.depth, other.depth)

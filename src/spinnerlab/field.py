@@ -696,6 +696,7 @@ class TokenCursor:
     ``words`` ends with a ``""`` sentinel, so reading at the end needs no
     bounds check, and a word's first character gives its kind: a digit for
     a numeral, a letter or ``_`` for a name, anything else for an operator.
+    ``expect_op`` is the one rule for a fixed word, operator or name.
     A token's position in the text is computed only for a ParseError."""
 
     def __init__(self, text: str, ops: str, extra_word: str = ""):
@@ -734,10 +735,11 @@ class TokenCursor:
         raise ParseError("zero denominator in rational literal",
                          position=self.position(i))
 
-    def expect_op(self, *ops: str) -> str:
+    def expect_op(self, *words: str) -> str:
+        """The current word, if it is one of ``words``: operators or names."""
         word = self.words[self.pos]
-        if word not in ops:
-            self.fail(" or ".join(f"'{o}'" for o in ops))
+        if word not in words:
+            self.fail(" or ".join(f"'{w}'" for w in words))
         self.pos += 1
         return word
 
@@ -747,13 +749,6 @@ class TokenCursor:
             self.pos += 1
             return word
         return None
-
-    def expect_name(self, *names: str) -> str:
-        word = self.words[self.pos]
-        if word not in names:
-            self.fail(" or ".join(f"'{x}'" for x in names))
-        self.pos += 1
-        return word
 
     def expect_nat(self) -> int:
         word = self.words[self.pos]
@@ -777,25 +772,11 @@ class TokenCursor:
 
     def expect_rational(self, signed: bool = True) -> Fraction:
         """``[-]p[/q]`` with q nonzero; the sign is read only if ``signed``."""
-        words, i = self.words, self.pos
-        sign = 1
-        if signed and words[i] == "-":
-            sign, i = -1, i + 1
-        if not words[i].isdecimal():
-            self.pos = i
-            self.fail("an integer")
-        num = sign * int(words[i])
-        if words[i + 1] != "/":
-            self.pos = i + 1
-            return Fraction(num)
-        self.pos = i = i + 2
-        if not words[i].isdecimal():
-            self.fail("an integer")
-        den = int(words[i])
-        if not den:
-            self.fail_zero_denominator(i)
-        self.pos = i + 1
-        return Fraction(num, den)
+        sign = -1 if signed and self.accept_op("-") else 1
+        num = sign * self.expect_nat()
+        if self.accept_op("/"):
+            return Fraction(num, self.expect_denominator())
+        return Fraction(num)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -836,7 +817,7 @@ class _PolyParser(TokenCursor):
         return 0, c
 
     def parse_power(self) -> int:
-        self.expect_name(self.generator.name)
+        self.expect_op(self.generator.name)
         if not self.accept_op("^"):
             return 1
         exponent = self.expect_nat()

@@ -174,23 +174,26 @@ def _merge(cuts: "list[CutPair]") -> "tuple[CutPair, ...]":
     return tuple(merged)
 
 
-def _union(a: "Sequence[CutPair]", b: "Sequence[CutPair]") -> tuple:
-    """The union of two normal cut-pair tuples: the smaller's components
-    bisected into the larger and spliced, or merged where that is cheaper."""
-    if len(a) < len(b):
-        a, b = b, a
-    if len(b) * len(a).bit_length() >= len(a):
-        return _merge([*a, *b])
-    comps = list(a)
-    for start, end in b:
-        # comps[i:j] overlap or touch the component, so they merge with it
-        i = bisect_left(comps, start, key=_END)
-        j = bisect_right(comps, end, i, key=_START)
-        if i < j:
-            start = min(start, comps[i][0])
-            end = max(end, comps[j - 1][1])
-        comps[i:j] = ((start, end),)
-    return tuple(comps)
+def _union(*operands: "Sequence[CutPair]") -> tuple:
+    """The union of normal cut-pair tuples: one merge, or, for two operands
+    of k <= n components with k*log2(n) < n, the smaller's components
+    bisected into the larger and spliced."""
+    if len(operands) == 2:
+        a, b = operands
+        if len(a) < len(b):
+            a, b = b, a
+        if len(b) * len(a).bit_length() < len(a):
+            comps = list(a)
+            for start, end in b:
+                # comps[i:j] overlap or touch the component, so they merge
+                i = bisect_left(comps, start, key=_END)
+                j = bisect_right(comps, end, i, key=_START)
+                if i < j:
+                    start = min(start, comps[i][0])
+                    end = max(end, comps[j - 1][1])
+                comps[i:j] = ((start, end),)
+            return tuple(comps)
+    return _merge([c for cuts in operands for c in cuts])
 
 
 def _intersect(a: "Sequence[CutPair]", b: "Sequence[CutPair]") -> tuple:
@@ -324,11 +327,8 @@ class IntervalSet:
     # -- algebra -----------------------------------------------------------
 
     def union(self, *others: "IntervalSet") -> "IntervalSet":
-        """Bisect-splice with one set, one merge with several."""
-        if len(others) == 1:
-            return IntervalSet._normal(_union(self.cuts, others[0].cuts))
-        return IntervalSet._from_cuts(
-            [c for s in (self, *others) for c in s.cuts])
+        return IntervalSet._normal(_union(self.cuts,
+                                          *[s.cuts for s in others]))
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
         return IntervalSet._normal(_intersect(self.cuts, other.cuts))

@@ -33,7 +33,8 @@ list, ``{0022, 2}`` or ``{1/3, 0}``, are each read as one token word; one
 them.  A ``u`` run of interval literals where a run of ``u`` operands
 starts (at the start of a set and after each ``u``, not after ``n``)
 becomes one :class:`IntervalRun` node, so a long union of intervals costs
-one regular-expression match per literal.  A signed or over-long numeral
+one regular-expression match per literal.  Every interval literal is an
+IntervalRun; a lone literal is a run of one.  A signed or over-long numeral
 is read token by token.  When the literal-word pass raises a ParseError,
 the text is parsed again token by token and that error is raised, so
 messages and positions do not depend on the literal words.  Endpoints
@@ -69,17 +70,9 @@ _MAX_NESTING = 64
 # -- abstract syntax ------------------------------------------------------------
 
 @dataclass(frozen=True)
-class IntervalLit:
-    left: Fraction
-    left_in: bool
-    right: Fraction
-    right_in: bool
-
-
-@dataclass(frozen=True)
 class IntervalRun:
-    """Two or more interval literals joined by ``u``: each literal is its
-    (left, left_in, right, right_in) tuple."""
+    """Interval literals joined by ``u``, each its (left, left_in, right,
+    right_in) tuple; a lone literal is a run of one."""
     literals: tuple[tuple[Fraction, bool, Fraction, bool], ...]
 
 
@@ -123,8 +116,8 @@ class TicketLit:
     count: "int | None"  # None means a single ticket
 
 
-SetNode = Union[IntervalLit, IntervalRun, BraceLit, FullLit, SetOp,
-                Complement, Translate, CoinLit, TicketLit]
+SetNode = Union[IntervalRun, BraceLit, FullLit, SetOp, Complement,
+                Translate, CoinLit, TicketLit]
 
 
 def _unroll(node: SetOp) -> tuple[SetNode, list[tuple[str, SetNode]]]:
@@ -258,7 +251,7 @@ class _Parser(TokenCursor):
         return wrap(*probs)
 
     def parse_prob(self) -> Prob:
-        self.expect_name("P")
+        self.expect_op("P")
         self.expect_op("(")
         event = self.parse_set()
         given = None
@@ -295,19 +288,11 @@ class _Parser(TokenCursor):
             self.pos += 1
             return FullLit()
         if word == "compl":
-            self.pos += 1
-            self.expect_op("(")
-            self._push_depth()
-            inner = self.parse_set()
-            self.depth -= 1
+            inner = self.parse_nested()
             self.expect_op(")")
             return Complement(inner)
         if word == "translate":
-            self.pos += 1
-            self.expect_op("(")
-            self._push_depth()
-            inner = self.parse_set()
-            self.depth -= 1
+            inner = self.parse_nested()
             self.expect_op(",")
             offset = self.expect_rational()
             self.expect_op(")")
@@ -329,13 +314,19 @@ class _Parser(TokenCursor):
         self.fail("an interval, '{', 'full', 'compl', 'translate', "
                   "a coin literal or a ticket literal")
 
-    def _push_depth(self):
+    def parse_nested(self) -> SetNode:
+        """The set in ``keyword(``, nested at most _MAX_NESTING deep."""
+        self.pos += 1
+        self.expect_op("(")
         self.depth += 1
         if self.depth > _MAX_NESTING:
             raise ParseError("set expression nests too deeply",
                              position=self.position(self.pos))
+        inner = self.parse_set()
+        self.depth -= 1
+        return inner
 
-    def parse_literals(self) -> SetNode:
+    def parse_literals(self) -> IntervalRun:
         """A literal word.  Where a run of ``u`` operands starts, at the
         start of a set or after ``u`` but not after ``n``, the literal
         words joined by ``u`` that follow it are read too, as one
@@ -346,16 +337,15 @@ class _Parser(TokenCursor):
             while words[j + 1] == "u" and _is_literal(words[j + 2]):
                 j += 2
         self.pos = j + 1
-        run = _literals(words[i:j + 1:2])
-        return IntervalLit(*run[0]) if i == j else IntervalRun(tuple(run))
+        return IntervalRun(tuple(_literals(words[i:j + 1:2])))
 
-    def parse_interval(self) -> IntervalLit:
+    def parse_interval(self) -> IntervalRun:
         lb = self.expect_op("(", "[")
         left = self.expect_rational()
         self.expect_op(",")
         right = self.expect_rational()
         rb = self.expect_op(")", "]")
-        return IntervalLit(left, lb == "[", right, rb == "]")
+        return IntervalRun(((left, lb == "[", right, rb == "]"),))
 
     def parse_braces(self) -> BraceLit:
         self.expect_op("{")
@@ -378,7 +368,7 @@ class _Parser(TokenCursor):
         return word
 
     def parse_allheads(self) -> CoinLit:
-        self.expect_name("allheads")
+        self.expect_op("allheads")
         dropped = 0
         if self.accept_op(">"):
             dropped = self.expect_nat()
@@ -388,7 +378,7 @@ class _Parser(TokenCursor):
         return CoinLit(True, dropped, pins)
 
     def parse_pin(self) -> tuple[tuple[int, str], ...]:
-        self.expect_name("pin")
+        self.expect_op("pin")
         self.expect_op("(")
         pins = []
         if not self.accept_op(")"):
@@ -398,7 +388,7 @@ class _Parser(TokenCursor):
                     raise ParseError("pinned positions start at 1",
                                      position=self.position(self.pos - 1))
                 self.expect_op(":")
-                outcome = self.expect_name("H", "T")
+                outcome = self.expect_op("H", "T")
                 pins.append((pos, outcome))
                 if self.accept_op(")"):
                     break
@@ -441,9 +431,6 @@ def _render_interval(left, left_in, right, right_in) -> str:
 
 
 def render_set(node: SetNode) -> str:
-    if isinstance(node, IntervalLit):
-        return _render_interval(node.left, node.left_in, node.right,
-                                node.right_in)
     if isinstance(node, IntervalRun):
         return " u ".join(_render_interval(*lit) for lit in node.literals)
     if isinstance(node, BraceLit):
@@ -461,14 +448,7 @@ def render_set(node: SetNode) -> str:
     if isinstance(node, Translate):
         return f"translate({render_set(node.arg)},{node.offset})"
     if isinstance(node, CoinLit):
-        parts = []
-        if node.all_heads:
-            parts.append(f"allheads>{node.dropped}" if node.dropped
-                         else "allheads")
-        if node.pins or not node.all_heads:
-            pins = ",".join(f"{p}:{o}" for p, o in node.pins)
-            parts.append(f"pin({pins})")
-        return "&".join(parts)
+        return CoinEvent(node.dropped, node.pins, node.all_heads).render()
     if isinstance(node, TicketLit):
         return "ticket" if node.count is None else f"tickets({node.count})"
     raise TypeError(f"not a set node: {node!r}")
@@ -510,9 +490,7 @@ def _join(event, run: list):
 def _interval_leaf(node: SetNode, model: str) -> IntervalSet:
     """One operand under an interval model; an IntervalRun's literals make
     one set."""
-    if isinstance(node, IntervalLit):
-        cuts = _clean(node.left, node.left_in, node.right, node.right_in)
-    elif isinstance(node, IntervalRun):
+    if isinstance(node, IntervalRun):
         cuts = [cut for lit in node.literals for cut in _clean(*lit)]
     elif isinstance(node, BraceLit):
         cuts = []
@@ -558,7 +536,7 @@ def _cantor_leaf(node: SetNode) -> CantorEvent:
         return CantorEvent.full()
     if isinstance(node, Translate):
         raise QueryTypeError("translate is not defined for cylinder events")
-    if isinstance(node, (IntervalLit, IntervalRun)):
+    if isinstance(node, IntervalRun):
         raise QueryTypeError("interval sets do not belong to the cantor "
                              "model; use cylinder addresses over {0,2}")
     raise QueryTypeError("this event does not belong to the cantor model")
@@ -574,8 +552,9 @@ def _to_coin_event(node: SetNode) -> CoinEvent:
                               pinned=dict(node.pins),
                               all_heads=node.all_heads)
     first, rest = _unroll(node) if isinstance(node, SetOp) else (node, [])
-    # an IntervalRun is a union of its literals
-    if isinstance(first, IntervalRun) or any(op == "union" for op, _ in rest):
+    # a run of two or more literals is a union
+    if (isinstance(first, IntervalRun) and len(first.literals) > 1
+            or any(op == "union" for op, _ in rest)):
         raise QueryTypeError("union of coin events is not supported; "
                              "only intersection is defined")
     if not rest:

@@ -197,6 +197,10 @@ def finite_grid_stabilizer(g: FiniteGrid) -> StabilizerResult:
 
 # -- the property suite ---------------------------------------------------------
 
+# the stabilizer suite builds every uniform grid up to size n: ~n^2/2 points
+MAX_SUITE_GRID_SIZE = 1000
+
+
 @dataclass
 class SuiteConfig:
     """Sampling configuration shared by all randomized suites.
@@ -230,6 +234,9 @@ class SuiteConfig:
                 except ValueError:
                     raise DomainError(
                         f"{path}:{lineno}: {key} needs an integer") from None
+                if cfg.max_grid_size > MAX_SUITE_GRID_SIZE:
+                    raise DomainError(f"{path}:{lineno}: max_grid_size must "
+                                      f"be at most {MAX_SUITE_GRID_SIZE}")
         return cfg
 
     def coverage_warnings(self) -> list[str]:

@@ -402,3 +402,12 @@ def test_set_notation_round_trip():
     with pytest.raises(ParseError) as exc:
         parse_set("[0,1/2) u nonsense")
     assert exc.value.position == 10
+    # a vocabulary mismatch in set notation is a ParseError too
+    for text, message in (
+            ("allheads", "coin events do not belong to the minimal model"),
+            ("{02}", "brace item '02' looks like a cylinder address; "
+                     "cylinder sets belong to the cantor model, not minimal")):
+        with pytest.raises(ParseError) as exc:
+            parse_set(text)
+        assert type(exc.value) is ParseError
+        assert str(exc.value) == message

@@ -12,12 +12,17 @@ from spinnerlab import cantor, query, spinner
 from spinnerlab.errors import DomainError, ParseError, QueryTypeError
 from spinnerlab.field import NonArchValue
 from spinnerlab.query import (BraceLit, CoinLit, Complement, CompareExpr,
-                              EvalResult, FullLit, IntervalLit, IntervalRun,
-                              Prob, Query, SetOp, St, TicketLit, Translate,
-                              evaluate, evaluate_value, parse_query,
-                              render_query, render_set, _Parser,
-                              _to_cantor_event, _to_interval_set)
+                              EvalResult, FullLit, IntervalRun, Prob, Query,
+                              SetOp, St, TicketLit, Translate, evaluate,
+                              evaluate_value, parse_query, render_query,
+                              render_set, _Parser, _to_cantor_event,
+                              _to_interval_set, _unroll)
 from spinnerlab.spinner import SPINNER_GENERATOR
+
+
+def interval_lit(left, left_in, right, right_in):
+    """A lone interval literal: a run of one."""
+    return IntervalRun(((left, left_in, right, right_in),))
 
 
 # -- parsing ----------------------------------------------------------------------
@@ -26,7 +31,7 @@ def test_parse_union_of_interval_and_point():
     q = parse_query("grid: P([0,1/4) u {1/3})")
     assert q.model == "grid"
     assert q.expr == Prob(SetOp("union",
-                                IntervalLit(F(0), True, F(1, 4), False),
+                                interval_lit(F(0), True, F(1, 4), False),
                                 BraceLit(("1/3",))))
 
 
@@ -153,8 +158,8 @@ def test_interval_literals_read_unicode_decimal_digits():
 # -- render/parse round trip ----------------------------------------------------------
 
 INTERVAL_ATOMS = [
-    IntervalLit(F(0), True, F(1, 2), False),
-    IntervalLit(F(1, 3), False, F(2, 3), True),
+    interval_lit(F(0), True, F(1, 2), False),
+    interval_lit(F(1, 3), False, F(2, 3), True),
     BraceLit(("1/3",)),
     BraceLit(("0", "1/2", "3/4")),
     FullLit(),
@@ -162,19 +167,15 @@ INTERVAL_ATOMS = [
 
 
 def _run_literals(node):
-    """The literal tuples of an IntervalLit or IntervalRun, else ()."""
-    if isinstance(node, IntervalLit):
-        return ((node.left, node.left_in, node.right, node.right_in),)
-    if isinstance(node, IntervalRun):
-        return node.literals
-    return ()
+    """The literal tuples of an IntervalRun, else ()."""
+    return node.literals if isinstance(node, IntervalRun) else ()
 
 
 def canonical_union(left, right):
     """The node the parser builds for ``left u right``: where a run of u
     operands starts (a chain's first operand, or one after u), literals
     joined by u are one IntervalRun."""
-    if isinstance(right, IntervalLit):
+    if isinstance(right, IntervalRun):
         if not isinstance(left, SetOp) and _run_literals(left):
             return IntervalRun(_run_literals(left) + _run_literals(right))
         if isinstance(left, SetOp) and left.op == "union" \
@@ -249,7 +250,7 @@ def test_render_parse_round_trip_of_non_canonical_chains():
     # a chain of literals built pair by pair renders as the run the parser
     # reads back: the text and the value survive, the tree shape need not
     rng = random.Random(77)
-    atoms = INTERVAL_ATOMS + [IntervalLit(F(1, 5), True, F(1, 5), True)]
+    atoms = INTERVAL_ATOMS + [interval_lit(F(1, 5), True, F(1, 5), True)]
     runs = 0
     for _ in range(300):
         node = rng.choice(atoms)
@@ -258,7 +259,9 @@ def test_render_parse_round_trip_of_non_canonical_chains():
                          rng.choice(atoms))
         text = f"grid: P({render_set(node)})"
         parsed = parse_query(text)
-        runs += "IntervalRun" in repr(parsed)
+        first, rest = _unroll(parsed.expr.event)
+        runs += any(len(_run_literals(operand)) > 1
+                    for operand in [first, *(o for _, o in rest)])
         assert render_query(parsed) == text
         assert evaluate(parsed) == evaluate(Query("grid", Prob(node)))
     assert runs > 50
@@ -285,7 +288,8 @@ def test_a_u_run_of_interval_literals_is_one_node():
     # right: ((a n b) u a) u b
     assert parse_query("grid: P([0,1/4) n (1/3,1/2] u [0,1/4) u (1/3,1/2])"
                        ).expr.event \
-        == SetOp("union", SetOp("intersect", IntervalLit(*a), IntervalLit(*b)),
+        == SetOp("union",
+                 SetOp("intersect", interval_lit(*a), interval_lit(*b)),
                  IntervalRun((a, b)))
     # a literal is one word with any whitespace inside it
     assert parse_query("grid: P(\u3000( 1 /3 ,\xa01/2\t] u [0,1/4))") \

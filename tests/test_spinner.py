@@ -14,7 +14,8 @@ import pytest
 from spinnerlab.errors import DomainError
 from spinnerlab.field import NonArchValue, Poly
 from spinnerlab.intervals import IntervalSet, lebesgue_length
-from spinnerlab.spinner import (CountForm, FiniteGrid, GridModel, SuiteConfig,
+from spinnerlab.spinner import (MAX_SUITE_GRID_SIZE, CountForm, FiniteGrid,
+                                GridModel, SuiteConfig,
                                 conditional_probability,
                                 finite_grid_stabilizer, grid_count,
                                 grid_probability, run_property_suite)
@@ -327,3 +328,9 @@ def test_config_file_round_trip(tmp_path):
     p.write_text("unknown = 1\n")
     with pytest.raises(DomainError):
         SuiteConfig.from_file(str(p))
+    # every uniform grid up to max_grid_size is built, so it is bounded
+    p.write_text(f"seed = 1\nmax_grid_size = {MAX_SUITE_GRID_SIZE + 1}\n")
+    with pytest.raises(DomainError) as exc:
+        SuiteConfig.from_file(str(p))
+    assert str(exc.value) == (f"{p}:2: max_grid_size must be at most "
+                              f"{MAX_SUITE_GRID_SIZE}")
