@@ -589,9 +589,9 @@ def classify(a: NonArchValue) -> Classification:
 # the full quotient form and the compact numerator-only form.  Every grammar
 # of the package reads its text through ``tokenize`` and ``TokenCursor``, so
 # a rational is read by one rule everywhere: queries, values, ``--eps`` and
-# ``--grid``.  ``tokenize`` is one ``re.split``: the cursor reads plain
-# token words, and a token's position is computed from the split pieces
-# only when a ParseError reports it.
+# ``--grid``.  ``tokenize`` is one ``re.findall``: the cursor reads plain
+# token words, and a token's position is computed by a second pass over the
+# text only when a ParseError reports it.
 
 # Input numerals are capped at Python's default int->str limit, so every
 # numeral converts; computed values can grow past it and still print.
@@ -647,46 +647,35 @@ def render_poly(p: Poly, name: str) -> str:
 
 
 @cache
-def _lexer(ops: str, extra_word: str) -> "re.Pattern":
-    # group 1 is a token word, group 2 a character no token starts with;
-    # whitespace is left between the matches.  ``extra_word``, when given,
-    # is one more token-word pattern, tried before the operator characters
-    extra = f"{extra_word}|" if extra_word else ""
-    return re.compile(rf"(\d+|[A-Za-z_]\w*|{extra}[{re.escape(ops)}])|(\S)")
+def _lexer(ops: str) -> "re.Pattern":
+    # group 1 is a token word; a character no token starts with matches
+    # outside it, and so is found as ""; whitespace is left between matches
+    return re.compile(rf"(\d+|[A-Za-z_]\w*|[{re.escape(ops)}])|\S")
 
 
-def _starts(parts: list) -> "list[int]":
-    """The start position of every token, read off the split pieces."""
-    starts, at = [], 0
-    for k in range(0, len(parts) - 1, 3):
-        at += len(parts[k])
-        starts.append(at)
-        at += len(parts[k + 1] or parts[k + 2])
-    return starts
+def _starts(text: str, ops: str) -> "list[int]":
+    """The start position of every token."""
+    return [m.start() for m in _lexer(ops).finditer(text)]
 
 
-def tokenize(text: str, ops: str, extra_word: str = "") -> list:
-    """The pieces of one ``re.split`` of ``text``: whitespace at ``[0::3]``,
-    token words at ``[1::3]``.  A word is a numeral (a run of at most
+def tokenize(text: str, ops: str) -> "list[str]":
+    """The token words of ``text``.  A word is a numeral (a run of at most
     MAX_NUMERAL_DIGITS digits), a name or one character of the grammar's
-    operator alphabet ``ops``; any other character is a ParseError.  A
-    grammar may add one word pattern of its own, ``extra_word``, which must
-    not match a numeral of more than MAX_NUMERAL_DIGITS digits."""
-    parts = _lexer(ops, extra_word).split(text)
-    words = parts[1::3]
-    if any(parts[2::3]) or (
-            words and max(map(len, words)) > MAX_NUMERAL_DIGITS):
+    operator alphabet ``ops``; any other character is a ParseError."""
+    words = _lexer(ops).findall(text)
+    # only a text longer than the digit cap can hold a longer numeral
+    if "" in words or len(text) > MAX_NUMERAL_DIGITS and max(
+            map(len, words), default=0) > MAX_NUMERAL_DIGITS:
         for i, word in enumerate(words):
-            if word is None:
-                at = _starts(parts)[i]
+            if not word:
+                at = _starts(text, ops)[i]
                 raise ParseError(f"syntax error at position {at}: unexpected "
-                                 f"character {parts[3 * i + 2]!r}",
-                                 position=at)
+                                 f"character {text[at]!r}", position=at)
             if len(word) > MAX_NUMERAL_DIGITS and word.isdecimal():
-                at = _starts(parts)[i]
+                at = _starts(text, ops)[i]
                 raise ParseError(f"numeral at position {at} has more than "
                                  f"{MAX_NUMERAL_DIGITS} digits", position=at)
-    return parts
+    return words
 
 
 class TokenCursor:
@@ -699,9 +688,9 @@ class TokenCursor:
     ``expect_op`` is the one rule for a fixed word, operator or name.
     A token's position in the text is computed only for a ParseError."""
 
-    def __init__(self, text: str, ops: str, extra_word: str = ""):
-        self._parts = tokenize(text, ops, extra_word)
-        self.words = self._parts[1::3]
+    def __init__(self, text: str, ops: str):
+        self._text, self._ops = text, ops
+        self.words = tokenize(text, ops)
         self.words.append("")
         self.pos = 0
 
@@ -713,12 +702,12 @@ class TokenCursor:
 
     def position(self, i: int) -> "int | None":
         """Where token ``i`` starts in the text; None at the end of input."""
-        starts = _starts(self._parts)
+        starts = _starts(self._text, self._ops)
         return starts[i] if i < len(starts) else None
 
     def located(self) -> "list[tuple[str, int]]":
         """Every token's word and start position, in order."""
-        return list(zip(self.words, _starts(self._parts)))
+        return list(zip(self.words, _starts(self._text, self._ops)))
 
     def fail(self, expected: str):
         word = self.words[self.pos]
@@ -764,19 +753,34 @@ class TokenCursor:
             raise ParseError(f"syntax error at position {at}: "
                              f"trailing input {word!r}", position=at)
 
-    def expect_denominator(self) -> int:
-        den = self.expect_nat()
-        if den == 0:
-            self.fail_zero_denominator(self.pos - 1)
+    def denominator_at(self, i: int) -> int:
+        """The nonzero integer that token ``i`` must be."""
+        word = self.words[i]
+        if not word.isdecimal():
+            self.pos = i
+            self.fail("an integer")
+        den = int(word)
+        if not den:
+            self.fail_zero_denominator(i)
         return den
 
     def expect_rational(self, signed: bool = True) -> Fraction:
-        """``[-]p[/q]`` with q nonzero; the sign is read only if ``signed``."""
-        sign = -1 if signed and self.accept_op("-") else 1
-        num = sign * self.expect_nat()
-        if self.accept_op("/"):
-            return Fraction(num, self.expect_denominator())
-        return Fraction(num)
+        """``[-]p[/q]`` with q nonzero; the sign is read only if ``signed``.
+        The words are read directly: literals are the hot path of queries."""
+        words, i = self.words, self.pos
+        negative = signed and words[i] == "-"
+        if negative:
+            i += 1
+        word = words[i]
+        if not word.isdecimal():
+            self.pos = i
+            self.fail("an integer")
+        num = -int(word) if negative else int(word)
+        if words[i + 1] != "/":
+            self.pos = i + 1
+            return Fraction(num)
+        self.pos = i + 3
+        return Fraction(num, self.denominator_at(i + 2))
 
 
 def parse_rational(text: str) -> Fraction:

@@ -8,10 +8,11 @@ Grammar (ASCII aliases next to the set symbols):
               | "compare" "(" prob "," prob ")" | prob
     prob     := "P" "(" set [ "|" set ] ")"
     set      := run { ("u" | "∪") run | ("n" | "∩") atom }
-    run      := interval { ("u" | "∪") interval } | atom
-    atom     := interval | braces | "full"
+    run      := literal { ("u" | "∪") literal } | atom
+    atom     := literal | "full"
               | "compl" "(" set ")" | "translate" "(" set "," rational ")"
               | coin | ticket
+    literal  := interval | braces
     interval := ("[" | "(") rational "," rational (")" | "]")
     braces   := "{" [ item { "," item } ] "}"
     item     := nat [ "/" nat ]
@@ -27,18 +28,13 @@ carry the offending position and the expected tokens; vocabulary
 mismatches (a cylinder set under the grid model, set union of coin
 events, ...) raise :class:`QueryTypeError` during evaluation.
 
-An interval literal with unsigned endpoints, ``[1/3, 2/3)``, and a brace
-list, ``{0022, 2}`` or ``{1/3, 0}``, are each read as one token word; one
-``findall`` gives a brace word's items, written as the token pass writes
-them.  A ``u`` run of interval literals where a run of ``u`` operands
-starts (at the start of a set and after each ``u``, not after ``n``)
-becomes one :class:`IntervalRun` node, so a long union of intervals costs
-one regular-expression match per literal.  Every interval literal is an
-IntervalRun; a lone literal is a run of one.  A signed or over-long numeral
-is read token by token.  When the literal-word pass raises a ParseError,
-the text is parsed again token by token and that error is raised, so
-messages and positions do not depend on the literal words.  Endpoints
-are still validated at evaluation, in operand order.
+The text is read once, token by token.  Interval literals, ``[1/3, 2/3)``,
+and brace lists, ``{0022, 2}`` or ``{1/3, 0}``, joined by ``u`` where a
+run of ``u`` operands starts (at the start of a set and after each ``u``,
+not after ``n``) become one :class:`LiteralRun` node; a lone literal is a
+run of one.  A run is built as one set, so a long union of literals costs
+one merge.  Endpoints and brace items are validated at evaluation, in
+operand order, so the first bad part of a run names the error.
 
 Interval sets and cylinder events are built by one fold over ``u``/``n``
 chains and ``compl``, with a leaf builder for each model.  Every model's
@@ -55,8 +51,8 @@ from typing import Union
 
 from .cantor import CantorEvent, CantorModel, cantor_probability
 from .errors import DomainError, ParseError, QueryTypeError
-from .field import (MAX_NUMERAL_DIGITS, Classification, Kind, NonArchValue,
-                    Ordering, Sign, TokenCursor, render_exact)
+from .field import (Classification, Kind, NonArchValue, Ordering, Sign,
+                    TokenCursor, render_exact)
 from .intervals import IntervalSet, _clean, conditional, lebesgue_length
 from .lottery import (CoinEvent, LotteryModel, coinflip_probability,
                       lottery_ticket_probability)
@@ -70,15 +66,17 @@ _MAX_NESTING = 64
 # -- abstract syntax ------------------------------------------------------------
 
 @dataclass(frozen=True)
-class IntervalRun:
-    """Interval literals joined by ``u``, each its (left, left_in, right,
-    right_in) tuple; a lone literal is a run of one."""
-    literals: tuple[tuple[Fraction, bool, Fraction, bool], ...]
+class BraceLit:
+    """A brace list's items, resolved against the model at evaluation."""
+    items: tuple[str, ...]
 
 
 @dataclass(frozen=True)
-class BraceLit:
-    items: tuple[str, ...]
+class LiteralRun:
+    """Interval literals and brace lists joined by ``u``: each part an
+    interval's (left, left_in, right, right_in) tuple or a BraceLit; a lone
+    literal is a run of one."""
+    parts: tuple["tuple[Fraction, bool, Fraction, bool] | BraceLit", ...]
 
 
 @dataclass(frozen=True)
@@ -116,8 +114,8 @@ class TicketLit:
     count: "int | None"  # None means a single ticket
 
 
-SetNode = Union[IntervalRun, BraceLit, FullLit, SetOp, Complement,
-                Translate, CoinLit, TicketLit]
+SetNode = Union[LiteralRun, FullLit, SetOp, Complement, Translate, CoinLit,
+                TicketLit]
 
 
 def _unroll(node: SetOp) -> tuple[SetNode, list[tuple[str, SetNode]]]:
@@ -169,52 +167,13 @@ _SET_OPS = {"u": "u", "n": "n", "∪": "u", "∩": "n"}
 
 _WRAPPERS = {"st": St, "classify": ClassifyExpr, "compare": CompareExpr}
 
-# an interval literal with unsigned endpoints, or a brace list, as one token
-# word; a longer numeral does not match, so it is lexed token by token and
-# meets the lexer's digit cap
-_NUMERAL = rf"\d{{1,{MAX_NUMERAL_DIGITS}}}"
-_ENDPOINT = rf"{_NUMERAL}(?:\s*/\s*{_NUMERAL})?"
-_LITERAL_WORD = rf"[\[(]\s*{_ENDPOINT}\s*,\s*{_ENDPOINT}\s*[\])]"
-_BRACE_WORD = rf"\{{\s*(?:{_ENDPOINT}(?:\s*,\s*{_ENDPOINT})*\s*)?\}}"
-_BRACE_ITEM_RE = re.compile(r"\d+(?:\s*/\s*\d+)?")
-_LITERAL_RE = re.compile(
-    r"([\[(])\s*(\d+)(?:\s*/\s*(\d+))?\s*,\s*(\d+)(?:\s*/\s*(\d+))?\s*([\])])")
-
-
-def _is_literal(word: str) -> bool:
-    # a literal word starts with "[" or "(", which alone are operator words
-    return len(word) > 1 and word[0] in "[("
-
-
-def _literals(words: "list[str]") -> "list[tuple]":
-    """The (left, left_in, right, right_in) tuple of each literal word."""
-    try:
-        return [(Fraction(int(p), int(q)) if q else Fraction(int(p)),
-                 lb == "[",
-                 Fraction(int(r), int(s)) if s else Fraction(int(r)),
-                 rb == "]")
-                for lb, p, q, r, s, rb in _LITERAL_RE.findall("".join(words))]
-    except ZeroDivisionError:
-        # the token-by-token pass reports where
-        raise ParseError("zero denominator in rational literal") from None
-
-
-def _brace_word(word: str) -> BraceLit:
-    """A brace word's items, each written as the token pass writes it."""
-    items = _BRACE_ITEM_RE.findall(word)
-    for i, item in enumerate(items if "/" in word else ()):
-        if "/" in item:
-            p, q = map(int, item.split("/"))
-            if not q:  # the token-by-token pass reports where
-                raise ParseError("zero denominator in rational literal")
-            items[i] = f"{p}/{q}"
-    return BraceLit(tuple(items))
+# the words a literal starts with
+_LITERAL_START = ("(", "[", "{")
 
 
 class _Parser(TokenCursor):
-    def __init__(self, text: str, literal_words: bool = False):
-        super().__init__(text, _OPS, f"{_LITERAL_WORD}|{_BRACE_WORD}"
-                         if literal_words else "")
+    def __init__(self, text: str):
+        super().__init__(text, _OPS)
         if "∪" in text or "∩" in text:
             self.words = [_SET_OPS.get(word, word) for word in self.words]
         self.depth = 0
@@ -275,15 +234,8 @@ class _Parser(TokenCursor):
         word = self.peek()
         if not word:
             self.fail("a set expression")
-        if word[0] == "(" or word[0] == "[":
-            if len(word) > 1:
-                return self.parse_literals()
-            return self.parse_interval()
-        if word[0] == "{":
-            if len(word) > 1:
-                self.pos += 1
-                return _brace_word(word)
-            return self.parse_braces()
+        if word in _LITERAL_START:
+            return self.parse_run()
         if word == "full":
             self.pos += 1
             return FullLit()
@@ -326,46 +278,60 @@ class _Parser(TokenCursor):
         self.depth -= 1
         return inner
 
-    def parse_literals(self) -> IntervalRun:
-        """A literal word.  Where a run of ``u`` operands starts, at the
-        start of a set or after ``u`` but not after ``n``, the literal
-        words joined by ``u`` that follow it are read too, as one
-        IntervalRun."""
-        words = self.words
-        i = j = self.pos
-        if words[i - 1] != "n":
-            while words[j + 1] == "u" and _is_literal(words[j + 2]):
-                j += 2
-        self.pos = j + 1
-        return IntervalRun(tuple(_literals(words[i:j + 1:2])))
+    def parse_run(self) -> LiteralRun:
+        """A literal.  Where a run of ``u`` operands starts, at the start of
+        a set or after ``u`` but not after ``n``, the literals joined by
+        ``u`` that follow it are read too, as one LiteralRun."""
+        words, start = self.words, self.pos
+        parts = [self.parse_literal()]
+        if words[start - 1] != "n":
+            while words[self.pos] == "u" and \
+                    words[self.pos + 1] in _LITERAL_START:
+                self.pos += 1
+                parts.append(self.parse_literal())
+        return LiteralRun(tuple(parts))
 
-    def parse_interval(self) -> IntervalRun:
-        lb = self.expect_op("(", "[")
+    def parse_literal(self) -> "tuple | BraceLit":
+        """An interval's (left, left_in, right, right_in) tuple, or a brace
+        list; the rules read the words directly, for a long run's sake."""
+        words = self.words
+        opening = words[self.pos]
+        self.pos += 1
+        if opening == "{":
+            return self.parse_braces()
         left = self.expect_rational()
-        self.expect_op(",")
+        if words[self.pos] != ",":
+            self.fail("','")
+        self.pos += 1
         right = self.expect_rational()
-        rb = self.expect_op(")", "]")
-        return IntervalRun(((left, lb == "[", right, rb == "]"),))
+        closing = words[self.pos]
+        if closing != ")" and closing != "]":
+            self.fail("')' or ']'")
+        self.pos += 1
+        return left, opening == "[", right, closing == "]"
 
     def parse_braces(self) -> BraceLit:
-        self.expect_op("{")
-        items = []
-        if not self.accept_op("}"):
+        """The items after ``{``: a numeral as written, ``p/q`` in decimal."""
+        words, i, items = self.words, self.pos, []
+        if words[i] != "}":
             while True:
-                items.append(self.parse_brace_item())
-                if self.accept_op("}"):
+                item = words[i]
+                if not item.isdecimal():
+                    self.pos = i
+                    self.fail("a point or cylinder address")
+                if words[i + 1] == "/":
+                    item = f"{int(item)}/{self.denominator_at(i + 2)}"
+                    i += 2
+                items.append(item)
+                i += 1
+                if words[i] == "}":
                     break
-                self.expect_op(",")
+                if words[i] != ",":
+                    self.pos = i
+                    self.fail("','")
+                i += 1
+        self.pos = i + 1
         return BraceLit(tuple(items))
-
-    def parse_brace_item(self) -> str:
-        word = self.peek()
-        if not word.isdecimal():
-            self.fail("a point or cylinder address")
-        self.pos += 1
-        if self.accept_op("/"):
-            return f"{int(word)}/{self.expect_denominator()}"
-        return word
 
     def parse_allheads(self) -> CoinLit:
         self.expect_op("allheads")
@@ -398,11 +364,6 @@ class _Parser(TokenCursor):
 
 def parse_query(text: str) -> Query:
     """Parse a query; ParseError carries position and expected tokens."""
-    try:
-        return _Parser(text, literal_words=True).parse_query()
-    except ParseError:
-        pass
-    # the token-by-token pass gives the error its position and message
     return _Parser(text).parse_query()
 
 
@@ -426,15 +387,16 @@ def _render_expr(e) -> str:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _render_interval(left, left_in, right, right_in) -> str:
+def _render_literal(part) -> str:
+    if isinstance(part, BraceLit):
+        return "{" + ", ".join(part.items) + "}"
+    left, left_in, right, right_in = part
     return f"{'[' if left_in else '('}{left},{right}{']' if right_in else ')'}"
 
 
 def render_set(node: SetNode) -> str:
-    if isinstance(node, IntervalRun):
-        return " u ".join(_render_interval(*lit) for lit in node.literals)
-    if isinstance(node, BraceLit):
-        return "{" + ", ".join(node.items) + "}"
+    if isinstance(node, LiteralRun):
+        return " u ".join(map(_render_literal, node.parts))
     if isinstance(node, FullLit):
         return "full"
     if isinstance(node, SetOp):
@@ -488,23 +450,25 @@ def _join(event, run: list):
 
 
 def _interval_leaf(node: SetNode, model: str) -> IntervalSet:
-    """One operand under an interval model; an IntervalRun's literals make
-    one set."""
-    if isinstance(node, IntervalRun):
-        cuts = [cut for lit in node.literals for cut in _clean(*lit)]
-    elif isinstance(node, BraceLit):
+    """One operand under an interval model; a LiteralRun's parts make one
+    set, checked in operand order."""
+    if isinstance(node, LiteralRun):
         cuts = []
-        for item in node.items:
-            if len(item) > 1 and set(item) <= {"0", "2"}:
-                raise QueryTypeError(
-                    f"brace item {item!r} looks like a cylinder address; "
-                    f"cylinder sets belong to the cantor model, not "
-                    f"{model}")
-            if not _POINT_RE.fullmatch(item):
-                raise QueryTypeError(
-                    f"brace item {item!r} is not a rational point")
-            x = Fraction(item)
-            cuts += _clean(x, True, x, True)
+        for part in node.parts:
+            if not isinstance(part, BraceLit):
+                cuts += _clean(*part)
+                continue
+            for item in part.items:
+                if len(item) > 1 and set(item) <= {"0", "2"}:
+                    raise QueryTypeError(
+                        f"brace item {item!r} looks like a cylinder address; "
+                        f"cylinder sets belong to the cantor model, not "
+                        f"{model}")
+                if not _POINT_RE.fullmatch(item):
+                    raise QueryTypeError(
+                        f"brace item {item!r} is not a rational point")
+                x = Fraction(item)
+                cuts += _clean(x, True, x, True)
     elif isinstance(node, FullLit):
         cuts = _clean(0, True, 1, False)
     elif isinstance(node, Translate):
@@ -524,21 +488,28 @@ def _to_interval_set(node: SetNode, model: str) -> IntervalSet:
 
 
 def _cantor_leaf(node: SetNode) -> CantorEvent:
-    if isinstance(node, BraceLit):
+    if isinstance(node, LiteralRun):
+        # the items of the brace lists before the first interval literal
+        items = []
+        for part in node.parts:
+            if not isinstance(part, BraceLit):
+                break
+            items += part.items
         try:
-            return CantorEvent(node.items)
+            event = CantorEvent(items)
         except DomainError:
-            bad = next(i for i in node.items if not set(i) <= {"0", "2"})
+            bad = next(i for i in items if not set(i) <= {"0", "2"})
             raise QueryTypeError(
                 f"brace item {bad!r} is not a cylinder address over {{0,2}}; "
                 f"rational points belong to the interval models") from None
+        if not isinstance(part, BraceLit):
+            raise QueryTypeError("interval sets do not belong to the cantor "
+                                 "model; use cylinder addresses over {0,2}")
+        return event
     if isinstance(node, FullLit):
         return CantorEvent.full()
     if isinstance(node, Translate):
         raise QueryTypeError("translate is not defined for cylinder events")
-    if isinstance(node, IntervalRun):
-        raise QueryTypeError("interval sets do not belong to the cantor "
-                             "model; use cylinder addresses over {0,2}")
     raise QueryTypeError("this event does not belong to the cantor model")
 
 
@@ -553,7 +524,7 @@ def _to_coin_event(node: SetNode) -> CoinEvent:
                               all_heads=node.all_heads)
     first, rest = _unroll(node) if isinstance(node, SetOp) else (node, [])
     # a run of two or more literals is a union
-    if (isinstance(first, IntervalRun) and len(first.literals) > 1
+    if (isinstance(first, LiteralRun) and len(first.parts) > 1
             or any(op == "union" for op, _ in rest)):
         raise QueryTypeError("union of coin events is not supported; "
                              "only intersection is defined")

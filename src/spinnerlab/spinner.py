@@ -41,7 +41,7 @@ from functools import partial
 from itertools import pairwise
 
 from .errors import DomainError
-from .field import Generator, NonArchValue, render_exact
+from .field import MAX_NUMERAL_DIGITS, Generator, NonArchValue, render_exact
 from .intervals import IntervalSet, conditional, lebesgue_length
 from .report import PropertyReport
 from . import sampling
@@ -199,6 +199,23 @@ def finite_grid_stabilizer(g: FiniteGrid) -> StabilizerResult:
 
 # the stabilizer suite builds every uniform grid up to size n: ~n^2/2 points
 MAX_SUITE_GRID_SIZE = 1000
+# a case takes about 0.6 ms, so 10000 cases take seconds
+MAX_SUITE_CASES = 10_000
+# a sampled denominator's digits slow every case: 1000 of them take seconds
+MAX_SUITE_DENOMINATOR = 10 ** 18
+# each config key's least and greatest value
+_CONFIG_RANGES = {"seed": (-math.inf, math.inf),
+                  "cases": (1, MAX_SUITE_CASES),
+                  "max_denominator": (1, MAX_SUITE_DENOMINATOR),
+                  "max_grid_size": (1, MAX_SUITE_GRID_SIZE)}
+
+
+def check_digits(text: str, name: str) -> None:
+    """Refuse an integer setting with more digits than ``int`` reads."""
+    digits = text.strip().lstrip("+-")
+    if digits.isdecimal() and len(digits) > MAX_NUMERAL_DIGITS:
+        raise DomainError(f"{name} must be at most {MAX_NUMERAL_DIGITS} "
+                          f"digits long")
 
 
 @dataclass
@@ -206,7 +223,8 @@ class SuiteConfig:
     """Sampling configuration shared by all randomized suites.
 
     File format: one "key = value" per line, '#' comments allowed.  Keys:
-    seed, cases, max_denominator, max_grid_size.
+    seed, cases, max_denominator, max_grid_size, each an integer in its
+    range in ``_CONFIG_RANGES``.
     """
 
     seed: int = 0
@@ -226,17 +244,20 @@ class SuiteConfig:
                     raise DomainError(f"{path}:{lineno}: expected 'key = value'")
                 key, _, value = line.partition("=")
                 key = key.strip()
-                if key not in ("seed", "cases", "max_denominator",
-                               "max_grid_size"):
+                if key not in _CONFIG_RANGES:
                     raise DomainError(f"{path}:{lineno}: unknown key {key!r}")
+                where = f"{path}:{lineno}: {key}"
+                check_digits(value, where)
                 try:
-                    setattr(cfg, key, int(value.strip()))
+                    n = int(value.strip())
                 except ValueError:
-                    raise DomainError(
-                        f"{path}:{lineno}: {key} needs an integer") from None
-                if cfg.max_grid_size > MAX_SUITE_GRID_SIZE:
-                    raise DomainError(f"{path}:{lineno}: max_grid_size must "
-                                      f"be at most {MAX_SUITE_GRID_SIZE}")
+                    raise DomainError(f"{where} needs an integer") from None
+                lo, hi = _CONFIG_RANGES[key]
+                if n < lo:
+                    raise DomainError(f"{where} must be at least {lo}")
+                if n > hi:
+                    raise DomainError(f"{where} must be at most {hi}")
+                setattr(cfg, key, n)
         return cfg
 
     def coverage_warnings(self) -> list[str]:

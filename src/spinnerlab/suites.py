@@ -20,7 +20,7 @@ from .cantor import CantorEvent, CantorModel
 from .errors import DomainError
 from .intervals import IntervalSet, dyadic_tail_family, sigma_additivity_probe
 from .report import PropertyReport
-from .spinner import (FiniteGrid, GridModel, SuiteConfig,
+from .spinner import (FiniteGrid, GridModel, SuiteConfig, check_digits,
                       finite_grid_stabilizer, property_checks)
 from . import sampling
 
@@ -144,14 +144,16 @@ def run_suites(config_path: "str | None" = None,
     """Run every suite from a config file; returns (exit_code, reports).
 
     ``SPINNERLAB_SEED``, when set, overrides the configured seed; a value
-    that is not an integer is a DomainError.  ``spinnerlab suite`` calls
-    this.  Exit code 0 iff no suite failed.  An unreadable path propagates
-    OSError so callers can map it to their own exit status.
+    that is not an integer, or has more than 4300 digits, is a
+    DomainError.  ``spinnerlab suite`` calls this.  Exit code 0 iff no
+    suite failed.  An unreadable path propagates OSError so callers can
+    map it to their own exit status.
     """
     config = SuiteConfig() if config_path is None \
         else SuiteConfig.from_file(config_path)
     seed = os.environ.get("SPINNERLAB_SEED")
     if seed is not None:
+        check_digits(seed, "SPINNERLAB_SEED")
         try:
             config.seed = int(seed)
         except ValueError:

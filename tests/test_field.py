@@ -460,7 +460,7 @@ RATIONAL_TEXTS = [
 def test_one_rational_rule_for_queries_values_and_cli(text, value):
     readers = [
         lambda t:
-            parse_query(f"minimal: P([{t},1])").expr.event.literals[0][0],
+            parse_query(f"minimal: P([{t},1])").expr.event.parts[0][0],
         lambda t: parse_value(t, G).standard_part(),
         parse_rational,
     ]

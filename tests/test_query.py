@@ -1,9 +1,11 @@
+import json
 import random
 import string
 import sys
 import time
 from fractions import Fraction as F
-from functools import partial
+from functools import cache, partial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,17 +14,22 @@ from spinnerlab import cantor, query, spinner
 from spinnerlab.errors import DomainError, ParseError, QueryTypeError
 from spinnerlab.field import NonArchValue
 from spinnerlab.query import (BraceLit, CoinLit, Complement, CompareExpr,
-                              EvalResult, FullLit, IntervalRun, Prob, Query,
+                              EvalResult, FullLit, LiteralRun, Prob, Query,
                               SetOp, St, TicketLit, Translate, evaluate,
                               evaluate_value, parse_query, render_query,
-                              render_set, _Parser, _to_cantor_event,
-                              _to_interval_set, _unroll)
+                              render_set, _to_cantor_event, _to_interval_set,
+                              _unroll)
 from spinnerlab.spinner import SPINNER_GENERATOR
 
 
 def interval_lit(left, left_in, right, right_in):
     """A lone interval literal: a run of one."""
-    return IntervalRun(((left, left_in, right, right_in),))
+    return LiteralRun(((left, left_in, right, right_in),))
+
+
+def brace_lit(*items):
+    """A lone brace list: a run of one."""
+    return LiteralRun((BraceLit(items),))
 
 
 # -- parsing ----------------------------------------------------------------------
@@ -30,14 +37,13 @@ def interval_lit(left, left_in, right, right_in):
 def test_parse_union_of_interval_and_point():
     q = parse_query("grid: P([0,1/4) u {1/3})")
     assert q.model == "grid"
-    assert q.expr == Prob(SetOp("union",
-                                interval_lit(F(0), True, F(1, 4), False),
-                                BraceLit(("1/3",))))
+    assert q.expr == Prob(LiteralRun(((F(0), True, F(1, 4), False),
+                                      BraceLit(("1/3",)))))
 
 
 def test_parse_standard_part_query():
     q = parse_query("grid: st(P({1/3}))")
-    assert q == Query("grid", St(Prob(BraceLit(("1/3",)))))
+    assert q == Query("grid", St(Prob(brace_lit("1/3"))))
 
 
 def test_parse_reports_position_and_expected():
@@ -143,6 +149,12 @@ def test_interval_literals_are_validated_at_evaluation_in_operand_order():
         evaluate(parse_query("grid: P([1/2,0) u {0202})"))
     with pytest.raises(QueryTypeError, match="brace item '0202' looks like"):
         evaluate(parse_query("grid: P({0202} u [1/2,0))"))
+    # the first bad part of a run of interval literals and brace lists
+    # names the error
+    with pytest.raises(QueryTypeError, match="brace item '02' looks like"):
+        evaluate(parse_query("grid: P([0,1/2) u {02} u [2,3))"))
+    with pytest.raises(QueryTypeError, match="interval sets do not belong"):
+        evaluate(parse_query("cantor: P({02} u [0,1) u {5})"))
     # a union of interval literals under the coin model is a union first
     for text in ("coinflip: P([0,1) u [0,1))",
                  "coinflip: P([0,1) u [0,1) n pin(1:H))"):
@@ -160,28 +172,28 @@ def test_interval_literals_read_unicode_decimal_digits():
 INTERVAL_ATOMS = [
     interval_lit(F(0), True, F(1, 2), False),
     interval_lit(F(1, 3), False, F(2, 3), True),
-    BraceLit(("1/3",)),
-    BraceLit(("0", "1/2", "3/4")),
+    brace_lit("1/3"),
+    brace_lit("0", "1/2", "3/4"),
     FullLit(),
 ]
 
 
-def _run_literals(node):
-    """The literal tuples of an IntervalRun, else ()."""
-    return node.literals if isinstance(node, IntervalRun) else ()
+def _run_parts(node):
+    """The parts of a LiteralRun, else ()."""
+    return node.parts if isinstance(node, LiteralRun) else ()
 
 
 def canonical_union(left, right):
     """The node the parser builds for ``left u right``: where a run of u
     operands starts (a chain's first operand, or one after u), literals
-    joined by u are one IntervalRun."""
-    if isinstance(right, IntervalRun):
-        if not isinstance(left, SetOp) and _run_literals(left):
-            return IntervalRun(_run_literals(left) + _run_literals(right))
+    joined by u are one LiteralRun."""
+    if isinstance(right, LiteralRun):
+        if not isinstance(left, SetOp) and _run_parts(left):
+            return LiteralRun(_run_parts(left) + _run_parts(right))
         if isinstance(left, SetOp) and left.op == "union" \
-                and _run_literals(left.right):
-            return SetOp("union", left.left, IntervalRun(
-                _run_literals(left.right) + _run_literals(right)))
+                and _run_parts(left.right):
+            return SetOp("union", left.left, LiteralRun(
+                _run_parts(left.right) + _run_parts(right)))
     return SetOp("union", left, right)
 
 
@@ -202,15 +214,17 @@ def gen_interval_set(rng, depth):
 
 
 def gen_cantor_set(rng, depth):
-    atoms = [BraceLit(("0",)), BraceLit(("02", "20")), BraceLit(("222",)),
+    atoms = [brace_lit("0"), brace_lit("02", "20"), brace_lit("222"),
              FullLit()]
     if depth == 0:
         return rng.choice(atoms)
     kind = rng.randrange(3)
     if kind == 0:
         return Complement(gen_cantor_set(rng, depth - 1))
-    return SetOp("union" if kind == 1 else "intersect",
-                 gen_cantor_set(rng, depth - 1), rng.choice(atoms))
+    left = gen_cantor_set(rng, depth - 1)
+    if kind == 1:
+        return canonical_union(left, rng.choice(atoms))
+    return SetOp("intersect", left, rng.choice(atoms))
 
 
 def gen_query(rng):
@@ -260,7 +274,7 @@ def test_render_parse_round_trip_of_non_canonical_chains():
         text = f"grid: P({render_set(node)})"
         parsed = parse_query(text)
         first, rest = _unroll(parsed.expr.event)
-        runs += any(len(_run_literals(operand)) > 1
+        runs += any(len(_run_parts(operand)) > 1
                     for operand in [first, *(o for _, o in rest)])
         assert render_query(parsed) == text
         assert evaluate(parsed) == evaluate(Query("grid", Prob(node)))
@@ -277,139 +291,162 @@ def test_render_parse_round_trip_of_a_5000_operand_chain():
     assert render_query(parse_query(text)) == text
 
 
-# -- interval literals as one token word ----------------------------------------
+# -- a u run of literals is one node ---------------------------------------------
 
 def test_a_u_run_of_interval_literals_is_one_node():
     a = (F(0), True, F(1, 4), False)
     b = (F(1, 3), False, F(1, 2), True)
     assert parse_query("grid: P([0,1/4) u (1/3,1/2])").expr.event \
-        == IntervalRun((a, b))
+        == LiteralRun((a, b))
+    # interval literals and brace lists join one run
+    assert parse_query("grid: P([0,1/4) u {1/3} u (1/2,1])").expr.event \
+        == LiteralRun((a, BraceLit(("1/3",)), (F(1, 2), False, F(1), True)))
     # a literal after n is one operand, so the chain still folds left to
     # right: ((a n b) u a) u b
     assert parse_query("grid: P([0,1/4) n (1/3,1/2] u [0,1/4) u (1/3,1/2])"
                        ).expr.event \
         == SetOp("union",
                  SetOp("intersect", interval_lit(*a), interval_lit(*b)),
-                 IntervalRun((a, b)))
-    # a literal is one word with any whitespace inside it
+                 LiteralRun((a, b)))
+    # and so is a brace list after n
+    assert parse_query("cantor: P({0} n {02} u {2})").expr.event \
+        == SetOp("union", SetOp("intersect", brace_lit("0"), brace_lit("02")),
+                 brace_lit("2"))
+    # a literal reads any whitespace between its tokens
     assert parse_query("grid: P(\u3000( 1 /3 ,\xa01/2\t] u [0,1/4))") \
         == parse_query("grid: P((1/3,1/2] u [0,1/4))")
 
 
-_SPACE = st.text(" \t\xa0\u3000", max_size=2)
-_DIGITS = st.text("0123456789\u0660\u0661\u0663", min_size=1, max_size=3)
+_UNIT = st.fractions(0, 1, max_denominator=12)
+_INTERVAL_LITERAL = st.builds(
+    lambda lb, ends, rb: f"{lb}{min(ends)},{max(ends)}{rb}",
+    st.sampled_from("[("), st.tuples(_UNIT, _UNIT), st.sampled_from(")]"))
 
 
-@st.composite
-def _numeral(draw):
+def _braces(items):
+    return st.lists(items, max_size=3).map(
+        lambda xs: "{" + ", ".join(map(str, xs)) + "}")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["minimal", "grid", "cantor"]), st.data())
+def test_a_run_equals_the_pairwise_union_of_its_operands(model, data):
+    if model == "cantor":
+        operand = _braces(st.text("02", min_size=1, max_size=5))
+        build = _to_cantor_event
+    else:
+        operand = st.one_of(_INTERVAL_LITERAL, _braces(_UNIT))
+        build = partial(_to_interval_set, model=model)
+    texts = data.draw(st.lists(operand, min_size=1, max_size=8))
+    run = parse_query(f"{model}: P({' u '.join(texts)})").expr.event
+    assert isinstance(run, LiteralRun) and len(run.parts) == len(texts)
+    sets = [build(parse_query(f"{model}: P({t})").expr.event) for t in texts]
+    expected = sets[0]
+    for s in sets[1:]:
+        expected = expected | s
+    assert build(run) == expected
+
+
+def _space(rng):
+    return "".join(rng.choice(" \t\xa0\u3000")
+                   for _ in range(rng.randint(0, 2)))
+
+
+def _numeral(rng):
     # mostly short numerals; zeros for denominators, and numerals at and
     # just past the digit cap
-    kind = draw(st.integers(0, 49))
+    kind = rng.randrange(100)
     if kind == 0:
-        return draw(st.sampled_from(["1" * 4300, "1" * 4301]))
-    if kind < 4:
-        return draw(st.sampled_from(["0", "00", "\u0660"]))
-    return draw(_DIGITS)
+        return rng.choice(["1" * 4300, "1" * 4301])
+    if kind < 8:
+        return rng.choice(["0", "00", "\u0660"])
+    return "".join(rng.choice("0123456789\u0660\u0661\u0663")
+                   for _ in range(rng.randint(1, 3)))
 
 
-@st.composite
-def _endpoint_text(draw):
-    sign = draw(st.sampled_from(["", "", "", "-"]))
-    text = sign + draw(_SPACE) + draw(_numeral())
-    if draw(st.booleans()):
-        text += draw(_SPACE) + "/" + draw(_SPACE) + draw(_numeral())
+def _endpoint_text(rng):
+    text = rng.choice(["", "", "", "-"]) + _space(rng) + _numeral(rng)
+    if rng.random() < 0.5:
+        text += _space(rng) + "/" + _space(rng) + _numeral(rng)
     return text
 
 
-@st.composite
-def _literal_text(draw):
-    s = _SPACE
-    return (draw(st.sampled_from("[(")) + draw(s) + draw(_endpoint_text())
-            + draw(s) + "," + draw(s) + draw(_endpoint_text()) + draw(s)
-            + draw(st.sampled_from(")]")))
+def _literal_text(rng):
+    return (rng.choice("[(") + _space(rng) + _endpoint_text(rng) + _space(rng)
+            + "," + _space(rng) + _endpoint_text(rng) + _space(rng)
+            + rng.choice(")]"))
 
 
-@st.composite
-def _unit_literal_text(draw):
+def _unit_literal_text(rng):
     """A literal inside [0,1] with its endpoints in order."""
-    d = draw(st.integers(1, 12))
-    a = draw(st.integers(0, d))
-    b = draw(st.integers(a, d))
-    return (draw(st.sampled_from("[(")) + draw(_SPACE) + f"{a}/{d}"
-            + draw(_SPACE) + "," + f"{b}" + draw(_SPACE) + f"/{d}"
-            + draw(st.sampled_from(")]")))
+    d = rng.randint(1, 12)
+    a = rng.randint(0, d)
+    b = rng.randint(a, d)
+    return (rng.choice("[(") + _space(rng) + f"{a}/{d}" + _space(rng) + ","
+            + f"{b}" + _space(rng) + f"/{d}" + rng.choice(")]"))
 
 
-@st.composite
-def _brace_item_text(draw):
+def _brace_item_text(rng):
     # an address, often with leading zeros, or any numeral; sometimes a
     # denominator, which may be 0 or 00
-    if draw(st.booleans()):
-        text = draw(st.text("02", min_size=1, max_size=6))
+    if rng.random() < 0.5:
+        text = "".join(rng.choice("02") for _ in range(rng.randint(1, 6)))
     else:
-        text = draw(_numeral())
-    if draw(st.integers(0, 3)) == 0:
-        text += draw(_SPACE) + "/" + draw(_SPACE) + draw(_numeral())
+        text = _numeral(rng)
+    if rng.randrange(4) == 0:
+        text += _space(rng) + "/" + _space(rng) + _numeral(rng)
     return text
 
 
-@st.composite
-def _brace_text(draw):
+def _brace_text(rng):
     """A brace list, now and then with a stray leading or trailing comma."""
-    items = draw(st.lists(_brace_item_text(), max_size=4))
-    inner = "".join(draw(_SPACE) + "," + draw(_SPACE) + item
-                    for item in items)[1:]
-    if draw(st.integers(0, 9)) == 0:
+    inner = "".join(_space(rng) + "," + _space(rng) + _brace_item_text(rng)
+                    for _ in range(rng.randint(0, 4)))[1:]
+    if rng.randrange(10) == 0:
         inner += ","
-    return "{" + draw(_SPACE) + inner + draw(_SPACE) + "}"
+    return "{" + _space(rng) + inner + _space(rng) + "}"
 
 
-@st.composite
-def _operand_text(draw):
-    kind = draw(st.integers(0, 39))
+def _unit_brace_text(rng):
+    """A brace list of points in [0,1] or of cylinder addresses."""
+    d = rng.randint(1, 12)
+    items = [f"{rng.randint(0, d)}/{d}" if d > 1 else "".join(
+        rng.choice("02") for _ in range(rng.randint(1, 4)))
+        for _ in range(rng.randint(1, 3))]
+    return "{" + _space(rng) + ", ".join(items) + _space(rng) + "}"
+
+
+def _operand_text(rng):
+    kind = rng.randrange(40)
     if kind < 2:
-        return ("tickets", "pin")[kind] + draw(_literal_text())
+        return ("tickets", "pin")[kind] + _literal_text(rng)
     if kind < 5:
-        return draw(st.sampled_from(["{1/3}", "full"]))
-    if kind < 15:
-        return draw(_unit_literal_text())
-    if kind < 30:
-        return draw(_literal_text())
-    return draw(_brace_text())
+        return rng.choice(["{1/3}", "full"])
+    if kind < 18:
+        return _unit_literal_text(rng)
+    if kind < 24:
+        return _literal_text(rng)
+    if kind < 34:
+        return _unit_brace_text(rng)
+    return _brace_text(rng)
 
 
-@st.composite
-def _literal_query(draw):
-    """A query whose set holds interval literals, some of them where the
-    grammar wants something else (after tickets, pin, P or n)."""
-    operands = draw(st.lists(_operand_text(), min_size=1, max_size=6))
-    ops = draw(st.lists(st.sampled_from(["u", "n", "∪", "∩"]),
-                        min_size=len(operands) - 1,
-                        max_size=len(operands) - 1))
+def _literal_query(rng):
+    """A query whose set holds interval literals and brace lists, some of
+    them where the grammar wants something else (after tickets, pin, P or
+    n)."""
+    operands = [_operand_text(rng) for _ in range(rng.randint(1, 6))]
     chain = operands[0] + "".join(
-        f"{draw(_SPACE)} {op} {draw(_SPACE)}{x}"
-        for op, x in zip(ops, operands[1:]))
-    model = draw(st.sampled_from(["minimal", "grid", "cantor", "coinflip",
-                                  "lottery"]))
-    if draw(st.integers(0, 29)) == 0:
+        f"{_space(rng)} {rng.choice(['u', 'n', '∪', '∩'])} {_space(rng)}{x}"
+        for x in operands[1:])
+    model = rng.choice(query.MODELS[:3] * 3 + query.MODELS[3:])
+    if rng.randrange(30) == 0:
         return f"{model}: P{operands[0]}"
     return f"{model}: P({chain})"
 
 
-def _outcome(run):
-    try:
-        return run()
-    except (ParseError, QueryTypeError, DomainError) as exc:
-        return type(exc).__name__, str(exc), getattr(exc, "position", None)
-
-
-@settings(max_examples=300, deadline=None)
-@given(_literal_query())
-def test_literal_words_agree_with_the_plain_token_pass(text):
-    _assert_literal_words_agree(text)
-
-
-# brace lists that must read the same as one word and token by token
+# brace lists at the edges of the grammar: empty, stray commas, leading
+# zeros, zero and over-long denominators, numerals at the digit cap
 BRACE_EDGE_CASES = [
     "{}", "{ }", "{\u3000}", "{0002, 02}", "{007/0010, 0}", "{1/0}",
     "{1/00}", "{1 / \u0660}", "{0,}", "{0, 2,}", "{,}", "{0 2}",
@@ -419,29 +456,49 @@ BRACE_EDGE_CASES = [
     "{1/2/3}", "{-1/2}", "{0} u {2}", "compl({00, 02})",
 ]
 
+# the outcome of every brace edge case and of 500 random literal queries,
+# recorded at commit 9e942db, when parse_query first read each interval
+# literal and brace list as one regular-expression word
+LITERAL_OUTCOMES = Path(__file__).parent / "data" / "literal_outcomes.json"
+
+
+@cache
+def recorded_outcomes():
+    with LITERAL_OUTCOMES.open(encoding="utf-8") as fh:
+        return {entry["text"]: entry["outcome"] for entry in json.load(fh)}
+
+
+def literal_outcome(text):
+    """The rendered query and its result lines, or an error's type, message
+    and position, at the first step that raises."""
+    outcome = {}
+    try:
+        q = parse_query(text)
+        outcome["render"] = render_query(q)
+        outcome["lines"] = evaluate(q).lines()
+    except (ParseError, QueryTypeError, DomainError) as exc:
+        outcome["error"] = [type(exc).__name__, str(exc),
+                            getattr(exc, "position", None)]
+    return outcome
+
+
+def test_literal_words_agree_with_the_plain_token_pass():
+    """The token rules give each random literal query the outcome that the
+    literal-word reader gave it."""
+    rng = random.Random(16)
+    for _ in range(500):
+        text = _literal_query(rng)
+        assert literal_outcome(text) == recorded_outcomes()[text], text
+
 
 @pytest.mark.parametrize("model", query.MODELS)
 @pytest.mark.parametrize("braces", BRACE_EDGE_CASES,
                          ids=[ascii(b)[:24] for b in BRACE_EDGE_CASES])
 def test_brace_words_agree_with_the_plain_token_pass(model, braces):
-    _assert_literal_words_agree(f"{model}: P({braces})")
-    _assert_literal_words_agree(f"{model}: P(full | {braces})")
-
-
-def _assert_literal_words_agree(text):
-    """Both passes give the same query, or the same error type, message and
-    position; parse_query falls back to the plain pass on a ParseError."""
-    plain = _outcome(lambda: _Parser(text).parse_query())
-    try:
-        fast = _Parser(text, literal_words=True).parse_query()
-    except ParseError:
-        # parse_query falls back to the plain pass, error and all
-        assert _outcome(lambda: parse_query(text)) == plain
-        return
-    assert isinstance(plain, Query), (text, plain)
-    assert render_query(fast) == render_query(plain)
-    assert _outcome(lambda: evaluate(fast).lines()) \
-        == _outcome(lambda: evaluate(plain).lines())
+    """The token rules give each brace edge case the outcome that the
+    brace-word reader gave it, alone and as a condition."""
+    for text in (f"{model}: P({braces})", f"{model}: P(full | {braces})"):
+        assert literal_outcome(text) == recorded_outcomes()[text]
 
 
 # -- chains fold left to right --------------------------------------------------------

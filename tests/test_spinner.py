@@ -328,9 +328,25 @@ def test_config_file_round_trip(tmp_path):
     p.write_text("unknown = 1\n")
     with pytest.raises(DomainError):
         SuiteConfig.from_file(str(p))
-    # every uniform grid up to max_grid_size is built, so it is bounded
-    p.write_text(f"seed = 1\nmax_grid_size = {MAX_SUITE_GRID_SIZE + 1}\n")
-    with pytest.raises(DomainError) as exc:
-        SuiteConfig.from_file(str(p))
-    assert str(exc.value) == (f"{p}:2: max_grid_size must be at most "
-                              f"{MAX_SUITE_GRID_SIZE}")
+    # each key is checked against its range where it is read; every
+    # uniform grid up to max_grid_size is built, so it is bounded
+    for line, message in [
+            ("cases = -3", "cases must be at least 1"),
+            ("cases = 10001", "cases must be at most 10000"),
+            ("max_denominator = -5", "max_denominator must be at least 1"),
+            (f"max_denominator = {10 ** 18 + 1}",
+             f"max_denominator must be at most {10 ** 18}"),
+            ("max_grid_size = -1", "max_grid_size must be at least 1"),
+            (f"max_grid_size = {MAX_SUITE_GRID_SIZE + 1}",
+             f"max_grid_size must be at most {MAX_SUITE_GRID_SIZE}"),
+            ("seed = -" + "9" * 4301, "seed must be at most 4300 digits long"),
+            ("seed = 0x10", "seed needs an integer")]:
+        p.write_text(f"seed = 1\n{line}\n")
+        with pytest.raises(DomainError) as exc:
+            SuiteConfig.from_file(str(p))
+        assert str(exc.value) == f"{p}:2: {message}"
+    p.write_text(f"seed = -{'9' * 4300}\ncases = 10000\nmax_grid_size = 1\n"
+                 f"max_denominator = {10 ** 18}\n")
+    cfg = SuiteConfig.from_file(str(p))
+    assert (cfg.seed, cfg.cases, cfg.max_denominator, cfg.max_grid_size) \
+        == (-int("9" * 4300), 10000, 10 ** 18, 1)
