@@ -50,8 +50,8 @@ at O(k log n) comparisons plus list copies, so a chain that keeps
 combining a growing set with small ones costs near-linear time, not
 quadratic.  ``contains`` bisects too.
 
-``length`` adds one integer numerator over the running lcm of the endpoint
-denominators and makes a single ``Fraction`` at the end.
+``length`` sums the endpoint numerators per denominator, scales the sums
+to one ``math.lcm`` of the denominators and makes a single ``Fraction``.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
@@ -313,15 +313,17 @@ class IntervalSet:
 
     @property
     def length(self) -> Fraction:
-        # one integer numerator over the running lcm of the denominators
-        num, den = 0, 1
+        # the numerators summed per denominator, then one lcm
+        sums: dict[int, int] = {}
         for (_, left, _), (_, right, _) in self.cuts:
-            for x, sign in ((right, 1), (left, -1)):
-                d = x.denominator
-                if den % d:
-                    scale = d // gcd(den, d)
-                    num, den = num * scale, den * scale
-                num += sign * x.numerator * (den // d)
+            d = right.denominator
+            sums[d] = sums.get(d, 0) + right.numerator
+            d = left.denominator
+            sums[d] = sums.get(d, 0) - left.numerator
+        den = lcm(*sums)
+        num = 0
+        for d, n in sums.items():
+            num += n * (den // d)
         return Fraction(num, den)
 
     # -- algebra -----------------------------------------------------------

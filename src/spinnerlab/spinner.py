@@ -211,8 +211,9 @@ _CONFIG_RANGES = {"seed": (-math.inf, math.inf),
 
 
 def check_digits(text: str, name: str) -> None:
-    """Refuse an integer setting with more digits than ``int`` reads."""
-    digits = text.strip().lstrip("+-")
+    """Refuse an integer setting with more digits than ``int`` reads; the
+    ``_`` separators that ``int`` accepts are not digits."""
+    digits = text.strip().lstrip("+-").replace("_", "")
     if digits.isdecimal() and len(digits) > MAX_NUMERAL_DIGITS:
         raise DomainError(f"{name} must be at most {MAX_NUMERAL_DIGITS} "
                           f"digits long")

@@ -1,15 +1,33 @@
 """Registry and runner for the verification suites.
 
-Ten suites run in a fixed registration order: the six spinner property
+Ten suites report in a fixed registration order: the six spinner property
 checks, the cylinder coherence sweep, the sigma-additivity probe of the
 minimal model, the finite-grid stabilizer sweep, and the point-mass
 overflow witnesses.  Each produces one JSON-ready dict in the schema
 {suite, verdict, cases, counterexamples, witnesses, duration_ms}.
+
+``run_all`` runs them in parallel lanes, one per usable CPU
+(``os.sched_getaffinity``) and at most one per suite.  The registry
+indices go into one pipe, one byte each, longest suite first; the calling
+process and ``lanes - 1`` forked children each pull the next index until
+the pipe is empty.  So the load balances as it runs, and the lanes end on
+short suites: a lane that the machine slows holds up the last report by
+a short suite's time.  A lane stops at a suite that raises.  A child
+sends its reports back as one JSON object over its own pipe and leaves by
+``os._exit``.  The caller reads and reaps every child, and then runs every
+suite that no lane reported (it raised, its child died or could not be
+forked) itself, in registry order, so an exception surfaces as a serial
+run raises it.  There is one lane where ``fork`` or ``sched_getaffinity``
+is missing, and where the caller has another thread alive.  Every suite
+seeds its own generator from (seed, label), so the reports do not depend
+on the number of lanes; ``duration_ms`` is each suite's own wall time.
 """
 
 from __future__ import annotations
 
+import json
 import os
+import threading
 import time
 from fractions import Fraction
 from itertools import product
@@ -118,21 +136,104 @@ def witness_suite(config: SuiteConfig) -> PropertyReport:
         "archimedean-overflow-witness", cases, counterexamples, witnesses)
 
 
+def _timed(suite, config: SuiteConfig) -> dict:
+    start = time.perf_counter()
+    d = suite(config).to_dict()
+    d["duration_ms"] = int((time.perf_counter() - start) * 1000)
+    return d
+
+
+def _lane(queue: int, registry: list, config: SuiteConfig) -> dict:
+    """Run suites by the registry index read from ``queue``, one byte at a
+    time, until it is empty or a suite raised; the reports by index of the
+    suites that returned."""
+    done = {}
+    try:
+        while index := os.read(queue, 1):
+            done[index[0]] = _timed(registry[index[0]], config)
+    except Exception:
+        pass    # run_all runs the suite again in the caller, in order
+    return done
+
+
+def _lane_count(count: int) -> int:
+    """One lane per usable CPU, at most one per suite.  One lane where
+    there is no ``fork`` or ``sched_getaffinity``, and where another
+    thread is alive: it may hold a lock that a forked child would wait on
+    for ever."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) \
+            or threading.active_count() > 1:
+        return 1
+    return min(len(os.sched_getaffinity(0)), count)
+
+
+def _run_lanes(registry: list, order: bytes, config: SuiteConfig,
+               lanes: int) -> dict:
+    """Reports by registry index of the suites that ``lanes`` lanes ran:
+    this process and ``lanes - 1`` forked children pull the indices of
+    ``order`` from one pipe.  A child that died reports nothing; every
+    child is read and reaped before this returns or raises."""
+    queue, feed = os.pipe()
+    os.write(feed, order)
+    os.close(feed)
+    children = []   # (pid, read end of the child's report pipe)
+    done = {}
+    try:
+        for _ in range(lanes - 1):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                break
+            if pid == 0:
+                # a child lane leaves by _exit: no atexit handlers and no
+                # flush of stdio buffers inherited from the parent
+                status = 1
+                try:
+                    os.close(r)
+                    with os.fdopen(w, "w", encoding="utf-8") as out:
+                        out.write(json.dumps(_lane(queue, registry, config)))
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(w)
+            children.append((pid, r))
+        done.update(_lane(queue, registry, config))
+    finally:
+        os.close(queue)
+        for pid, r in children:
+            with os.fdopen(r, "rb") as fh:
+                data = fh.read()
+            if os.waitpid(pid, 0)[1] == 0:
+                done.update((int(i), d) for i, d in json.loads(data).items())
+    return done
+
+
+# the registry indices, longest suite first at the default config: half-open
+# and count uniformity, cantor coherence, rotation, totality, length
+# agreement, stabilizer, regularity, sigma probe, witnesses.  The lanes end
+# on short suites, so a lane that runs slow holds up the last report by a
+# short suite's time, not a long one's.
+_LONGEST_FIRST = bytes((5, 2, 6, 4, 1, 3, 8, 0, 7, 9))
+
+
 def run_all(config: SuiteConfig, corrupt: bool = False) -> list[dict]:
     """Run every registered suite; one dict per suite, registration order.
 
-    ``duration_ms`` is each suite's own wall time.
+    The suites run in parallel lanes (see the module docstring), and the
+    reports do not depend on how many.  ``duration_ms`` is each suite's
+    own wall time.
     """
     registry = property_checks(GridModel(), corrupt) + [
         cantor_coherence_suite, sigma_probe_suite, stabilizer_suite,
         witness_suite]
-    out: list[dict] = []
-    for suite in registry:
-        start = time.perf_counter()
-        d = suite(config).to_dict()
-        d["duration_ms"] = int((time.perf_counter() - start) * 1000)
-        out.append(d)
-    return out
+    done = _run_lanes(registry, _LONGEST_FIRST, config,
+                      _lane_count(len(registry)))
+    # a suite no lane reported runs here, so its exception surfaces as is
+    return [done[i] if i in done else _timed(suite, config)
+            for i, suite in enumerate(registry)]
 
 
 def all_passed(results: list[dict]) -> bool:

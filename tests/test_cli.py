@@ -170,11 +170,12 @@ def test_suite_config_file_and_seed_env(tmp_path, monkeypatch):
     monkeypatch.setenv("SPINNERLAB_SEED", "x")
     with pytest.raises(DomainError, match="got 'x'"):
         run_suites(str(cfg))
-    monkeypatch.setenv("SPINNERLAB_SEED", "1" * 4301)
-    with pytest.raises(DomainError) as exc:
-        run_suites(str(cfg))
-    assert str(exc.value) == \
-        "SPINNERLAB_SEED must be at most 4300 digits long"
+    for seed in ("1" * 4301, "1_" * 4400 + "1"):
+        monkeypatch.setenv("SPINNERLAB_SEED", seed)
+        with pytest.raises(DomainError) as exc:
+            run_suites(str(cfg))
+        assert str(exc.value) == \
+            "SPINNERLAB_SEED must be at most 4300 digits long"
 
 
 def test_suite_unreadable_config_exits_two(tmp_path):

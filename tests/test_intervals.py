@@ -324,6 +324,20 @@ def test_length_examples():
     assert lebesgue_length(u) == F(3, 8)
 
 
+def test_length_is_exact_over_large_coprime_denominators():
+    # consecutive odd numbers are coprime, so these denominators above
+    # 2**64 share no factor, and small ones repeat among the endpoints
+    dens = [2 ** 64 + 1, 2 ** 64 + 3, 2 ** 65 + 1, 2 ** 65 + 3, 3, 4, 7]
+    rng = random.Random(17)
+    assert IntervalSet([]).length == 0
+    for _ in range(200):
+        points = sorted({F(rng.randrange(d), d)
+                         for d in rng.choices(dens, k=2 * rng.randint(1, 40))})
+        s = IntervalSet([(left, True, right, rng.random() < 0.5)
+                         for left, right in zip(points[::2], points[1::2])])
+        assert s.length == sum((p.right - p.left for p in s.components), F(0))
+
+
 def test_length_modularity():
     rng = random.Random(12)
     for _ in range(200):

@@ -5,14 +5,18 @@ endpoint denominator divides, counts members directly, and compares with
 the affine count form evaluated at that n.
 """
 
+import math
 import random
+import re
 import tracemalloc
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from spinnerlab import spinner
 from spinnerlab.errors import DomainError
-from spinnerlab.field import NonArchValue, Poly
+from spinnerlab.field import MAX_NUMERAL_DIGITS, NonArchValue, Poly
 from spinnerlab.intervals import IntervalSet, lebesgue_length
 from spinnerlab.spinner import (MAX_SUITE_GRID_SIZE, CountForm, FiniteGrid,
                                 GridModel, SuiteConfig,
@@ -340,6 +344,9 @@ def test_config_file_round_trip(tmp_path):
             (f"max_grid_size = {MAX_SUITE_GRID_SIZE + 1}",
              f"max_grid_size must be at most {MAX_SUITE_GRID_SIZE}"),
             ("seed = -" + "9" * 4301, "seed must be at most 4300 digits long"),
+            # int reads _ separators, and they are not digits
+            ("seed = " + "1_" * 4400 + "1",
+             "seed must be at most 4300 digits long"),
             ("seed = 0x10", "seed needs an integer")]:
         p.write_text(f"seed = 1\n{line}\n")
         with pytest.raises(DomainError) as exc:
@@ -350,3 +357,67 @@ def test_config_file_round_trip(tmp_path):
     cfg = SuiteConfig.from_file(str(p))
     assert (cfg.seed, cfg.cases, cfg.max_denominator, cfg.max_grid_size) \
         == (-int("9" * 4300), 10000, 10 ** 18, 1)
+
+
+def _edge_values(key):
+    """Each finite bound of ``key``'s range and its neighbours, as decimal
+    text; an unbounded side is bounded by the digits ``int`` reads."""
+    lo, hi = spinner._CONFIG_RANGES[key]
+    texts = [str(b + d) for b in (lo, hi) if abs(b) < math.inf
+             for d in (-1, 0, 1)]
+    if lo == -math.inf:
+        widest = "9" * MAX_NUMERAL_DIGITS
+        texts += [sign + digits for sign in ("", "-")
+                  for digits in (widest[:-1] + "8", widest,
+                                 "1" + "0" * MAX_NUMERAL_DIGITS)]
+    return texts
+
+
+def _integer_text(n, form):
+    sign, digits = ("-", n[1:]) if n.startswith("-") else \
+        ("+" if form == "plus" else "", n)
+    if form == "underscored":
+        digits = "_".join(digits)
+    return f" {sign}{digits}  " if form == "spaced" else sign + digits
+
+
+@st.composite
+def _config_line(draw):
+    key = draw(st.sampled_from(sorted(spinner._CONFIG_RANGES)))
+    n = draw(st.one_of(st.sampled_from(_edge_values(key)),
+                       st.integers().map(str), st.integers(-10, 2000).map(str)))
+    text = draw(st.one_of(
+        st.builds(_integer_text, st.just(n),
+                  st.sampled_from(["plain", "plus", "spaced", "underscored"])),
+        st.sampled_from(["", "x", "0x10", "1.5", "1__0", "_1", "1_", "-"])))
+    comment = draw(st.sampled_from(["", "  # note"]))
+    return key, f"{key} ={text}{comment}"
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.one_of(_config_line(), st.sampled_from(
+    [(None, ""), (None, "# comment")])), max_size=6))
+def test_config_lines_load_in_range_or_name_their_line_and_key(tmp_path,
+                                                              lines):
+    # every example rewrites the same file
+    p = tmp_path / "suite.cfg"
+    p.write_text("".join(line + "\n" for _, line in lines))
+    try:
+        cfg = SuiteConfig.from_file(str(p))
+    except DomainError as exc:
+        m = re.match(rf"{re.escape(str(p))}:(\d+): (\w+) ", str(exc))
+        assert m, str(exc)
+        lineno, key = int(m[1]), m[2]
+        assert lines[lineno - 1][0] == key
+        # the lines before the one named load: it is the first bad line
+        p.write_text("".join(line + "\n" for _, line in lines[:lineno - 1]))
+        SuiteConfig.from_file(str(p))
+        return
+    expected = vars(SuiteConfig()).copy()
+    for key, line in lines:
+        if key is not None:
+            expected[key] = int(line.split("#")[0].partition("=")[2])
+    assert vars(cfg) == expected
+    for key, (lo, hi) in spinner._CONFIG_RANGES.items():
+        assert lo <= getattr(cfg, key) <= hi
