@@ -26,7 +26,8 @@ from typing import Iterable
 
 from .errors import DomainError
 from .field import Generator, NonArchValue
-from .intervals import _gaps, _intersect, _merge, _union, conditional
+from .intervals import (EMPTY_CONDITION, _gaps, _intersect, _merge, _union,
+                        conditional)
 from .report import PropertyReport
 
 CANTOR_GENERATOR = Generator("c")
@@ -158,7 +159,7 @@ def point_probability(model: CantorModel) -> NonArchValue:
 def conditional_probability(model: CantorModel, a: CantorEvent,
                             b: CantorEvent) -> NonArchValue:
     return conditional(partial(cantor_probability, model), a, b,
-                       "conditioning on the empty event")
+                       EMPTY_CONDITION)
 
 
 def coherence_check(model: CantorModel, a: CantorEvent,

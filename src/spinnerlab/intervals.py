@@ -413,6 +413,10 @@ def lebesgue_length(a: IntervalSet) -> Fraction:
     return a.length
 
 
+# the null-condition message where only the empty event is null
+EMPTY_CONDITION = "conditioning on the empty event"
+
+
 def conditional(probability: Callable, a, b, null_message: str):
     """P(a | b) = P(a & b) / P(b) under ``probability``; DomainError with
     ``null_message`` when P(b) = 0."""

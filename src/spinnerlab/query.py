@@ -36,9 +36,14 @@ run of one.  A run is built as one set, so a long union of literals costs
 one merge.  Endpoints and brace items are validated at evaluation, in
 operand order, so the first bad part of a run names the error.
 
-Interval sets and cylinder events are built by one fold over ``u``/``n``
-chains and ``compl``, with a leaf builder for each model.  Every model's
-``P(A | B)`` is ``intervals.conditional``, as in the kernels.
+The models are the rows of one table, ``_RULES``, and ``MODELS`` is its
+keys: a row names the model's event builder, its probability and its
+null-condition message.  A row looks its probability kernel up in this
+module at each call, so a wrapper on the kernel's name here (a tracer, a
+test) sees every query of that model.  Interval sets and cylinder events
+are built by one fold over ``u``/``n`` chains and ``compl``, with a leaf
+builder for each model.  Every model's ``P(A | B)`` is
+``intervals.conditional``, as in the kernels.
 """
 
 from __future__ import annotations
@@ -53,12 +58,11 @@ from .cantor import CantorEvent, CantorModel, cantor_probability
 from .errors import DomainError, ParseError, QueryTypeError
 from .field import (Classification, Kind, NonArchValue, Ordering, Sign,
                     TokenCursor, render_exact)
-from .intervals import IntervalSet, _clean, conditional, lebesgue_length
+from .intervals import (EMPTY_CONDITION, IntervalSet, _clean, conditional,
+                        lebesgue_length)
 from .lottery import (CoinEvent, LotteryModel, coinflip_probability,
                       lottery_ticket_probability)
 from .spinner import GridModel, grid_probability
-
-MODELS = ("minimal", "grid", "cantor", "coinflip", "lottery")
 
 _MAX_NESTING = 64
 
@@ -545,34 +549,27 @@ def _to_ticket_count(node: SetNode) -> int:
 Value = Union[Fraction, NonArchValue]
 
 
-_GRID, _CANTOR = GridModel(), CantorModel()
-
-
-# these rules look their probability function up in this module at each
-# call, so a wrapper installed on the name (a tracer, a test) sees every query
-def _grid_probability(event: IntervalSet) -> NonArchValue:
-    return grid_probability(_GRID, event)
-
-
-def _cantor_probability(event: CantorEvent) -> NonArchValue:
-    return cantor_probability(_CANTOR, event)
-
+_GRID, _CANTOR, _LOTTERY = GridModel(), CantorModel(), LotteryModel()
 
 # model -> (event builder, probability, DomainError message for a condition
 # of probability 0, or None where the model has no conditional queries)
 _RULES = {
-    "minimal": (partial(_to_interval_set, model="minimal"), lebesgue_length,
+    "minimal": (partial(_to_interval_set, model="minimal"),
+                lambda event: lebesgue_length(event),
                 "conditioning on a null event: the minimal model assigns it "
                 "measure 0, so the conditional is undefined here"),
-    "grid": (partial(_to_interval_set, model="grid"), _grid_probability,
-             "conditioning on the empty event"),
-    "cantor": (_to_cantor_event, _cantor_probability,
-               "conditioning on the empty event"),
-    "coinflip": (_to_coin_event, coinflip_probability,
+    "grid": (partial(_to_interval_set, model="grid"),
+             lambda event: grid_probability(_GRID, event), EMPTY_CONDITION),
+    "cantor": (_to_cantor_event,
+               lambda event: cantor_probability(_CANTOR, event),
+               EMPTY_CONDITION),
+    "coinflip": (_to_coin_event, lambda event: coinflip_probability(event),
                  "conditioning on an inconsistent coin event"),
     "lottery": (_to_ticket_count,
-                partial(lottery_ticket_probability, LotteryModel()), None),
+                lambda count: lottery_ticket_probability(_LOTTERY, count),
+                None),
 }
+MODELS = tuple(_RULES)
 
 
 def _eval_prob(p: Prob, model: str) -> Value:

@@ -42,7 +42,8 @@ from itertools import pairwise
 
 from .errors import DomainError
 from .field import MAX_NUMERAL_DIGITS, Generator, NonArchValue, render_exact
-from .intervals import IntervalSet, conditional, lebesgue_length
+from .intervals import (EMPTY_CONDITION, IntervalSet, conditional,
+                        lebesgue_length)
 from .report import PropertyReport
 from . import sampling
 
@@ -99,7 +100,7 @@ def conditional_probability(model: GridModel, a: IntervalSet,
                             b: IntervalSet) -> NonArchValue:
     """P(a | b) as an exact field element; b may be a single point."""
     return conditional(partial(grid_probability, model), a, b,
-                       "conditioning on the empty event")
+                       EMPTY_CONDITION)
 
 
 # -- finite grids and their rotation stabilizers -------------------------------
@@ -197,6 +198,11 @@ def finite_grid_stabilizer(g: FiniteGrid) -> StabilizerResult:
 
 # -- the property suite ---------------------------------------------------------
 
+# Each spinner check states one case, and ``_sampled`` is the one rule that
+# samples and reports them.  Its ``_report`` appends the coverage warnings,
+# and the cylinder coherence sweep reports through it too: no other suite
+# carries the low-coverage warning.
+
 # the stabilizer suite builds every uniform grid up to size n: ~n^2/2 points
 MAX_SUITE_GRID_SIZE = 1000
 # a case takes about 0.6 ms, so 10000 cases take seconds
@@ -274,130 +280,122 @@ class SuiteConfig:
 
 def _report(name: str, cases: int, counterexamples: list[str],
             witnesses: list[str], config: SuiteConfig) -> PropertyReport:
+    """A sampled suite's report: its witnesses, then the config's coverage
+    warnings, which a failing report drops with the witnesses."""
     return PropertyReport.from_checks(name, cases, counterexamples,
                                       witnesses + config.coverage_warnings())
 
 
-def _check_regularity(model, config) -> PropertyReport:
-    rng = config.rng("regularity")
-    eps = NonArchValue.infinitesimal(model.generator)
-    bad = []
-    for _ in range(config.cases):
-        x = sampling.rand_fraction(rng, config.max_denominator)
-        p = grid_probability(model, IntervalSet.point(x))
-        cls = p.classify()
-        if p != eps or cls.render() != "infinitesimal-positive":
-            bad.append(f"x={x}: P={p} classified {cls.render()}")
-    return _report("spinner-regularity", config.cases, bad,
-                   ["every sampled point outcome has probability eps > 0"],
-                   config)
+def _sampled(name: str, label: str, witness: str):
+    """Decorate a generator function ``(model, config, rng, **options)``
+    that draws one case from ``rng`` and yields its counterexamples; the
+    result is the check ``(model, config, **options)``, which runs
+    ``config.cases`` cases from ``config.rng(label)`` into one report."""
+    def rule(case):
+        def check(model, config: SuiteConfig, **options) -> PropertyReport:
+            rng, bad = config.rng(label), []
+            for _ in range(config.cases):
+                bad += case(model, config, rng, **options)
+            return _report(name, config.cases, bad, [witness], config)
+        return check
+    return rule
 
 
-def _check_totality(model, config) -> PropertyReport:
-    rng = config.rng("totality")
-    zero = NonArchValue.constant(model.generator, 0)
-    one = NonArchValue.constant(model.generator, 1)
-    bad = []
-    for _ in range(config.cases):
-        a = sampling.rand_interval_set(rng, 5, config.max_denominator)
-        p = grid_probability(model, a)
-        if not (zero <= p <= one):
-            bad.append(f"A={a.render()}: P={p} outside [0,1]")
-    return _report("spinner-totality", config.cases, bad,
-                   ["every sampled set is assigned a probability in [0,1]"],
-                   config)
+@_sampled("spinner-regularity", "regularity",
+          "every sampled point outcome has probability eps > 0")
+def _check_regularity(model, config, rng):
+    x = sampling.rand_fraction(rng, config.max_denominator)
+    p = grid_probability(model, IntervalSet.point(x))
+    cls = p.classify()
+    if p != NonArchValue.infinitesimal(model.generator) \
+            or cls.render() != "infinitesimal-positive":
+        yield f"x={x}: P={p} classified {cls.render()}"
 
 
-def _check_count_uniformity(model, config) -> PropertyReport:
-    rng = config.rng("count-uniformity")
-    bad = []
-    for _ in range(config.cases):
-        a = sampling.rand_interval_set(rng, 4, config.max_denominator)
-        q = sampling.rand_fraction(rng, config.max_denominator)
-        b = a.translate_mod1(q)
-        ca, cb = grid_count(model, a), grid_count(model, b)
-        if ca != cb:
-            bad.append(f"A={a.render()}, q={q}: counts {ca} vs {cb}")
-        elif grid_probability(model, a) != grid_probability(model, b):
-            bad.append(f"A={a.render()}, q={q}: equal counts {ca} but "
-                       f"unequal probabilities")
-        # flag-trade pair with identical counts: [a,b] vs [a,b) u {x}
-        left = sampling.rand_fraction(rng, config.max_denominator)
-        right = sampling.rand_fraction(rng, config.max_denominator)
-        if left > right:
-            left, right = right, left
-        if left == right:
-            continue
-        closed = IntervalSet.interval(left, True, right, True)
-        outside = closed.complement()
-        if outside.is_empty():
-            continue
-        (_, x, _), _ = outside.cuts[0]
-        if not outside.contains(x):
-            continue
-        traded = IntervalSet.interval(left, True, right, False) \
-            | IntervalSet.point(x)
-        cc, ct = grid_count(model, closed), grid_count(model, traded)
-        if cc != ct:
-            bad.append(f"[{left},{right}] vs traded: counts {cc} vs {ct}")
-        elif grid_probability(model, closed) != grid_probability(model, traded):
-            bad.append(f"[{left},{right}] vs traded: equal counts, "
-                       f"unequal probabilities")
-    return _report("spinner-count-uniformity", config.cases, bad,
-                   ["equal point counts always produced equal probabilities"],
-                   config)
+@_sampled("spinner-totality", "totality",
+          "every sampled set is assigned a probability in [0,1]")
+def _check_totality(model, config, rng):
+    a = sampling.rand_interval_set(rng, 5, config.max_denominator)
+    p = grid_probability(model, a)
+    if not 0 <= p <= 1:
+        yield f"A={a.render()}: P={p} outside [0,1]"
 
 
-def _check_length_agreement(model, config, corrupt: bool = False) -> PropertyReport:
-    rng = config.rng("length-agreement")
-    bad = []
-    for i in range(config.cases):
-        a = sampling.rand_interval_set(rng, 5, config.max_denominator)
-        expected = lebesgue_length(a)
-        if corrupt:
-            # test hook: deliberately skew the reference measure
-            expected += Fraction(1, 997)
-        st = grid_probability(model, a).standard_part()
-        if st != expected:
-            bad.append(f"A={a.render()}: st(P)={st}, length={expected}")
-    return _report("spinner-length-agreement", config.cases, bad,
-                   ["standard part of grid probability equals set length"],
-                   config)
+@_sampled("spinner-count-uniformity", "count-uniformity",
+          "equal point counts always produced equal probabilities")
+def _check_count_uniformity(model, config, rng):
+    a = sampling.rand_interval_set(rng, 4, config.max_denominator)
+    q = sampling.rand_fraction(rng, config.max_denominator)
+    b = a.translate_mod1(q)
+    ca, cb = grid_count(model, a), grid_count(model, b)
+    if ca != cb:
+        yield f"A={a.render()}, q={q}: counts {ca} vs {cb}"
+    elif grid_probability(model, a) != grid_probability(model, b):
+        yield (f"A={a.render()}, q={q}: equal counts {ca} but "
+               f"unequal probabilities")
+    # flag-trade pair with identical counts: [a,b] vs [a,b) u {x}
+    left = sampling.rand_fraction(rng, config.max_denominator)
+    right = sampling.rand_fraction(rng, config.max_denominator)
+    if left > right:
+        left, right = right, left
+    if left == right:
+        return
+    closed = IntervalSet.interval(left, True, right, True)
+    outside = closed.complement()
+    if outside.is_empty():
+        return
+    (_, x, _), _ = outside.cuts[0]
+    if not outside.contains(x):
+        return
+    traded = IntervalSet.interval(left, True, right, False) \
+        | IntervalSet.point(x)
+    cc, ct = grid_count(model, closed), grid_count(model, traded)
+    if cc != ct:
+        yield f"[{left},{right}] vs traded: counts {cc} vs {ct}"
+    elif grid_probability(model, closed) != grid_probability(model, traded):
+        yield (f"[{left},{right}] vs traded: equal counts, "
+               f"unequal probabilities")
 
 
-def _check_rational_rotation(model, config) -> PropertyReport:
-    rng = config.rng("rational-rotation")
-    bad = []
-    for _ in range(config.cases):
-        a = sampling.rand_interval_set(rng, 5, config.max_denominator)
-        q = sampling.rand_fraction(rng, config.max_denominator)
-        if grid_probability(model, a.translate_mod1(q)) \
-                != grid_probability(model, a):
-            bad.append(f"A={a.render()}, q={q}")
-    return _report("spinner-rational-rotation-invariance", config.cases, bad,
-                   ["probability is invariant under every sampled rational "
-                    "rotation"], config)
+@_sampled("spinner-length-agreement", "length-agreement",
+          "standard part of grid probability equals set length")
+def _check_length_agreement(model, config, rng, corrupt: bool = False):
+    a = sampling.rand_interval_set(rng, 5, config.max_denominator)
+    expected = lebesgue_length(a)
+    if corrupt:
+        # test hook: deliberately skew the reference measure
+        expected += Fraction(1, 997)
+    st = grid_probability(model, a).standard_part()
+    if st != expected:
+        yield f"A={a.render()}: st(P)={st}, length={expected}"
 
 
-def _check_half_open_uniformity(model, config) -> PropertyReport:
+@_sampled("spinner-rational-rotation-invariance", "rational-rotation",
+          "probability is invariant under every sampled rational rotation")
+def _check_rational_rotation(model, config, rng):
+    a = sampling.rand_interval_set(rng, 5, config.max_denominator)
+    q = sampling.rand_fraction(rng, config.max_denominator)
+    if grid_probability(model, a.translate_mod1(q)) \
+            != grid_probability(model, a):
+        yield f"A={a.render()}, q={q}"
+
+
+@_sampled("spinner-half-open-uniformity", "half-open-uniformity",
+          "equal-length half-open sets share the exact generator-free "
+          "probability")
+def _check_half_open_uniformity(model, config, rng):
     # applies only to sets built from [a,b) pieces: no isolated points, no
     # nonempty null sets, every member has positive length
-    rng = config.rng("half-open-uniformity")
-    bad = []
-    for _ in range(config.cases):
-        a = sampling.rand_half_open_set(rng, 4, config.max_denominator)
-        b = sampling.repack_half_open(rng, a.length, 4)
-        if not (a.half_open_only() and b.half_open_only()):
-            bad.append(f"sampler produced a non-half-open set: {a.render()}")
-            continue
-        pa, pb = grid_probability(model, a), grid_probability(model, b)
-        la = NonArchValue.constant(model.generator, a.length)
-        if not (pa == pb == la):
-            bad.append(f"A={a.render()}, B={b.render()}: "
-                       f"P(A)={pa}, P(B)={pb}, length={a.length}")
-    return _report("spinner-half-open-uniformity", config.cases, bad,
-                   ["equal-length half-open sets share the exact "
-                    "generator-free probability"], config)
+    a = sampling.rand_half_open_set(rng, 4, config.max_denominator)
+    b = sampling.repack_half_open(rng, a.length, 4)
+    if not (a.half_open_only() and b.half_open_only()):
+        yield f"sampler produced a non-half-open set: {a.render()}"
+        return
+    pa, pb = grid_probability(model, a), grid_probability(model, b)
+    la = NonArchValue.constant(model.generator, a.length)
+    if not (pa == pb == la):
+        yield (f"A={a.render()}, B={b.render()}: "
+               f"P(A)={pa}, P(B)={pb}, length={a.length}")
 
 
 def property_checks(model: GridModel, corrupt: bool = False) -> list:

@@ -38,8 +38,8 @@ from .cantor import CantorEvent, CantorModel
 from .errors import DomainError
 from .intervals import IntervalSet, dyadic_tail_family, sigma_additivity_probe
 from .report import PropertyReport
-from .spinner import (FiniteGrid, GridModel, SuiteConfig, check_digits,
-                      finite_grid_stabilizer, property_checks)
+from .spinner import (FiniteGrid, GridModel, SuiteConfig, _report,
+                      check_digits, finite_grid_stabilizer, property_checks)
 from . import sampling
 
 WITNESS_MASSES = (Fraction(1, 10), Fraction(1, 1000), Fraction(1, 10 ** 6))
@@ -57,28 +57,20 @@ def _rand_cantor_event(rng, max_cylinders: int, max_depth: int,
 
 def cantor_coherence_suite(config: SuiteConfig) -> PropertyReport:
     """Exhaustive single-cylinder pairs at small depth plus sampled unions."""
-    model = CantorModel()
-    rng = config.rng("cantor-coherence")
-    counterexamples: list[str] = []
-    cases = 0
-    singles = [""] + ["".join(addr) for d in range(1, 4)
-                      for addr in product("02", repeat=d)]
-    for a in singles:
-        for b in singles:
-            cases += 1
-            rep = cantor_mod.coherence_check(model, CantorEvent((a,)),
-                                             CantorEvent((b,)))
-            counterexamples.extend(rep.counterexamples)
-    for _ in range(config.cases):
-        cases += 1
-        a = _rand_cantor_event(rng, 4, 6, nonempty=False)
-        b = _rand_cantor_event(rng, 4, 6, nonempty=True)
-        rep = cantor_mod.coherence_check(model, a, b)
-        counterexamples.extend(rep.counterexamples)
-    witnesses = ["conditional counting probability equals the measure ratio "
-                 "on every checked pair"] + config.coverage_warnings()
-    return PropertyReport.from_checks(
-        "cantor-conditional-coherence", cases, counterexamples, witnesses)
+    model, rng = CantorModel(), config.rng("cantor-coherence")
+    singles = [CantorEvent(("".join(address),)) for depth in range(4)
+               for address in product("02", repeat=depth)]
+    pairs = [(a, b) for a in singles for b in singles] + [
+        (_rand_cantor_event(rng, 4, 6, nonempty=False),
+         _rand_cantor_event(rng, 4, 6, nonempty=True))
+        for _ in range(config.cases)]
+    counterexamples = [
+        c for a, b in pairs
+        for c in cantor_mod.coherence_check(model, a, b).counterexamples]
+    return _report("cantor-conditional-coherence", len(pairs),
+                   counterexamples,
+                   ["conditional counting probability equals the measure "
+                    "ratio on every checked pair"], config)
 
 
 def sigma_probe_suite(config: SuiteConfig) -> PropertyReport:

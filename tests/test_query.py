@@ -596,18 +596,42 @@ def test_alternating_4000_operand_chain_matches_a_point_count():
         assert render_query(parse_query(q)) == q
 
 
-def test_grid_and_cantor_probabilities_are_looked_up_at_call_time(
-        monkeypatch):
+# each model's probability kernel, then a P(A) query and, where the model
+# defines conditionals, a P(A | B) query, each with its value
+MODEL_KERNELS = {
+    "minimal": ("lebesgue_length", ("P([0,1/2))", "1/2"),
+                ("P([0,1/4) | [0,1/2))", "1/2")),
+    "grid": ("grid_probability", ("P({1/3})", "eps"),
+             ("P({1/3} | [0,1/2))", "2*eps")),
+    "cantor": ("cantor_probability", ("P({0})", "1/2"),
+               ("P({00} | {0})", "1/2")),
+    "coinflip": ("coinflip_probability", ("P(allheads)", "h"),
+                 ("P(pin(1:H) | pin(2:T))", "1/2")),
+    "lottery": ("lottery_ticket_probability", ("P(tickets(3))", "3*delta")),
+}
+
+
+def test_every_model_probability_is_looked_up_at_call_time(monkeypatch):
+    """A wrapper on a kernel's name in ``query`` sees every query of its
+    model: one call for P(A), two for P(A | B)."""
+    assert tuple(MODEL_KERNELS) == query.MODELS
     calls = []
-    for name in ("grid_probability", "cantor_probability"):
+    for name, *_ in MODEL_KERNELS.values():
         def counted(*args, _real=getattr(query, name), _name=name):
             calls.append(_name)
             return _real(*args)
         monkeypatch.setattr(query, name, counted)
-    assert evaluate(parse_query("grid: P({1/3} | [0,1/2))")).value_text \
-        == "2*eps"
-    assert evaluate(parse_query("cantor: P({0})")).value_text == "1/2"
-    assert calls == ["grid_probability"] * 2 + ["cantor_probability"]
+    for model, (name, *cases) in MODEL_KERNELS.items():
+        for text, value in cases:
+            calls.clear()
+            assert evaluate(parse_query(f"{model}: {text}")).value_text \
+                == value
+            assert calls == [name] * (1 + ("|" in text)), (model, text)
+
+
+def test_an_unknown_model_in_a_built_query_is_refused_by_the_table():
+    with pytest.raises(QueryTypeError, match="^unknown model 'uniform'$"):
+        evaluate(Query("uniform", Prob(FullLit())))
 
 
 # -- parser totality (fuzz) -------------------------------------------------------------

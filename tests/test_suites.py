@@ -56,6 +56,22 @@ def test_duration_ms_is_each_suites_own_time(monkeypatch):
     assert all(r["duration_ms"] < 100 for r in rows[:1] + rows[2:])
 
 
+@pytest.mark.parametrize("thin", [{"cases": 5}, {"max_denominator": 1}])
+def test_exactly_the_sampled_suites_warn_of_low_coverage(thin):
+    """The six spinner checks and the cylinder coherence sweep report
+    through one rule, which adds the coverage warning; no other suite
+    does, and the default config warns nowhere."""
+    def warned(config):
+        rows = run_all(config)
+        assert all_passed(rows)
+        return [r["suite"] for r in rows
+                if any(w.startswith("warning: low-coverage")
+                       for w in r["witnesses"])]
+
+    assert warned(SuiteConfig(max_grid_size=6, **thin)) == SUITE_ORDER[:7]
+    assert warned(SuiteConfig()) == []
+
+
 def test_corrupt_hook_fails_exactly_one_suite():
     results = run_all(small_config(), corrupt=True)
     assert not all_passed(results)
