@@ -24,8 +24,8 @@ from fractions import Fraction
 
 from .errors import DomainError, ParseError, QueryTypeError
 from .lottery import archimedean_regularity_witness
-from .field import parse_rational, render_exact
-from .query import compare_values, evaluate, evaluate_value, parse_query
+from .field import TokenCursor, compare_values, parse_rational, render_exact
+from .query import evaluate, evaluate_value, parse_query
 from .spinner import FiniteGrid, finite_grid_stabilizer
 from . import suites
 
@@ -90,9 +90,12 @@ def _parse_grid(spec: str) -> FiniteGrid:
     spec = spec.strip()
     if spec.startswith("uniform:"):
         try:
-            n = int(spec.split(":", 1)[1])
-        except ValueError:
-            raise DomainError(f"bad uniform grid spec {spec!r}") from None
+            cursor = TokenCursor(spec[len("uniform:"):], "-/")
+            n = cursor.expect_nat()
+            cursor.expect_end()
+        except ParseError as exc:
+            raise DomainError(f"uniform:N needs a natural number N: "
+                              f"{exc}") from None
         return FiniteGrid.uniform(n)
     points = tuple(_parse_fraction(part)
                    for part in spec.split(",") if part.strip())

@@ -570,12 +570,36 @@ def compare(a: NonArchValue, b: NonArchValue) -> Ordering:
     return a.compare(b)
 
 
-def standard_part(a: NonArchValue) -> Fraction:
-    return a.standard_part()
+Value = Union[Fraction, NonArchValue]
 
 
-def classify(a: NonArchValue) -> Classification:
-    return a.classify()
+def standard_part(a: Value) -> Fraction:
+    """The standard part of a limited value; a rational is its own."""
+    return a if isinstance(a, Fraction) else a.standard_part()
+
+
+def classify(a: Value) -> Classification:
+    """A rational classifies as the constant it is in the field."""
+    if not isinstance(a, Fraction):
+        return a.classify()
+    sign = Sign.ZERO if a == 0 else Sign.POSITIVE if a > 0 else Sign.NEGATIVE
+    return Classification(Kind.LIMITED if a else Kind.INFINITESIMAL, sign)
+
+
+def compare_values(a: Value, b: Value) -> tuple[Ordering, "Value | None",
+                                                 Value]:
+    """Ordering plus exact ratio (None against zero) and difference."""
+    if isinstance(a, Fraction) and isinstance(b, Fraction):
+        ordering = (Ordering.LESS if a < b
+                    else Ordering.GREATER if a > b else Ordering.EQUAL)
+        ratio = a / b if b != 0 else None
+        return ordering, ratio, a - b
+    if isinstance(a, Fraction):
+        a = NonArchValue.constant(b.generator, a)
+    if isinstance(b, Fraction):
+        b = NonArchValue.constant(a.generator, b)
+    ratio = a / b if not b.is_zero() else None
+    return a.compare(b), ratio, a - b
 
 
 # -- text form ----------------------------------------------------------------

@@ -64,6 +64,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .errors import DomainError, ParseError, QueryTypeError
+from .field import render_exact
 from .report import PropertyReport
 
 Cut = tuple[int, Fraction, bool]
@@ -102,11 +103,12 @@ class Piece:
         return self.start <= (x, False) and (x, True) <= self.end
 
     def render(self) -> str:
+        left = render_exact(self.left)
         if self.is_point():
-            return f"{{{self.left}}}"
+            return f"{{{left}}}"
         lb = "[" if self.left_in else "("
         rb = "]" if self.right_in else ")"
-        return f"{lb}{self.left},{self.right}{rb}"
+        return f"{lb}{left},{render_exact(self.right)}{rb}"
 
 
 def _as_fraction(x) -> Fraction:

@@ -27,7 +27,8 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import DomainError
-from .field import MAX_NUMERAL_DIGITS, Generator, NonArchValue, Ordering
+from .field import (MAX_NUMERAL_DIGITS, Generator, NonArchValue, Ordering,
+                    compare_values, render_exact)
 from .report import PropertyReport
 
 COIN_GENERATOR = Generator("h")
@@ -51,7 +52,7 @@ class CoinEvent:
     ``pinned`` fixes outcomes at standard positions (``make`` keeps only
     the pins past the dropped prefix); with ``all_heads``
     every remaining unpinned toss must come up heads.  ``contradictory``
-    marks an intersection whose pins disagreed outright.
+    marks a conjunction, or a pin list, whose pins disagreed outright.
     """
 
     dropped_prefix: int = 0
@@ -168,7 +169,7 @@ def shift_compare(j1: int, j2: int) -> ShiftComparison:
         raise DomainError("drop counts must be nonnegative")
     p1 = coinflip_probability(CoinEvent.allheads(j1))
     p2 = coinflip_probability(CoinEvent.allheads(j2))
-    return ShiftComparison(p1.compare(p2), p1 / p2, p1 - p2)
+    return ShiftComparison(*compare_values(p1, p2))
 
 
 def part_whole_check(whole_drop: int, part_drop: int) -> PropertyReport:
@@ -243,7 +244,7 @@ class RegularityWitness:
         return tuple(Fraction(k, p) for k in range(self.n))
 
     def to_dict(self) -> dict:
-        out = {"n": self.n, "product": str(self.product)}
+        out = {"n": self.n, "product": render_exact(self.product)}
         if self.rotation is not None:
             out["points"] = [str(p) for p in self.points]
         return out
@@ -252,7 +253,8 @@ class RegularityWitness:
         """The text of ``json.dumps(self.to_dict())`` in pieces, the orbit
         written _ORBIT_BLOCK points at a time.  p is a prime above n, so
         each point k/p is already in lowest terms and no Fraction is built."""
-        head = json.dumps({"n": self.n, "product": str(self.product)})
+        head = json.dumps({"n": self.n,
+                           "product": render_exact(self.product)})
         if self.rotation is None:
             yield head
             return

@@ -49,15 +49,15 @@ builder for each model.  Every model's ``P(A | B)`` is
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
 from typing import Union
 
 from .cantor import CantorEvent, CantorModel, cantor_probability
 from .errors import DomainError, ParseError, QueryTypeError
-from .field import (Classification, Kind, NonArchValue, Ordering, Sign,
-                    TokenCursor, render_exact)
+from .field import (TokenCursor, Value, classify, compare_values,
+                    render_exact, standard_part)
 from .intervals import (EMPTY_CONDITION, IntervalSet, _clean, conditional,
                         lebesgue_length)
 from .lottery import (CoinEvent, LotteryModel, coinflip_probability,
@@ -523,9 +523,14 @@ def _to_cantor_event(node: SetNode) -> CantorEvent:
 
 def _to_coin_event(node: SetNode) -> CoinEvent:
     if isinstance(node, CoinLit):
-        return CoinEvent.make(dropped_prefix=node.dropped,
-                              pinned=dict(node.pins),
-                              all_heads=node.all_heads)
+        pins = dict(node.pins)
+        event = CoinEvent.make(dropped_prefix=node.dropped, pinned=pins,
+                               all_heads=node.all_heads)
+        # a pin list is the conjunction of its pins, checked before ``make``
+        # drops those inside the prefix: two outcomes at one position empty it
+        if len(pins) < len(set(node.pins)):
+            return replace(event, contradictory=True)
+        return event
     first, rest = _unroll(node) if isinstance(node, SetOp) else (node, [])
     # a run of two or more literals is a union
     if (isinstance(first, LiteralRun) and len(first.parts) > 1
@@ -544,9 +549,6 @@ def _to_ticket_count(node: SetNode) -> int:
     if isinstance(node, TicketLit):
         return 1 if node.count is None else node.count
     raise QueryTypeError("only ticket literals belong to the lottery model")
-
-
-Value = Union[Fraction, NonArchValue]
 
 
 _GRID, _CANTOR, _LOTTERY = GridModel(), CantorModel(), LotteryModel()
@@ -586,37 +588,6 @@ def _eval_prob(p: Prob, model: str) -> Value:
     return conditional(probability, event, build(p.given), null_condition)
 
 
-def _classify_rational(r: Fraction) -> Classification:
-    if r == 0:
-        return Classification(Kind.INFINITESIMAL, Sign.ZERO)
-    sign = Sign.POSITIVE if r > 0 else Sign.NEGATIVE
-    return Classification(Kind.LIMITED, sign)
-
-
-def _value_st(v: Value) -> Fraction:
-    return v if isinstance(v, Fraction) else v.standard_part()
-
-
-def _value_classification(v: Value) -> Classification:
-    return _classify_rational(v) if isinstance(v, Fraction) else v.classify()
-
-
-def compare_values(a: Value, b: Value) -> tuple[Ordering, "Value | None",
-                                                 Value]:
-    """Ordering plus exact ratio (None against zero) and difference."""
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        ordering = (Ordering.LESS if a < b
-                    else Ordering.GREATER if a > b else Ordering.EQUAL)
-        ratio = a / b if b != 0 else None
-        return ordering, ratio, a - b
-    if isinstance(a, Fraction):
-        a = NonArchValue.constant(b.generator, a)
-    if isinstance(b, Fraction):
-        b = NonArchValue.constant(a.generator, b)
-    ratio = a / b if not b.is_zero() else None
-    return a.compare(b), ratio, a - b
-
-
 @dataclass
 class EvalResult:
     """Rendered outcome of one query: value, standard part, classification."""
@@ -639,11 +610,11 @@ def evaluate(q: Query) -> EvalResult:
     expr = q.expr
     if isinstance(expr, (Prob, St)):
         v = evaluate_value(q)
-        return EvalResult(render_exact(v), render_exact(_value_st(v)),
-                          _value_classification(v).render())
+        return EvalResult(render_exact(v), render_exact(standard_part(v)),
+                          classify(v).render())
     if isinstance(expr, ClassifyExpr):
         v = _eval_prob(expr.prob, q.model)
-        return EvalResult(_value_classification(v).render())
+        return EvalResult(classify(v).render())
     if isinstance(expr, CompareExpr):
         a = _eval_prob(expr.left, q.model)
         b = _eval_prob(expr.right, q.model)
@@ -661,6 +632,6 @@ def evaluate_value(q: Query) -> Value:
     if isinstance(expr, Prob):
         return _eval_prob(expr, q.model)
     if isinstance(expr, St):
-        return _value_st(_eval_prob(expr.prob, q.model))
+        return standard_part(_eval_prob(expr.prob, q.model))
     raise QueryTypeError("only P(...) and st(...) queries produce a value "
                          "to compare")

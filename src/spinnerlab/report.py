@@ -4,41 +4,35 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-VERDICTS = ("pass", "fail")
-
 
 @dataclass
 class PropertyReport:
     """One property's verdict with the evidence that produced it.
 
-    A failing report carries at least one counterexample and no witnesses;
-    a passing one carries no counterexamples.
+    The verdict is ``"fail"`` exactly when there are counterexamples; a
+    failing report carries no witnesses.
     """
 
     name: str
-    verdict: str
     cases: int
     counterexamples: list[str] = field(default_factory=list)
     witnesses: list[str] = field(default_factory=list)
 
     def __post_init__(self):
-        if self.verdict not in VERDICTS:
-            raise ValueError(f"unknown verdict {self.verdict!r}")
-        if self.verdict == "fail" and not self.counterexamples:
-            raise ValueError("failing report without a counterexample")
-        if self.verdict == "pass" and self.counterexamples:
-            raise ValueError("passing report with counterexamples")
-        if self.verdict == "fail" and self.witnesses:
+        if self.counterexamples and self.witnesses:
             raise ValueError("failing report with witnesses")
+
+    @property
+    def verdict(self) -> str:
+        return "fail" if self.counterexamples else "pass"
 
     @classmethod
     def from_checks(cls, name: str, cases: int, counterexamples: list[str],
                     witnesses: "list[str] | None" = None) -> "PropertyReport":
-        """Verdict from the counterexamples; the witnesses back a passing
-        claim, so a failing report drops them."""
+        """A failing report drops the witnesses, which back a pass."""
         if counterexamples:
-            return cls(name, "fail", cases, list(counterexamples))
-        return cls(name, "pass", cases, [], list(witnesses or []))
+            return cls(name, cases, list(counterexamples))
+        return cls(name, cases, [], list(witnesses or []))
 
     def to_dict(self) -> dict:
         return {

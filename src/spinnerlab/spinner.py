@@ -73,8 +73,8 @@ class CountForm:
 
     def render(self) -> str:
         if self.constant < 0:
-            return f"{self.linear}*N - {-self.constant}"
-        return f"{self.linear}*N + {self.constant}"
+            return f"{render_exact(self.linear)}*N - {-self.constant}"
+        return f"{render_exact(self.linear)}*N + {self.constant}"
 
     __str__ = render
 

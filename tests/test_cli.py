@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 from spinnerlab.errors import DomainError
+from spinnerlab.field import parse_rational
+from spinnerlab.lottery import archimedean_regularity_witness
 from spinnerlab.suites import run_suites
 
 GOLDEN = Path(__file__).parent / "golden_queries.jsonl"
@@ -118,6 +120,46 @@ def test_suite_json_deterministic_modulo_duration(tmp_path):
         return rows
 
     assert stripped() == stripped()
+
+
+@pytest.mark.parametrize("corrupt", [False, True])
+def test_suite_plain_text_report(corrupt, monkeypatch):
+    monkeypatch.delenv("SPINNERLAB_SEED", raising=False)
+    flags = ("--corrupt-oracle",) if corrupt else ()
+    code, out, err = run_cli("suite", *flags)
+    _, rows = run_suites(None, corrupt)
+    lines = out.splitlines()
+    assert (code, err) == (int(corrupt), "")
+    assert lines[-1] == ("suite failures detected" if corrupt
+                         else "all suites passed")
+    marks = [line for line in lines if line.startswith(("ok  ", "FAIL"))]
+    assert marks == [
+        f"{'FAIL' if r['verdict'] == 'fail' else 'ok  '} {r['suite']:40s} "
+        f"verdict={r['verdict']} cases={r['cases']}" for r in rows]
+    assert sum(m.startswith("FAIL") for m in marks) == int(corrupt)
+    shown = [line for line in lines if line.startswith("     counterexample: ")]
+    assert len(lines) == len(marks) + len(shown) + 1
+    if corrupt:
+        assert 1 <= len(shown) <= 3
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("eval", "grid: P(ticket)"),
+     "ticket events do not belong to the grid model"),
+    (("eval", "minimal: P(tickets(2))"),
+     "ticket events do not belong to the minimal model"),
+    (("eval", "cantor: P(allheads)"),
+     "this event does not belong to the cantor model"),
+    (("eval", "cantor: P(ticket)"),
+     "this event does not belong to the cantor model"),
+    (("stabilizer", "--grid", ","), "empty grid specification"),
+    (("stabilizer", "--grid", "uniform:1_0"),
+     "uniform:N needs a natural number N: syntax error at position 1: "
+     "trailing input '_0'"),
+])
+def test_model_mismatches_and_bad_grid_specs_are_refused(argv, message):
+    code, out, err = run_cli(*argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_suite_corrupt_oracle_exits_one():
@@ -234,6 +276,21 @@ def test_digit_limit_inputs_print_exactly_or_fail_cleanly():
         code, out, err = run_cli(*argv)
         assert (code, out) == (1, ""), argv
         assert err.startswith("error: ") and "Traceback" not in err, argv
+    # N of uniform:N is read by the token rules, and an error is short
+    for spec in ("uniform:1_0", "uniform:+3", "uniform:",
+                 f"uniform:{'1' * 5000}"):
+        code, out, err = run_cli("stabilizer", "--grid", spec)
+        assert (code, out) == (1, ""), spec[:20]
+        assert err.startswith("error: ") and len(err) < 120, spec[:20]
+    # n * eps passes the digit limit although both numerals are at it
+    eps = f"{10 ** 4299 + 1}/{10 ** 4300 - 7}"
+    product = f"1{'0' * 4298}10/{10 ** 4300 - 7}"
+    for prop in ("4.1", "4.2"):
+        code, out, err = run_cli("witness", "--prop", prop, "--eps", eps)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["product"] == product
+    assert archimedean_regularity_witness(
+        parse_rational(eps)).to_dict() == {"n": 10, "product": product}
     code, out, _ = run_cli("stabilizer", "--grid", f"1/{'9' * 4300}")
     assert code == 0
     assert json.loads(out)["witness_image"].endswith(f"/1{'9' * 4299}8")
@@ -247,6 +304,7 @@ def test_stabilizer_subcommand():
     data = json.loads(out)
     assert data["order"] == 12 and data["generator_rotation"] == "1/12"
     assert data["witness_rotation"] == "1/13"
+    assert run_cli("stabilizer", "--grid", "uniform: 12")[1] == out
     code, out, _ = run_cli("stabilizer", "--grid", "0,1/4,1/3")
     assert json.loads(out)["order"] == 1
     code, _, err = run_cli("stabilizer", "--grid", "3/2")

@@ -22,11 +22,12 @@ from spinnerlab.errors import DomainError, GeneratorMismatchError, ParseError
 from spinnerlab.field import (MAX_NUMERAL_DIGITS, Generator, Kind,
                               NonArchValue, Ordering, Poly, Sign, TokenCursor,
                               arith_add, arith_div, arith_mul, classify,
-                              compare, parse_rational, parse_value,
-                              standard_part, _exquo, _gcd, _int_prem, _mul,
-                              _strip)
+                              compare, compare_values, parse_rational,
+                              parse_value, standard_part, _exquo, _gcd,
+                              _int_prem, _mul, _strip)
 from spinnerlab.lottery import (CoinEvent, LotteryModel, coinflip_probability,
                                 lottery_ticket_probability)
+from spinnerlab import query
 from spinnerlab.query import parse_query
 from spinnerlab.sampling import (rand_interval_set, rand_limited_value,
                                  rand_value)
@@ -157,6 +158,27 @@ def test_classify_examples():
     assert (c.kind, c.sign) == (Kind.UNLIMITED, Sign.POSITIVE)
     c = classify(ZERO)
     assert (c.kind, c.sign) == (Kind.INFINITESIMAL, Sign.ZERO)
+
+
+_RATIONALS = st.one_of(st.just(F(0)), st.fractions(max_denominator=50))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_RATIONALS, _RATIONALS)
+def test_a_rational_follows_the_value_rules_of_its_field_constant(r, s):
+    cr, cs = NonArchValue.constant(G, r), NonArchValue.constant(G, s)
+    assert standard_part(r) == standard_part(cr) == r
+    assert classify(r) == classify(cr)
+    expected = compare_values(cr, cs)
+    for a, b in ((r, s), (cr, s), (r, cs)):
+        ordering, ratio, difference = compare_values(a, b)
+        assert ordering is expected[0]
+        assert (ratio is None) is (expected[1] is None) is (s == 0)
+        assert ratio == expected[1] and difference == expected[2]
+
+
+def test_query_still_names_compare_values():
+    assert query.compare_values is compare_values
 
 
 def test_generator_mismatch_is_hard_error():

@@ -6,6 +6,7 @@ rationals with small denominators, independently of normalization.
 
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -17,6 +18,7 @@ from spinnerlab.intervals import (IntervalSet, Piece, boolean_combine,
                                   lebesgue_length, normalize, parse_set,
                                   sigma_additivity_probe, translate_mod1)
 from spinnerlab.sampling import rand_interval_set
+from spinnerlab.spinner import GridModel, grid_count
 
 
 def raw_member(raw, x):
@@ -425,3 +427,17 @@ def test_set_notation_round_trip():
             parse_set(text)
         assert type(exc.value) is ParseError
         assert str(exc.value) == message
+
+
+def test_exact_numbers_past_the_digit_limit_render():
+    # the inputs are at the 4300-digit cap; sums of their endpoints are
+    # twice as long, past Python's int->str limit
+    def exact(x):
+        return f"{Decimal(x.numerator)}/{Decimal(x.denominator)}"
+    nines, sevens = "9" * 4300, "7" * 4300
+    a = parse_set(f"translate([0,1/{nines}), 1/{sevens})")
+    right = F(1, int(sevens)) + F(1, int(nines))
+    assert format_set(a) == f"[1/{sevens},{exact(right)})"
+    assert repr(a) == f"IntervalSet<{format_set(a)}>"
+    b = parse_set(f"[0,1/{nines}) u translate([0,1/{sevens}), 1/2)")
+    assert grid_count(GridModel(), b).render() == f"{exact(right)}*N + 0"

@@ -14,7 +14,7 @@ from spinnerlab.lottery import (COIN_GENERATOR, LOTTERY_GENERATOR, CoinEvent,
                                 coinflip_probability,
                                 lottery_ticket_probability, part_whole_check,
                                 shift_compare)
-from spinnerlab.query import evaluate, parse_query
+from spinnerlab.query import evaluate, parse_query, render_query
 
 H = NonArchValue.infinitesimal(COIN_GENERATOR)
 DELTA = NonArchValue.infinitesimal(LOTTERY_GENERATOR)
@@ -117,6 +117,33 @@ def test_a_dropped_pin_stays_ignored_in_a_query_chain():
     lines = evaluate(parse_query(
         "coinflip: P(allheads>5&pin(3:T) n allheads>2)")).lines()
     assert lines[0] == "value: 4*h"
+
+
+def _coin_lines(text):
+    return evaluate(parse_query(f"coinflip: P({text})")).lines()
+
+
+def test_a_pin_list_with_a_repeated_position_is_its_conjunction():
+    # two outcomes at one position empty the event, also inside a dropped
+    # prefix; an agreeing repeat counts once
+    assert _coin_lines("pin(3:H,3:T)")[0] == "value: 0"
+    assert _coin_lines("allheads>5&pin(3:H,3:T)")[0] == "value: 0"
+    assert _coin_lines("pin(1:H,1:H,2:T)")[0] == "value: 1/4"
+    assert _coin_lines("allheads>5&pin(3:H,3:H)")[0] == "value: 32*h"
+    text = "coinflip: P(allheads>5&pin(3:H,3:T))"
+    assert render_query(parse_query(text)) == text
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 6), st.sampled_from("HT")),
+                min_size=1, max_size=8),
+       st.integers(0, 7))
+def test_a_pin_list_equals_the_chain_of_its_pins(pins, j):
+    listed = ",".join(f"{p}:{o}" for p, o in pins)
+    chain = " n ".join(f"pin({p}:{o})" for p, o in pins)
+    assert _coin_lines(f"pin({listed})") == _coin_lines(chain)
+    assert _coin_lines(f"allheads>{j}&pin({listed})") \
+        == _coin_lines(f"allheads>{j} n {chain}")
 
 
 def test_a_pin_chain_is_one_conjunction(monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 
 from spinnerlab import spinner, suites
 from spinnerlab.errors import DomainError
+from spinnerlab.report import PropertyReport
 from spinnerlab.spinner import SuiteConfig
 from spinnerlab.suites import all_passed, run_all, run_suites
 
@@ -215,3 +216,18 @@ def test_no_fork_while_another_thread_is_alive(monkeypatch):
     assert [r["suite"] for r in rows] == SUITE_ORDER
     assert suites._lane_count(10) == 4
     assert suites._lane_count(3) == 3
+
+
+@pytest.mark.parametrize("counterexamples, witnesses", [
+    ([], []), ([], ["w"]), (["c"], []), (["c", "d"], ["w"])])
+def test_a_report_fails_exactly_when_it_has_counterexamples(counterexamples,
+                                                             witnesses):
+    report = PropertyReport.from_checks("p", 3, counterexamples, witnesses)
+    assert report.verdict == ("fail" if counterexamples else "pass")
+    assert report.to_dict() == {
+        "suite": "p", "verdict": report.verdict, "cases": 3,
+        "counterexamples": counterexamples,
+        "witnesses": [] if counterexamples else witnesses}
+    with pytest.raises(ValueError, match="failing report with witnesses"):
+        PropertyReport("p", 3, ["c"], ["w"])
+
