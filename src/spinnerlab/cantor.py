@@ -162,10 +162,12 @@ def conditional_probability(model: CantorModel, a: CantorEvent,
                        EMPTY_CONDITION)
 
 
-def coherence_check(model: CantorModel, a: CantorEvent,
-                    b: CantorEvent) -> PropertyReport:
-    """Compare the Hausdorff measure ratio with the conditional counting
-    probability; on cylinder events the two are exactly equal."""
+def coherence_sides(model: CantorModel, a: CantorEvent, b: CantorEvent
+                    ) -> "tuple[Fraction, NonArchValue, list[str]]":
+    """The two sides of coherence on (a, b), the Hausdorff measure ratio
+    and the conditional counting probability, with the counterexample when
+    they differ: the rule that ``coherence_check`` reports and the
+    cylinder coherence suite sweeps."""
     conditional = conditional_probability(model, a, b)
     ratio = hausdorff_measure(a & b) / hausdorff_measure(b)
     counterexamples = []
@@ -173,6 +175,14 @@ def coherence_check(model: CantorModel, a: CantorEvent,
         counterexamples.append(
             f"a={a.render()}, b={b.render()}: measure ratio {ratio} "
             f"!= conditional {conditional}")
+    return ratio, conditional, counterexamples
+
+
+def coherence_check(model: CantorModel, a: CantorEvent,
+                    b: CantorEvent) -> PropertyReport:
+    """Compare the Hausdorff measure ratio with the conditional counting
+    probability; on cylinder events the two are exactly equal."""
+    ratio, conditional, counterexamples = coherence_sides(model, a, b)
     witnesses = [f"measure-ratio = {ratio}", f"conditional = {conditional}"]
     return PropertyReport.from_checks(
         "cantor-conditional-coherence", cases=1,

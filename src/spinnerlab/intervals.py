@@ -52,6 +52,7 @@ quadratic.  ``contains`` bisects too.
 
 ``length`` sums the endpoint numerators per denominator, scales the sums
 to one ``math.lcm`` of the denominators and makes a single ``Fraction``.
+It is computed once per set, the first time it is read, and kept.
 """
 
 from __future__ import annotations
@@ -241,7 +242,7 @@ class IntervalSet:
     ``cuts`` holds the components as (start, end) cut pairs.
     """
 
-    __slots__ = ("cuts", "_pieces")
+    __slots__ = ("cuts", "_pieces", "_length")
 
     def __init__(self, raw: Iterable[Sequence] = ()):
         cuts: list[CutPair] = []
@@ -251,14 +252,14 @@ class IntervalSet:
             left, left_in, right, right_in = comp
             cuts.extend(_clean(left, left_in, right, right_in))
         self.cuts: tuple[CutPair, ...] = _merge(cuts)
-        self._pieces = None
+        self._pieces = self._length = None
 
     @classmethod
     def _normal(cls, cuts: "tuple[CutPair, ...]") -> "IntervalSet":
         """A set from cut pairs already sorted, disjoint and non-adjacent:
         the kernel's private path, which neither validates nor merges."""
         s = object.__new__(cls)
-        s.cuts, s._pieces = cuts, None
+        s.cuts, s._pieces, s._length = cuts, None, None
         return s
 
     @classmethod
@@ -315,18 +316,21 @@ class IntervalSet:
 
     @property
     def length(self) -> Fraction:
-        # the numerators summed per denominator, then one lcm
-        sums: dict[int, int] = {}
-        for (_, left, _), (_, right, _) in self.cuts:
-            d = right.denominator
-            sums[d] = sums.get(d, 0) + right.numerator
-            d = left.denominator
-            sums[d] = sums.get(d, 0) - left.numerator
-        den = lcm(*sums)
-        num = 0
-        for d, n in sums.items():
-            num += n * (den // d)
-        return Fraction(num, den)
+        """The sum of the component lengths, computed when first read."""
+        if self._length is None:
+            # the numerators summed per denominator, then one lcm
+            sums: dict[int, int] = {}
+            for (_, left, _), (_, right, _) in self.cuts:
+                d = right.denominator
+                sums[d] = sums.get(d, 0) + right.numerator
+                d = left.denominator
+                sums[d] = sums.get(d, 0) - left.numerator
+            den = lcm(*sums)
+            num = 0
+            for d, n in sums.items():
+                num += n * (den // d)
+            self._length = Fraction(num, den)
+        return self._length
 
     # -- algebra -----------------------------------------------------------
 

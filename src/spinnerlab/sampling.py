@@ -2,23 +2,36 @@
 
 Everything here is driven by a caller-supplied ``random.Random`` so that
 suites and tests are reproducible from a single seed.
+
+The interval samplers draw numerators and denominators as integers, order
+endpoints by integer cross products and do their sums over one common
+denominator, so each endpoint ``Fraction`` is built once, from its final
+integers.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
+from numbers import Rational
 
+from .errors import DomainError
 from .field import Generator, NonArchValue, Poly
 from .intervals import IntervalSet
+
+
+def _rand_ratio(rng: random.Random, max_den: int,
+                include_one: bool = False) -> "tuple[int, int]":
+    """``rand_fraction``'s draws as (numerator, denominator), not reduced."""
+    den = rng.randint(1, max(1, max_den))
+    return rng.randint(0, den if include_one else den - 1), den
 
 
 def rand_fraction(rng: random.Random, max_den: int,
                   include_one: bool = False) -> Fraction:
     """Uniform-ish rational in [0,1) (or [0,1] with include_one)."""
-    den = rng.randint(1, max(1, max_den))
-    num = rng.randint(0, den if include_one else den - 1)
-    return Fraction(num, den)
+    return Fraction(*_rand_ratio(rng, max_den, include_one))
 
 
 def rand_interval_set(rng: random.Random, max_components: int,
@@ -26,14 +39,17 @@ def rand_interval_set(rng: random.Random, max_components: int,
     """Random normalized set with mixed flags, possibly empty."""
     raw = []
     for _ in range(rng.randint(0, max_components)):
-        a = rand_fraction(rng, max_den, include_one=True)
-        b = rand_fraction(rng, max_den, include_one=True)
-        if a > b:
-            a, b = b, a
-        if a == b and rng.random() < 0.5:
+        p, q = _rand_ratio(rng, max_den, include_one=True)
+        r, s = _rand_ratio(rng, max_den, include_one=True)
+        order = p * s - r * q
+        if order > 0:
+            p, q, r, s = r, s, p, q
+        a = Fraction(p, q)
+        if order == 0 and rng.random() < 0.5:
             raw.append((a, True, a, True))
         else:
-            raw.append((a, rng.random() < 0.5, b, rng.random() < 0.5))
+            raw.append((a, rng.random() < 0.5, Fraction(r, s),
+                        rng.random() < 0.5))
     return IntervalSet(raw)
 
 
@@ -43,39 +59,59 @@ def rand_half_open_set(rng: random.Random, max_components: int,
     while True:
         raw = []
         for _ in range(rng.randint(1, max_components)):
-            a = rand_fraction(rng, max_den)
-            b = rand_fraction(rng, max_den, include_one=True)
-            if a > b:
-                a, b = b, a
-            if a < b:
-                raw.append((a, True, b, False))
-        s = IntervalSet(raw)
-        if s.length > 0:
-            return s
+            p, q = _rand_ratio(rng, max_den)
+            r, s = _rand_ratio(rng, max_den, include_one=True)
+            order = p * s - r * q
+            if order > 0:
+                p, q, r, s = r, s, p, q
+            if order:
+                raw.append((Fraction(p, q), True, Fraction(r, s), False))
+        out = IntervalSet(raw)
+        if out.length > 0:
+            return out
 
 
 def repack_half_open(rng: random.Random, total: Fraction,
                      max_pieces: int) -> IntervalSet:
-    """Disjoint union of [a,b) pieces with the exact prescribed total length."""
+    """Disjoint union of [a,b) pieces with the exact prescribed total length.
+
+    The pieces split ``total`` at up to k - 1 cuts t*total, t of
+    denominator at most 64.  Before each piece is a gap: a share u, of
+    denominator at most 16, of the slack 1 - total that the earlier gaps
+    left.  Everything is summed as integers over one common denominator.
+    """
+    if not isinstance(total, Rational):
+        raise DomainError(f"total length must be an exact rational, "
+                          f"got {total!r}")
     if not 0 < total <= 1:
-        raise ValueError("total length must lie in (0,1]")
+        raise DomainError("total length must lie in (0,1]")
     k = rng.randint(1, max_pieces)
-    cuts = sorted({rand_fraction(rng, 64) * total for _ in range(k - 1)})
-    bounds = [Fraction(0)] + cuts + [total]
+    shares = [_rand_ratio(rng, 64) for _ in range(k - 1)]
+    # the cuts and total as numerators over cut_den, in units of total
+    cut_den = lcm(*[d for _, d in shares])
+    bounds = [0] + sorted({n * (cut_den // d) for n, d in shares}) + [cut_den]
     lengths = [b - a for a, b in zip(bounds, bounds[1:]) if b > a]
-    slack = 1 - total
-    gaps = []
-    remaining = slack
-    for _ in lengths:
-        g = rand_fraction(rng, 16) * remaining
-        gaps.append(g)
-        remaining -= g
+    gaps = [_rand_ratio(rng, 16) for _ in lengths]
+    # with u_i = n_i/e_i, gap j is slack * prod_{i<j} (1 - u_i) * u_j:
+    # its numerator over gap_den = prod e_i, in units of slack
+    gap_den, kept = 1, 1
+    gap_nums = []
+    for n, e in gaps:
+        gap_nums = [g * e for g in gap_nums]
+        gap_nums.append(kept * n)
+        kept *= e - n
+        gap_den *= e
+    # every position over den = q * cut_den * gap_den, total = p/q
+    p, q = total.numerator, total.denominator
+    den = q * cut_den * gap_den
+    slack, unit = (q - p) * cut_den, p * gap_den
     raw = []
-    pos = Fraction(0)
-    for g, ln in zip(gaps, lengths):
-        pos += g
-        raw.append((pos, True, pos + ln, False))
-        pos += ln
+    pos = 0
+    for g, ln in zip(gap_nums, lengths):
+        pos += g * slack
+        end = pos + ln * unit
+        raw.append((Fraction(pos, den), True, Fraction(end, den), False))
+        pos = end
     return IntervalSet(raw)
 
 

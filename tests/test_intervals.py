@@ -340,6 +340,32 @@ def test_length_is_exact_over_large_coprime_denominators():
         assert s.length == sum((p.right - p.left for p in s.components), F(0))
 
 
+# endpoints in [0,1] over 12, 7 and a denominator above 2**64
+_ENDS = st.one_of(
+    st.integers(0, 12).map(lambda n: F(n, 12)),
+    st.builds(F, st.integers(0, 7), st.sampled_from([7, 2 ** 64 + 1])))
+_RAW = st.lists(
+    st.tuples(_ENDS, st.booleans(), _ENDS, st.booleans()).map(
+        lambda c: c if c[0] <= c[2] else (c[2], c[1], c[0], c[3])),
+    max_size=5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_RAW, _RAW, _ENDS, st.builds(F, st.integers(-30, 30),
+                                    st.integers(1, 12)))
+def test_length_is_kept_and_is_the_sum_of_the_components(ra, rb, x, t):
+    a, b = IntervalSet(ra), IntervalSet(rb)
+    built = [a, IntervalSet.point(x), a | b, a & b, a.complement(),
+             a.translate_mod1(t)]
+    built += [IntervalSet.interval(*c) for c in ra[:1]]
+    for s in built:
+        want = sum((p.right - p.left for p in s.components), F(0))
+        first = s.length
+        assert first == want
+        # the second read returns the value kept by the first
+        assert s.length is first
+
+
 def test_length_modularity():
     rng = random.Random(12)
     for _ in range(200):

@@ -2,11 +2,13 @@ import json
 import os
 import threading
 import time
+from fractions import Fraction as F
 
 import pytest
 
-from spinnerlab import spinner, suites
+from spinnerlab import cantor, spinner, suites
 from spinnerlab.errors import DomainError
+from spinnerlab.field import NonArchValue
 from spinnerlab.report import PropertyReport
 from spinnerlab.spinner import SuiteConfig
 from spinnerlab.suites import all_passed, run_all, run_suites
@@ -167,6 +169,33 @@ def test_the_first_raising_suite_in_registration_order_raises(
     with pytest.raises(DomainError, match="^totality$"):
         run_all(small_config())
     _assert_no_child_left()
+
+
+def test_coherence_sweep_reports_what_coherence_check_reports(monkeypatch):
+    # a counting measure skewed by 1/997 puts the conditional off the
+    # measure ratio on every pair where a does not hold b.  A skewed
+    # hausdorff_measure would not do: the conditional and the ratio both
+    # divide its values on a & b and on b, so the skew would cancel.
+    def skewed(model, e):
+        return NonArchValue.constant(
+            model.generator, cantor.hausdorff_measure(e) + F(1, 997))
+
+    monkeypatch.setattr(cantor, "cantor_probability", skewed)
+    pairs, rule = [], suites.coherence_sides
+
+    def recording(model, a, b):
+        pairs.append((a, b))
+        return rule(model, a, b)
+
+    monkeypatch.setattr(suites, "coherence_sides", recording)
+    report = suites.cantor_coherence_suite(small_config())
+    expected = [c for a, b in pairs for c in
+                cantor.coherence_check(cantor.CantorModel(), a, b)
+                .counterexamples]
+    assert len(pairs) == report.cases == 15 * 15 + 30
+    assert 0 < len(expected) < len(pairs)
+    assert report.verdict == "fail"
+    assert report.counterexamples == expected
 
 
 def test_the_queue_holds_every_suite_once():
