@@ -147,8 +147,14 @@ def hausdorff_measure(e: CantorEvent) -> Fraction:
 
 def cantor_probability(model: CantorModel, e: CantorEvent) -> NonArchValue:
     """Counting probability of a cylinder event: generator-free, equal to
-    the normalized Hausdorff measure."""
-    return NonArchValue.constant(model.generator, hausdorff_measure(e))
+    the normalized Hausdorff measure, reduced from the integer cut total
+    over 2^depth by its trailing zero bits."""
+    total = sum([hi - lo for lo, hi in e.cuts])
+    if not total:
+        return NonArchValue._make(model.generator, (), (1,))
+    s = min((total & -total).bit_length() - 1, e.depth)
+    return NonArchValue._make(model.generator, (total >> s,),
+                              (1 << (e.depth - s),))
 
 
 def point_probability(model: CantorModel) -> NonArchValue:

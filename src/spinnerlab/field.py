@@ -19,11 +19,13 @@ integers: sums, products and quotients divide out common factors found by
 the primitive remainder sequence gcd (Knuth, TAOCP vol. 2, 4.6.1; Brown
 1971), and ``compare`` reads one sign of a cross product.
 
-``num`` and ``den`` are the exact-rational view of the same form, each
-tuple divided by the lowest-order coefficient of ``d``: two coprime
-``Poly`` objects with ``Fraction`` coefficients, the denominator's
-lowest-order coefficient 1, and zero as ``0/1``.  ``Poly`` is a read-only
-view with no arithmetic, and rendering reads it.
+A value prints from the same integers: each coefficient is divided by
+the lowest-order coefficient of ``d`` with one ``gcd`` and written as its
+reduced ``p/q``.  ``num`` and ``den`` are the exact-rational view of that
+form for library callers: two coprime ``Poly`` objects with ``Fraction``
+coefficients, the denominator's lowest-order coefficient 1, and zero as
+``0/1``.  ``Poly`` is a read-only view with no arithmetic, and printing
+does not read it.
 
 This is deliberately only the computable fragment of a non-Archimedean
 continuum: the smallest ordered field containing the rationals and one
@@ -321,6 +323,11 @@ class Classification:
         return f"{self.kind.value}-{self.sign.value}"
 
 
+# every classification, built once
+_CLASSIFICATIONS = {(kind, sign): Classification(kind, sign)
+                    for kind in Kind for sign in Sign}
+
+
 class NonArchValue:
     """Element of the ordered field of rational functions in one generator.
 
@@ -531,17 +538,19 @@ class NonArchValue:
             kind = Kind.LIMITED
         else:
             kind = Kind.UNLIMITED
-        return Classification(kind, self.sign())
+        return _CLASSIFICATIONS[kind, self.sign()]
 
     # -- rendering -----------------------------------------------------------
 
     def render_canonical(self) -> str:
-        g = self.generator.name
-        return f"({render_poly(self.num, g)}) / ({render_poly(self.den, g)})"
+        g, d = self.generator.name, self.d
+        low = d[_ord(d)]
+        return f"({_render_terms(self.n, low, g)}) / " \
+               f"({_render_terms(d, low, g)})"
 
     def __str__(self) -> str:
         if len(self.d) == 1:
-            return render_poly(self.num, self.generator.name)
+            return _render_terms(self.n, self.d[0], self.generator.name)
         return self.render_canonical()
 
     def __repr__(self) -> str:
@@ -583,7 +592,7 @@ def classify(a: Value) -> Classification:
     if not isinstance(a, Fraction):
         return a.classify()
     sign = Sign.ZERO if a == 0 else Sign.POSITIVE if a > 0 else Sign.NEGATIVE
-    return Classification(Kind.LIMITED if a else Kind.INFINITESIMAL, sign)
+    return _CLASSIFICATIONS[Kind.LIMITED if a else Kind.INFINITESIMAL, sign]
 
 
 def compare_values(a: Value, b: Value) -> tuple[Ordering, "Value | None",
@@ -642,32 +651,36 @@ def render_exact(x) -> str:
         return f"{text}/{decimal.Decimal(x.denominator)}"
 
 
-def _render_term(c: Fraction, k: int, name: str) -> str:
-    if k == 0:
-        return render_exact(c)
-    unit = name if k == 1 else f"{name}^{k}"
-    if c == 1:
-        return unit
-    if c == -1:
-        return f"-{unit}"
-    return f"{render_exact(c)}*{unit}"
+def render_ratio(p: int, q: int) -> str:
+    """The text of p/q, given in lowest terms with q > 0: ``str`` of the
+    ``Fraction``, exact past Python's int->str limit too."""
+    try:
+        return str(p) if q == 1 else f"{p}/{q}"
+    except ValueError:
+        return render_exact(Fraction(p, q))
 
 
-def render_poly(p: Poly, name: str) -> str:
-    if p.is_zero():
-        return "0"
+def _render_terms(coeffs: tuple, low: int, name: str) -> str:
+    """The polynomial with coefficients ``coeffs``/``low``, ascending by
+    exponent, each term's rational reduced by one gcd; ``low`` > 0."""
     parts: list[str] = []
-    for k, c in enumerate(p.coeffs):
+    for k, c in enumerate(coeffs):
         if not c:
             continue
-        t = _render_term(c, k, name)
-        if not parts:
-            parts.append(t)
-        elif t.startswith("-"):
-            parts.append(f"- {t[1:]}")
+        g = math.gcd(c, low)
+        p, q = c // g, low // g
+        if k == 0:
+            t = render_ratio(p, q)
         else:
-            parts.append(f"+ {t}")
-    return " ".join(parts)
+            unit = name if k == 1 else f"{name}^{k}"
+            if q == 1 and (p == 1 or p == -1):
+                t = unit if p == 1 else f"-{unit}"
+            else:
+                t = f"{render_ratio(p, q)}*{unit}"
+        if parts:
+            t = f"- {t[1:]}" if p < 0 else f"+ {t}"
+        parts.append(t)
+    return " ".join(parts) if parts else "0"
 
 
 @cache
@@ -788,9 +801,10 @@ class TokenCursor:
             self.fail_zero_denominator(i)
         return den
 
-    def expect_rational(self, signed: bool = True) -> Fraction:
-        """``[-]p[/q]`` with q nonzero; the sign is read only if ``signed``.
-        The words are read directly: literals are the hot path of queries."""
+    def expect_ratio(self, signed: bool = True) -> "tuple[int, int]":
+        """``[-]p[/q]`` with q nonzero, as the ints (p, q) in lowest terms
+        with q > 0; the sign is read only if ``signed``.  The words are read
+        directly: literals are the hot path of queries."""
         words, i = self.words, self.pos
         negative = signed and words[i] == "-"
         if negative:
@@ -802,9 +816,15 @@ class TokenCursor:
         num = -int(word) if negative else int(word)
         if words[i + 1] != "/":
             self.pos = i + 1
-            return Fraction(num)
+            return num, 1
         self.pos = i + 3
-        return Fraction(num, self.denominator_at(i + 2))
+        den = self.denominator_at(i + 2)
+        g = math.gcd(num, den)
+        return (num, den) if g == 1 else (num // g, den // g)
+
+    def expect_rational(self, signed: bool = True) -> Fraction:
+        """``expect_ratio``'s rational as a ``Fraction``."""
+        return Fraction(*self.expect_ratio(signed))
 
 
 def parse_rational(text: str) -> Fraction:

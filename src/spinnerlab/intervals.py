@@ -17,15 +17,30 @@ component starts at the cut ``(k, left, not left_in)``, ends at
 cuts.  Comparing cuts as tuples settles every open/closed endpoint case of
 membership, merging and intersection.
 
-``k`` is an integer sort key, ``floor(x * 2**64)``, computed once where the
-cut is made: in ``_clean`` for outside input, in ``translate_mod1`` for
-shifted endpoints (``k - 2**64`` for the ones that wrap past 1) and in the
-module constants for 0 and 1.  The floor is monotone, so two cuts whose
-keys differ are ordered by one integer comparison; when the keys are equal
-(the same endpoint, or endpoints with denominators above 2**32 that agree
-in their first 64 binary digits) the tuple comparison falls back to the
-exact ``Fraction`` and then to the flag.  The order is exactly the order of
-``(x, after)``, only cheaper.
+``x`` is the rational as the ints ``(p, q)``, in lowest terms with
+``q > 0``, and ``k`` is an integer sort key, ``floor(x * 2**64)`` =
+``(p << 64) // q``.  Both are computed once where the cut is made: in
+``_clean`` for outside input (the query parser hands it reduced pairs, and
+the constructor reads them off its rationals), in ``translate_mod1`` for
+shifted endpoints (``k - 2**64`` and ``(p - q, q)`` for the ones that wrap
+past 1) and in the module constants for 0 and 1.  No ``Fraction`` is made
+on the way.  The floor is monotone, so two cuts whose keys differ are
+ordered by one integer comparison.  When the keys are equal the tuple
+comparison falls back to ``x`` and then to the flag, and a plain pair
+compared lexicographically would get ``x``'s order wrong.  So a pair over
+a denominator above 2**32 is stored as a ``_Wide``, a tuple whose ``<``,
+``<=``, ``>`` and ``>=`` compare ``p1*q2`` with ``p2*q1``, and a pair over
+a smaller denominator as a plain tuple.  That order is exact:
+
+* two distinct values whose denominators are both at most 2**32 differ by
+  at least 2**-64, so their keys differ and their pairs are never compared;
+* a pair's form depends only on its reduced denominator, so equal values
+  have equal forms and compare, hash and test equal as tuples;
+* Python tries a subclass's reflected method first, so a plain pair
+  against a ``_Wide`` one is compared by value too.
+
+The order of cuts is then exactly the order of ``(x, after)``, only
+cheaper.
 
 A set stores its components as the tuple ``cuts`` of (start, end) cut
 pairs, and every operation reads and writes those.  ``components`` is a
@@ -52,7 +67,9 @@ quadratic.  ``contains`` bisects too.
 
 ``length`` sums the endpoint numerators per denominator, scales the sums
 to one ``math.lcm`` of the denominators and makes a single ``Fraction``.
-It is computed once per set, the first time it is read, and kept.
+It is computed once per set, the first time it is read, and kept.  The
+``Piece`` objects of ``components`` and the length are the only
+``Fraction``s a set builds.
 """
 
 from __future__ import annotations
@@ -60,22 +77,48 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .errors import DomainError, ParseError, QueryTypeError
-from .field import render_exact
+from .field import render_exact, render_ratio
 from .report import PropertyReport
 
-Cut = tuple[int, Fraction, bool]
+# a rational as (numerator, denominator) in lowest terms, denominator > 0
+Ratio = tuple[int, int]
+Cut = tuple[int, Ratio, bool]
 CutPair = tuple[Cut, Cut]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 # a cut's key is floor(x * 2**_KEY_BITS)
 _KEY_BITS = 64
 _KEY_ONE = 1 << _KEY_BITS
+# a cut's pair over a denominator above this is a _Wide
+_WIDE_DEN = 1 << (_KEY_BITS // 2)
+
+
+class _Wide(tuple):
+    """A cut's reduced pair (p, q) with q > 2**32, ordered by value: the
+    only pairs whose keys can tie with another value's."""
+
+    __slots__ = ()
+
+    def __lt__(self, other):
+        return self[0] * other[1] < other[0] * self[1]
+
+    def __le__(self, other):
+        return self[0] * other[1] <= other[0] * self[1]
+
+    def __gt__(self, other):
+        return self[0] * other[1] > other[0] * self[1]
+
+    def __ge__(self, other):
+        return self[0] * other[1] >= other[0] * self[1]
+
+
+def _pair(p: int, q: int) -> Ratio:
+    """The reduced p/q in its cut form: a _Wide above 2**32, else a tuple."""
+    return (p, q) if q <= _WIDE_DEN else _Wide((p, q))
 
 
 @dataclass(frozen=True, order=True)
@@ -112,48 +155,61 @@ class Piece:
         return f"{lb}{left},{render_exact(self.right)}{rb}"
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
+def _as_ratio(x) -> Ratio:
+    """Numerator and positive denominator of one exact rational input."""
     if isinstance(x, float):
         raise DomainError("float endpoints are not allowed; use exact rationals")
-    return Fraction(x)
-
-
-def _key(x: Fraction) -> int:
-    return (x.numerator << _KEY_BITS) // x.denominator
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    return x.numerator, x.denominator
 
 
 # the cuts at which the sample space [0,1) starts and ends
-_START_CUT: Cut = (0, _ZERO, False)
-_END_CUT: Cut = (_KEY_ONE, _ONE, False)
+_START_CUT: Cut = (0, (0, 1), False)
+_END_CUT: Cut = (_KEY_ONE, (1, 1), False)
 # the point 0, which the point 1 wraps to
-_ZERO_POINT: CutPair = (_START_CUT, (0, _ZERO, True))
+_ZERO_POINT: CutPair = (_START_CUT, (0, (0, 1), True))
 
 
-def _clean(left, left_in, right, right_in) -> "list[CutPair]":
-    """Validate one raw component, wrap the point 1 back to 0 and return the
-    nonempty pieces as (start, end) cuts."""
-    left, right = _as_fraction(left), _as_fraction(right)
-    p, q = left.numerator, left.denominator
-    r, s = right.numerator, right.denominator
+def _clean(left: Ratio, left_in, right: Ratio,
+           right_in) -> "list[CutPair]":
+    """Validate one raw component with reduced-pair endpoints, wrap the
+    point 1 back to 0 and return the nonempty pieces as (start, end) cuts."""
+    p, q = left
+    r, s = right
     ps, rq = p * s, r * q
     if ps > rq:
-        raise DomainError(f"interval endpoints out of order: {left} > {right}")
+        raise DomainError(f"interval endpoints out of order: "
+                          f"{render_ratio(p, q)} > {render_ratio(r, s)}")
     if p < 0 or r > s:
-        raise DomainError(f"endpoint outside [0,1]: [{left},{right}]")
+        raise DomainError(f"endpoint outside [0,1]: "
+                          f"[{render_ratio(p, q)},{render_ratio(r, s)}]")
     # the component holds the point 1, which wraps to 0
     wrap = r == s and right_in and (ps < rq or left_in)
     end_after = bool(right_in) and not wrap
     # left < right, or one point with both ends closed
     if ps < rq or (left_in and end_after):
-        out = [(((p << _KEY_BITS) // q, left, not left_in),
-                ((r << _KEY_BITS) // s, right, end_after))]
+        out = [(((p << _KEY_BITS) // q,
+                 _Wide(left) if q > _WIDE_DEN else left, not left_in),
+                ((r << _KEY_BITS) // s,
+                 _Wide(right) if s > _WIDE_DEN else right, end_after))]
     else:
         out = []
     if wrap:
         out.append(_ZERO_POINT)
     return out
+
+
+def _add(p: int, q: int, a: int, b: int) -> Ratio:
+    """p/q + a/b in lowest terms, for reduced operands, as ``Fraction``
+    adds them: over g = gcd(q, b), only g can divide the sum and its
+    denominator (Knuth, TAOCP vol. 2, 4.5.1)."""
+    g = gcd(q, b)
+    if g == 1:
+        return p * b + a * q, q * b
+    t = p * (b // g) + a * (q // g)
+    g2 = gcd(t, g)
+    return t // g2, (q // g) * (b // g2)
 
 
 _START, _END = itemgetter(0), itemgetter(1)
@@ -250,7 +306,8 @@ class IntervalSet:
             if isinstance(comp, Piece):
                 comp = (comp.left, comp.left_in, comp.right, comp.right_in)
             left, left_in, right, right_in = comp
-            cuts.extend(_clean(left, left_in, right, right_in))
+            cuts.extend(_clean(_as_ratio(left), left_in, _as_ratio(right),
+                               right_in))
         self.cuts: tuple[CutPair, ...] = _merge(cuts)
         self._pieces = self._length = None
 
@@ -272,7 +329,8 @@ class IntervalSet:
     def components(self) -> "tuple[Piece, ...]":
         """The components as Pieces, built from the cuts when first read."""
         if self._pieces is None:
-            self._pieces = tuple([Piece(left, not after, right, right_in)
+            self._pieces = tuple([Piece(Fraction(*left), not after,
+                                        Fraction(*right), right_in)
                                   for (_, left, after), (_, right, right_in)
                                   in self.cuts])
         return self._pieces
@@ -285,11 +343,10 @@ class IntervalSet:
 
     @classmethod
     def full(cls) -> "IntervalSet":
-        return cls(((_ZERO, True, _ONE, False),))
+        return cls(((0, True, 1, False),))
 
     @classmethod
     def point(cls, x) -> "IntervalSet":
-        x = _as_fraction(x)
         return cls(((x, True, x, True),))
 
     @classmethod
@@ -302,8 +359,8 @@ class IntervalSet:
         return not self.cuts
 
     def contains(self, x) -> bool:
-        x = _as_fraction(x)
-        k = _key(x)
+        p, q = _as_ratio(x)
+        k, x = (p << _KEY_BITS) // q, _pair(p, q)
         # the last component that starts at or before x, if any, holds it
         i = bisect_right(self.cuts, (k, x, False), key=_START)
         return i > 0 and (k, x, True) <= self.cuts[i - 1][1]
@@ -320,11 +377,9 @@ class IntervalSet:
         if self._length is None:
             # the numerators summed per denominator, then one lcm
             sums: dict[int, int] = {}
-            for (_, left, _), (_, right, _) in self.cuts:
-                d = right.denominator
-                sums[d] = sums.get(d, 0) + right.numerator
-                d = left.denominator
-                sums[d] = sums.get(d, 0) - left.numerator
+            for (_, (p, q), _), (_, (r, s), _) in self.cuts:
+                sums[s] = sums.get(s, 0) + r
+                sums[q] = sums.get(q, 0) - p
             den = lcm(*sums)
             num = 0
             for d, n in sums.items():
@@ -347,20 +402,23 @@ class IntervalSet:
 
     def translate_mod1(self, t) -> "IntervalSet":
         """Shift every member by t modulo 1, splitting at the wrap point."""
-        s = _as_fraction(t) % 1
+        a, b = _as_ratio(t)
+        a %= b
         low: list[CutPair] = []
         wrapped: list[CutPair] = []
-        for (_, left, after), (_, right, right_in) in self.cuts:
-            left, right = left + s, right + s
-            start = (_key(left), left, after)
-            end = (_key(right), right, right_in)
+        for (_, (p, q), after), (_, (r, s), right_in) in self.cuts:
+            p, q = _add(p, q, a, b)
+            r, s = _add(r, s, a, b)
+            start = ((p << _KEY_BITS) // q, _pair(p, q), after)
+            end = ((r << _KEY_BITS) // s, _pair(r, s), right_in)
             if start < _END_CUT:
                 low.append((start, min(end, _END_CUT)))
             if end > _END_CUT:
                 # the part at or past 1, the point 1 itself included
-                k, left, after = max(start, _END_CUT)
-                wrapped.append(((k - _KEY_ONE, left - 1, after),
-                                (end[0] - _KEY_ONE, right - 1, right_in)))
+                k, (p, q), after = max(start, _END_CUT)
+                wrapped.append(((k - _KEY_ONE, _pair(p - q, q), after),
+                                (end[0] - _KEY_ONE, _pair(r - s, s),
+                                 right_in)))
         # the wrapped parts lie below s and the rest from s on, so the list
         # is sorted; the merge joins the pieces that meet at s
         return IntervalSet._from_cuts(wrapped + low)
@@ -459,7 +517,7 @@ def sigma_additivity_probe(family: Callable[[int], IntervalSet], depth: int,
                     f"family members {i} and {j} overlap on {common.render()}")
     claimed = lebesgue_length(claimed_union)
     running = IntervalSet.empty()
-    partial_sum = _ZERO
+    partial_sum = Fraction(0)
     residuals: list[Fraction] = []
     counterexamples: list[str] = []
     for k, m in enumerate(members):

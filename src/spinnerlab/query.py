@@ -21,8 +21,12 @@ Grammar (ASCII aliases next to the set symbols):
     ticket   := "ticket" | "tickets" "(" nat ")"
     rational := ["-"] nat ["/" nat]
 
-A brace item is resolved against the selected model: a rational point for
-the interval models, a {0,2}-address for the cantor model.  A run of
+A ``rational`` in an interval literal is read as the ints (p, q) in
+lowest terms with q > 0 (``TokenCursor.expect_ratio``), and a rational
+brace point as the same pair at evaluation; the interval kernel's cuts
+hold those ints, so no ``Fraction`` is made for an endpoint.  A brace
+item is resolved against the selected model: a rational point for the
+interval models, a {0,2}-address for the cantor model.  A run of
 digits (a numeral or an address) holds at most 4300 of them.  Parse errors
 carry the offending position and the expected tokens; vocabulary
 mismatches (a cylinder set under the grid model, set union of coin
@@ -52,14 +56,15 @@ import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
+from math import gcd
 from typing import Union
 
 from .cantor import CantorEvent, CantorModel, cantor_probability
 from .errors import DomainError, ParseError, QueryTypeError
 from .field import (TokenCursor, Value, classify, compare_values,
-                    render_exact, standard_part)
-from .intervals import (EMPTY_CONDITION, IntervalSet, _clean, conditional,
-                        lebesgue_length)
+                    render_exact, render_ratio, standard_part)
+from .intervals import (EMPTY_CONDITION, IntervalSet, Ratio, _clean,
+                        conditional, lebesgue_length)
 from .lottery import (CoinEvent, LotteryModel, coinflip_probability,
                       lottery_ticket_probability)
 from .spinner import GridModel, grid_probability
@@ -78,9 +83,10 @@ class BraceLit:
 @dataclass(frozen=True)
 class LiteralRun:
     """Interval literals and brace lists joined by ``u``: each part an
-    interval's (left, left_in, right, right_in) tuple or a BraceLit; a lone
-    literal is a run of one."""
-    parts: tuple["tuple[Fraction, bool, Fraction, bool] | BraceLit", ...]
+    interval's (left, left_in, right, right_in) tuple, each endpoint the
+    ints (p, q) in lowest terms with q > 0, or a BraceLit; a lone literal
+    is a run of one."""
+    parts: tuple["tuple[Ratio, bool, Ratio, bool] | BraceLit", ...]
 
 
 @dataclass(frozen=True)
@@ -296,18 +302,19 @@ class _Parser(TokenCursor):
         return LiteralRun(tuple(parts))
 
     def parse_literal(self) -> "tuple | BraceLit":
-        """An interval's (left, left_in, right, right_in) tuple, or a brace
-        list; the rules read the words directly, for a long run's sake."""
+        """An interval's (left, left_in, right, right_in) tuple, its
+        endpoints reduced pairs, or a brace list; the rules read the words
+        directly, for a long run's sake."""
         words = self.words
         opening = words[self.pos]
         self.pos += 1
         if opening == "{":
             return self.parse_braces()
-        left = self.expect_rational()
+        left = self.expect_ratio()
         if words[self.pos] != ",":
             self.fail("','")
         self.pos += 1
-        right = self.expect_rational()
+        right = self.expect_ratio()
         closing = words[self.pos]
         if closing != ")" and closing != "]":
             self.fail("')' or ']'")
@@ -395,7 +402,8 @@ def _render_literal(part) -> str:
     if isinstance(part, BraceLit):
         return "{" + ", ".join(part.items) + "}"
     left, left_in, right, right_in = part
-    return f"{'[' if left_in else '('}{left},{right}{']' if right_in else ')'}"
+    return (f"{'[' if left_in else '('}{render_ratio(*left)},"
+            f"{render_ratio(*right)}{']' if right_in else ')'}")
 
 
 def render_set(node: SetNode) -> str:
@@ -471,10 +479,13 @@ def _interval_leaf(node: SetNode, model: str) -> IntervalSet:
                 if not _POINT_RE.fullmatch(item):
                     raise QueryTypeError(
                         f"brace item {item!r} is not a rational point")
-                x = Fraction(item)
+                p, _, q = item.partition("/")
+                p, q = int(p), int(q or 1)
+                g = gcd(p, q)
+                x = (p // g, q // g)
                 cuts += _clean(x, True, x, True)
     elif isinstance(node, FullLit):
-        cuts = _clean(0, True, 1, False)
+        cuts = _clean((0, 1), True, (1, 1), False)
     elif isinstance(node, Translate):
         return _to_interval_set(node.arg, model).translate_mod1(node.offset)
     elif isinstance(node, CoinLit):

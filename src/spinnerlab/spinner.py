@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import pairwise
+from typing import Iterable
 
 from .errors import DomainError
 from .field import MAX_NUMERAL_DIGITS, Generator, NonArchValue, render_exact
@@ -242,30 +243,36 @@ class SuiteConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "SuiteConfig":
-        cfg = cls()
         with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise DomainError(f"{path}:{lineno}: expected 'key = value'")
-                key, _, value = line.partition("=")
-                key = key.strip()
-                if key not in _CONFIG_RANGES:
-                    raise DomainError(f"{path}:{lineno}: unknown key {key!r}")
-                where = f"{path}:{lineno}: {key}"
-                check_digits(value, where)
-                try:
-                    n = int(value.strip())
-                except ValueError:
-                    raise DomainError(f"{where} needs an integer") from None
-                lo, hi = _CONFIG_RANGES[key]
-                if n < lo:
-                    raise DomainError(f"{where} must be at least {lo}")
-                if n > hi:
-                    raise DomainError(f"{where} must be at most {hi}")
-                setattr(cfg, key, n)
+            return cls.from_lines(fh, path)
+
+    @classmethod
+    def from_lines(cls, lines: Iterable[str], path: str) -> "SuiteConfig":
+        """The config that the lines of the file ``path`` set; a bad line
+        is a DomainError that starts ``<path>:<line>:``."""
+        cfg = cls()
+        for lineno, line in enumerate(lines, 1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise DomainError(f"{path}:{lineno}: expected 'key = value'")
+            key, _, value = line.partition("=")
+            key = key.strip()
+            if key not in _CONFIG_RANGES:
+                raise DomainError(f"{path}:{lineno}: unknown key {key!r}")
+            where = f"{path}:{lineno}: {key}"
+            check_digits(value, where)
+            try:
+                n = int(value.strip())
+            except ValueError:
+                raise DomainError(f"{where} needs an integer") from None
+            lo, hi = _CONFIG_RANGES[key]
+            if n < lo:
+                raise DomainError(f"{where} must be at least {lo}")
+            if n > hi:
+                raise DomainError(f"{where} must be at most {hi}")
+            setattr(cfg, key, n)
         return cfg
 
     def coverage_warnings(self) -> list[str]:
@@ -345,7 +352,7 @@ def _check_count_uniformity(model, config, rng):
     outside = closed.complement()
     if outside.is_empty():
         return
-    (_, x, _), _ = outside.cuts[0]
+    x = outside.components[0].left
     if not outside.contains(x):
         return
     traded = IntervalSet.interval(left, True, right, False) \

@@ -48,11 +48,21 @@ WITNESS_MASSES = (Fraction(1, 10), Fraction(1, 1000), Fraction(1, 10 ** 6))
 
 def _rand_cantor_event(rng, max_cylinders: int, max_depth: int,
                        nonempty: bool) -> CantorEvent:
+    """Up to ``max_cylinders`` addresses of depth 1 to ``max_depth``.  Each
+    digit is ``getrandbits(2)`` drawn again while it is 2 or 3, which is
+    what ``rng.choice("02")`` draws through ``_randbelow(2)``, at half the
+    cost: the same generator words give the same addresses."""
     count = rng.randint(1 if nonempty else 0, max_cylinders)
+    bits = rng.getrandbits
     addresses = []
     for _ in range(count):
-        depth = rng.randint(1, max_depth)
-        addresses.append("".join(rng.choice("02") for _ in range(depth)))
+        digits = []
+        for _ in range(rng.randint(1, max_depth)):
+            b = bits(2)
+            while b >= 2:
+                b = bits(2)
+            digits.append("2" if b else "0")
+        addresses.append("".join(digits))
     return CantorEvent(addresses)
 
 

@@ -23,8 +23,8 @@ from spinnerlab.field import (MAX_NUMERAL_DIGITS, Generator, Kind,
                               NonArchValue, Ordering, Poly, Sign, TokenCursor,
                               arith_add, arith_div, arith_mul, classify,
                               compare, compare_values, parse_rational,
-                              parse_value, standard_part, _exquo, _gcd,
-                              _int_prem, _mul, _strip)
+                              parse_value, render_exact, standard_part,
+                              _exquo, _gcd, _int_prem, _mul, _strip)
 from spinnerlab.lottery import (CoinEvent, LotteryModel, coinflip_probability,
                                 lottery_ticket_probability)
 from spinnerlab import query
@@ -436,6 +436,86 @@ def test_render_examples():
     assert str(val((1, -2, 0, -1))) == "1 - 2*eps - eps^3"
 
 
+# the renderer that printed values from the Poly view of Fraction
+# coefficients, kept as the reference for printing from the integer form
+
+def _ref_render_term(c: F, k: int, name: str) -> str:
+    if k == 0:
+        return render_exact(c)
+    unit = name if k == 1 else f"{name}^{k}"
+    if c == 1:
+        return unit
+    if c == -1:
+        return f"-{unit}"
+    return f"{render_exact(c)}*{unit}"
+
+
+def _ref_render_poly(p: Poly, name: str) -> str:
+    if p.is_zero():
+        return "0"
+    parts: list[str] = []
+    for k, c in enumerate(p.coeffs):
+        if not c:
+            continue
+        t = _ref_render_term(c, k, name)
+        if not parts:
+            parts.append(t)
+        elif t.startswith("-"):
+            parts.append(f"- {t[1:]}")
+        else:
+            parts.append(f"+ {t}")
+    return " ".join(parts)
+
+
+def _ref_render_canonical(v: NonArchValue) -> str:
+    g = v.generator.name
+    return f"({_ref_render_poly(v.num, g)}) / ({_ref_render_poly(v.den, g)})"
+
+
+def _ref_str(v: NonArchValue) -> str:
+    if v.den.degree() == 0:
+        return _ref_render_poly(v.num, v.generator.name)
+    return _ref_render_canonical(v)
+
+
+# coefficients that print every term form: negative ones, the units 1 and
+# -1, fractions whose denominators make the lowest-order coefficient of the
+# integer denominator other than 1, and numerators and denominators past
+# the 4300-digit int->str limit
+_BIG = 10 ** MAX_NUMERAL_DIGITS + 7
+_BIG_COEFFS = (F(_BIG), F(-_BIG, 3), F(5, _BIG), F(-1, _BIG))
+render_coeffs = st.one_of(
+    fractions_st, st.sampled_from([F(1), F(-1), F(1, 3), F(-2, 9)]),
+    # drawn by index: a strategy's repr must not print a 4300-digit int
+    st.integers(0, 3).map(lambda i: _BIG_COEFFS[i]))
+render_polys = st.lists(render_coeffs, max_size=4).map(Poly)
+
+
+@settings(max_examples=200, deadline=None)
+@given(render_polys, render_polys.filter(lambda p: not p.is_zero()))
+def test_printing_from_the_integer_form_matches_the_poly_renderer(num, den):
+    v = NonArchValue(G, num, den)
+    assert str(v) == _ref_str(v)
+    assert v.render_canonical() == _ref_render_canonical(v)
+
+
+def test_printing_covers_every_term_form():
+    name = G.name
+    for v in (EPS, -EPS, ONE - EPS, EPS - EPS * EPS,
+              val((F(1, 3), F(-1, 2)), (1, 3)),
+              val((0, 1), (F(2, 3), -1)), val((_BIG, -1)),
+              val((F(-1, _BIG), 0, 1), (2,))):
+        assert str(v) == _ref_str(v)
+        assert v.render_canonical() == _ref_render_canonical(v)
+    assert str(EPS) == name and str(-EPS) == f"-{name}"
+    assert str(ONE - EPS) == f"1 - {name}"
+    assert str(EPS - EPS * EPS) == f"{name} - {name}^2"
+    # 1/3 - eps/2 over (1 + 3 eps): the integer denominator is 2 + 6 eps
+    v = val((F(1, 3), F(-1, 2)), (1, 3))
+    assert v.d[0] == 6 and str(v) == f"(1/3 - 1/2*{name}) / (1 + 3*{name})"
+    assert str(val((_BIG, -1))).endswith(f"7 - {name}")
+
+
 def test_parse_round_trip():
     rng = random.Random(77)
     for _ in range(300):
@@ -482,7 +562,7 @@ RATIONAL_TEXTS = [
 def test_one_rational_rule_for_queries_values_and_cli(text, value):
     readers = [
         lambda t:
-            parse_query(f"minimal: P([{t},1])").expr.event.parts[0][0],
+            F(*parse_query(f"minimal: P([{t},1])").expr.event.parts[0][0]),
         lambda t: parse_value(t, G).standard_part(),
         parse_rational,
     ]

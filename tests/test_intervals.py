@@ -10,10 +10,10 @@ from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spinnerlab.errors import DomainError, ParseError
-from spinnerlab.intervals import (IntervalSet, Piece, boolean_combine,
+from spinnerlab.intervals import (IntervalSet, Piece, _Wide, boolean_combine,
                                   dyadic_tail_family, format_set,
                                   lebesgue_length, normalize, parse_set,
                                   sigma_additivity_probe, translate_mod1)
@@ -179,13 +179,17 @@ def test_boolean_membership_is_pointwise(seed, shape):
 def assert_normal(s: IntervalSet):
     """Sorted, nonempty, pairwise apart components inside [0,1), equal to the
     set rebuilt from plain tuples, with the summed-Fraction length; every
-    stored cut's key is floor(x * 2**64), and the components are the Pieces
-    of the stored cuts."""
+    stored cut holds x as a pair (p, q) in lowest terms with q > 0, a _Wide
+    exactly when q > 2**32 and a plain tuple otherwise, and the key
+    floor(x * 2**64); the components are the Pieces of the stored cuts."""
     for cut in (c for pair in s.cuts for c in pair):
         k, x, _ = cut
-        assert k == math.floor(x * 2 ** 64), cut
+        p, q = x
+        assert q > 0 and math.gcd(p, q) == 1, cut
+        assert type(x) is (_Wide if q > 2 ** 32 else tuple), cut
+        assert k == math.floor(F(p, q) * 2 ** 64), cut
     assert s.components == tuple(
-        Piece(left, not after, right, right_in)
+        Piece(F(*left), not after, F(*right), right_in)
         for (_, left, after), (_, right, right_in) in s.cuts)
     cuts = [(p.start, p.end) for p in s.components]
     for start, end in cuts:
@@ -242,12 +246,16 @@ def member(raw, x):
     return raw_member(raw, x) or (x == 0 and raw_member(raw, F(1)))
 
 
-# endpoints i/(2**65 + j): denominators above 2**32 make distinct endpoints
-# share the key floor(x * 2**64), so cut order falls back to the Fractions
-_TIE_POINTS = st.one_of(
-    st.builds(F, st.integers(0, 12), st.sampled_from(
-        [2 ** 65 + j for j in range(4)])),
-    st.sampled_from([F(0), F(1, 2), F(1)]))
+# endpoints base + i/(2**65 + j), clamped to [0,1]: denominators above
+# 2**32 make distinct endpoints share the key floor(x * 2**64), so cut order
+# falls back to the exact order of the pairs.  The bases near 0 and near 1
+# over 2**32 and 2**32 + 1 sit on both sides of the boundary where a pair
+# turns from a plain tuple into a _Wide, so a plain pair ties with wide ones.
+_TIE_BASES = [F(0), F(1, 2 ** 32), F(1, 2 ** 32 + 1), F(1, 2),
+              1 - F(1, 2 ** 32), 1 - F(1, 2 ** 32 + 1), F(1)]
+_TIE_POINTS = st.builds(
+    lambda base, i, j: min(max(base + F(i, 2 ** 65 + j), F(0)), F(1)),
+    st.sampled_from(_TIE_BASES), st.integers(-12, 12), st.integers(0, 3))
 _TIE_RAW = st.lists(
     st.tuples(_TIE_POINTS, st.booleans(), _TIE_POINTS, st.booleans()).map(
         lambda c: c if c[0] <= c[2] else (c[2], c[1], c[0], c[3])),
@@ -256,7 +264,17 @@ _TIE_RAW = st.lists(
 
 @settings(max_examples=150, deadline=None)
 @given(_TIE_RAW, _TIE_RAW, _TIE_POINTS,
-       st.sampled_from([F(0), F(1, 3), F(-5, 7)]))
+       st.sampled_from([F(0), F(1, 3), F(-5, 7), F(1, 2 ** 32),
+                        F(-1, 2 ** 32 + 1)]))
+# the end near 1 over 2**32 + 1 wraps past 1 to tie with 0, and the wrapped
+# end ties with the plain 1/2**32
+@example([(1 - F(1, 2 ** 32 + 1), True, F(1), False)],
+         [(F(1, 2 ** 32), True, F(1, 2 ** 32), True)],
+         F(0), F(1, 2 ** 32 + 1) + F(2, 2 ** 65 + 1))
+# a plain 1/2**32 ties with the wide (2**33 + 1)/(2**65 + 1) above it
+@example([(F(1, 2 ** 32), True, F(1, 2), False)],
+         [(F(0), False, F(2 ** 33 + 1, 2 ** 65 + 1), True)],
+         1 - F(1, 2 ** 32), F(0))
 def test_key_ties_fall_back_to_exact_order(ra, rb, shift, q):
     a, b = IntervalSet(ra), IntervalSet(rb)
     # an offset over a tie-prone denominator, so shifted endpoints tie too

@@ -22,9 +22,16 @@ from spinnerlab.query import (BraceLit, CoinLit, Complement, CompareExpr,
 from spinnerlab.spinner import SPINNER_GENERATOR
 
 
+def interval_part(left, left_in, right, right_in):
+    """An interval literal as a run holds it: each rational endpoint as the
+    ints (p, q) in lowest terms."""
+    return (F(left).as_integer_ratio(), left_in,
+            F(right).as_integer_ratio(), right_in)
+
+
 def interval_lit(left, left_in, right, right_in):
     """A lone interval literal: a run of one."""
-    return LiteralRun(((left, left_in, right, right_in),))
+    return LiteralRun((interval_part(left, left_in, right, right_in),))
 
 
 def brace_lit(*items):
@@ -37,8 +44,8 @@ def brace_lit(*items):
 def test_parse_union_of_interval_and_point():
     q = parse_query("grid: P([0,1/4) u {1/3})")
     assert q.model == "grid"
-    assert q.expr == Prob(LiteralRun(((F(0), True, F(1, 4), False),
-                                      BraceLit(("1/3",)))))
+    assert q.expr == Prob(LiteralRun((
+        interval_part(F(0), True, F(1, 4), False), BraceLit(("1/3",)))))
 
 
 def test_parse_standard_part_query():
@@ -294,19 +301,20 @@ def test_render_parse_round_trip_of_a_5000_operand_chain():
 # -- a u run of literals is one node ---------------------------------------------
 
 def test_a_u_run_of_interval_literals_is_one_node():
-    a = (F(0), True, F(1, 4), False)
-    b = (F(1, 3), False, F(1, 2), True)
+    a = interval_part(F(0), True, F(1, 4), False)
+    b = interval_part(F(1, 3), False, F(1, 2), True)
     assert parse_query("grid: P([0,1/4) u (1/3,1/2])").expr.event \
         == LiteralRun((a, b))
     # interval literals and brace lists join one run
     assert parse_query("grid: P([0,1/4) u {1/3} u (1/2,1])").expr.event \
-        == LiteralRun((a, BraceLit(("1/3",)), (F(1, 2), False, F(1), True)))
+        == LiteralRun((a, BraceLit(("1/3",)),
+                       interval_part(F(1, 2), False, F(1), True)))
     # a literal after n is one operand, so the chain still folds left to
     # right: ((a n b) u a) u b
     assert parse_query("grid: P([0,1/4) n (1/3,1/2] u [0,1/4) u (1/3,1/2])"
                        ).expr.event \
         == SetOp("union",
-                 SetOp("intersect", interval_lit(*a), interval_lit(*b)),
+                 SetOp("intersect", LiteralRun((a,)), LiteralRun((b,))),
                  LiteralRun((a, b)))
     # and so is a brace list after n
     assert parse_query("cantor: P({0} n {02} u {2})").expr.event \

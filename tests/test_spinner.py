@@ -12,7 +12,7 @@ import tracemalloc
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from spinnerlab import spinner
 from spinnerlab.errors import DomainError
@@ -394,25 +394,23 @@ def _config_line(draw):
     return key, f"{key} ={text}{comment}"
 
 
-@settings(max_examples=150, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=150, deadline=None)
 @given(st.lists(st.one_of(_config_line(), st.sampled_from(
     [(None, ""), (None, "# comment")])), max_size=6))
-def test_config_lines_load_in_range_or_name_their_line_and_key(tmp_path,
-                                                              lines):
-    # every example rewrites the same file
-    p = tmp_path / "suite.cfg"
-    p.write_text("".join(line + "\n" for _, line in lines))
+def test_config_lines_load_in_range_or_name_their_line_and_key(lines):
+    # the lines as a file yields them; the round trip through a file is
+    # test_config_file_round_trip's
+    p = "suite.cfg"
     try:
-        cfg = SuiteConfig.from_file(str(p))
+        cfg = SuiteConfig.from_lines([line + "\n" for _, line in lines], p)
     except DomainError as exc:
-        m = re.match(rf"{re.escape(str(p))}:(\d+): (\w+) ", str(exc))
+        m = re.match(rf"{re.escape(p)}:(\d+): (\w+) ", str(exc))
         assert m, str(exc)
         lineno, key = int(m[1]), m[2]
         assert lines[lineno - 1][0] == key
         # the lines before the one named load: it is the first bad line
-        p.write_text("".join(line + "\n" for _, line in lines[:lineno - 1]))
-        SuiteConfig.from_file(str(p))
+        SuiteConfig.from_lines(
+            [line + "\n" for _, line in lines[:lineno - 1]], p)
         return
     expected = vars(SuiteConfig()).copy()
     for key, line in lines:

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import threading
 import time
 from fractions import Fraction as F
@@ -196,6 +197,29 @@ def test_coherence_sweep_reports_what_coherence_check_reports(monkeypatch):
     assert 0 < len(expected) < len(pairs)
     assert report.verdict == "fail"
     assert report.counterexamples == expected
+
+
+def _ref_cylinder_addresses(rng, max_cylinders, max_depth, nonempty):
+    """The addresses that ``suites._rand_cantor_event`` drew with
+    ``rng.choice("02")`` per digit: the reference for its cheaper draw."""
+    count = rng.randint(1 if nonempty else 0, max_cylinders)
+    addresses = []
+    for _ in range(count):
+        depth = rng.randint(1, max_depth)
+        addresses.append("".join(rng.choice("02") for _ in range(depth)))
+    return tuple(addresses)
+
+
+def test_cylinder_draws_match_choice_and_leave_the_same_state(monkeypatch):
+    # the digit draw stands in for choice("02") through random's private
+    # _randbelow, so it is pinned on every Python the tests run under
+    monkeypatch.setattr(suites, "CantorEvent", tuple)
+    for seed in range(2000):
+        got, ref = random.Random(seed), random.Random(seed)
+        for nonempty in (False, True, False, True):
+            assert suites._rand_cantor_event(got, 4, 6, nonempty) \
+                == _ref_cylinder_addresses(ref, 4, 6, nonempty), seed
+        assert got.getstate() == ref.getstate(), seed
 
 
 def test_the_queue_holds_every_suite_once():
