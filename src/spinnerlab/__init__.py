@@ -13,11 +13,9 @@ from .cantor import CantorEvent, CantorModel, cantor_probability, \
 from .errors import DomainError, GeneratorMismatchError, ParseError, \
     QueryTypeError
 from .field import Classification, Generator, Kind, NonArchValue, Ordering, \
-    Poly, Sign, arith_add, arith_div, arith_mul, classify, compare, \
-    parse_value, standard_part
-from .intervals import IntervalSet, boolean_combine, dyadic_tail_family, \
-    lebesgue_length, normalize, parse_set, sigma_additivity_probe, \
-    translate_mod1
+    Poly, Sign, classify, parse_value, standard_part
+from .intervals import IntervalSet, dyadic_tail_family, lebesgue_length, \
+    parse_set, sigma_additivity_probe
 from .lottery import CoinEvent, LotteryModel, RegularityWitness, \
     ShiftComparison, archimedean_regularity_witness, coinflip_probability, \
     lottery_ticket_probability, part_whole_check, shift_compare
@@ -36,14 +34,12 @@ __all__ = [
     "LotteryModel", "NonArchValue", "Ordering", "ParseError", "Poly",
     "PropertyReport", "Query", "QueryTypeError", "RegularityWitness",
     "ShiftComparison", "Sign", "StabilizerResult", "SuiteConfig",
-    "archimedean_regularity_witness", "arith_add", "arith_div", "arith_mul",
-    "boolean_combine", "cantor_probability", "classify", "coherence_check",
-    "coinflip_probability", "compare", "conditional_probability",
+    "archimedean_regularity_witness", "cantor_probability", "classify",
+    "coherence_check", "coinflip_probability", "conditional_probability",
     "dyadic_tail_family", "evaluate", "finite_grid_stabilizer", "grid_count",
     "grid_probability", "hausdorff_measure", "lebesgue_length",
-    "lottery_ticket_probability", "normalize", "parse_query", "parse_set",
-    "parse_value", "part_whole_check", "point_probability", "render_query",
-    "run_property_suite",
-    "shift_compare", "sigma_additivity_probe", "standard_part",
-    "translate_mod1",
+    "lottery_ticket_probability", "parse_query", "parse_set", "parse_value",
+    "part_whole_check", "point_probability", "render_query",
+    "run_property_suite", "shift_compare", "sigma_additivity_probe",
+    "standard_part",
 ]

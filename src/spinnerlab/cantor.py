@@ -40,7 +40,7 @@ _TO_BITS, _TO_DIGITS = str.maketrans("2", "1"), str.maketrans("1", "2")
 class CantorModel:
     """Counting model on the 2^m depth-m cylinder representatives."""
 
-    generator: Generator = CANTOR_GENERATOR
+    generator = CANTOR_GENERATOR
 
 
 class CantorEvent:

@@ -56,13 +56,15 @@ Rat = Union[int, Fraction]
 
 
 def _frac(x) -> Fraction:
+    """One exact rational input as a Fraction; a float is a DomainError."""
     if isinstance(x, float):
-        raise DomainError("float coefficients are not allowed; use exact rationals")
+        raise DomainError("floats are not allowed; use exact rationals")
     return Fraction(x)
 
 
 def _ratio(x) -> "tuple[int, int]":
-    """Numerator and positive denominator of one exact rational input."""
+    """Numerator and positive denominator of one exact rational input, by
+    ``_frac``'s rule: the one rule every library entry point reads with."""
     if not isinstance(x, (int, Fraction)):
         x = _frac(x)
     return x.numerator, x.denominator
@@ -555,28 +557,6 @@ class NonArchValue:
 
     def __repr__(self) -> str:
         return f"NonArchValue({self.generator.name!r}, {self})"
-
-
-# -- the operation surface ----------------------------------------------------
-
-def arith_add(a: NonArchValue, b: NonArchValue) -> NonArchValue:
-    """Exact sum; the generators must match."""
-    return a + b
-
-
-def arith_mul(a: NonArchValue, b: NonArchValue) -> NonArchValue:
-    """Exact product; the generators must match."""
-    return a * b
-
-
-def arith_div(a: NonArchValue, b: NonArchValue) -> NonArchValue:
-    """Exact quotient; b must be nonzero."""
-    return a / b
-
-
-def compare(a: NonArchValue, b: NonArchValue) -> Ordering:
-    """Total order: sign of the difference as the generator tends to 0+."""
-    return a.compare(b)
 
 
 Value = Union[Fraction, NonArchValue]

@@ -48,10 +48,10 @@ view: the :class:`Piece` objects are built from the cuts the first time it
 is read, and kept.
 
 Sets are immutable, and outside input is validated once, where it enters:
-the constructor (and ``normalize``, ``point``, ``interval``) checks every
-component, a :class:`Piece` like a raw 4-tuple, for endpoint order and the
-[0,1] range by integer cross-products, rejects float endpoints, and wraps
-the point 1 to 0.
+the constructor (and ``point``, ``interval``) checks every component, a
+:class:`Piece` like a raw 4-tuple, for endpoint order and the [0,1] range
+by integer cross-products, reads each endpoint by the field's one
+exact-input rule, which refuses floats, and wraps the point 1 to 0.
 
 Every operation after that is one cut algebra over tuples of normal
 (start, end) cut pairs, in module functions: ``_merge`` sorts and merges,
@@ -82,7 +82,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .errors import DomainError, ParseError, QueryTypeError
-from .field import render_exact, render_ratio
+from .field import _ratio, render_exact, render_ratio
 from .report import PropertyReport
 
 # a rational as (numerator, denominator) in lowest terms, denominator > 0
@@ -153,15 +153,6 @@ class Piece:
         lb = "[" if self.left_in else "("
         rb = "]" if self.right_in else ")"
         return f"{lb}{left},{render_exact(self.right)}{rb}"
-
-
-def _as_ratio(x) -> Ratio:
-    """Numerator and positive denominator of one exact rational input."""
-    if isinstance(x, float):
-        raise DomainError("float endpoints are not allowed; use exact rationals")
-    if not isinstance(x, (int, Fraction)):
-        x = Fraction(x)
-    return x.numerator, x.denominator
 
 
 # the cuts at which the sample space [0,1) starts and ends
@@ -306,7 +297,7 @@ class IntervalSet:
             if isinstance(comp, Piece):
                 comp = (comp.left, comp.left_in, comp.right, comp.right_in)
             left, left_in, right, right_in = comp
-            cuts.extend(_clean(_as_ratio(left), left_in, _as_ratio(right),
+            cuts.extend(_clean(_ratio(left), left_in, _ratio(right),
                                right_in))
         self.cuts: tuple[CutPair, ...] = _merge(cuts)
         self._pieces = self._length = None
@@ -359,7 +350,7 @@ class IntervalSet:
         return not self.cuts
 
     def contains(self, x) -> bool:
-        p, q = _as_ratio(x)
+        p, q = _ratio(x)
         k, x = (p << _KEY_BITS) // q, _pair(p, q)
         # the last component that starts at or before x, if any, holds it
         i = bisect_right(self.cuts, (k, x, False), key=_START)
@@ -402,7 +393,7 @@ class IntervalSet:
 
     def translate_mod1(self, t) -> "IntervalSet":
         """Shift every member by t modulo 1, splitting at the wrap point."""
-        a, b = _as_ratio(t)
+        a, b = _ratio(t)
         a %= b
         low: list[CutPair] = []
         wrapped: list[CutPair] = []
@@ -444,32 +435,6 @@ class IntervalSet:
 
     def __repr__(self) -> str:
         return f"IntervalSet<{self.render()}>"
-
-
-# -- the operation surface ----------------------------------------------------
-
-def normalize(raw: Iterable[Sequence]) -> IntervalSet:
-    """Canonicalize a list of flagged intervals into an IntervalSet."""
-    return IntervalSet(raw)
-
-
-def boolean_combine(kind: str, a: IntervalSet,
-                    b: "IntervalSet | None" = None) -> IntervalSet:
-    if kind == "complement":
-        if b is not None:
-            raise DomainError("complement takes a single argument")
-        return a.complement()
-    if b is None:
-        raise DomainError(f"{kind} takes two arguments")
-    if kind == "union":
-        return a.union(b)
-    if kind == "intersect":
-        return a.intersect(b)
-    raise DomainError(f"unknown boolean combination {kind!r}")
-
-
-def translate_mod1(a: IntervalSet, t) -> IntervalSet:
-    return a.translate_mod1(t)
 
 
 def lebesgue_length(a: IntervalSet) -> Fraction:
@@ -544,10 +509,6 @@ def sigma_additivity_probe(family: Callable[[int], IntervalSet], depth: int,
 
 
 # -- text form ----------------------------------------------------------------
-
-def format_set(a: IntervalSet) -> str:
-    return a.render()
-
 
 def parse_set(text: str) -> IntervalSet:
     """Parse set notation as the query language reads it: intervals "[a,b)",

@@ -28,7 +28,7 @@ from typing import Mapping, Sequence
 
 from .errors import DomainError
 from .field import (MAX_NUMERAL_DIGITS, Generator, NonArchValue, Ordering,
-                    compare_values, render_exact)
+                    _frac, compare_values, render_exact)
 from .report import PropertyReport
 
 COIN_GENERATOR = Generator("h")
@@ -198,20 +198,16 @@ def part_whole_check(whole_drop: int, part_drop: int) -> PropertyReport:
 class LotteryModel:
     """Fair lottery over a finite set F holding every standard ticket."""
 
-    generator: Generator = LOTTERY_GENERATOR
+    generator = LOTTERY_GENERATOR
 
 
 def lottery_ticket_probability(model: LotteryModel,
-                               ticket_count) -> NonArchValue:
-    """delta for a single ticket, n*delta for a block of n tickets."""
-    if ticket_count == "single":
-        n = 1
-    elif isinstance(ticket_count, int) and ticket_count >= 1:
-        n = ticket_count
-    else:
-        raise DomainError(f"ticket count must be 'single' or a positive "
-                          f"integer, got {ticket_count!r}")
-    return NonArchValue.affine(model.generator, 0, n)
+                               ticket_count: int) -> NonArchValue:
+    """n*delta for a block of n tickets, n a positive int: delta for one."""
+    if not isinstance(ticket_count, int) or ticket_count < 1:
+        raise DomainError(f"ticket count must be a positive integer, "
+                          f"got {ticket_count!r}")
+    return NonArchValue.affine(model.generator, 0, ticket_count)
 
 
 def _next_prime(n: int) -> int:
@@ -274,11 +270,12 @@ def archimedean_regularity_witness(eps_r, mode: str = "uniform_points"
     exceed total mass 1.  rational_orbit: additionally realizes the n
     points as rotations of a single point by multiples of 1/p, p the
     smallest prime above n, so a rotation-invariant regular assignment
-    overruns mass 1 on an explicit orbit, kept as its rotation 1/p.  An n
-    of more than MAX_NUMERAL_DIGITS digits is a DomainError, so every
-    witness prints.  So is an orbit of more than MAX_ORBIT_POINTS points.
+    overruns mass 1 on an explicit orbit, kept as its rotation 1/p.  A
+    float eps_r is a DomainError, as at every exact input; so is an n of
+    more than MAX_NUMERAL_DIGITS digits, so every witness prints, and so
+    is an orbit of more than MAX_ORBIT_POINTS points.
     """
-    eps = Fraction(eps_r)
+    eps = _frac(eps_r)
     if eps <= 0:
         raise DomainError("the claimed point mass must be positive")
     if mode not in ("uniform_points", "rational_orbit"):

@@ -42,7 +42,8 @@ from itertools import pairwise
 from typing import Iterable
 
 from .errors import DomainError
-from .field import MAX_NUMERAL_DIGITS, Generator, NonArchValue, render_exact
+from .field import (MAX_NUMERAL_DIGITS, Generator, NonArchValue, _frac,
+                    render_exact)
 from .intervals import (EMPTY_CONDITION, IntervalSet, conditional,
                         lebesgue_length)
 from .report import PropertyReport
@@ -55,7 +56,7 @@ SPINNER_GENERATOR = Generator("eps")
 class GridModel:
     """Symbolic spinner sample space {k/N : 0 <= k < N}, N = m!, m unlimited."""
 
-    generator: Generator = SPINNER_GENERATOR
+    generator = SPINNER_GENERATOR
 
 
 @dataclass(frozen=True)
@@ -112,12 +113,13 @@ MAX_GRID_POINTS = 100_000
 
 @dataclass(frozen=True)
 class FiniteGrid:
-    """Concrete finite set of rational positions in [0,1)."""
+    """Concrete finite set of rational positions in [0,1), each read as a
+    Fraction by the field's exact-input rule, which refuses floats."""
 
     points: tuple[Fraction, ...]
 
     def __post_init__(self):
-        points = tuple(sorted(self.points))
+        points = tuple(sorted(map(_frac, self.points)))
         if points and (points[0] < 0 or points[-1] >= 1):
             raise DomainError("grid points must lie in [0,1)")
         if any(a == b for a, b in zip(points, points[1:])):

@@ -21,17 +21,20 @@ from spinnerlab.cantor import CantorEvent, CantorModel, cantor_probability
 from spinnerlab.errors import DomainError, GeneratorMismatchError, ParseError
 from spinnerlab.field import (MAX_NUMERAL_DIGITS, Generator, Kind,
                               NonArchValue, Ordering, Poly, Sign, TokenCursor,
-                              arith_add, arith_div, arith_mul, classify,
-                              compare, compare_values, parse_rational,
+                              classify, compare_values, parse_rational,
                               parse_value, render_exact, standard_part,
                               _exquo, _gcd, _int_prem, _mul, _strip)
-from spinnerlab.lottery import (CoinEvent, LotteryModel, coinflip_probability,
+from spinnerlab.intervals import IntervalSet
+from spinnerlab.lottery import (CoinEvent, LotteryModel,
+                                archimedean_regularity_witness,
+                                coinflip_probability,
                                 lottery_ticket_probability)
 from spinnerlab import query
 from spinnerlab.query import parse_query
 from spinnerlab.sampling import (rand_interval_set, rand_limited_value,
                                  rand_value)
-from spinnerlab.spinner import GridModel, grid_probability
+from spinnerlab.spinner import (FiniteGrid, GridModel, finite_grid_stabilizer,
+                               grid_probability)
 
 G = Generator("eps")
 EPS = NonArchValue.infinitesimal(G)
@@ -114,14 +117,14 @@ def test_gcd_divides_both():
 
 def test_add_examples():
     assert (EPS + (-EPS)) == ZERO
-    assert arith_add(val((F(1, 2), 3)), val((F(1, 2), -1))) == val((1, 2))
+    assert val((F(1, 2), 3)) + val((F(1, 2), -1)) == val((1, 2))
     one_over = val((1,), (1, -1))  # 1/(1-eps)
     assert one_over + (-ONE) == val((0, 1), (1, -1))
 
 
 def test_mul_examples():
-    assert arith_mul(EPS, ONE / EPS) == ONE
-    assert arith_mul(val((1, 1)), val((1, -1))) == val((1, 0, -1))
+    assert EPS * (ONE / EPS) == ONE
+    assert val((1, 1)) * val((1, -1)) == val((1, 0, -1))
     h = NonArchValue.infinitesimal(Generator("h"))
     assert 2 * (F(1, 2) * h) == h
 
@@ -129,18 +132,18 @@ def test_mul_examples():
 def test_div_examples():
     h = NonArchValue.infinitesimal(Generator("h"))
     assert h / (2 * h) == F(1, 2)
-    assert arith_div(val((1, 0, -1)), val((1, -1))) == val((1, 1))
+    assert val((1, 0, -1)) / val((1, -1)) == val((1, 1))
     assert (ZERO / val((3, 1))).is_zero()
     with pytest.raises(DomainError):
-        arith_div(ONE, ZERO)
+        ONE / ZERO
 
 
 def test_compare_examples():
-    assert compare(EPS, NonArchValue.constant(G, F(1, 10 ** 6))) is Ordering.LESS
+    assert EPS.compare(NonArchValue.constant(G, F(1, 10 ** 6))) is Ordering.LESS
     h = NonArchValue.infinitesimal(Generator("h"))
-    assert compare(h, 2 * h) is Ordering.LESS
+    assert h.compare(2 * h) is Ordering.LESS
     lhs = val((1, 1), (1, -1))
-    assert compare(lhs, val((1, 2))) is Ordering.GREATER
+    assert lhs.compare(val((1, 2))) is Ordering.GREATER
 
 
 def test_standard_part_examples():
@@ -184,9 +187,9 @@ def test_query_still_names_compare_values():
 def test_generator_mismatch_is_hard_error():
     h = NonArchValue.infinitesimal(Generator("h"))
     with pytest.raises(GeneratorMismatchError):
-        arith_add(EPS, h)
+        EPS + h
     with pytest.raises(GeneratorMismatchError):
-        compare(EPS, h)
+        EPS.compare(h)
 
 
 # -- ordering agrees with the substitution oracle --------------------------------
@@ -205,7 +208,7 @@ def test_compare_matches_substitution_oracle():
     for _ in range(200):
         a = rand_value(rng, G, max_degree=3, max_den=10)
         b = rand_value(rng, G, max_degree=3, max_den=10)
-        got = compare(a, b)
+        got = a.compare(b)
         s = oracle_sign(a - b)
         expected = {-1: Ordering.LESS, 0: Ordering.EQUAL,
                     1: Ordering.GREATER}[s]
@@ -285,9 +288,9 @@ def test_standard_part_homomorphism(a, b):
 
 def test_non_archimedean_witness():
     for r in (F(1, 2), F(1, 100), F(3, 7), F(1, 10 ** 12)):
-        assert compare(EPS, NonArchValue.constant(G, r)) is Ordering.LESS
+        assert EPS.compare(NonArchValue.constant(G, r)) is Ordering.LESS
     for n in (1, 10, 10 ** 6, 10 ** 18):
-        assert compare(n * EPS, ONE) is Ordering.LESS
+        assert (n * EPS).compare(ONE) is Ordering.LESS
 
 
 # -- sympy's field of rational functions as the oracle -------------------------------
@@ -573,6 +576,38 @@ def test_one_rational_rule_for_queries_values_and_cli(text, value):
         else:
             assert read(text) == value
 
+
+
+# every library entry point that takes an exact rational, with an int it
+# accepts: each reads its input by one rule, so a float is a DomainError
+# and an int is exact
+EXACT_INPUTS = [
+    pytest.param(lambda x: IntervalSet([(0, True, x, True)]), 0,
+                 id="IntervalSet"),
+    pytest.param(IntervalSet.point, 0, id="IntervalSet.point"),
+    pytest.param(lambda x: IntervalSet.interval(x, True, 1, False), 0,
+                 id="IntervalSet.interval"),
+    pytest.param(IntervalSet.full().contains, 0, id="IntervalSet.contains"),
+    pytest.param(IntervalSet.full().translate_mod1, 1,
+                 id="IntervalSet.translate_mod1"),
+    pytest.param(lambda x: NonArchValue(G, x), 2, id="NonArchValue"),
+    pytest.param(lambda x: NonArchValue.constant(G, x), 2,
+                 id="NonArchValue.constant"),
+    pytest.param(lambda x: NonArchValue.affine(G, 1, x), 2,
+                 id="NonArchValue.affine"),
+    pytest.param(
+        lambda x: finite_grid_stabilizer(FiniteGrid((x, F(1, 2)))).order, 0,
+        id="FiniteGrid"),
+    pytest.param(lambda x: archimedean_regularity_witness(x).n, 1,
+                 id="archimedean_regularity_witness"),
+]
+
+
+@pytest.mark.parametrize("call, exact", EXACT_INPUTS)
+def test_every_exact_input_refuses_a_float(call, exact):
+    with pytest.raises(DomainError, match="^floats are not allowed"):
+        call(0.5)
+    assert call(exact) == call(F(exact))
 
 # -- the one-split lexer against the finditer lexer it replaced ------------------
 

@@ -13,10 +13,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from spinnerlab.errors import DomainError, ParseError
-from spinnerlab.intervals import (IntervalSet, Piece, _Wide, boolean_combine,
-                                  dyadic_tail_family, format_set,
-                                  lebesgue_length, normalize, parse_set,
-                                  sigma_additivity_probe, translate_mod1)
+from spinnerlab.intervals import (IntervalSet, Piece, _Wide,
+                                  dyadic_tail_family, lebesgue_length,
+                                  parse_set, sigma_additivity_probe)
 from spinnerlab.sampling import rand_interval_set
 from spinnerlab.spinner import GridModel, grid_count
 
@@ -57,7 +56,8 @@ def assert_members(s: IntervalSet, raw, points):
 # -- normalization ---------------------------------------------------------------
 
 def test_normalize_merges_adjacent_half_open():
-    s = normalize([(F(0), True, F(1, 2), False), (F(1, 2), True, F(3, 4), False)])
+    s = IntervalSet([(F(0), True, F(1, 2), False),
+                     (F(1, 2), True, F(3, 4), False)])
     assert s.render() == "[0,3/4)"
 
 
@@ -65,24 +65,24 @@ def test_normalize_point_fills_gap():
     raw = [(F(1, 4), False, F(1, 2), False),
            (F(1, 2), True, F(1, 2), True),
            (F(1, 2), False, F(3, 4), False)]
-    s = normalize(raw)
+    s = IntervalSet(raw)
     assert s.render() == "(1/4,3/4)"
     assert_members(s, raw, POINTS_8)
 
 
 def test_normalize_empty():
-    assert normalize([]).is_empty()
-    assert normalize([(F(1, 3), False, F(1, 3), False)]).is_empty()
-    assert normalize([(F(1, 3), True, F(1, 3), False)]).is_empty()
+    assert IntervalSet([]).is_empty()
+    assert IntervalSet([(F(1, 3), False, F(1, 3), False)]).is_empty()
+    assert IntervalSet([(F(1, 3), True, F(1, 3), False)]).is_empty()
 
 
 def test_normalize_rejects_out_of_range():
     with pytest.raises(DomainError):
-        normalize([(F(-1, 4), True, F(1, 2), False)])
+        IntervalSet([(F(-1, 4), True, F(1, 2), False)])
     with pytest.raises(DomainError):
-        normalize([(F(1, 2), True, F(5, 4), False)])
+        IntervalSet([(F(1, 2), True, F(5, 4), False)])
     with pytest.raises(DomainError):
-        normalize([(F(1, 2), True, F(1, 4), False)])
+        IntervalSet([(F(1, 2), True, F(1, 4), False)])
 
 
 def test_constructor_validates_pieces():
@@ -93,19 +93,19 @@ def test_constructor_validates_pieces():
                 Piece(0.25, True, F(1, 2), False),
                 Piece(F(1, 4), True, 0.5, False)):
         with pytest.raises(DomainError):
-            normalize([bad])
+            IntervalSet([bad])
         with pytest.raises(DomainError):
             IntervalSet([(F(0), True, F(1, 8), False), bad])
     # and its point 1 wraps to 0
-    assert normalize([Piece(F(3, 4), True, F(1), True)]) \
-        == normalize([(F(3, 4), True, F(1), True)])
+    assert IntervalSet([Piece(F(3, 4), True, F(1), True)]) \
+        == IntervalSet([(F(3, 4), True, F(1), True)])
 
 
 def test_point_one_wraps_to_zero():
-    assert normalize([(F(1), True, F(1), True)]) == IntervalSet.point(0)
+    assert IntervalSet([(F(1), True, F(1), True)]) == IntervalSet.point(0)
     # the empty (1,1] holds no point 1 to wrap
-    assert normalize([(F(1), False, F(1), True)]).is_empty()
-    s = normalize([(F(3, 4), True, F(1), True)])
+    assert IntervalSet([(F(1), False, F(1), True)]).is_empty()
+    s = IntervalSet([(F(3, 4), True, F(1), True)])
     assert s.render() == "{0} ∪ [3/4,1)"
     assert s.contains(0) and s.contains(F(99, 100)) and not s.contains(F(1, 2))
 
@@ -120,23 +120,23 @@ def test_normalize_membership_oracle_randomized():
             if a > b:
                 a, b = b, a
             raw.append((a, rng.random() < 0.5, b, rng.random() < 0.5))
-        s = normalize(raw)
+        s = IntervalSet(raw)
         assert_members(s, raw, POINTS_8)
         # idempotence: renormalizing the components changes nothing
-        assert normalize(s.components) == s
+        assert IntervalSet(s.components) == s
 
 
 # -- boolean algebra ---------------------------------------------------------------
 
 def test_complement_examples():
     s = IntervalSet.interval(0, True, F(1, 2), False)
-    assert boolean_combine("complement", s).render() == "[1/2,1)"
+    assert s.complement().render() == "[1/2,1)"
 
 
 def test_intersect_example():
     a = IntervalSet.interval(0, True, F(2, 3), False)
     b = IntervalSet.interval(F(1, 3), False, F(1), False)
-    got = boolean_combine("intersect", a, b)
+    got = a.intersect(b)
     assert got.render() == "(1/3,2/3)"
     for x in POINTS_12:
         assert got.contains(x) == (a.contains(x) and b.contains(x))
@@ -146,18 +146,8 @@ def test_union_with_complement_is_full():
     rng = random.Random(6)
     for _ in range(100):
         a = rand_interval_set(rng, 4, 10)
-        assert boolean_combine("union", a, a.complement()) == IntervalSet.full()
+        assert a.union(a.complement()) == IntervalSet.full()
         assert (a & a.complement()).is_empty()
-
-
-def test_boolean_argument_errors():
-    a = IntervalSet.full()
-    with pytest.raises(DomainError):
-        boolean_combine("complement", a, a)
-    with pytest.raises(DomainError):
-        boolean_combine("union", a)
-    with pytest.raises(DomainError):
-        boolean_combine("xor", a, a)
 
 
 @settings(max_examples=80, deadline=None)
@@ -299,19 +289,19 @@ def test_key_ties_fall_back_to_exact_order(ra, rb, shift, q):
 # -- translation --------------------------------------------------------------------
 
 def test_translate_examples():
-    assert translate_mod1(IntervalSet.interval(F(3, 4), True, 1, False),
-                          F(1, 4)).render() == "[0,1/4)"
-    got = translate_mod1(IntervalSet.interval(F(1, 2), True, F(7, 8), False),
-                         F(1, 4))
+    got = IntervalSet.interval(F(3, 4), True, 1, False).translate_mod1(F(1, 4))
+    assert got.render() == "[0,1/4)"
+    got = IntervalSet.interval(F(1, 2), True, F(7, 8),
+                               False).translate_mod1(F(1, 4))
     assert got.render() == "[0,1/8) ∪ [3/4,1)"
-    got = translate_mod1(IntervalSet.interval(F(1, 4), True, F(1, 2), True),
-                         F(1, 2))
+    got = IntervalSet.interval(F(1, 4), True, F(1, 2),
+                               True).translate_mod1(F(1, 2))
     assert got.render() == "{0} ∪ [3/4,1)"
     rng = random.Random(9)
     for _ in range(50):
         a = rand_interval_set(rng, 4, 10)
-        assert translate_mod1(a, 0) == a
-        assert translate_mod1(a, 1) == a
+        assert a.translate_mod1(0) == a
+        assert a.translate_mod1(1) == a
 
 
 def test_translate_membership_oracle():
@@ -319,7 +309,7 @@ def test_translate_membership_oracle():
     for _ in range(100):
         a = rand_interval_set(rng, 3, 6)
         t = F(rng.randint(-12, 12), rng.randint(1, 6))
-        got = translate_mod1(a, t)
+        got = a.translate_mod1(t)
         for x in small_rationals(12):
             assert got.contains(x) == a.contains((x - t) % 1), \
                 f"A={a.render()} t={t} x={x}"
@@ -330,7 +320,7 @@ def test_translate_preserves_length():
     for _ in range(200):
         a = rand_interval_set(rng, 4, 20)
         t = F(rng.randint(0, 40), rng.randint(1, 20))
-        assert lebesgue_length(translate_mod1(a, t)) == lebesgue_length(a)
+        assert lebesgue_length(a.translate_mod1(t)) == lebesgue_length(a)
 
 
 # -- measure -------------------------------------------------------------------------
@@ -449,7 +439,7 @@ def test_set_notation_round_trip():
     rng = random.Random(15)
     for _ in range(100):
         a = rand_interval_set(rng, 4, 10)
-        assert parse_set(format_set(a)) == a
+        assert parse_set(a.render()) == a
     assert parse_set("[0,1/2) u (3/4,7/8]") == IntervalSet(
         [(F(0), True, F(1, 2), False), (F(3, 4), False, F(7, 8), True)])
     assert parse_set("{1/3}") == IntervalSet.point(F(1, 3))
@@ -481,7 +471,7 @@ def test_exact_numbers_past_the_digit_limit_render():
     nines, sevens = "9" * 4300, "7" * 4300
     a = parse_set(f"translate([0,1/{nines}), 1/{sevens})")
     right = F(1, int(sevens)) + F(1, int(nines))
-    assert format_set(a) == f"[1/{sevens},{exact(right)})"
-    assert repr(a) == f"IntervalSet<{format_set(a)}>"
+    assert a.render() == f"[1/{sevens},{exact(right)})"
+    assert repr(a) == f"IntervalSet<{a.render()}>"
     b = parse_set(f"[0,1/{nines}) u translate([0,1/{sevens}), 1/2)")
     assert grid_count(GridModel(), b).render() == f"{exact(right)}*N + 0"

@@ -227,16 +227,16 @@ def test_part_whole_rejects_non_proper_part():
 
 def test_ticket_probabilities():
     lm = LotteryModel()
-    assert lottery_ticket_probability(lm, "single") == DELTA
+    assert lottery_ticket_probability(lm, 1) == DELTA
     assert lottery_ticket_probability(lm, 1000) == 1000 * DELTA
     assert lottery_ticket_probability(lm, 1000).classify().render() \
         == "infinitesimal-positive"
     assert lottery_ticket_probability(lm, 1) \
         < lottery_ticket_probability(lm, 2)
-    with pytest.raises(DomainError):
-        lottery_ticket_probability(lm, 0)
-    with pytest.raises(DomainError):
-        lottery_ticket_probability(lm, "pair")
+    # a positive int is the only ticket count
+    for bad in (0, "single", "pair", 1.0):
+        with pytest.raises(DomainError):
+            lottery_ticket_probability(lm, bad)
 
 
 # -- overflow witnesses -------------------------------------------------------------------

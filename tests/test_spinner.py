@@ -268,6 +268,14 @@ def test_stabilizer_of_coprime_denominators_stays_small():
     assert peak < 2 * 10 ** 6
 
 
+def test_grid_points_are_stored_as_fractions():
+    # an int point is stored as a Fraction, which the stabilizer reads
+    grid = FiniteGrid((F(1, 2), 0))
+    assert grid.points == (0, F(1, 2))
+    assert all(type(x) is F for x in grid.points)
+    assert finite_grid_stabilizer(grid).order == 2
+
+
 def test_stabilizer_rejects_empty_and_bad_grids():
     with pytest.raises(DomainError):
         FiniteGrid((F(3, 2),))
