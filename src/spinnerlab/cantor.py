@@ -32,7 +32,8 @@ from .report import PropertyReport
 
 CANTOR_GENERATOR = Generator("c")
 
-_ALPHABET = frozenset("02")
+# whether a string is a cylinder address: its digits are all 0 or 2
+_is_address = frozenset("02").issuperset
 _TO_BITS, _TO_DIGITS = str.maketrans("2", "1"), str.maketrans("1", "2")
 
 
@@ -49,8 +50,8 @@ class CantorEvent:
     def __init__(self, addresses: Iterable[str] = ()):
         addresses = list(addresses)
         text = "".join(addresses)
-        if not _ALPHABET.issuperset(text):
-            bad = next(a for a in addresses if not _ALPHABET.issuperset(a))
+        if not _is_address(text):
+            bad = next(a for a in addresses if not _is_address(a))
             raise DomainError(f"invalid cylinder address {bad!r}: "
                               "digits must be 0 or 2")
         depth = max(map(len, addresses), default=0)

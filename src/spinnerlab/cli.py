@@ -73,7 +73,6 @@ def _cmd_suite(args) -> int:
                   f"cases={r['cases']}")
             for c in r["counterexamples"][:3]:
                 print(f"     counterexample: {c}")
-    if not args.json:
         print("all suites passed" if code == 0 else "suite failures detected")
     return code
 

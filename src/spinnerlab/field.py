@@ -55,19 +55,22 @@ from .errors import DomainError, GeneratorMismatchError, ParseError
 Rat = Union[int, Fraction]
 
 
-def _frac(x) -> Fraction:
-    """One exact rational input as a Fraction; a float is a DomainError."""
+def _ratio(x) -> "tuple[int, int]":
+    """Numerator and positive denominator of one exact rational input: the
+    one rule every library entry point reads with.  Only an int or a
+    Fraction is read; a float or any other type is a DomainError before
+    any arithmetic, so no text reaches ``Fraction``'s own parser."""
+    if isinstance(x, (int, Fraction)):
+        return x.numerator, x.denominator
     if isinstance(x, float):
         raise DomainError("floats are not allowed; use exact rationals")
-    return Fraction(x)
+    raise DomainError(f"an exact rational must be an int or a Fraction, "
+                      f"got {type(x).__name__}")
 
 
-def _ratio(x) -> "tuple[int, int]":
-    """Numerator and positive denominator of one exact rational input, by
-    ``_frac``'s rule: the one rule every library entry point reads with."""
-    if not isinstance(x, (int, Fraction)):
-        x = _frac(x)
-    return x.numerator, x.denominator
+def _frac(x) -> Fraction:
+    """One exact rational input as a Fraction, read by ``_ratio``."""
+    return Fraction(*_ratio(x))
 
 
 class Poly:

@@ -143,9 +143,6 @@ class Piece:
     def is_point(self) -> bool:
         return self.left == self.right
 
-    def contains(self, x: Fraction) -> bool:
-        return self.start <= (x, False) and (x, True) <= self.end
-
     def render(self) -> str:
         left = render_exact(self.left)
         if self.is_point():

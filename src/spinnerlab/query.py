@@ -59,7 +59,8 @@ from functools import partial
 from math import gcd
 from typing import Union
 
-from .cantor import CantorEvent, CantorModel, cantor_probability
+from .cantor import (CantorEvent, CantorModel, _is_address,
+                     cantor_probability)
 from .errors import DomainError, ParseError, QueryTypeError
 from .field import (TokenCursor, Value, classify, compare_values,
                     render_exact, render_ratio, standard_part)
@@ -471,7 +472,7 @@ def _interval_leaf(node: SetNode, model: str) -> IntervalSet:
                 cuts += _clean(*part)
                 continue
             for item in part.items:
-                if len(item) > 1 and set(item) <= {"0", "2"}:
+                if len(item) > 1 and _is_address(item):
                     raise QueryTypeError(
                         f"brace item {item!r} looks like a cylinder address; "
                         f"cylinder sets belong to the cantor model, not "
@@ -513,7 +514,7 @@ def _cantor_leaf(node: SetNode) -> CantorEvent:
         try:
             event = CantorEvent(items)
         except DomainError:
-            bad = next(i for i in items if not set(i) <= {"0", "2"})
+            bad = next(i for i in items if not _is_address(i))
             raise QueryTypeError(
                 f"brace item {bad!r} is not a cylinder address over {{0,2}}; "
                 f"rational points belong to the interval models") from None

@@ -14,10 +14,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import lcm
-from numbers import Rational
 
 from .errors import DomainError
-from .field import Generator, NonArchValue, Poly
+from .field import Generator, NonArchValue, Poly, _ratio
 from .intervals import IntervalSet
 
 
@@ -79,11 +78,10 @@ def repack_half_open(rng: random.Random, total: Fraction,
     denominator at most 64.  Before each piece is a gap: a share u, of
     denominator at most 16, of the slack 1 - total that the earlier gaps
     left.  Everything is summed as integers over one common denominator.
+    ``total`` is read by ``field._ratio``, the one exact-input rule.
     """
-    if not isinstance(total, Rational):
-        raise DomainError(f"total length must be an exact rational, "
-                          f"got {total!r}")
-    if not 0 < total <= 1:
+    p, q = _ratio(total)
+    if not 0 < p <= q:
         raise DomainError("total length must lie in (0,1]")
     k = rng.randint(1, max_pieces)
     shares = [_rand_ratio(rng, 64) for _ in range(k - 1)]
@@ -102,7 +100,6 @@ def repack_half_open(rng: random.Random, total: Fraction,
         kept *= e - n
         gap_den *= e
     # every position over den = q * cut_den * gap_den, total = p/q
-    p, q = total.numerator, total.denominator
     den = q * cut_den * gap_den
     slack, unit = (q - p) * cut_den, p * gap_den
     raw = []

@@ -26,8 +26,9 @@ the cyclic group of rational rotations preserving the grid from the period
 of its gap sequence and exhibits an off-grid rotation witness of exactly
 that 1/(order+1) shape.
 
-Everything in this module is immutable and the operations are pure, so
-values can be shared freely across threads.
+The models, forms, grids and results here are frozen and the operations
+are pure, so they can be shared freely across threads.  ``SuiteConfig``
+alone is mutable: ``suites.run_suites`` sets its seed from the environment.
 """
 
 from __future__ import annotations

@@ -10,6 +10,7 @@ import math
 import random
 import re
 import sys
+from decimal import Decimal
 from fractions import Fraction as F
 from itertools import zip_longest
 from pathlib import Path
@@ -32,7 +33,7 @@ from spinnerlab.lottery import (CoinEvent, LotteryModel,
 from spinnerlab import query
 from spinnerlab.query import parse_query
 from spinnerlab.sampling import (rand_interval_set, rand_limited_value,
-                                 rand_value)
+                                 rand_value, repack_half_open)
 from spinnerlab.spinner import (FiniteGrid, GridModel, finite_grid_stabilizer,
                                grid_probability)
 
@@ -600,6 +601,8 @@ EXACT_INPUTS = [
         id="FiniteGrid"),
     pytest.param(lambda x: archimedean_regularity_witness(x).n, 1,
                  id="archimedean_regularity_witness"),
+    pytest.param(lambda x: repack_half_open(random.Random(0), x, 3).length,
+                 1, id="repack_half_open"),
 ]
 
 
@@ -608,6 +611,18 @@ def test_every_exact_input_refuses_a_float(call, exact):
     with pytest.raises(DomainError, match="^floats are not allowed"):
         call(0.5)
     assert call(exact) == call(F(exact))
+
+
+# inputs that are neither an int nor a Fraction, each refused before any
+# arithmetic: text (so no exponent reaches Fraction's parser), a Decimal
+# and None
+@pytest.mark.parametrize("other", ["1/3", Decimal("0.5"), None, "1e100000"],
+                         ids=repr)
+@pytest.mark.parametrize("call, exact", EXACT_INPUTS)
+def test_every_exact_input_refuses_other_types(call, exact, other):
+    with pytest.raises(DomainError, match="^an exact rational must be an int "
+                       f"or a Fraction, got {type(other).__name__}$"):
+        call(other)
 
 # -- the one-split lexer against the finditer lexer it replaced ------------------
 
