@@ -8,16 +8,16 @@ number of trials.  A query language and verification suites tie them
 together; see the README for the command-line surface.
 """
 
-from .cantor import CantorEvent, CantorModel, cantor_probability, \
-    coherence_check, hausdorff_measure, point_probability
+from .cantor import CantorEvent, cantor_probability, coherence_check, \
+    hausdorff_measure, point_probability
 from .errors import DomainError, GeneratorMismatchError, ParseError, \
     QueryTypeError
 from .field import Classification, Generator, Kind, NonArchValue, Ordering, \
     Poly, Sign, classify, parse_value, standard_part
 from .intervals import IntervalSet, dyadic_tail_family, lebesgue_length, \
     parse_set, sigma_additivity_probe
-from .lottery import CoinEvent, LotteryModel, RegularityWitness, \
-    ShiftComparison, archimedean_regularity_witness, coinflip_probability, \
+from .lottery import CoinEvent, RegularityWitness, ShiftComparison, \
+    archimedean_regularity_witness, coinflip_probability, \
     lottery_ticket_probability, part_whole_check, shift_compare
 from .query import EvalResult, Query, evaluate, parse_query, render_query
 from .report import PropertyReport
@@ -28,18 +28,17 @@ from .spinner import CountForm, FiniteGrid, GridModel, StabilizerResult, \
 __version__ = "0.1.0"
 
 __all__ = [
-    "CantorEvent", "CantorModel", "Classification", "CoinEvent", "CountForm",
-    "DomainError", "EvalResult", "FiniteGrid", "Generator",
-    "GeneratorMismatchError", "GridModel", "IntervalSet", "Kind",
-    "LotteryModel", "NonArchValue", "Ordering", "ParseError", "Poly",
-    "PropertyReport", "Query", "QueryTypeError", "RegularityWitness",
-    "ShiftComparison", "Sign", "StabilizerResult", "SuiteConfig",
-    "archimedean_regularity_witness", "cantor_probability", "classify",
-    "coherence_check", "coinflip_probability", "conditional_probability",
-    "dyadic_tail_family", "evaluate", "finite_grid_stabilizer", "grid_count",
-    "grid_probability", "hausdorff_measure", "lebesgue_length",
-    "lottery_ticket_probability", "parse_query", "parse_set", "parse_value",
-    "part_whole_check", "point_probability", "render_query",
-    "run_property_suite", "shift_compare", "sigma_additivity_probe",
-    "standard_part",
+    "CantorEvent", "Classification", "CoinEvent", "CountForm", "DomainError",
+    "EvalResult", "FiniteGrid", "Generator", "GeneratorMismatchError",
+    "GridModel", "IntervalSet", "Kind", "NonArchValue", "Ordering",
+    "ParseError", "Poly", "PropertyReport", "Query", "QueryTypeError",
+    "RegularityWitness", "ShiftComparison", "Sign", "StabilizerResult",
+    "SuiteConfig", "archimedean_regularity_witness", "cantor_probability",
+    "classify", "coherence_check", "coinflip_probability",
+    "conditional_probability", "dyadic_tail_family", "evaluate",
+    "finite_grid_stabilizer", "grid_count", "grid_probability",
+    "hausdorff_measure", "lebesgue_length", "lottery_ticket_probability",
+    "parse_query", "parse_set", "parse_value", "part_whole_check",
+    "point_probability", "render_query", "run_property_suite", "shift_compare",
+    "sigma_additivity_probe", "standard_part",
 ]

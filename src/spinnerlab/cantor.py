@@ -19,9 +19,8 @@ pairs over 2^depth, under the interval kernel's cut algebra over ints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Iterable
 
 from .errors import DomainError
@@ -37,17 +36,13 @@ _is_address = frozenset("02").issuperset
 _TO_BITS, _TO_DIGITS = str.maketrans("2", "1"), str.maketrans("1", "2")
 
 
-@dataclass(frozen=True)
-class CantorModel:
-    """Counting model on the 2^m depth-m cylinder representatives."""
-
-    generator = CANTOR_GENERATOR
-
-
 class CantorEvent:
     """Finite cylinder union: merged int cut pairs [lo, hi) over 2^depth."""
 
     def __init__(self, addresses: Iterable[str] = ()):
+        if isinstance(addresses, str):
+            raise DomainError("cylinder addresses must be a list of "
+                              "strings, not one string")
         addresses = list(addresses)
         text = "".join(addresses)
         if not _is_address(text):
@@ -146,50 +141,47 @@ def hausdorff_measure(e: CantorEvent) -> Fraction:
     return Fraction(sum([hi - lo for lo, hi in e.cuts]), 1 << e.depth)
 
 
-def cantor_probability(model: CantorModel, e: CantorEvent) -> NonArchValue:
+def cantor_probability(e: CantorEvent) -> NonArchValue:
     """Counting probability of a cylinder event: generator-free, equal to
     the normalized Hausdorff measure, reduced from the integer cut total
     over 2^depth by its trailing zero bits."""
     total = sum([hi - lo for lo, hi in e.cuts])
     if not total:
-        return NonArchValue._make(model.generator, (), (1,))
+        return NonArchValue._make(CANTOR_GENERATOR, (), (1,))
     s = min((total & -total).bit_length() - 1, e.depth)
-    return NonArchValue._make(model.generator, (total >> s,),
+    return NonArchValue._make(CANTOR_GENERATOR, (total >> s,),
                               (1 << (e.depth - s),))
 
 
-def point_probability(model: CantorModel) -> NonArchValue:
+def point_probability() -> NonArchValue:
     """Probability of a single depth-m sample point: the infinitesimal c."""
-    return NonArchValue.infinitesimal(model.generator)
+    return NonArchValue.infinitesimal(CANTOR_GENERATOR)
 
 
-def conditional_probability(model: CantorModel, a: CantorEvent,
-                            b: CantorEvent) -> NonArchValue:
-    return conditional(partial(cantor_probability, model), a, b,
-                       EMPTY_CONDITION)
+def conditional_probability(a: CantorEvent, b: CantorEvent) -> NonArchValue:
+    return conditional(cantor_probability, a, b, EMPTY_CONDITION)
 
 
-def coherence_sides(model: CantorModel, a: CantorEvent, b: CantorEvent
+def coherence_sides(a: CantorEvent, b: CantorEvent
                     ) -> "tuple[Fraction, NonArchValue, list[str]]":
     """The two sides of coherence on (a, b), the Hausdorff measure ratio
     and the conditional counting probability, with the counterexample when
     they differ: the rule that ``coherence_check`` reports and the
     cylinder coherence suite sweeps."""
-    conditional = conditional_probability(model, a, b)
+    conditional = conditional_probability(a, b)
     ratio = hausdorff_measure(a & b) / hausdorff_measure(b)
     counterexamples = []
-    if conditional != NonArchValue.constant(model.generator, ratio):
+    if conditional != NonArchValue.constant(CANTOR_GENERATOR, ratio):
         counterexamples.append(
             f"a={a.render()}, b={b.render()}: measure ratio {ratio} "
             f"!= conditional {conditional}")
     return ratio, conditional, counterexamples
 
 
-def coherence_check(model: CantorModel, a: CantorEvent,
-                    b: CantorEvent) -> PropertyReport:
+def coherence_check(a: CantorEvent, b: CantorEvent) -> PropertyReport:
     """Compare the Hausdorff measure ratio with the conditional counting
     probability; on cylinder events the two are exactly equal."""
-    ratio, conditional, counterexamples = coherence_sides(model, a, b)
+    ratio, conditional, counterexamples = coherence_sides(a, b)
     witnesses = [f"measure-ratio = {ratio}", f"conditional = {conditional}"]
     return PropertyReport.from_checks(
         "cantor-conditional-coherence", cases=1,

@@ -68,6 +68,14 @@ def _ratio(x) -> "tuple[int, int]":
                       f"got {type(x).__name__}")
 
 
+def _count(x, name: str) -> int:
+    """One integer count input: only an int that is not a bool is read;
+    anything else is a DomainError that names the input."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise DomainError(f"{name} must be an int, got {type(x).__name__}")
+    return x
+
+
 def _frac(x) -> Fraction:
     """One exact rational input as a Fraction, read by ``_ratio``."""
     return Fraction(*_ratio(x))

@@ -28,7 +28,7 @@ from typing import Mapping, Sequence
 
 from .errors import DomainError
 from .field import (MAX_NUMERAL_DIGITS, Generator, NonArchValue, Ordering,
-                    _frac, compare_values, render_exact)
+                    _count, _frac, compare_values, render_exact)
 from .report import PropertyReport
 
 COIN_GENERATOR = Generator("h")
@@ -64,21 +64,21 @@ class CoinEvent:
     def make(cls, dropped_prefix: int = 0,
              pinned: "Mapping[int, str] | None" = None,
              all_heads: bool = False) -> "CoinEvent":
-        if dropped_prefix < 0:
+        if _count(dropped_prefix, "dropped prefix") < 0:
             raise DomainError("dropped prefix must be nonnegative")
         if dropped_prefix > MAX_DROPPED_PREFIX:
             raise DomainError(f"dropped prefix must be at most "
                               f"{MAX_DROPPED_PREFIX}")
         pins = []
-        for pos, outcome in sorted((pinned or {}).items()):
-            if not isinstance(pos, int) or pos < 1:
+        for pos, outcome in (pinned or {}).items():
+            if _count(pos, "pinned position") < 1:
                 raise DomainError(f"pinned position {pos!r} must be a "
                                   "positive integer")
             if outcome not in _OUTCOMES:
                 raise DomainError(f"pinned outcome {outcome!r} must be H or T")
             if pos > dropped_prefix:
                 pins.append((pos, outcome))
-        return cls(dropped_prefix, tuple(pins), all_heads)
+        return cls(dropped_prefix, tuple(sorted(pins)), all_heads)
 
     @classmethod
     def allheads(cls, dropped_prefix: int = 0) -> "CoinEvent":
@@ -194,20 +194,13 @@ def part_whole_check(whole_drop: int, part_drop: int) -> PropertyReport:
                    "equal K coefficient, strictly smaller constant"])
 
 
-@dataclass(frozen=True)
-class LotteryModel:
-    """Fair lottery over a finite set F holding every standard ticket."""
-
-    generator = LOTTERY_GENERATOR
-
-
-def lottery_ticket_probability(model: LotteryModel,
-                               ticket_count: int) -> NonArchValue:
-    """n*delta for a block of n tickets, n a positive int: delta for one."""
-    if not isinstance(ticket_count, int) or ticket_count < 1:
+def lottery_ticket_probability(ticket_count: int) -> NonArchValue:
+    """n*delta for a block of n tickets, n a positive int: delta for one,
+    in the fair lottery over a finite set F holding every standard ticket."""
+    if _count(ticket_count, "ticket count") < 1:
         raise DomainError(f"ticket count must be a positive integer, "
                           f"got {ticket_count!r}")
-    return NonArchValue.affine(model.generator, 0, ticket_count)
+    return NonArchValue.affine(LOTTERY_GENERATOR, 0, ticket_count)
 
 
 def _next_prime(n: int) -> int:

@@ -42,7 +42,8 @@ operand order, so the first bad part of a run names the error.
 
 The models are the rows of one table, ``_RULES``, and ``MODELS`` is its
 keys: a row names the model's event builder, its probability and its
-null-condition message.  A row looks its probability kernel up in this
+null-condition message.  A model is its kernels, and its probability is a
+function of the event alone.  A row's lambda looks the kernel up in this
 module at each call, so a wrapper on the kernel's name here (a tracer, a
 test) sees every query of that model.  Interval sets and cylinder events
 are built by one fold over ``u``/``n`` chains and ``compl``, with a leaf
@@ -59,16 +60,15 @@ from functools import partial
 from math import gcd
 from typing import Union
 
-from .cantor import (CantorEvent, CantorModel, _is_address,
-                     cantor_probability)
+from .cantor import CantorEvent, _is_address, cantor_probability
 from .errors import DomainError, ParseError, QueryTypeError
 from .field import (TokenCursor, Value, classify, compare_values,
                     render_exact, render_ratio, standard_part)
 from .intervals import (EMPTY_CONDITION, IntervalSet, Ratio, _clean,
                         conditional, lebesgue_length)
-from .lottery import (CoinEvent, LotteryModel, coinflip_probability,
+from .lottery import (CoinEvent, coinflip_probability,
                       lottery_ticket_probability)
-from .spinner import GridModel, grid_probability
+from .spinner import grid_probability
 
 _MAX_NESTING = 64
 
@@ -563,8 +563,6 @@ def _to_ticket_count(node: SetNode) -> int:
     raise QueryTypeError("only ticket literals belong to the lottery model")
 
 
-_GRID, _CANTOR, _LOTTERY = GridModel(), CantorModel(), LotteryModel()
-
 # model -> (event builder, probability, DomainError message for a condition
 # of probability 0, or None where the model has no conditional queries)
 _RULES = {
@@ -573,15 +571,13 @@ _RULES = {
                 "conditioning on a null event: the minimal model assigns it "
                 "measure 0, so the conditional is undefined here"),
     "grid": (partial(_to_interval_set, model="grid"),
-             lambda event: grid_probability(_GRID, event), EMPTY_CONDITION),
-    "cantor": (_to_cantor_event,
-               lambda event: cantor_probability(_CANTOR, event),
+             lambda event: grid_probability(event), EMPTY_CONDITION),
+    "cantor": (_to_cantor_event, lambda event: cantor_probability(event),
                EMPTY_CONDITION),
     "coinflip": (_to_coin_event, lambda event: coinflip_probability(event),
                  "conditioning on an inconsistent coin event"),
     "lottery": (_to_ticket_count,
-                lambda count: lottery_ticket_probability(_LOTTERY, count),
-                None),
+                lambda count: lottery_ticket_probability(count), None),
 }
 MODELS = tuple(_RULES)
 

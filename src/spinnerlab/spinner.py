@@ -26,9 +26,10 @@ the cyclic group of rational rotations preserving the grid from the period
 of its gap sequence and exhibits an off-grid rotation witness of exactly
 that 1/(order+1) shape.
 
-The models, forms, grids and results here are frozen and the operations
-are pure, so they can be shared freely across threads.  ``SuiteConfig``
-alone is mutable: ``suites.run_suites`` sets its seed from the environment.
+The model is its kernels, each a function of its events alone.  The forms,
+grids and results here are frozen and the operations are pure, so they can
+be shared freely across threads.  ``SuiteConfig`` alone is mutable:
+``suites.run_suites`` sets its seed from the environment.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ from itertools import pairwise
 from typing import Iterable
 
 from .errors import DomainError
-from .field import (MAX_NUMERAL_DIGITS, Generator, NonArchValue, _frac,
-                    render_exact)
+from .field import (MAX_NUMERAL_DIGITS, Generator, NonArchValue, _count,
+                    _frac, render_exact)
 from .intervals import (EMPTY_CONDITION, IntervalSet, conditional,
                         lebesgue_length)
 from .report import PropertyReport
@@ -53,11 +54,11 @@ from . import sampling
 SPINNER_GENERATOR = Generator("eps")
 
 
-@dataclass(frozen=True)
 class GridModel:
-    """Symbolic spinner sample space {k/N : 0 <= k < N}, N = m!, m unlimited."""
-
-    generator = SPINNER_GENERATOR
+    """Holds nothing: the grid model is its kernels.  It stays only because
+    ``perfbench/workloads.py`` calls ``run_property_suite(GridModel(),
+    config)``; the next change to the benchmark (ROADMAP item 1) drops that
+    call, and this class and that parameter with it."""
 
 
 @dataclass(frozen=True)
@@ -82,7 +83,7 @@ class CountForm:
     __str__ = render
 
 
-def grid_count(model: GridModel, a: IntervalSet) -> CountForm:
+def grid_count(a: IntervalSet) -> CountForm:
     """Exact point count of a set, using that every endpoint is on the grid.
 
     A component (a,b) holds (b-a)*N - 1 grid points and each closed end adds
@@ -93,17 +94,15 @@ def grid_count(model: GridModel, a: IntervalSet) -> CountForm:
                                    for start, end in a.cuts))
 
 
-def grid_probability(model: GridModel, a: IntervalSet) -> NonArchValue:
+def grid_probability(a: IntervalSet) -> NonArchValue:
     """Counting probability count/N = linear + constant*eps."""
-    c = grid_count(model, a)
-    return NonArchValue.affine(model.generator, c.linear, c.constant)
+    c = grid_count(a)
+    return NonArchValue.affine(SPINNER_GENERATOR, c.linear, c.constant)
 
 
-def conditional_probability(model: GridModel, a: IntervalSet,
-                            b: IntervalSet) -> NonArchValue:
+def conditional_probability(a: IntervalSet, b: IntervalSet) -> NonArchValue:
     """P(a | b) as an exact field element; b may be a single point."""
-    return conditional(partial(grid_probability, model), a, b,
-                       EMPTY_CONDITION)
+    return conditional(grid_probability, a, b, EMPTY_CONDITION)
 
 
 # -- finite grids and their rotation stabilizers -------------------------------
@@ -129,7 +128,7 @@ class FiniteGrid:
 
     @classmethod
     def uniform(cls, n: int) -> "FiniteGrid":
-        if n < 1:
+        if _count(n, "uniform grid size n") < 1:
             raise DomainError("uniform grid needs n >= 1")
         if n > MAX_GRID_POINTS:
             raise DomainError(f"uniform grid needs n <= {MAX_GRID_POINTS}")
@@ -298,15 +297,15 @@ def _report(name: str, cases: int, counterexamples: list[str],
 
 
 def _sampled(name: str, label: str, witness: str):
-    """Decorate a generator function ``(model, config, rng, **options)``
-    that draws one case from ``rng`` and yields its counterexamples; the
-    result is the check ``(model, config, **options)``, which runs
-    ``config.cases`` cases from ``config.rng(label)`` into one report."""
+    """Decorate a generator function ``(config, rng, **options)`` that
+    draws one case from ``rng`` and yields its counterexamples; the result
+    is the check ``(config, **options)``, which runs ``config.cases``
+    cases from ``config.rng(label)`` into one report."""
     def rule(case):
-        def check(model, config: SuiteConfig, **options) -> PropertyReport:
+        def check(config: SuiteConfig, **options) -> PropertyReport:
             rng, bad = config.rng(label), []
             for _ in range(config.cases):
-                bad += case(model, config, rng, **options)
+                bad += case(config, rng, **options)
             return _report(name, config.cases, bad, [witness], config)
         return check
     return rule
@@ -314,34 +313,34 @@ def _sampled(name: str, label: str, witness: str):
 
 @_sampled("spinner-regularity", "regularity",
           "every sampled point outcome has probability eps > 0")
-def _check_regularity(model, config, rng):
+def _check_regularity(config, rng):
     x = sampling.rand_fraction(rng, config.max_denominator)
-    p = grid_probability(model, IntervalSet.point(x))
+    p = grid_probability(IntervalSet.point(x))
     cls = p.classify()
-    if p != NonArchValue.infinitesimal(model.generator) \
+    if p != NonArchValue.infinitesimal(SPINNER_GENERATOR) \
             or cls.render() != "infinitesimal-positive":
         yield f"x={x}: P={p} classified {cls.render()}"
 
 
 @_sampled("spinner-totality", "totality",
           "every sampled set is assigned a probability in [0,1]")
-def _check_totality(model, config, rng):
+def _check_totality(config, rng):
     a = sampling.rand_interval_set(rng, 5, config.max_denominator)
-    p = grid_probability(model, a)
+    p = grid_probability(a)
     if not 0 <= p <= 1:
         yield f"A={a.render()}: P={p} outside [0,1]"
 
 
 @_sampled("spinner-count-uniformity", "count-uniformity",
           "equal point counts always produced equal probabilities")
-def _check_count_uniformity(model, config, rng):
+def _check_count_uniformity(config, rng):
     a = sampling.rand_interval_set(rng, 4, config.max_denominator)
     q = sampling.rand_fraction(rng, config.max_denominator)
     b = a.translate_mod1(q)
-    ca, cb = grid_count(model, a), grid_count(model, b)
+    ca, cb = grid_count(a), grid_count(b)
     if ca != cb:
         yield f"A={a.render()}, q={q}: counts {ca} vs {cb}"
-    elif grid_probability(model, a) != grid_probability(model, b):
+    elif grid_probability(a) != grid_probability(b):
         yield (f"A={a.render()}, q={q}: equal counts {ca} but "
                f"unequal probabilities")
     # flag-trade pair with identical counts: [a,b] vs [a,b) u {x}
@@ -360,41 +359,40 @@ def _check_count_uniformity(model, config, rng):
         return
     traded = IntervalSet.interval(left, True, right, False) \
         | IntervalSet.point(x)
-    cc, ct = grid_count(model, closed), grid_count(model, traded)
+    cc, ct = grid_count(closed), grid_count(traded)
     if cc != ct:
         yield f"[{left},{right}] vs traded: counts {cc} vs {ct}"
-    elif grid_probability(model, closed) != grid_probability(model, traded):
+    elif grid_probability(closed) != grid_probability(traded):
         yield (f"[{left},{right}] vs traded: equal counts, "
                f"unequal probabilities")
 
 
 @_sampled("spinner-length-agreement", "length-agreement",
           "standard part of grid probability equals set length")
-def _check_length_agreement(model, config, rng, corrupt: bool = False):
+def _check_length_agreement(config, rng, corrupt: bool = False):
     a = sampling.rand_interval_set(rng, 5, config.max_denominator)
     expected = lebesgue_length(a)
     if corrupt:
         # test hook: deliberately skew the reference measure
         expected += Fraction(1, 997)
-    st = grid_probability(model, a).standard_part()
+    st = grid_probability(a).standard_part()
     if st != expected:
         yield f"A={a.render()}: st(P)={st}, length={expected}"
 
 
 @_sampled("spinner-rational-rotation-invariance", "rational-rotation",
           "probability is invariant under every sampled rational rotation")
-def _check_rational_rotation(model, config, rng):
+def _check_rational_rotation(config, rng):
     a = sampling.rand_interval_set(rng, 5, config.max_denominator)
     q = sampling.rand_fraction(rng, config.max_denominator)
-    if grid_probability(model, a.translate_mod1(q)) \
-            != grid_probability(model, a):
+    if grid_probability(a.translate_mod1(q)) != grid_probability(a):
         yield f"A={a.render()}, q={q}"
 
 
 @_sampled("spinner-half-open-uniformity", "half-open-uniformity",
           "equal-length half-open sets share the exact generator-free "
           "probability")
-def _check_half_open_uniformity(model, config, rng):
+def _check_half_open_uniformity(config, rng):
     # applies only to sets built from [a,b) pieces: no isolated points, no
     # nonempty null sets, every member has positive length
     a = sampling.rand_half_open_set(rng, 4, config.max_denominator)
@@ -402,30 +400,26 @@ def _check_half_open_uniformity(model, config, rng):
     if not (a.half_open_only() and b.half_open_only()):
         yield f"sampler produced a non-half-open set: {a.render()}"
         return
-    pa, pb = grid_probability(model, a), grid_probability(model, b)
-    la = NonArchValue.constant(model.generator, a.length)
+    pa, pb = grid_probability(a), grid_probability(b)
+    la = NonArchValue.constant(SPINNER_GENERATOR, a.length)
     if not (pa == pb == la):
         yield (f"A={a.render()}, B={b.render()}: "
                f"P(A)={pa}, P(B)={pb}, length={a.length}")
 
 
-def property_checks(model: GridModel, corrupt: bool = False) -> list:
+def property_checks(corrupt: bool = False) -> list:
     """The six spinner checks in report order, each a function of the config.
 
     ``corrupt`` is a test hook that skews the reference measure inside the
     length-agreement check so failure reporting can be exercised end to end.
     """
-    return [
-        partial(_check_regularity, model),
-        partial(_check_totality, model),
-        partial(_check_count_uniformity, model),
-        partial(_check_length_agreement, model, corrupt=corrupt),
-        partial(_check_rational_rotation, model),
-        partial(_check_half_open_uniformity, model),
-    ]
+    return [_check_regularity, _check_totality, _check_count_uniformity,
+            partial(_check_length_agreement, corrupt=corrupt),
+            _check_rational_rotation, _check_half_open_uniformity]
 
 
 def run_property_suite(model: GridModel, config: SuiteConfig,
                        corrupt: bool = False) -> list[PropertyReport]:
-    """Run the six spinner checks; one report per property, fixed order."""
-    return [check(config) for check in property_checks(model, corrupt)]
+    """Run the six spinner checks; one report per property, fixed order.
+    ``model`` is unread (see ``GridModel``)."""
+    return [check(config) for check in property_checks(corrupt)]

@@ -35,12 +35,12 @@ from fractions import Fraction
 from itertools import product
 
 from . import lottery as lottery_mod
-from .cantor import CantorEvent, CantorModel, coherence_sides
+from .cantor import CantorEvent, coherence_sides
 from .errors import DomainError
 from .intervals import IntervalSet, dyadic_tail_family, sigma_additivity_probe
 from .report import PropertyReport
-from .spinner import (FiniteGrid, GridModel, SuiteConfig, _report,
-                      check_digits, finite_grid_stabilizer, property_checks)
+from .spinner import (FiniteGrid, SuiteConfig, _report, check_digits,
+                      finite_grid_stabilizer, property_checks)
 from . import sampling
 
 WITNESS_MASSES = (Fraction(1, 10), Fraction(1, 1000), Fraction(1, 10 ** 6))
@@ -68,7 +68,7 @@ def _rand_cantor_event(rng, max_cylinders: int, max_depth: int,
 
 def cantor_coherence_suite(config: SuiteConfig) -> PropertyReport:
     """Exhaustive single-cylinder pairs at small depth plus sampled unions."""
-    model, rng = CantorModel(), config.rng("cantor-coherence")
+    rng = config.rng("cantor-coherence")
     singles = [CantorEvent(("".join(address),)) for depth in range(4)
                for address in product("02", repeat=depth)]
     pairs = [(a, b) for a in singles for b in singles] + [
@@ -77,7 +77,7 @@ def cantor_coherence_suite(config: SuiteConfig) -> PropertyReport:
         for _ in range(config.cases)]
     # the rule of cantor.coherence_check, without its witness strings
     counterexamples = [c for a, b in pairs
-                       for c in coherence_sides(model, a, b)[2]]
+                       for c in coherence_sides(a, b)[2]]
     return _report("cantor-conditional-coherence", len(pairs),
                    counterexamples,
                    ["conditional counting probability equals the measure "
@@ -229,7 +229,7 @@ def run_all(config: SuiteConfig, corrupt: bool = False) -> list[dict]:
     reports do not depend on how many.  ``duration_ms`` is each suite's
     own wall time.
     """
-    registry = property_checks(GridModel(), corrupt) + [
+    registry = property_checks(corrupt) + [
         cantor_coherence_suite, sigma_probe_suite, stabilizer_suite,
         witness_suite]
     done = _run_lanes(registry, _LONGEST_FIRST, config,

@@ -14,7 +14,7 @@ from itertools import product
 from pathlib import Path
 
 from spinnerlab import cli
-from spinnerlab.cantor import (CantorEvent, CantorModel,
+from spinnerlab.cantor import (CANTOR_GENERATOR, CantorEvent,
                                conditional_probability as cantor_conditional,
                                hausdorff_measure)
 from spinnerlab.field import Generator, NonArchValue, Ordering
@@ -25,14 +25,13 @@ from spinnerlab.lottery import (CoinEvent, archimedean_regularity_witness,
 from spinnerlab.sampling import (rand_fraction, rand_interval_set,
                                  rand_limited_value, rand_value,
                                  repack_half_open, rand_half_open_set)
-from spinnerlab.spinner import (FiniteGrid, GridModel, finite_grid_stabilizer,
-                                grid_probability)
+from spinnerlab.spinner import (SPINNER_GENERATOR, FiniteGrid,
+                                finite_grid_stabilizer, grid_probability)
 
 GOLDEN = Path(__file__).parent / "golden_queries.jsonl"
 
 G = Generator("eps")
-GRID = GridModel()
-EPS = NonArchValue.infinitesimal(GRID.generator)
+EPS = NonArchValue.infinitesimal(SPINNER_GENERATOR)
 ZERO = NonArchValue.constant(G, 0)
 ONE = NonArchValue.constant(G, 1)
 
@@ -83,7 +82,7 @@ def test_criterion_02_spinner_length_identity():
     rng = random.Random("acceptance-2")
     for i in range(500):
         a = rand_interval_set(rng, 5, 50)
-        if grid_probability(GRID, a).standard_part() != lebesgue_length(a):
+        if grid_probability(a).standard_part() != lebesgue_length(a):
             failures.append(f"case {i}: A={a.render()}")
     _finish(2, "st of grid probability equals length (500 sets)", failures,
             started)
@@ -95,7 +94,7 @@ def test_criterion_03_point_regularity_with_contrast():
     rng = random.Random("acceptance-3")
     for i in range(200):
         x = rand_fraction(rng, 50)
-        p = grid_probability(GRID, IntervalSet.point(x))
+        p = grid_probability(IntervalSet.point(x))
         if p != EPS or p.classify().render() != "infinitesimal-positive":
             failures.append(f"x={x}: grid P={p}")
         if lebesgue_length(IntervalSet.point(x)) != 0:
@@ -111,8 +110,7 @@ def test_criterion_04_rational_rotation_invariance():
     for i in range(500):
         a = rand_interval_set(rng, 5, 50)
         q = rand_fraction(rng, 50)
-        if grid_probability(GRID, a.translate_mod1(q)) \
-                != grid_probability(GRID, a):
+        if grid_probability(a.translate_mod1(q)) != grid_probability(a):
             failures.append(f"case {i}: A={a.render()}, q={q}")
     _finish(4, "rational rotation invariance (500 pairs)", failures, started)
 
@@ -124,9 +122,9 @@ def test_criterion_05_half_open_uniformity():
     for i in range(300):
         a = rand_half_open_set(rng, 4, 50)
         b = repack_half_open(rng, a.length, 4)
-        pa = grid_probability(GRID, a)
-        pb = grid_probability(GRID, b)
-        la = NonArchValue.constant(GRID.generator, a.length)
+        pa = grid_probability(a)
+        pb = grid_probability(b)
+        la = NonArchValue.constant(SPINNER_GENERATOR, a.length)
         if not (lebesgue_length(a) == lebesgue_length(b)
                 and pa == pb == la):
             failures.append(f"case {i}: A={a.render()}, B={b.render()}")
@@ -208,12 +206,11 @@ def test_criterion_08_coin_shift_comparison():
 def test_criterion_09_cantor_coherence():
     started = time.perf_counter()
     failures = []
-    model = CantorModel()
 
     def check(a: CantorEvent, b: CantorEvent) -> bool:
         want = hausdorff_measure(a & b) / hausdorff_measure(b)
-        got = cantor_conditional(model, a, b)
-        return got == NonArchValue.constant(model.generator, want)
+        got = cantor_conditional(a, b)
+        return got == NonArchValue.constant(CANTOR_GENERATOR, want)
 
     singles = [""] + ["".join(t) for d in range(1, 6)
                       for t in product("02", repeat=d)]

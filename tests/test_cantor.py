@@ -11,13 +11,12 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinnerlab.cantor import (CantorEvent, CantorModel, cantor_probability,
-                               coherence_check, conditional_probability,
-                               hausdorff_measure, point_probability)
+from spinnerlab.cantor import (CANTOR_GENERATOR, CantorEvent,
+                               cantor_probability, coherence_check,
+                               conditional_probability, hausdorff_measure,
+                               point_probability)
 from spinnerlab.errors import DomainError
 from spinnerlab.field import NonArchValue
-
-CM = CantorModel()
 
 
 def all_addresses(depth):
@@ -79,6 +78,15 @@ def test_rejects_bad_addresses():
         CantorEvent(("x",))
 
 
+def test_one_string_is_refused_not_read_digit_by_digit():
+    # "02" read digit by digit is the depth-1 addresses "0" and "2": the
+    # full event, where ["02"] is one depth-2 cylinder
+    for text in ("02", "0", ""):
+        with pytest.raises(DomainError, match="must be a list of strings"):
+            CantorEvent(text)
+    assert CantorEvent(["02"]).cuts == ((1, 2),)
+
+
 # -- measure ----------------------------------------------------------------------
 
 def test_measure_examples():
@@ -119,22 +127,22 @@ def test_measure_additive_on_disjoint_events():
 # -- probabilities -------------------------------------------------------------------
 
 def test_probability_examples():
-    assert cantor_probability(CM, CantorEvent(("0",))) == F(1, 2)
-    assert cantor_probability(CM, CantorEvent.empty()).is_zero()
-    assert cantor_probability(
-        CM, CantorEvent(("00", "02", "20", "22"))) == 1
+    assert cantor_probability(CantorEvent(("0",))) == F(1, 2)
+    assert cantor_probability(CantorEvent.empty()).is_zero()
+    assert cantor_probability(CantorEvent(("00", "02", "20", "22"))) == 1
 
 
 def test_probability_is_generator_free():
     rng = random.Random(45)
     for _ in range(100):
         e = rand_event(rng, 4, 5)
-        p = cantor_probability(CM, e)
-        assert p == NonArchValue.constant(CM.generator, hausdorff_measure(e))
+        p = cantor_probability(e)
+        assert p == NonArchValue.constant(CANTOR_GENERATOR,
+                                          hausdorff_measure(e))
 
 
 def test_point_probability_is_infinitesimal():
-    p = point_probability(CM)
+    p = point_probability()
     assert p.classify().render() == "infinitesimal-positive"
     assert str(p) == "c"
 
@@ -142,19 +150,19 @@ def test_point_probability_is_infinitesimal():
 # -- coherence --------------------------------------------------------------------------
 
 def test_coherence_examples():
-    r = coherence_check(CM, CantorEvent(("0",)), CantorEvent.full())
+    r = coherence_check(CantorEvent(("0",)), CantorEvent.full())
     assert r.verdict == "pass" and "measure-ratio = 1/2" in r.witnesses
-    r = coherence_check(CM, CantorEvent(("00",)), CantorEvent(("0",)))
+    r = coherence_check(CantorEvent(("00",)), CantorEvent(("0",)))
     assert r.verdict == "pass" and "measure-ratio = 1/2" in r.witnesses
-    r = coherence_check(CM, CantorEvent(("2",)), CantorEvent(("0",)))
+    r = coherence_check(CantorEvent(("2",)), CantorEvent(("0",)))
     assert r.verdict == "pass" and "measure-ratio = 0" in r.witnesses
 
 
 def test_coherence_rejects_empty_condition():
     with pytest.raises(DomainError):
-        coherence_check(CM, CantorEvent.full(), CantorEvent.empty())
+        coherence_check(CantorEvent.full(), CantorEvent.empty())
     with pytest.raises(DomainError):
-        conditional_probability(CM, CantorEvent.full(), CantorEvent.empty())
+        conditional_probability(CantorEvent.full(), CantorEvent.empty())
 
 
 def test_intersection_by_prefix_logic():
@@ -188,9 +196,9 @@ def test_conditional_matches_counting_oracle():
     for _ in range(200):
         a = rand_event(rng, 3, 5)
         b = rand_event(rng, 3, 5, nonempty=True)
-        got = conditional_probability(CM, a, b)
+        got = conditional_probability(a, b)
         want = counting_fraction(a & b, 6) / counting_fraction(b, 6)
-        assert got == NonArchValue.constant(CM.generator, want)
+        assert got == NonArchValue.constant(CANTOR_GENERATOR, want)
 
 
 # -- differential: the string-stack event as the reference ----------------------------

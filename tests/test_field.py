@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinnerlab.cantor import CantorEvent, CantorModel, cantor_probability
+from spinnerlab.cantor import CantorEvent, cantor_probability
 from spinnerlab.errors import DomainError, GeneratorMismatchError, ParseError
 from spinnerlab.field import (MAX_NUMERAL_DIGITS, Generator, Kind,
                               NonArchValue, Ordering, Poly, Sign, TokenCursor,
@@ -26,15 +26,14 @@ from spinnerlab.field import (MAX_NUMERAL_DIGITS, Generator, Kind,
                               parse_value, render_exact, standard_part,
                               _exquo, _gcd, _int_prem, _mul, _strip)
 from spinnerlab.intervals import IntervalSet
-from spinnerlab.lottery import (CoinEvent, LotteryModel,
-                                archimedean_regularity_witness,
+from spinnerlab.lottery import (CoinEvent, archimedean_regularity_witness,
                                 coinflip_probability,
                                 lottery_ticket_probability)
 from spinnerlab import query
 from spinnerlab.query import parse_query
 from spinnerlab.sampling import (rand_interval_set, rand_limited_value,
                                  rand_value, repack_half_open)
-from spinnerlab.spinner import (FiniteGrid, GridModel, finite_grid_stabilizer,
+from spinnerlab.spinner import (FiniteGrid, finite_grid_stabilizer,
                                grid_probability)
 
 G = Generator("eps")
@@ -361,15 +360,14 @@ def _values_from_every_path(rng):
                     v + w, v - w, v * w)
         if not w.is_zero():
             yield v / w
-        yield grid_probability(GridModel(),
-                               rand_interval_set(rng, 5, rng.randint(1, 12)))
-        yield cantor_probability(CantorModel(), CantorEvent(tuple(
+        yield grid_probability(rand_interval_set(rng, 5, rng.randint(1, 12)))
+        yield cantor_probability(CantorEvent(tuple(
             "".join(rng.choice("02") for _ in range(rng.randint(0, 4)))
             for _ in range(rng.randint(0, 3)))))
         yield coinflip_probability(CoinEvent.allheads(rng.randint(0, 9)))
         yield coinflip_probability(CoinEvent.make(pinned={
             rng.randint(1, 9): rng.choice("HT") for _ in range(3)}))
-        yield lottery_ticket_probability(LotteryModel(), rng.randint(1, 99))
+        yield lottery_ticket_probability(rng.randint(1, 99))
 
 
 def _scaled(p, c):

@@ -17,7 +17,7 @@ from spinnerlab.intervals import (IntervalSet, Piece, _Wide,
                                   dyadic_tail_family, lebesgue_length,
                                   parse_set, sigma_additivity_probe)
 from spinnerlab.sampling import rand_interval_set
-from spinnerlab.spinner import GridModel, grid_count
+from spinnerlab.spinner import grid_count
 
 
 def raw_member(raw, x):
@@ -474,4 +474,4 @@ def test_exact_numbers_past_the_digit_limit_render():
     assert a.render() == f"[1/{sevens},{exact(right)})"
     assert repr(a) == f"IntervalSet<{a.render()}>"
     b = parse_set(f"[0,1/{nines}) u translate([0,1/{sevens}), 1/2)")
-    assert grid_count(GridModel(), b).render() == f"{exact(right)}*N + 0"
+    assert grid_count(b).render() == f"{exact(right)}*N + 0"

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from spinnerlab.errors import DomainError
 from spinnerlab.field import NonArchValue, Ordering
 from spinnerlab.lottery import (COIN_GENERATOR, LOTTERY_GENERATOR, CoinEvent,
-                                LotteryModel, archimedean_regularity_witness,
+                                archimedean_regularity_witness,
                                 coinflip_probability,
                                 lottery_ticket_probability, part_whole_check,
                                 shift_compare)
@@ -165,6 +165,13 @@ def test_event_validation():
         CoinEvent.make(pinned={0: "H"})
     with pytest.raises(DomainError):
         CoinEvent.make(pinned={1: "X"})
+    # a position and a drop count are ints, not bools, floats or text
+    for pinned in ({True: "H"}, {2.0: "H"}, {"1": "H"}, {1: "H", "x": "T"}):
+        with pytest.raises(DomainError, match="^pinned position must be"):
+            CoinEvent.make(pinned=pinned)
+    for drop in (True, 1.0, "3"):
+        with pytest.raises(DomainError, match="^dropped prefix must be"):
+            CoinEvent.allheads(drop)
 
 
 def test_regularity_over_coin_events():
@@ -226,17 +233,15 @@ def test_part_whole_rejects_non_proper_part():
 # -- lottery ---------------------------------------------------------------------------
 
 def test_ticket_probabilities():
-    lm = LotteryModel()
-    assert lottery_ticket_probability(lm, 1) == DELTA
-    assert lottery_ticket_probability(lm, 1000) == 1000 * DELTA
-    assert lottery_ticket_probability(lm, 1000).classify().render() \
+    assert lottery_ticket_probability(1) == DELTA
+    assert lottery_ticket_probability(1000) == 1000 * DELTA
+    assert lottery_ticket_probability(1000).classify().render() \
         == "infinitesimal-positive"
-    assert lottery_ticket_probability(lm, 1) \
-        < lottery_ticket_probability(lm, 2)
+    assert lottery_ticket_probability(1) < lottery_ticket_probability(2)
     # a positive int is the only ticket count
-    for bad in (0, "single", "pair", 1.0):
+    for bad in (0, "single", "pair", 1.0, True, False, "5"):
         with pytest.raises(DomainError):
-            lottery_ticket_probability(lm, bad)
+            lottery_ticket_probability(bad)
 
 
 # -- overflow witnesses -------------------------------------------------------------------

@@ -790,9 +790,9 @@ def test_query_conditionals_equal_the_kernel_conditionals():
     for model, operand, build, kernel in (
             ("grid", _rand_interval_operand,
              lambda node: _to_interval_set(node, "grid"),
-             partial(spinner.conditional_probability, spinner.GridModel())),
+             spinner.conditional_probability),
             ("cantor", _rand_cantor_operand, _to_cantor_event,
-             partial(cantor.conditional_probability, cantor.CantorModel()))):
+             cantor.conditional_probability)):
         for _ in range(200):
             a, b = (" u ".join(operand(rng)
                                for _ in range(rng.randint(1, 3)))

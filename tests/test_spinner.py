@@ -18,14 +18,14 @@ from spinnerlab import spinner
 from spinnerlab.errors import DomainError
 from spinnerlab.field import MAX_NUMERAL_DIGITS, NonArchValue, Poly
 from spinnerlab.intervals import IntervalSet, lebesgue_length
-from spinnerlab.spinner import (MAX_SUITE_GRID_SIZE, CountForm, FiniteGrid,
-                                GridModel, SuiteConfig,
+from spinnerlab.spinner import (MAX_SUITE_GRID_SIZE, SPINNER_GENERATOR,
+                                CountForm, FiniteGrid, GridModel, SuiteConfig,
                                 conditional_probability,
                                 finite_grid_stabilizer, grid_count,
                                 grid_probability, run_property_suite)
 
 M = GridModel()
-EPS = NonArchValue.infinitesimal(M.generator)
+EPS = NonArchValue.infinitesimal(SPINNER_GENERATOR)
 
 
 def concrete_count(a: IntervalSet, n: int) -> int:
@@ -49,10 +49,10 @@ def rand_aligned_set(rng, base_den: int) -> IntervalSet:
 # -- counting ------------------------------------------------------------------
 
 def test_count_examples():
-    assert grid_count(M, IntervalSet.interval(0, True, F(1, 2), False)) \
+    assert grid_count(IntervalSet.interval(0, True, F(1, 2), False)) \
         == CountForm(F(1, 2), 0)
-    assert grid_count(M, IntervalSet.point(F(1, 3))) == CountForm(F(0), 1)
-    assert grid_count(M, IntervalSet.interval(F(1, 4), True, F(3, 4), True)) \
+    assert grid_count(IntervalSet.point(F(1, 3))) == CountForm(F(0), 1)
+    assert grid_count(IntervalSet.interval(F(1, 4), True, F(3, 4), True)) \
         == CountForm(F(1, 2), 1)
 
 
@@ -64,7 +64,7 @@ def test_count_examples_against_concrete_grids():
         (IntervalSet.interval(0, False, 1, False), (120,)),
     ]
     for a, grids in cases:
-        form = grid_count(M, a)
+        form = grid_count(a)
         for n in grids:
             assert form.evaluate(n) == concrete_count(a, n), \
                 f"{a.render()} at n={n}"
@@ -74,7 +74,7 @@ def test_count_oracle_randomized():
     rng = random.Random(21)
     for _ in range(200):
         a = rand_aligned_set(rng, 12)
-        form = grid_count(M, a)
+        form = grid_count(a)
         for n in (12, 24, 120):
             assert form.evaluate(n) == concrete_count(a, n), \
                 f"{a.render()} at n={n}"
@@ -85,8 +85,8 @@ def test_count_additivity():
     for _ in range(200):
         a = rand_aligned_set(rng, 10)
         b = rand_aligned_set(rng, 10)
-        assert grid_count(M, a | b) + grid_count(M, a & b) \
-            == grid_count(M, a) + grid_count(M, b)
+        assert grid_count(a | b) + grid_count(a & b) \
+            == grid_count(a) + grid_count(b)
 
 
 def test_count_render():
@@ -97,27 +97,27 @@ def test_count_render():
 # -- probability -----------------------------------------------------------------
 
 def test_probability_examples():
-    assert grid_probability(M, IntervalSet.interval(0, True, F(1, 2), False)) \
+    assert grid_probability(IntervalSet.interval(0, True, F(1, 2), False)) \
         == F(1, 2)
     for x in (F(0), F(1, 3), F(7, 11)):
-        p = grid_probability(M, IntervalSet.point(x))
+        p = grid_probability(IntervalSet.point(x))
         assert p == EPS
         assert p.classify().render() == "infinitesimal-positive"
-    open_full = grid_probability(M, IntervalSet.interval(0, False, 1, False))
-    assert open_full == NonArchValue(M.generator, Poly((1, -1)))
+    open_full = grid_probability(IntervalSet.interval(0, False, 1, False))
+    assert open_full == NonArchValue(SPINNER_GENERATOR, Poly((1, -1)))
     assert str(open_full) == "1 - eps"
 
 
 def test_probability_normalization():
-    assert grid_probability(M, IntervalSet.full()) == 1
-    assert grid_probability(M, IntervalSet.empty()).is_zero()
+    assert grid_probability(IntervalSet.full()) == 1
+    assert grid_probability(IntervalSet.empty()).is_zero()
 
 
 def test_probability_standard_part_is_length():
     rng = random.Random(23)
     for _ in range(300):
         a = rand_aligned_set(rng, 30)
-        assert grid_probability(M, a).standard_part() == lebesgue_length(a)
+        assert grid_probability(a).standard_part() == lebesgue_length(a)
 
 
 def test_rational_rotation_invariance():
@@ -125,8 +125,8 @@ def test_rational_rotation_invariance():
     for _ in range(300):
         a = rand_aligned_set(rng, 20)
         q = F(rng.randint(0, 60), rng.randint(1, 30))
-        assert grid_probability(M, a.translate_mod1(q)) \
-            == grid_probability(M, a)
+        assert grid_probability(a.translate_mod1(q)) \
+            == grid_probability(a)
 
 
 def test_half_open_probability_is_exact_length():
@@ -139,7 +139,7 @@ def test_half_open_probability_is_exact_length():
         if a == b:
             continue
         s = IntervalSet.interval(a, True, b, False)
-        assert grid_probability(M, s) == (b - a)
+        assert grid_probability(s) == (b - a)
 
 
 def test_flag_variants_differ_by_counts():
@@ -148,10 +148,10 @@ def test_flag_variants_differ_by_counts():
     closed = IntervalSet.interval(0, True, F(1, 2), True)
     halfopen = IntervalSet.interval(F(1, 2), True, 1, False)
     assert lebesgue_length(closed) == lebesgue_length(halfopen)
-    assert grid_count(M, closed) == CountForm(F(1, 2), 1)
-    assert grid_count(M, halfopen) == CountForm(F(1, 2), 0)
-    assert grid_probability(M, closed) != grid_probability(M, halfopen)
-    assert grid_probability(M, closed) > grid_probability(M, halfopen)
+    assert grid_count(closed) == CountForm(F(1, 2), 1)
+    assert grid_count(halfopen) == CountForm(F(1, 2), 0)
+    assert grid_probability(closed) != grid_probability(halfopen)
+    assert grid_probability(closed) > grid_probability(halfopen)
     assert not closed.half_open_only() and halfopen.half_open_only()
 
 
@@ -160,20 +160,20 @@ def test_flag_variants_differ_by_counts():
 def test_conditional_examples():
     a = IntervalSet.interval(0, True, F(1, 4), False)
     b = IntervalSet.interval(0, True, F(1, 2), False)
-    assert conditional_probability(M, a, b) == F(1, 2)
+    assert conditional_probability(a, b) == F(1, 2)
     two_points = IntervalSet.point(F(1, 3)) | IntervalSet.point(F(2, 3))
-    assert conditional_probability(M, IntervalSet.point(F(1, 3)), two_points) \
+    assert conditional_probability(IntervalSet.point(F(1, 3)), two_points) \
         == F(1, 2)
-    assert conditional_probability(M, b, IntervalSet.point(F(1, 3))) == 1
+    assert conditional_probability(b, IntervalSet.point(F(1, 3))) == 1
 
 
 def test_conditional_on_point_is_defined():
     # conditioning on an event of infinitesimal chance
-    p = conditional_probability(M, IntervalSet.interval(F(1, 2), True, 1, False),
+    p = conditional_probability(IntervalSet.interval(F(1, 2), True, 1, False),
                                 IntervalSet.point(F(1, 4)))
     assert p.is_zero()
     with pytest.raises(DomainError):
-        conditional_probability(M, IntervalSet.full(), IntervalSet.empty())
+        conditional_probability(IntervalSet.full(), IntervalSet.empty())
 
 
 # -- stabilizers ---------------------------------------------------------------------
@@ -290,6 +290,10 @@ def test_stabilizer_rejects_empty_and_bad_grids():
         FiniteGrid((F(1, 2), F(1, 4), F(2, 4)))
     with pytest.raises(DomainError):
         finite_grid_stabilizer(FiniteGrid(()))
+    # the size of a uniform grid is an int, not a bool, a float or text
+    for n in ("5", 2.0, True):
+        with pytest.raises(DomainError, match="^uniform grid size n must"):
+            FiniteGrid.uniform(n)
 
 
 # -- the property suite -----------------------------------------------------------------

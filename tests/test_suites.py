@@ -4,6 +4,7 @@ import random
 import threading
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -49,9 +50,9 @@ def test_results_deterministic_for_fixed_seed():
 def test_duration_ms_is_each_suites_own_time(monkeypatch):
     check = spinner._check_totality
 
-    def slow_check(model, config):
+    def slow_check(config):
         time.sleep(0.2)
-        return check(model, config)
+        return check(config)
 
     monkeypatch.setattr(spinner, "_check_totality", slow_check)
     rows = run_all(small_config())[:6]
@@ -142,7 +143,7 @@ def test_a_raising_suite_raises_its_own_error_and_leaves_no_child(
         monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
-    def broken(model, config):
+    def broken(config):
         raise DomainError("totality check broke")
 
     monkeypatch.setattr(spinner, "_check_totality", broken)
@@ -160,7 +161,7 @@ def test_the_first_raising_suite_in_registration_order_raises(
                         lambda pid: set(range(cpus)))
 
     def broken(message):
-        def check(model, config):
+        def check(config):
             raise DomainError(message)
         return check
 
@@ -177,22 +178,21 @@ def test_coherence_sweep_reports_what_coherence_check_reports(monkeypatch):
     # measure ratio on every pair where a does not hold b.  A skewed
     # hausdorff_measure would not do: the conditional and the ratio both
     # divide its values on a & b and on b, so the skew would cancel.
-    def skewed(model, e):
+    def skewed(e):
         return NonArchValue.constant(
-            model.generator, cantor.hausdorff_measure(e) + F(1, 997))
+            cantor.CANTOR_GENERATOR, cantor.hausdorff_measure(e) + F(1, 997))
 
     monkeypatch.setattr(cantor, "cantor_probability", skewed)
     pairs, rule = [], suites.coherence_sides
 
-    def recording(model, a, b):
+    def recording(a, b):
         pairs.append((a, b))
-        return rule(model, a, b)
+        return rule(a, b)
 
     monkeypatch.setattr(suites, "coherence_sides", recording)
     report = suites.cantor_coherence_suite(small_config())
     expected = [c for a, b in pairs for c in
-                cantor.coherence_check(cantor.CantorModel(), a, b)
-                .counterexamples]
+                cantor.coherence_check(a, b).counterexamples]
     assert len(pairs) == report.cases == 15 * 15 + 30
     assert 0 < len(expected) < len(pairs)
     assert report.verdict == "fail"
@@ -284,3 +284,18 @@ def test_a_report_fails_exactly_when_it_has_counterexamples(counterexamples,
     with pytest.raises(ValueError, match="failing report with witnesses"):
         PropertyReport("p", 3, ["c"], ["w"])
 
+
+
+# every suite's report at the default config without duration_ms, for seeds
+# 0, 4 and 5, with and without the skewed reference, recorded at commit
+# e4b0a9b
+SUITE_REPORTS = Path(__file__).parent / "data" / "suite_reports.json"
+
+
+@pytest.mark.parametrize(
+    "recorded", json.loads(SUITE_REPORTS.read_text(encoding="utf-8")),
+    ids=lambda r: f"seed{r['seed']}-corrupt{r['corrupt']}")
+def test_reports_match_the_recorded_reports(recorded):
+    config = SuiteConfig(seed=recorded["seed"])
+    assert _without_durations(run_all(config, corrupt=recorded["corrupt"])) \
+        == recorded["reports"]
