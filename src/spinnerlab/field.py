@@ -57,10 +57,11 @@ Rat = Union[int, Fraction]
 
 def _ratio(x) -> "tuple[int, int]":
     """Numerator and positive denominator of one exact rational input: the
-    one rule every library entry point reads with.  Only an int or a
-    Fraction is read; a float or any other type is a DomainError before
-    any arithmetic, so no text reaches ``Fraction``'s own parser."""
-    if isinstance(x, (int, Fraction)):
+    one rule every library entry point reads with.  Only an int that is not
+    a bool, or a Fraction, is read; a float or any other type is a
+    DomainError before any arithmetic, so no text reaches ``Fraction``'s
+    own parser."""
+    if isinstance(x, (int, Fraction)) and x.__class__ is not bool:
         return x.numerator, x.denominator
     if isinstance(x, float):
         raise DomainError("floats are not allowed; use exact rationals")

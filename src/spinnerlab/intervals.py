@@ -20,8 +20,9 @@ membership, merging and intersection.
 ``x`` is the rational as the ints ``(p, q)``, in lowest terms with
 ``q > 0``, and ``k`` is an integer sort key, ``floor(x * 2**64)`` =
 ``(p << 64) // q``.  Both are computed once where the cut is made: in
-``_clean`` for outside input (the query parser hands it reduced pairs, and
-the constructor reads them off its rationals), in ``translate_mod1`` for
+``_clean`` for outside input (the query parser, the samplers and the
+spinner checks hand it reduced pairs, and the constructor reads them off
+its rationals), in ``translate_mod1`` for
 shifted endpoints (``k - 2**64`` and ``(p - q, q)`` for the ones that wrap
 past 1) and in the module constants for 0 and 1.  No ``Fraction`` is made
 on the way.  The floor is monotone, so two cuts whose keys differ are
@@ -65,11 +66,13 @@ at O(k log n) comparisons plus list copies, so a chain that keeps
 combining a growing set with small ones costs near-linear time, not
 quadratic.  ``contains`` bisects too.
 
-``length`` sums the endpoint numerators per denominator, scales the sums
-to one ``math.lcm`` of the denominators and makes a single ``Fraction``.
-It is computed once per set, the first time it is read, and kept.  The
-``Piece`` objects of ``components`` and the length are the only
-``Fraction``s a set builds.
+The length sums the endpoint numerators per denominator, scales the sums
+to one ``math.lcm`` of the denominators and reduces the total by one
+``gcd``.  It is computed once per set, the first time it is read, and kept
+as the reduced pair ``_length_ratio()``, which the grid count reads;
+``length`` builds one ``Fraction`` from that pair when it is first read,
+and keeps it.  A set builds a ``Fraction`` only when ``length`` or
+``components`` is read.
 """
 
 from __future__ import annotations
@@ -82,7 +85,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .errors import DomainError, ParseError, QueryTypeError
-from .field import _ratio, render_exact, render_ratio
+from .field import _count, _ratio, render_exact, render_ratio
 from .report import PropertyReport
 
 # a rational as (numerator, denominator) in lowest terms, denominator > 0
@@ -286,7 +289,7 @@ class IntervalSet:
     ``cuts`` holds the components as (start, end) cut pairs.
     """
 
-    __slots__ = ("cuts", "_pieces", "_length")
+    __slots__ = ("cuts", "_pieces", "_length_pair", "_length")
 
     def __init__(self, raw: Iterable[Sequence] = ()):
         cuts: list[CutPair] = []
@@ -297,14 +300,15 @@ class IntervalSet:
             cuts.extend(_clean(_ratio(left), left_in, _ratio(right),
                                right_in))
         self.cuts: tuple[CutPair, ...] = _merge(cuts)
-        self._pieces = self._length = None
+        self._pieces = self._length_pair = self._length = None
 
     @classmethod
     def _normal(cls, cuts: "tuple[CutPair, ...]") -> "IntervalSet":
         """A set from cut pairs already sorted, disjoint and non-adjacent:
         the kernel's private path, which neither validates nor merges."""
         s = object.__new__(cls)
-        s.cuts, s._pieces, s._length = cuts, None, None
+        s.cuts = cuts
+        s._pieces = s._length_pair = s._length = None
         return s
 
     @classmethod
@@ -359,10 +363,10 @@ class IntervalSet:
         # has a < b
         return not any(start[2] or end[2] for start, end in self.cuts)
 
-    @property
-    def length(self) -> Fraction:
-        """The sum of the component lengths, computed when first read."""
-        if self._length is None:
+    def _length_ratio(self) -> Ratio:
+        """The sum of the component lengths as a reduced (p, q), computed
+        when first read."""
+        if self._length_pair is None:
             # the numerators summed per denominator, then one lcm
             sums: dict[int, int] = {}
             for (_, (p, q), _), (_, (r, s), _) in self.cuts:
@@ -372,7 +376,15 @@ class IntervalSet:
             num = 0
             for d, n in sums.items():
                 num += n * (den // d)
-            self._length = Fraction(num, den)
+            g = gcd(num, den)
+            self._length_pair = (num // g, den // g)
+        return self._length_pair
+
+    @property
+    def length(self) -> Fraction:
+        """The sum of the component lengths, built when first read."""
+        if self._length is None:
+            self._length = Fraction(*self._length_ratio())
         return self._length
 
     # -- algebra -----------------------------------------------------------
@@ -390,7 +402,10 @@ class IntervalSet:
 
     def translate_mod1(self, t) -> "IntervalSet":
         """Shift every member by t modulo 1, splitting at the wrap point."""
-        a, b = _ratio(t)
+        return self._translate(*_ratio(t))
+
+    def _translate(self, a: int, b: int) -> "IntervalSet":
+        """``translate_mod1`` by the reduced a/b, b > 0."""
         a %= b
         low: list[CutPair] = []
         wrapped: list[CutPair] = []
@@ -454,6 +469,8 @@ def conditional(probability: Callable, a, b, null_message: str):
 
 def dyadic_tail_family(n: int) -> IntervalSet:
     """Member n of the disjoint dyadic family filling [0,1) from the left."""
+    if _count(n, "family index n") < 0:
+        raise DomainError("family index must be nonnegative")
     return IntervalSet.interval(1 - Fraction(1, 2 ** n), True,
                                 1 - Fraction(1, 2 ** (n + 1)), False)
 
@@ -468,7 +485,7 @@ def sigma_additivity_probe(family: Callable[[int], IntervalSet], depth: int,
     family members must be pairwise disjoint; an overlapping pair is a
     domain error with the pair as witness.
     """
-    if depth < 1:
+    if _count(depth, "depth") < 1:
         raise DomainError("depth must be a positive integer")
     members = [family(i) for i in range(depth + 1)]
     for i in range(len(members)):

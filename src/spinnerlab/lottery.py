@@ -165,7 +165,7 @@ class ShiftComparison:
 
 def shift_compare(j1: int, j2: int) -> ShiftComparison:
     """Compare all-heads events with j1 versus j2 dropped tosses."""
-    if j1 < 0 or j2 < 0:
+    if _count(j1, "drop count j1") < 0 or _count(j2, "drop count j2") < 0:
         raise DomainError("drop counts must be nonnegative")
     p1 = coinflip_probability(CoinEvent.allheads(j1))
     p2 = coinflip_probability(CoinEvent.allheads(j2))
@@ -178,9 +178,9 @@ def part_whole_check(whole_drop: int, part_drop: int) -> PropertyReport:
     Remaining index-set sizes are the affine forms K - j; with equal K
     coefficients the comparison is decided by the constants alone.
     """
-    if whole_drop < 0:
+    if _count(whole_drop, "whole drop count") < 0:
         raise DomainError("drop counts must be nonnegative")
-    if part_drop <= whole_drop:
+    if _count(part_drop, "part drop count") <= whole_drop:
         raise DomainError("the part must drop strictly more than the whole")
     whole_form = (1, -whole_drop)
     part_form = (1, -part_drop)

@@ -5,26 +5,39 @@ suites and tests are reproducible from a single seed.
 
 The interval samplers draw numerators and denominators as integers, order
 endpoints by integer cross products and do their sums over one common
-denominator, so each endpoint ``Fraction`` is built once, from its final
-integers.
+denominator.  Each endpoint is reduced by one ``gcd`` to the pair that
+``intervals._clean`` validates and turns into cuts, as the query parser's
+endpoints are, so no endpoint becomes a ``Fraction``.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import DomainError
 from .field import Generator, NonArchValue, Poly, _ratio
-from .intervals import IntervalSet
+from .intervals import IntervalSet, Ratio, _clean
 
 
 def _rand_ratio(rng: random.Random, max_den: int,
-                include_one: bool = False) -> "tuple[int, int]":
+                include_one: bool = False) -> Ratio:
     """``rand_fraction``'s draws as (numerator, denominator), not reduced."""
     den = rng.randint(1, max(1, max_den))
     return rng.randint(0, den if include_one else den - 1), den
+
+
+def _reduced(p: int, q: int) -> Ratio:
+    """p/q, q > 0, in lowest terms."""
+    g = gcd(p, q)
+    return p // g, q // g
+
+
+def _rand_pair(rng: random.Random, max_den: int,
+               include_one: bool = False) -> Ratio:
+    """``rand_fraction``'s value as a reduced (p, q), from the same draws."""
+    return _reduced(*_rand_ratio(rng, max_den, include_one))
 
 
 def rand_fraction(rng: random.Random, max_den: int,
@@ -36,38 +49,38 @@ def rand_fraction(rng: random.Random, max_den: int,
 def rand_interval_set(rng: random.Random, max_components: int,
                       max_den: int) -> IntervalSet:
     """Random normalized set with mixed flags, possibly empty."""
-    raw = []
+    cuts = []
     for _ in range(rng.randint(0, max_components)):
-        p, q = _rand_ratio(rng, max_den, include_one=True)
-        r, s = _rand_ratio(rng, max_den, include_one=True)
-        order = p * s - r * q
+        left = _rand_pair(rng, max_den, include_one=True)
+        right = _rand_pair(rng, max_den, include_one=True)
+        order = left[0] * right[1] - right[0] * left[1]
         if order > 0:
-            p, q, r, s = r, s, p, q
-        a = Fraction(p, q)
+            left, right = right, left
         if order == 0 and rng.random() < 0.5:
-            raw.append((a, True, a, True))
+            cuts += _clean(left, True, left, True)
         else:
-            raw.append((a, rng.random() < 0.5, Fraction(r, s),
-                        rng.random() < 0.5))
-    return IntervalSet(raw)
+            cuts += _clean(left, rng.random() < 0.5, right,
+                           rng.random() < 0.5)
+    return IntervalSet._from_cuts(cuts)
 
 
 def rand_half_open_set(rng: random.Random, max_components: int,
                        max_den: int) -> IntervalSet:
     """Random nonempty finite union of [a,b) components."""
     while True:
-        raw = []
+        cuts = []
         for _ in range(rng.randint(1, max_components)):
-            p, q = _rand_ratio(rng, max_den)
-            r, s = _rand_ratio(rng, max_den, include_one=True)
-            order = p * s - r * q
+            left = _rand_pair(rng, max_den)
+            right = _rand_pair(rng, max_den, include_one=True)
+            order = left[0] * right[1] - right[0] * left[1]
             if order > 0:
-                p, q, r, s = r, s, p, q
+                left, right = right, left
             if order:
-                raw.append((Fraction(p, q), True, Fraction(r, s), False))
-        out = IntervalSet(raw)
-        if out.length > 0:
-            return out
+                cuts += _clean(left, True, right, False)
+        # every drawn [a,b) has a < b, so a set with a component has
+        # positive length
+        if cuts:
+            return IntervalSet._from_cuts(cuts)
 
 
 def repack_half_open(rng: random.Random, total: Fraction,
@@ -80,7 +93,12 @@ def repack_half_open(rng: random.Random, total: Fraction,
     left.  Everything is summed as integers over one common denominator.
     ``total`` is read by ``field._ratio``, the one exact-input rule.
     """
-    p, q = _ratio(total)
+    return _repack_half_open(rng, *_ratio(total), max_pieces)
+
+
+def _repack_half_open(rng: random.Random, p: int, q: int,
+                      max_pieces: int) -> IntervalSet:
+    """``repack_half_open`` with ``total`` given as its reduced p/q."""
     if not 0 < p <= q:
         raise DomainError("total length must lie in (0,1]")
     k = rng.randint(1, max_pieces)
@@ -102,14 +120,14 @@ def repack_half_open(rng: random.Random, total: Fraction,
     # every position over den = q * cut_den * gap_den, total = p/q
     den = q * cut_den * gap_den
     slack, unit = (q - p) * cut_den, p * gap_den
-    raw = []
+    cuts = []
     pos = 0
     for g, ln in zip(gap_nums, lengths):
         pos += g * slack
         end = pos + ln * unit
-        raw.append((Fraction(pos, den), True, Fraction(end, den), False))
+        cuts += _clean(_reduced(pos, den), True, _reduced(end, den), False)
         pos = end
-    return IntervalSet(raw)
+    return IntervalSet._from_cuts(cuts)
 
 
 def rand_poly(rng: random.Random, max_degree: int, max_den: int,

@@ -45,9 +45,9 @@ from typing import Iterable
 
 from .errors import DomainError
 from .field import (MAX_NUMERAL_DIGITS, Generator, NonArchValue, _count,
-                    _frac, render_exact)
-from .intervals import (EMPTY_CONDITION, IntervalSet, conditional,
-                        lebesgue_length)
+                    _frac, _strip, render_exact, render_ratio)
+from .intervals import (EMPTY_CONDITION, IntervalSet, Ratio, _clean,
+                        conditional, lebesgue_length)
 from .report import PropertyReport
 from . import sampling
 
@@ -83,21 +83,31 @@ class CountForm:
     __str__ = render
 
 
-def grid_count(a: IntervalSet) -> CountForm:
-    """Exact point count of a set, using that every endpoint is on the grid.
+def _grid_form(a: IntervalSet) -> "tuple[Ratio, int]":
+    """The point count linear*N + constant of a set as (linear, constant),
+    linear a reduced (p, q): the one count rule.
 
     A component (a,b) holds (b-a)*N - 1 grid points and each closed end adds
     one more, so [a,b) holds (b-a)*N and a single point [a,a] exactly one.
     """
     # left_in + right_in - 1 is the end cut's flag minus the start cut's
-    return CountForm(a.length, sum(end[2] - start[2]
-                                   for start, end in a.cuts))
+    return a._length_ratio(), sum([end[2] - start[2]
+                                   for start, end in a.cuts])
+
+
+def grid_count(a: IntervalSet) -> CountForm:
+    """Exact point count of a set, using that every endpoint is on the grid."""
+    (p, q), constant = _grid_form(a)
+    return CountForm(Fraction(p, q), constant)
 
 
 def grid_probability(a: IntervalSet) -> NonArchValue:
     """Counting probability count/N = linear + constant*eps."""
-    c = grid_count(a)
-    return NonArchValue.affine(SPINNER_GENERATOR, c.linear, c.constant)
+    (p, q), constant = _grid_form(a)
+    # (p + constant*q*eps)/q is canonical: p/q is reduced, so the
+    # coefficients p, constant*q and q share no factor
+    return NonArchValue._make(SPINNER_GENERATOR, _strip([p, constant * q]),
+                              (q,))
 
 
 def conditional_probability(a: IntervalSet, b: IntervalSet) -> NonArchValue:
@@ -208,8 +218,8 @@ def finite_grid_stabilizer(g: FiniteGrid) -> StabilizerResult:
 
 # the stabilizer suite builds every uniform grid up to size n: ~n^2/2 points
 MAX_SUITE_GRID_SIZE = 1000
-# 10000 cases at MAX_SUITE_DENOMINATOR take about 1.6 s of CPU time, 0.16 ms
-# a case, and about 0.85 s of wall time in two lanes
+# 10000 cases at MAX_SUITE_DENOMINATOR take about 1.2 s of CPU time, 0.12 ms
+# a case, and about 0.65 s of wall time in two lanes
 MAX_SUITE_CASES = 10_000
 # a sampled denominator's digits slow every case: 1000 of them take seconds
 MAX_SUITE_DENOMINATOR = 10 ** 18
@@ -314,12 +324,12 @@ def _sampled(name: str, label: str, witness: str):
 @_sampled("spinner-regularity", "regularity",
           "every sampled point outcome has probability eps > 0")
 def _check_regularity(config, rng):
-    x = sampling.rand_fraction(rng, config.max_denominator)
-    p = grid_probability(IntervalSet.point(x))
+    x = sampling._rand_pair(rng, config.max_denominator)
+    p = grid_probability(IntervalSet._from_cuts(_clean(x, True, x, True)))
     cls = p.classify()
     if p != NonArchValue.infinitesimal(SPINNER_GENERATOR) \
             or cls.render() != "infinitesimal-positive":
-        yield f"x={x}: P={p} classified {cls.render()}"
+        yield f"x={render_ratio(*x)}: P={p} classified {cls.render()}"
 
 
 @_sampled("spinner-totality", "totality",
@@ -335,36 +345,37 @@ def _check_totality(config, rng):
           "equal point counts always produced equal probabilities")
 def _check_count_uniformity(config, rng):
     a = sampling.rand_interval_set(rng, 4, config.max_denominator)
-    q = sampling.rand_fraction(rng, config.max_denominator)
-    b = a.translate_mod1(q)
-    ca, cb = grid_count(a), grid_count(b)
-    if ca != cb:
-        yield f"A={a.render()}, q={q}: counts {ca} vs {cb}"
+    q = sampling._rand_pair(rng, config.max_denominator)
+    b = a._translate(*q)
+    if _grid_form(a) != _grid_form(b):
+        yield (f"A={a.render()}, q={render_ratio(*q)}: counts "
+               f"{grid_count(a)} vs {grid_count(b)}")
     elif grid_probability(a) != grid_probability(b):
-        yield (f"A={a.render()}, q={q}: equal counts {ca} but "
-               f"unequal probabilities")
+        yield (f"A={a.render()}, q={render_ratio(*q)}: equal counts "
+               f"{grid_count(a)} but unequal probabilities")
     # flag-trade pair with identical counts: [a,b] vs [a,b) u {x}
-    left = sampling.rand_fraction(rng, config.max_denominator)
-    right = sampling.rand_fraction(rng, config.max_denominator)
-    if left > right:
+    left = sampling._rand_pair(rng, config.max_denominator)
+    right = sampling._rand_pair(rng, config.max_denominator)
+    order = left[0] * right[1] - right[0] * left[1]
+    if order > 0:
         left, right = right, left
-    if left == right:
+    if not order:
         return
-    closed = IntervalSet.interval(left, True, right, True)
+    closed = IntervalSet._from_cuts(_clean(left, True, right, True))
     outside = closed.complement()
-    if outside.is_empty():
+    # x is the least member of the complement: the start of its first
+    # component, unless that component is open there
+    if outside.is_empty() or outside.cuts[0][0][2]:
         return
-    x = outside.components[0].left
-    if not outside.contains(x):
-        return
-    traded = IntervalSet.interval(left, True, right, False) \
-        | IntervalSet.point(x)
-    cc, ct = grid_count(closed), grid_count(traded)
-    if cc != ct:
-        yield f"[{left},{right}] vs traded: counts {cc} vs {ct}"
+    x = outside.cuts[0][0][1]
+    traded = IntervalSet._from_cuts(_clean(left, True, right, False)
+                                    + _clean(x, True, x, True))
+    if _grid_form(closed) != _grid_form(traded):
+        yield (f"[{render_ratio(*left)},{render_ratio(*right)}] vs traded: "
+               f"counts {grid_count(closed)} vs {grid_count(traded)}")
     elif grid_probability(closed) != grid_probability(traded):
-        yield (f"[{left},{right}] vs traded: equal counts, "
-               f"unequal probabilities")
+        yield (f"[{render_ratio(*left)},{render_ratio(*right)}] vs traded: "
+               f"equal counts, unequal probabilities")
 
 
 @_sampled("spinner-length-agreement", "length-agreement",
@@ -384,9 +395,9 @@ def _check_length_agreement(config, rng, corrupt: bool = False):
           "probability is invariant under every sampled rational rotation")
 def _check_rational_rotation(config, rng):
     a = sampling.rand_interval_set(rng, 5, config.max_denominator)
-    q = sampling.rand_fraction(rng, config.max_denominator)
-    if grid_probability(a.translate_mod1(q)) != grid_probability(a):
-        yield f"A={a.render()}, q={q}"
+    q = sampling._rand_pair(rng, config.max_denominator)
+    if grid_probability(a._translate(*q)) != grid_probability(a):
+        yield f"A={a.render()}, q={render_ratio(*q)}"
 
 
 @_sampled("spinner-half-open-uniformity", "half-open-uniformity",
@@ -396,12 +407,14 @@ def _check_half_open_uniformity(config, rng):
     # applies only to sets built from [a,b) pieces: no isolated points, no
     # nonempty null sets, every member has positive length
     a = sampling.rand_half_open_set(rng, 4, config.max_denominator)
-    b = sampling.repack_half_open(rng, a.length, 4)
+    p, q = a._length_ratio()
+    b = sampling._repack_half_open(rng, p, q, 4)
     if not (a.half_open_only() and b.half_open_only()):
         yield f"sampler produced a non-half-open set: {a.render()}"
         return
     pa, pb = grid_probability(a), grid_probability(b)
-    la = NonArchValue.constant(SPINNER_GENERATOR, a.length)
+    # the length p/q as a constant
+    la = NonArchValue._make(SPINNER_GENERATOR, _strip([p]), (q,))
     if not (pa == pb == la):
         yield (f"A={a.render()}, B={b.render()}: "
                f"P(A)={pa}, P(B)={pb}, length={a.length}")

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,12 +15,14 @@ from spinnerlab.suites import run_suites
 GOLDEN = Path(__file__).parent / "golden_queries.jsonl"
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args, env_extra=None, **options):
+    """(exit code, stdout, stderr) of ``python -m spinnerlab ARGS``;
+    ``options`` go to ``subprocess.run``, a ``timeout`` among them."""
     env = dict(os.environ)
     env.pop("SPINNERLAB_SEED", None)
     env.update(env_extra or {})
     proc = subprocess.run([sys.executable, "-m", "spinnerlab", *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env, **options)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -120,6 +123,34 @@ def test_suite_json_deterministic_modulo_duration(tmp_path):
         return rows
 
     assert stripped() == stripped()
+
+
+def test_suite_config_upper_bounds_run_in_bounded_time(tmp_path):
+    # the documented upper bounds of a suite config run in bounded time,
+    # the samplers' integer sums on 18-digit denominators too
+    cfg = tmp_path / "upper.cfg"
+    cfg.write_text("cases = 10000\nmax_denominator = 1000000000000000000\n")
+    code, out, err = run_cli("suite", "--config", str(cfg), timeout=60)
+    assert (code, out.splitlines()[-1]) == (0, "all suites passed"), err
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="pinning a child to one CPU needs "
+                           "os.sched_setaffinity")
+def test_suite_reports_do_not_depend_on_the_cpus():
+    # the suites run in one lane per usable CPU, and the reports do not
+    # depend on how many: a child pinned to one CPU runs one lane
+    cpu = min(os.sched_getaffinity(0))
+    one_lane = run_cli("suite", "--json",
+                       preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
+    lanes = run_cli("suite", "--json")
+    assert one_lane[0] == lanes[0] == 0, (one_lane[2], lanes[2])
+    assert len(lanes[1].splitlines()) == 10
+
+    def without_durations(out):
+        return re.sub(r', "duration_ms": [0-9]*', "", out)
+
+    assert without_durations(one_lane[1]) == without_durations(lanes[1])
 
 
 @pytest.mark.parametrize("corrupt", [False, True])

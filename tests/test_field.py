@@ -612,10 +612,10 @@ def test_every_exact_input_refuses_a_float(call, exact):
 
 
 # inputs that are neither an int nor a Fraction, each refused before any
-# arithmetic: text (so no exponent reaches Fraction's parser), a Decimal
-# and None
-@pytest.mark.parametrize("other", ["1/3", Decimal("0.5"), None, "1e100000"],
-                         ids=repr)
+# arithmetic: text (so no exponent reaches Fraction's parser), a Decimal,
+# None and a bool, which is an int subclass but not a number
+@pytest.mark.parametrize("other", ["1/3", Decimal("0.5"), None, "1e100000",
+                                   True], ids=repr)
 @pytest.mark.parametrize("call, exact", EXACT_INPUTS)
 def test_every_exact_input_refuses_other_types(call, exact, other):
     with pytest.raises(DomainError, match="^an exact rational must be an int "

@@ -433,6 +433,26 @@ def test_probe_rejects_overlap():
         sigma_additivity_probe(lambda i: half, 3, IntervalSet.full())
 
 
+# a family index and a probe depth are read by the one count rule: an int
+# that is not a bool
+@pytest.mark.parametrize("call, message", [
+    (lambda: dyadic_tail_family(True), "family index n must be an int, "
+                                       "got bool"),
+    (lambda: dyadic_tail_family(F(2)), "family index n must be an int, "
+                                       "got Fraction"),
+    (lambda: dyadic_tail_family(-1), "family index must be nonnegative"),
+    (lambda: sigma_additivity_probe(dyadic_tail_family, True,
+                                    IntervalSet.full()),
+     "depth must be an int, got bool"),
+    (lambda: sigma_additivity_probe(dyadic_tail_family, 2.0,
+                                    IntervalSet.full()),
+     "depth must be an int, got float"),
+])
+def test_family_index_and_depth_are_counts(call, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        call()
+
+
 # -- text form ---------------------------------------------------------------------------
 
 def test_set_notation_round_trip():

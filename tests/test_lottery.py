@@ -230,6 +230,21 @@ def test_part_whole_rejects_non_proper_part():
         part_whole_check(-1, 2)
 
 
+# a drop count is read by the one count rule: an int that is not a bool
+@pytest.mark.parametrize("call, args, name", [
+    (part_whole_check, (0, 2.5), "part drop count"),
+    (part_whole_check, (0, "3"), "part drop count"),
+    (part_whole_check, (True, 2), "whole drop count"),
+    (shift_compare, ("x", 0), "drop count j1"),
+    (shift_compare, (0, 1.0), "drop count j2"),
+], ids=repr)
+def test_drop_counts_are_ints(call, args, name):
+    bad = next(a for a in args if type(a) is not int)
+    with pytest.raises(DomainError, match=f"^{name} must be an int, got "
+                       f"{type(bad).__name__}$"):
+        call(*args)
+
+
 # -- lottery ---------------------------------------------------------------------------
 
 def test_ticket_probabilities():

@@ -5,11 +5,13 @@ endpoint denominator divides, counts members directly, and compares with
 the affine count form evaluated at that n.
 """
 
+import json
 import math
 import random
 import re
 import tracemalloc
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +24,8 @@ from spinnerlab.spinner import (MAX_SUITE_GRID_SIZE, SPINNER_GENERATOR,
                                 CountForm, FiniteGrid, GridModel, SuiteConfig,
                                 conditional_probability,
                                 finite_grid_stabilizer, grid_count,
-                                grid_probability, run_property_suite)
+                                grid_probability, property_checks,
+                                run_property_suite)
 
 M = GridModel()
 EPS = NonArchValue.infinitesimal(SPINNER_GENERATOR)
@@ -321,6 +324,38 @@ def test_suite_corrupt_hook_fails_with_counterexample():
     bad = [r for r in reports if r.verdict == "fail"]
     assert len(bad) == 1 and bad[0].name == "spinner-length-agreement"
     assert bad[0].counterexamples
+
+
+# The six checks' counterexamples under two planted skews that depend on
+# the set alone, so the order of calls does not matter: "probability" adds
+# eps to P(A), and "count" adds 1 to A's point count, whenever A has an odd
+# number of components.  Between them they reach every failure branch.
+# Recorded at commit dfc46d2, where the count rule was ``grid_count``, with
+# the skewed length reference, for seeds 0, 4 and 5 at the default config
+# and seed 0 at max_denominator 10**18 with 20 cases.  The count skew
+# records only the count-uniformity check: the others read no count.
+COUNTEREXAMPLES = Path(__file__).parent / "data" / \
+    "spinner_counterexamples.json"
+
+
+@pytest.mark.parametrize(
+    "recorded", json.loads(COUNTEREXAMPLES.read_text(encoding="utf-8")),
+    ids=lambda r: f"{r['skew']}-seed{r['seed']}-"
+                  f"den{r['config'].get('max_denominator', 50)}")
+def test_counterexample_texts_match_the_recording(monkeypatch, recorded):
+    if recorded["skew"] == "probability":
+        real_p = spinner.grid_probability
+        monkeypatch.setattr(spinner, "grid_probability",
+                            lambda a: real_p(a) + EPS * (len(a.cuts) % 2))
+    else:
+        real_f = spinner._grid_form
+        monkeypatch.setattr(spinner, "_grid_form", lambda a: (
+            real_f(a)[0], real_f(a)[1] + len(a.cuts) % 2))
+    config = SuiteConfig(seed=recorded["seed"], **recorded["config"])
+    got = {r.name: r.counterexamples
+           for r in (check(config) for check in property_checks(True))}
+    for name, texts in recorded["counterexamples"].items():
+        assert got[name] == texts, name
 
 
 def test_suite_low_coverage_warning():
