@@ -21,10 +21,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from typing import Iterable
 
 from .errors import DomainError
-from .field import Generator, NonArchValue
+from .field import Generator, NonArchValue, render_ratio
 from .intervals import (EMPTY_CONDITION, _gaps, _intersect, _merge, _union,
                         conditional)
 from .report import PropertyReport
@@ -136,16 +137,21 @@ def _event(depth: int, cuts: tuple) -> CantorEvent:
     return e
 
 
+def _total(e: CantorEvent) -> int:
+    """The cut pairs' total length over 2^depth."""
+    return sum([hi - lo for lo, hi in e.cuts])
+
+
 def hausdorff_measure(e: CantorEvent) -> Fraction:
     """Normalized Hausdorff measure: the cut pairs' total length / 2^depth."""
-    return Fraction(sum([hi - lo for lo, hi in e.cuts]), 1 << e.depth)
+    return Fraction(_total(e), 1 << e.depth)
 
 
 def cantor_probability(e: CantorEvent) -> NonArchValue:
     """Counting probability of a cylinder event: generator-free, equal to
     the normalized Hausdorff measure, reduced from the integer cut total
     over 2^depth by its trailing zero bits."""
-    total = sum([hi - lo for lo, hi in e.cuts])
+    total = _total(e)
     if not total:
         return NonArchValue._make(CANTOR_GENERATOR, (), (1,))
     s = min((total & -total).bit_length() - 1, e.depth)
@@ -163,26 +169,33 @@ def conditional_probability(a: CantorEvent, b: CantorEvent) -> NonArchValue:
 
 
 def coherence_sides(a: CantorEvent, b: CantorEvent
-                    ) -> "tuple[Fraction, NonArchValue, list[str]]":
-    """The two sides of coherence on (a, b), the Hausdorff measure ratio
-    and the conditional counting probability, with the counterexample when
-    they differ: the rule that ``coherence_check`` reports and the
-    cylinder coherence suite sweeps."""
+                    ) -> "tuple[tuple[int, int], NonArchValue, list[str]]":
+    """The two sides of coherence on (a, b), the Hausdorff measure ratio as
+    a reduced (p, q) and the conditional counting probability, with the
+    counterexample when they differ: the rule that ``coherence_check``
+    reports and the cylinder coherence suite sweeps.  The ratio is
+    ``total(a & b) / 2^depth(a & b)`` over ``total(b) / 2^depth(b)``, in
+    integers over one ``gcd``, and it is compared with the conditional's
+    canonical numerator and denominator, so no ``Fraction`` is built."""
     conditional = conditional_probability(a, b)
-    ratio = hausdorff_measure(a & b) / hausdorff_measure(b)
+    ab = a & b
+    p, q = _total(ab) << b.depth, _total(b) << ab.depth
+    g = gcd(p, q)
+    p, q = p // g, q // g
     counterexamples = []
-    if conditional != NonArchValue.constant(CANTOR_GENERATOR, ratio):
+    if conditional.n != ((p,) if p else ()) or conditional.d != (q,):
         counterexamples.append(
-            f"a={a.render()}, b={b.render()}: measure ratio {ratio} "
-            f"!= conditional {conditional}")
-    return ratio, conditional, counterexamples
+            f"a={a.render()}, b={b.render()}: measure ratio "
+            f"{render_ratio(p, q)} != conditional {conditional}")
+    return (p, q), conditional, counterexamples
 
 
 def coherence_check(a: CantorEvent, b: CantorEvent) -> PropertyReport:
     """Compare the Hausdorff measure ratio with the conditional counting
     probability; on cylinder events the two are exactly equal."""
     ratio, conditional, counterexamples = coherence_sides(a, b)
-    witnesses = [f"measure-ratio = {ratio}", f"conditional = {conditional}"]
+    witnesses = [f"measure-ratio = {render_ratio(*ratio)}",
+                 f"conditional = {conditional}"]
     return PropertyReport.from_checks(
         "cantor-conditional-coherence", cases=1,
         counterexamples=counterexamples, witnesses=witnesses)

@@ -3,6 +3,16 @@
 Everything here is driven by a caller-supplied ``random.Random`` so that
 suites and tests are reproducible from a single seed.
 
+Every integer is drawn by one rule, ``_below(bits, n)`` with ``bits`` the
+generator's ``getrandbits``: draw ``n.bit_length()`` bits, and draw again
+while the result is ``>= n``.  ``rng.randint(a, b)`` is
+``a + _below(bits, b - a + 1)``: on CPython 3.10 to 3.13 ``randint`` goes
+through ``randrange`` to ``_randbelow_with_getrandbits``, which is this
+rule, so the same generator words give the same values and leave the same
+state, and the suites draw the cases they drew through ``randint``.  The
+rule skips the two calls and the argument checks that ``randint`` makes
+before it gets there.
+
 The interval samplers draw numerators and denominators as integers, order
 endpoints by integer cross products and do their sums over one common
 denominator.  Each endpoint is reduced by one ``gcd`` to the pair that
@@ -21,11 +31,25 @@ from .field import Generator, NonArchValue, Poly, _ratio
 from .intervals import IntervalSet, Ratio, _clean
 
 
+def _below(bits, n: int) -> int:
+    """``randint(0, n - 1)``'s value from ``bits``, a generator's
+    ``getrandbits``, by its rule (see the module docstring); n < 1, an
+    empty range, is a ValueError as it is for ``randint``."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        if n < 1:
+            raise ValueError(f"empty range for a draw below {n}")
+        r = bits(k)
+    return r
+
+
 def _rand_ratio(rng: random.Random, max_den: int,
                 include_one: bool = False) -> Ratio:
     """``rand_fraction``'s draws as (numerator, denominator), not reduced."""
-    den = rng.randint(1, max(1, max_den))
-    return rng.randint(0, den if include_one else den - 1), den
+    bits = rng.getrandbits
+    den = 1 + _below(bits, max(1, max_den))
+    return _below(bits, den + 1 if include_one else den), den
 
 
 def _reduced(p: int, q: int) -> Ratio:
@@ -50,7 +74,7 @@ def rand_interval_set(rng: random.Random, max_components: int,
                       max_den: int) -> IntervalSet:
     """Random normalized set with mixed flags, possibly empty."""
     cuts = []
-    for _ in range(rng.randint(0, max_components)):
+    for _ in range(_below(rng.getrandbits, max_components + 1)):
         left = _rand_pair(rng, max_den, include_one=True)
         right = _rand_pair(rng, max_den, include_one=True)
         order = left[0] * right[1] - right[0] * left[1]
@@ -69,7 +93,7 @@ def rand_half_open_set(rng: random.Random, max_components: int,
     """Random nonempty finite union of [a,b) components."""
     while True:
         cuts = []
-        for _ in range(rng.randint(1, max_components)):
+        for _ in range(1 + _below(rng.getrandbits, max_components)):
             left = _rand_pair(rng, max_den)
             right = _rand_pair(rng, max_den, include_one=True)
             order = left[0] * right[1] - right[0] * left[1]
@@ -101,7 +125,7 @@ def _repack_half_open(rng: random.Random, p: int, q: int,
     """``repack_half_open`` with ``total`` given as its reduced p/q."""
     if not 0 < p <= q:
         raise DomainError("total length must lie in (0,1]")
-    k = rng.randint(1, max_pieces)
+    k = 1 + _below(rng.getrandbits, max_pieces)
     shares = [_rand_ratio(rng, 64) for _ in range(k - 1)]
     # the cuts and total as numerators over cut_den, in units of total
     cut_den = lcm(*[d for _, d in shares])
@@ -132,10 +156,11 @@ def _repack_half_open(rng: random.Random, p: int, q: int,
 
 def rand_poly(rng: random.Random, max_degree: int, max_den: int,
               max_num: int = 100, nonzero: bool = False) -> Poly:
+    bits = rng.getrandbits
     while True:
-        coeffs = [Fraction(rng.randint(-max_num, max_num),
-                           rng.randint(1, max_den))
-                  for _ in range(rng.randint(0, max_degree) + 1)]
+        coeffs = [Fraction(_below(bits, 2 * max_num + 1) - max_num,
+                           1 + _below(bits, max_den))
+                  for _ in range(_below(bits, max_degree + 1) + 1)]
         p = Poly(coeffs)
         if not (nonzero and p.is_zero()):
             return p
@@ -155,15 +180,25 @@ def rand_limited_value(rng: random.Random, generator: Generator,
     den = rand_poly(rng, max_degree, max_den, nonzero=True)
     coeffs = list(den.coeffs)
     if not coeffs or coeffs[0] == 0:
-        const = Fraction(rng.randint(1, 100), rng.randint(1, max_den))
+        bits = rng.getrandbits
+        const = Fraction(1 + _below(bits, 100), 1 + _below(bits, max_den))
         coeffs = [const] + coeffs[1:] if coeffs else [const]
     return NonArchValue(generator, num, Poly(coeffs))
 
 
 def rand_grid_points(rng: random.Random, max_size: int,
                      max_den: int) -> list[Fraction]:
-    """Distinct rationals in [0,1) for a nonempty finite grid."""
-    size = rng.randint(1, max_size)
+    """Distinct rationals in [0,1) for a nonempty finite grid.
+
+    [0,1) holds at least ``max_den`` rationals of denominator at most
+    ``max_den`` (0 and 1/k for 1 < k <= max_den), and a grid asks for at
+    most ``max_size`` of them, so a ``max_size`` above ``max_den`` is
+    refused before any draw: it might ask for more than there are."""
+    if max_size > max_den:
+        raise DomainError(f"max_size {max_size} exceeds max_den {max_den}: "
+                          "the grid might ask for more distinct points "
+                          "than there are")
+    size = 1 + _below(rng.getrandbits, max_size)
     pts = set()
     while len(pts) < size:
         pts.add(rand_fraction(rng, max_den))

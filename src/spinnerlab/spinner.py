@@ -218,8 +218,8 @@ def finite_grid_stabilizer(g: FiniteGrid) -> StabilizerResult:
 
 # the stabilizer suite builds every uniform grid up to size n: ~n^2/2 points
 MAX_SUITE_GRID_SIZE = 1000
-# 10000 cases at MAX_SUITE_DENOMINATOR take about 1.2 s of CPU time, 0.12 ms
-# a case, and about 0.65 s of wall time in two lanes
+# 10000 cases at MAX_SUITE_DENOMINATOR take about 1.25 s of CPU time,
+# 0.125 ms a case, and about 0.68 s of wall time in two lanes
 MAX_SUITE_CASES = 10_000
 # a sampled denominator's digits slow every case: 1000 of them take seconds
 MAX_SUITE_DENOMINATOR = 10 ** 18

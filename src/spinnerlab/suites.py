@@ -35,35 +35,40 @@ from fractions import Fraction
 from itertools import product
 
 from . import lottery as lottery_mod
-from .cantor import CantorEvent, coherence_sides
+from .cantor import CantorEvent, _event, coherence_sides
 from .errors import DomainError
-from .intervals import IntervalSet, dyadic_tail_family, sigma_additivity_probe
+from .intervals import (IntervalSet, _merge, dyadic_tail_family,
+                        sigma_additivity_probe)
 from .report import PropertyReport
 from .spinner import (FiniteGrid, SuiteConfig, _report, check_digits,
                       finite_grid_stabilizer, property_checks)
 from . import sampling
+from .sampling import _below
 
 WITNESS_MASSES = (Fraction(1, 10), Fraction(1, 1000), Fraction(1, 10 ** 6))
 
 
 def _rand_cantor_event(rng, max_cylinders: int, max_depth: int,
                        nonempty: bool) -> CantorEvent:
-    """Up to ``max_cylinders`` addresses of depth 1 to ``max_depth``.  Each
-    digit is ``getrandbits(2)`` drawn again while it is 2 or 3, which is
-    what ``rng.choice("02")`` draws through ``_randbelow(2)``, at half the
-    cost: the same generator words give the same addresses."""
-    count = rng.randint(1 if nonempty else 0, max_cylinders)
-    bits = rng.getrandbits
-    addresses = []
+    """Up to ``max_cylinders`` addresses of depth 1 to ``max_depth``.  The
+    count, each depth and each digit (``_below(bits, 2)``) are drawn by
+    ``sampling._below``, as ``rng.randint`` and one ``rng.choice("02")``
+    per digit drew them: the same generator words give the same
+    addresses.  The n digits of an address are the bits of one integer
+    ``lo``, 2 as 1, so at depth D = max n it is the cut pair
+    ``(lo << (D - n), (lo + 1) << (D - n))``: no address text is built."""
+    bits, low = rng.getrandbits, 1 if nonempty else 0
+    count = low + _below(bits, max_cylinders - low + 1)
+    addresses = []      # (lo, n)
     for _ in range(count):
-        digits = []
-        for _ in range(rng.randint(1, max_depth)):
-            b = bits(2)
-            while b >= 2:
-                b = bits(2)
-            digits.append("2" if b else "0")
-        addresses.append("".join(digits))
-    return CantorEvent(addresses)
+        n = 1 + _below(bits, max_depth)
+        lo = 0
+        for _ in range(n):
+            lo = lo << 1 | _below(bits, 2)
+        addresses.append((lo, n))
+    depth = max([n for _, n in addresses], default=0)
+    return _event(depth, _merge([(lo << (depth - n), (lo + 1) << (depth - n))
+                                 for lo, n in addresses]))
 
 
 def cantor_coherence_suite(config: SuiteConfig) -> PropertyReport:
@@ -216,7 +221,8 @@ def _run_lanes(registry: list, order: bytes, config: SuiteConfig,
 
 # the registry indices, longest suite first at the default config: cantor
 # coherence, half-open uniformity, count uniformity, stabilizer, rotation,
-# totality, length agreement, regularity, sigma probe, witnesses.  The
+# totality, length agreement, regularity, sigma probe, witnesses.  The two
+# uniformity checks take within a few percent of each other's time.  The
 # lanes end on short suites, so a lane that runs slow holds up the last
 # report by a short suite's time, not a long one's.
 _LONGEST_FIRST = bytes((6, 5, 2, 8, 4, 1, 3, 0, 7, 9))

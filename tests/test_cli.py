@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import spinnerlab
 from spinnerlab.errors import DomainError
 from spinnerlab.field import parse_rational
 from spinnerlab.lottery import archimedean_regularity_witness
@@ -256,6 +257,16 @@ def test_suite_unreadable_config_exits_two(tmp_path):
                              str(tmp_path / "missing.cfg"))
     assert code == 2
     assert "cannot read config" in err
+
+
+def test_suite_config_out_of_range_names_file_and_line(tmp_path):
+    # the path is printed as given, here relative to the working directory
+    (tmp_path / "bad.cfg").write_text("seed = 1\ncases = -3\n")
+    package_root = str(Path(spinnerlab.__file__).parents[1])
+    code, out, err = run_cli("suite", "--config", "bad.cfg", cwd=tmp_path,
+                             env_extra={"PYTHONPATH": package_root})
+    assert (code, out) == (1, "")
+    assert err == "error: bad.cfg:2: cases must be at least 1\n"
 
 
 def test_suite_degenerate_config_warns(tmp_path):

@@ -237,7 +237,7 @@ def test_part_whole_rejects_non_proper_part():
     (part_whole_check, (True, 2), "whole drop count"),
     (shift_compare, ("x", 0), "drop count j1"),
     (shift_compare, (0, 1.0), "drop count j2"),
-], ids=repr)
+], ids=lambda v: getattr(v, "__name__", repr(v)))  # a function's repr holds its address
 def test_drop_counts_are_ints(call, args, name):
     bad = next(a for a in args if type(a) is not int)
     with pytest.raises(DomainError, match=f"^{name} must be an int, got "

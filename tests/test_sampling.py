@@ -112,3 +112,33 @@ def test_repack_refuses_a_bad_total_before_any_draw(total):
     # callers that catch ValueError still catch it
     with pytest.raises(ValueError):
         sampling.repack_half_open(rng, total, 4)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 50, 51, 64, 65, 2 ** 32,
+                               2 ** 32 + 5, 10 ** 18])
+def test_the_draw_rule_is_randints(n):
+    # the rule restates random's private _randbelow, so it is pinned on
+    # every Python the tests run under
+    for seed in range(500):
+        r, ref = random.Random(seed), random.Random(seed)
+        assert sampling._below(r.getrandbits, n) == ref.randint(0, n - 1)
+        assert r.getstate() == ref.getstate(), seed
+
+
+@pytest.mark.parametrize("n", [0, -1, -64])
+def test_a_draw_from_an_empty_range_is_refused(n):
+    with pytest.raises(ValueError, match="empty range"):
+        sampling._below(random.Random(0).getrandbits, n)
+
+
+def test_a_grid_larger_than_its_denominators_allow_is_refused_at_once():
+    # [0,1) holds one rational of denominator 1, so 12 distinct points of
+    # denominator at most 1 were drawn for ever
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(DomainError, match="max_size 12 exceeds max_den 1"):
+        sampling.rand_grid_points(rng, 12, 1)
+    assert rng.getstate() == state
+    points = sampling.rand_grid_points(rng, 12, 40)
+    assert 1 <= len(points) == len(set(points)) <= 12
+    assert all(0 <= x < 1 and x.denominator <= 40 for x in points)

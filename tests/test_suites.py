@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from spinnerlab import cantor, spinner, suites
+from spinnerlab.cantor import CantorEvent
 from spinnerlab.errors import DomainError
 from spinnerlab.field import NonArchValue
 from spinnerlab.report import PropertyReport
@@ -173,16 +174,18 @@ def test_the_first_raising_suite_in_registration_order_raises(
     _assert_no_child_left()
 
 
-def test_coherence_sweep_reports_what_coherence_check_reports(monkeypatch):
+def _skewed(e):
     # a counting measure skewed by 1/997 puts the conditional off the
     # measure ratio on every pair where a does not hold b.  A skewed
     # hausdorff_measure would not do: the conditional and the ratio both
     # divide its values on a & b and on b, so the skew would cancel.
-    def skewed(e):
-        return NonArchValue.constant(
-            cantor.CANTOR_GENERATOR, cantor.hausdorff_measure(e) + F(1, 997))
+    return NonArchValue.constant(
+        cantor.CANTOR_GENERATOR, cantor.hausdorff_measure(e) + F(1, 997))
 
-    monkeypatch.setattr(cantor, "cantor_probability", skewed)
+
+def _recording_coherence(monkeypatch):
+    """Make the cylinder sweep append every pair it checks to the list
+    returned."""
     pairs, rule = [], suites.coherence_sides
 
     def recording(a, b):
@@ -190,6 +193,12 @@ def test_coherence_sweep_reports_what_coherence_check_reports(monkeypatch):
         return rule(a, b)
 
     monkeypatch.setattr(suites, "coherence_sides", recording)
+    return pairs
+
+
+def test_coherence_sweep_reports_what_coherence_check_reports(monkeypatch):
+    monkeypatch.setattr(cantor, "cantor_probability", _skewed)
+    pairs = _recording_coherence(monkeypatch)
     report = suites.cantor_coherence_suite(small_config())
     expected = [c for a, b in pairs for c in
                 cantor.coherence_check(a, b).counterexamples]
@@ -197,6 +206,31 @@ def test_coherence_sweep_reports_what_coherence_check_reports(monkeypatch):
     assert 0 < len(expected) < len(pairs)
     assert report.verdict == "fail"
     assert report.counterexamples == expected
+
+
+# The cylinder sweep's counterexamples under the skewed counting measure,
+# and coherence_check's witnesses on the same pairs under the real one,
+# where every pair passes and so keeps its witnesses: seeds 0, 4 and 5 at
+# the default config, recorded at commit b6d46c3.
+COHERENCE_TEXTS = Path(__file__).parent / "data" / \
+    "cantor_counterexamples.json"
+
+
+def coherence_texts(seed: int) -> dict:
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(cantor, "cantor_probability", _skewed)
+        pairs = _recording_coherence(m)
+        report = suites.cantor_coherence_suite(SuiteConfig(seed=seed))
+    return {"seed": seed, "counterexamples": report.counterexamples,
+            "witnesses": [w for a, b in pairs
+                          for w in cantor.coherence_check(a, b).witnesses]}
+
+
+@pytest.mark.parametrize(
+    "recorded", json.loads(COHERENCE_TEXTS.read_text(encoding="utf-8")),
+    ids=lambda r: f"seed{r['seed']}")
+def test_coherence_texts_match_the_recording(recorded):
+    assert coherence_texts(recorded["seed"]) == recorded
 
 
 def _ref_cylinder_addresses(rng, max_cylinders, max_depth, nonempty):
@@ -210,15 +244,17 @@ def _ref_cylinder_addresses(rng, max_cylinders, max_depth, nonempty):
     return tuple(addresses)
 
 
-def test_cylinder_draws_match_choice_and_leave_the_same_state(monkeypatch):
-    # the digit draw stands in for choice("02") through random's private
-    # _randbelow, so it is pinned on every Python the tests run under
-    monkeypatch.setattr(suites, "CantorEvent", tuple)
+def test_cylinder_draws_match_choice_and_leave_the_same_state():
+    # the draws stand in for randint and choice("02") through random's
+    # private _randbelow, so they are pinned on every Python the tests run
+    # under; the event built from cut pairs is the one CantorEvent builds
+    # from the addresses, at the same depth
     for seed in range(2000):
         got, ref = random.Random(seed), random.Random(seed)
         for nonempty in (False, True, False, True):
-            assert suites._rand_cantor_event(got, 4, 6, nonempty) \
-                == _ref_cylinder_addresses(ref, 4, 6, nonempty), seed
+            e = suites._rand_cantor_event(got, 4, 6, nonempty)
+            want = CantorEvent(_ref_cylinder_addresses(ref, 4, 6, nonempty))
+            assert (e.depth, e.cuts) == (want.depth, want.cuts), seed
         assert got.getstate() == ref.getstate(), seed
 
 
