@@ -9,21 +9,21 @@ together; see the README for the command-line surface.
 """
 
 from .cantor import CantorEvent, cantor_probability, coherence_check, \
-    hausdorff_measure, point_probability
+    hausdorff_measure
 from .errors import DomainError, GeneratorMismatchError, ParseError, \
     QueryTypeError
 from .field import Classification, Generator, Kind, NonArchValue, Ordering, \
     Poly, Sign, classify, parse_value, standard_part
 from .intervals import IntervalSet, dyadic_tail_family, lebesgue_length, \
     parse_set, sigma_additivity_probe
-from .lottery import CoinEvent, RegularityWitness, ShiftComparison, \
+from .lottery import CoinEvent, RegularityWitness, \
     archimedean_regularity_witness, coinflip_probability, \
-    lottery_ticket_probability, part_whole_check, shift_compare
+    lottery_ticket_probability
 from .query import EvalResult, Query, evaluate, parse_query, render_query
 from .report import PropertyReport
 from .spinner import CountForm, FiniteGrid, GridModel, StabilizerResult, \
-    SuiteConfig, conditional_probability, finite_grid_stabilizer, \
-    grid_count, grid_probability, run_property_suite
+    SuiteConfig, finite_grid_stabilizer, grid_count, grid_probability, \
+    run_property_suite
 
 __version__ = "0.1.0"
 
@@ -32,13 +32,11 @@ __all__ = [
     "EvalResult", "FiniteGrid", "Generator", "GeneratorMismatchError",
     "GridModel", "IntervalSet", "Kind", "NonArchValue", "Ordering",
     "ParseError", "Poly", "PropertyReport", "Query", "QueryTypeError",
-    "RegularityWitness", "ShiftComparison", "Sign", "StabilizerResult",
-    "SuiteConfig", "archimedean_regularity_witness", "cantor_probability",
-    "classify", "coherence_check", "coinflip_probability",
-    "conditional_probability", "dyadic_tail_family", "evaluate",
-    "finite_grid_stabilizer", "grid_count", "grid_probability",
+    "RegularityWitness", "Sign", "StabilizerResult", "SuiteConfig",
+    "archimedean_regularity_witness", "cantor_probability", "classify",
+    "coherence_check", "coinflip_probability", "dyadic_tail_family",
+    "evaluate", "finite_grid_stabilizer", "grid_count", "grid_probability",
     "hausdorff_measure", "lebesgue_length", "lottery_ticket_probability",
-    "parse_query", "parse_set", "parse_value", "part_whole_check",
-    "point_probability", "render_query", "run_property_suite", "shift_compare",
-    "sigma_additivity_probe", "standard_part",
+    "parse_query", "parse_set", "parse_value", "render_query",
+    "run_property_suite", "sigma_additivity_probe", "standard_part",
 ]

@@ -159,11 +159,6 @@ def cantor_probability(e: CantorEvent) -> NonArchValue:
                               (1 << (e.depth - s),))
 
 
-def point_probability() -> NonArchValue:
-    """Probability of a single depth-m sample point: the infinitesimal c."""
-    return NonArchValue.infinitesimal(CANTOR_GENERATOR)
-
-
 def conditional_probability(a: CantorEvent, b: CantorEvent) -> NonArchValue:
     return conditional(cantor_probability, a, b, EMPTY_CONDITION)
 

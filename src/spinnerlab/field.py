@@ -116,7 +116,7 @@ class Poly:
         return self.coeffs[k] if k is not None else Fraction(0)
 
     def evaluate(self, x: Rat) -> Fraction:
-        acc = Fraction(0)
+        x, acc = _frac(x), Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
@@ -425,10 +425,6 @@ class NonArchValue:
         # d has a positive lowest-order coefficient, so n decides
         return Sign.POSITIVE if self.n[_ord(self.n)] > 0 else Sign.NEGATIVE
 
-    def is_limited(self) -> bool:
-        v = self.valuation()
-        return v is None or v >= 0
-
     def _check(self, other: "NonArchValue") -> None:
         if self.generator != other.generator:
             raise GeneratorMismatchError(
@@ -575,16 +571,21 @@ Value = Union[Fraction, NonArchValue]
 
 
 def standard_part(a: Value) -> Fraction:
-    """The standard part of a limited value; a rational is its own."""
-    return a if isinstance(a, Fraction) else a.standard_part()
+    """The standard part of a limited value; a rational, read by the
+    exact-input rule, is its own."""
+    if isinstance(a, NonArchValue):
+        return a.standard_part()
+    return a if isinstance(a, Fraction) else _frac(a)
 
 
 def classify(a: Value) -> Classification:
-    """A rational classifies as the constant it is in the field."""
-    if not isinstance(a, Fraction):
+    """A rational, read by the exact-input rule, classifies as the
+    constant it is in the field."""
+    if isinstance(a, NonArchValue):
         return a.classify()
-    sign = Sign.ZERO if a == 0 else Sign.POSITIVE if a > 0 else Sign.NEGATIVE
-    return _CLASSIFICATIONS[Kind.LIMITED if a else Kind.INFINITESIMAL, sign]
+    p, _ = _ratio(a)
+    sign = Sign.ZERO if p == 0 else Sign.POSITIVE if p > 0 else Sign.NEGATIVE
+    return _CLASSIFICATIONS[Kind.LIMITED if p else Kind.INFINITESIMAL, sign]
 
 
 def compare_values(a: Value, b: Value) -> tuple[Ordering, "Value | None",
@@ -733,10 +734,6 @@ class TokenCursor:
         """Where token ``i`` starts in the text; None at the end of input."""
         starts = _starts(self._text, self._ops)
         return starts[i] if i < len(starts) else None
-
-    def located(self) -> "list[tuple[str, int]]":
-        """Every token's word and start position, in order."""
-        return list(zip(self.words, _starts(self._text, self._ops)))
 
     def fail(self, expected: str):
         word = self.words[self.pos]

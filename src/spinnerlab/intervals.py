@@ -133,16 +133,6 @@ class Piece:
     right: Fraction
     right_in: bool
 
-    @property
-    def start(self) -> "tuple[Fraction, bool]":
-        """Cut just before the first member, without its key."""
-        return (self.left, not self.left_in)
-
-    @property
-    def end(self) -> "tuple[Fraction, bool]":
-        """Cut just after the last member, without its key."""
-        return (self.right, self.right_in)
-
     def is_point(self) -> bool:
         return self.left == self.right
 

@@ -27,9 +27,8 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import DomainError
-from .field import (MAX_NUMERAL_DIGITS, Generator, NonArchValue, Ordering,
-                    _count, _frac, compare_values, render_exact)
-from .report import PropertyReport
+from .field import (MAX_NUMERAL_DIGITS, Generator, NonArchValue, _count,
+                    _frac, render_exact)
 
 COIN_GENERATOR = Generator("h")
 LOTTERY_GENERATOR = Generator("delta")
@@ -53,6 +52,8 @@ class CoinEvent:
     the pins past the dropped prefix); with ``all_heads``
     every remaining unpinned toss must come up heads.  ``contradictory``
     marks a conjunction, or a pin list, whose pins disagreed outright.
+    The constructor checks the drop count and every pin, so each way of
+    building an event refuses what ``make`` refuses, with its messages.
     """
 
     dropped_prefix: int = 0
@@ -60,25 +61,27 @@ class CoinEvent:
     all_heads: bool = False
     contradictory: bool = False
 
-    @classmethod
-    def make(cls, dropped_prefix: int = 0,
-             pinned: "Mapping[int, str] | None" = None,
-             all_heads: bool = False) -> "CoinEvent":
-        if _count(dropped_prefix, "dropped prefix") < 0:
+    def __post_init__(self):
+        if _count(self.dropped_prefix, "dropped prefix") < 0:
             raise DomainError("dropped prefix must be nonnegative")
-        if dropped_prefix > MAX_DROPPED_PREFIX:
+        if self.dropped_prefix > MAX_DROPPED_PREFIX:
             raise DomainError(f"dropped prefix must be at most "
                               f"{MAX_DROPPED_PREFIX}")
-        pins = []
-        for pos, outcome in (pinned or {}).items():
+        for pos, outcome in self.pinned:
             if _count(pos, "pinned position") < 1:
                 raise DomainError(f"pinned position {pos!r} must be a "
                                   "positive integer")
             if outcome not in _OUTCOMES:
                 raise DomainError(f"pinned outcome {outcome!r} must be H or T")
-            if pos > dropped_prefix:
-                pins.append((pos, outcome))
-        return cls(dropped_prefix, tuple(sorted(pins)), all_heads)
+
+    @classmethod
+    def make(cls, dropped_prefix: int = 0,
+             pinned: "Mapping[int, str] | None" = None,
+             all_heads: bool = False) -> "CoinEvent":
+        # the constructor checks every pin, those inside the prefix too
+        pins = cls(dropped_prefix, tuple((pinned or {}).items())).pinned
+        return cls(dropped_prefix, tuple(sorted(
+            p for p in pins if p[0] > dropped_prefix)), all_heads)
 
     @classmethod
     def allheads(cls, dropped_prefix: int = 0) -> "CoinEvent":
@@ -128,16 +131,22 @@ class CoinEvent:
     __and__ = intersect
 
     def render(self) -> str:
-        parts = []
-        if self.all_heads:
-            parts.append(f"allheads>{self.dropped_prefix}"
-                         if self.dropped_prefix else "allheads")
-        if self.pinned:
-            pins = ",".join(f"{p}:{o}" for p, o in self.pinned)
-            parts.append(f"pin({pins})")
-        return "&".join(parts) if parts else "pin()"
+        return _render_coin(self.dropped_prefix, self.pinned, self.all_heads)
 
     __str__ = render
+
+
+def _render_coin(dropped_prefix: int, pinned: tuple, all_heads: bool) -> str:
+    """A coin constraint's text, as ``parse_query`` reads it; the query
+    renderer calls it too, so a literal renders before it is checked."""
+    parts = []
+    if all_heads:
+        parts.append(f"allheads>{dropped_prefix}"
+                     if dropped_prefix else "allheads")
+    if pinned:
+        pins = ",".join(f"{p}:{o}" for p, o in pinned)
+        parts.append(f"pin({pins})")
+    return "&".join(parts) if parts else "pin()"
 
 
 def coinflip_probability(e: CoinEvent) -> NonArchValue:
@@ -154,44 +163,6 @@ def coinflip_probability(e: CoinEvent) -> NonArchValue:
         return NonArchValue.affine(COIN_GENERATOR, 0, 2 ** e.dropped_prefix)
     return NonArchValue.constant(
         COIN_GENERATOR, Fraction(1, 2 ** len(e.active_pins())))
-
-
-@dataclass(frozen=True)
-class ShiftComparison:
-    ordering: Ordering
-    ratio: NonArchValue
-    difference: NonArchValue
-
-
-def shift_compare(j1: int, j2: int) -> ShiftComparison:
-    """Compare all-heads events with j1 versus j2 dropped tosses."""
-    if _count(j1, "drop count j1") < 0 or _count(j2, "drop count j2") < 0:
-        raise DomainError("drop counts must be nonnegative")
-    p1 = coinflip_probability(CoinEvent.allheads(j1))
-    p2 = coinflip_probability(CoinEvent.allheads(j2))
-    return ShiftComparison(*compare_values(p1, p2))
-
-
-def part_whole_check(whole_drop: int, part_drop: int) -> PropertyReport:
-    """Certify that dropping more tosses leaves a strictly smaller index set.
-
-    Remaining index-set sizes are the affine forms K - j; with equal K
-    coefficients the comparison is decided by the constants alone.
-    """
-    if _count(whole_drop, "whole drop count") < 0:
-        raise DomainError("drop counts must be nonnegative")
-    if _count(part_drop, "part drop count") <= whole_drop:
-        raise DomainError("the part must drop strictly more than the whole")
-    whole_form = (1, -whole_drop)
-    part_form = (1, -part_drop)
-    strictly_smaller = (part_form[0] == whole_form[0]
-                        and part_form[1] < whole_form[1])
-    counterexamples = [] if strictly_smaller else [
-        f"K-{part_drop} not below K-{whole_drop}"]
-    return PropertyReport.from_checks(
-        "part-whole", cases=1, counterexamples=counterexamples,
-        witnesses=[f"part size K - {part_drop} < whole size K - {whole_drop}: "
-                   "equal K coefficient, strictly smaller constant"])
 
 
 def lottery_ticket_probability(ticket_count: int) -> NonArchValue:

@@ -66,7 +66,7 @@ from .field import (TokenCursor, Value, classify, compare_values,
                     render_exact, render_ratio, standard_part)
 from .intervals import (EMPTY_CONDITION, IntervalSet, Ratio, _clean,
                         conditional, lebesgue_length)
-from .lottery import (CoinEvent, coinflip_probability,
+from .lottery import (CoinEvent, _render_coin, coinflip_probability,
                       lottery_ticket_probability)
 from .spinner import grid_probability
 
@@ -423,7 +423,7 @@ def render_set(node: SetNode) -> str:
     if isinstance(node, Translate):
         return f"translate({render_set(node.arg)},{node.offset})"
     if isinstance(node, CoinLit):
-        return CoinEvent(node.dropped, node.pins, node.all_heads).render()
+        return _render_coin(node.dropped, node.pins, node.all_heads)
     if isinstance(node, TicketLit):
         return "ticket" if node.count is None else f"tickets({node.count})"
     raise TypeError(f"not a set node: {node!r}")

@@ -46,8 +46,7 @@ from typing import Iterable
 from .errors import DomainError
 from .field import (MAX_NUMERAL_DIGITS, Generator, NonArchValue, _count,
                     _frac, _strip, render_exact, render_ratio)
-from .intervals import (EMPTY_CONDITION, IntervalSet, Ratio, _clean,
-                        conditional, lebesgue_length)
+from .intervals import IntervalSet, Ratio, _clean, lebesgue_length
 from .report import PropertyReport
 from . import sampling
 
@@ -108,11 +107,6 @@ def grid_probability(a: IntervalSet) -> NonArchValue:
     # coefficients p, constant*q and q share no factor
     return NonArchValue._make(SPINNER_GENERATOR, _strip([p, constant * q]),
                               (q,))
-
-
-def conditional_probability(a: IntervalSet, b: IntervalSet) -> NonArchValue:
-    """P(a | b) as an exact field element; b may be a single point."""
-    return conditional(grid_probability, a, b, EMPTY_CONDITION)
 
 
 # -- finite grids and their rotation stabilizers -------------------------------
@@ -230,6 +224,19 @@ _CONFIG_RANGES = {"seed": (-math.inf, math.inf),
                   "max_grid_size": (1, MAX_SUITE_GRID_SIZE)}
 
 
+def _setting(key: str, value, name: str) -> int:
+    """A config value: an int by the one count rule, in its key's range in
+    ``_CONFIG_RANGES``; ``name`` is what a refusal calls it."""
+    if key not in _CONFIG_RANGES:
+        raise AttributeError(f"SuiteConfig has no setting {key!r}")
+    lo, hi = _CONFIG_RANGES[key]
+    if _count(value, name) < lo:
+        raise DomainError(f"{name} must be at least {lo}")
+    if value > hi:
+        raise DomainError(f"{name} must be at most {hi}")
+    return value
+
+
 def check_digits(text: str, name: str) -> None:
     """Refuse an integer setting with more digits than ``int`` reads; the
     ``_`` separators that ``int`` accepts are not digits."""
@@ -245,7 +252,8 @@ class SuiteConfig:
 
     File format: one "key = value" per line, '#' comments allowed.  Keys:
     seed, cases, max_denominator, max_grid_size, each an integer in its
-    range in ``_CONFIG_RANGES``.
+    range in ``_CONFIG_RANGES``, which the constructor and every
+    assignment check too.
     """
 
     seed: int = 0
@@ -279,13 +287,13 @@ class SuiteConfig:
                 n = int(value.strip())
             except ValueError:
                 raise DomainError(f"{where} needs an integer") from None
-            lo, hi = _CONFIG_RANGES[key]
-            if n < lo:
-                raise DomainError(f"{where} must be at least {lo}")
-            if n > hi:
-                raise DomainError(f"{where} must be at most {hi}")
-            setattr(cfg, key, n)
+            setattr(cfg, key, _setting(key, n, where))
         return cfg
+
+    def __setattr__(self, key, value):
+        # the constructor and every later assignment pass the rule that
+        # from_lines applies, with the key as the name
+        object.__setattr__(self, key, _setting(key, value, key))
 
     def coverage_warnings(self) -> list[str]:
         """One warning witness when sampling is too thin to mean much."""

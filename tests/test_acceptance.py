@@ -17,11 +17,11 @@ from spinnerlab import cli
 from spinnerlab.cantor import (CANTOR_GENERATOR, CantorEvent,
                                conditional_probability as cantor_conditional,
                                hausdorff_measure)
-from spinnerlab.field import Generator, NonArchValue, Ordering
+from spinnerlab.field import Generator, NonArchValue, Ordering, compare_values
 from spinnerlab.intervals import (IntervalSet, dyadic_tail_family,
                                   lebesgue_length, sigma_additivity_probe)
 from spinnerlab.lottery import (CoinEvent, archimedean_regularity_witness,
-                                coinflip_probability, shift_compare)
+                                coinflip_probability)
 from spinnerlab.sampling import (rand_fraction, rand_interval_set,
                                  rand_limited_value, rand_value,
                                  repack_half_open, rand_half_open_set)
@@ -191,10 +191,13 @@ def test_criterion_08_coin_shift_comparison():
     started = time.perf_counter()
     failures = []
     h = NonArchValue.infinitesimal(Generator("h"))
-    r = shift_compare(0, 1)
-    if not (r.ordering is Ordering.LESS and r.ratio == F(1, 2)
-            and r.difference == -h):
-        failures.append(f"shift_compare(0,1) -> {r}")
+    ordering, ratio, difference = compare_values(
+        coinflip_probability(CoinEvent.allheads(0)),
+        coinflip_probability(CoinEvent.allheads(1)))
+    if not (ordering is Ordering.LESS and ratio == F(1, 2)
+            and difference == -h):
+        failures.append(f"compare(allheads, allheads>1) -> "
+                        f"{ordering}, {ratio}, {difference}")
     probs = [coinflip_probability(CoinEvent.allheads(j)) for j in range(21)]
     for j in range(20):
         if not (probs[j] < probs[j + 1] and probs[j + 1] / probs[j] == 2):

@@ -13,8 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from spinnerlab.cantor import (CANTOR_GENERATOR, CantorEvent,
                                cantor_probability, coherence_check,
-                               conditional_probability, hausdorff_measure,
-                               point_probability)
+                               conditional_probability, hausdorff_measure)
 from spinnerlab.errors import DomainError
 from spinnerlab.field import NonArchValue
 
@@ -142,7 +141,8 @@ def test_probability_is_generator_free():
 
 
 def test_point_probability_is_infinitesimal():
-    p = point_probability()
+    # a single depth-m sample point: one of 2^m, probability c = 2^-m
+    p = NonArchValue.infinitesimal(CANTOR_GENERATOR)
     assert p.classify().render() == "infinitesimal-positive"
     assert str(p) == "c"
 

@@ -188,6 +188,25 @@ def test_suite_plain_text_report(corrupt, monkeypatch):
     (("stabilizer", "--grid", "uniform:1_0"),
      "uniform:N needs a natural number N: syntax error at position 1: "
      "trailing input '_0'"),
+    # a condition of probability 0 is a user error under every model with
+    # conditional queries, each with its own message (the minimal model's
+    # is a golden), and a lottery condition is refused
+    (("eval", "cantor: P(full | compl(full))"),
+     "conditioning on the empty event"),
+    (("eval", "grid: P(full | compl(full))"),
+     "conditioning on the empty event"),
+    (("eval", "coinflip: P(allheads | allheads&pin(1:T))"),
+     "conditioning on an inconsistent coin event"),
+    (("eval", "lottery: P(ticket | tickets(3))"),
+     "conditional queries are not defined for ticket blocks"),
+    # a lone interval literal is a run of one, not a union of coin events;
+    # a signed endpoint is read and then refused at evaluation
+    (("eval", "coinflip: P([0,1/2))"),
+     "only coin literals (allheads, pin) and their intersections belong to "
+     "the coinflip model"),
+    (("eval", "coinflip: P([0,1/4) u [1/2,1))"),
+     "union of coin events is not supported; only intersection is defined"),
+    (("eval", "grid: P([-1/2,1/2))"), "endpoint outside [0,1]: [-1/2,1/2]"),
 ])
 def test_model_mismatches_and_bad_grid_specs_are_refused(argv, message):
     code, out, err = run_cli(*argv)

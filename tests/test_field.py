@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import spinnerlab
 from spinnerlab.cantor import CantorEvent, cantor_probability
 from spinnerlab.errors import DomainError, GeneratorMismatchError, ParseError
 from spinnerlab.field import (MAX_NUMERAL_DIGITS, Generator, Kind,
@@ -25,7 +26,8 @@ from spinnerlab.field import (MAX_NUMERAL_DIGITS, Generator, Kind,
                               classify, compare_values, parse_rational,
                               parse_value, render_exact, standard_part,
                               _exquo, _gcd, _int_prem, _mul, _strip)
-from spinnerlab.intervals import IntervalSet
+from spinnerlab.intervals import (IntervalSet, dyadic_tail_family,
+                                  sigma_additivity_probe)
 from spinnerlab.lottery import (CoinEvent, archimedean_regularity_witness,
                                 coinflip_probability,
                                 lottery_ticket_probability)
@@ -33,8 +35,8 @@ from spinnerlab import query
 from spinnerlab.query import parse_query
 from spinnerlab.sampling import (rand_interval_set, rand_limited_value,
                                  rand_value, repack_half_open)
-from spinnerlab.spinner import (FiniteGrid, finite_grid_stabilizer,
-                               grid_probability)
+from spinnerlab.spinner import (FiniteGrid, SuiteConfig,
+                                finite_grid_stabilizer, grid_probability)
 
 G = Generator("eps")
 EPS = NonArchValue.infinitesimal(G)
@@ -279,7 +281,8 @@ def test_valuation_rules(a, b):
 @settings(max_examples=120, deadline=None)
 @given(values(), values())
 def test_standard_part_homomorphism(a, b):
-    if a.is_limited() and b.is_limited():
+    # limited: zero, or of nonnegative valuation
+    if all(v.valuation() is None or v.valuation() >= 0 for v in (a, b)):
         assert standard_part(a + b) == standard_part(a) + standard_part(b)
         assert standard_part(a * b) == standard_part(a) * standard_part(b)
         if a <= b:
@@ -601,6 +604,10 @@ EXACT_INPUTS = [
                  id="archimedean_regularity_witness"),
     pytest.param(lambda x: repack_half_open(random.Random(0), x, 3).length,
                  1, id="repack_half_open"),
+    pytest.param(lambda x: Poly([x, 1]), 2, id="Poly"),
+    pytest.param(Poly([1, 2]).evaluate, 3, id="Poly.evaluate"),
+    pytest.param(standard_part, 2, id="standard_part"),
+    pytest.param(classify, -2, id="classify"),
 ]
 
 
@@ -621,6 +628,71 @@ def test_every_exact_input_refuses_other_types(call, exact, other):
     with pytest.raises(DomainError, match="^an exact rational must be an int "
                        f"or a Fraction, got {type(other).__name__}$"):
         call(other)
+
+
+# every library entry point that takes a count, with the name its refusals
+# use and an int it accepts: each reads it by the one count rule, so a bool,
+# a float or text is a DomainError that names the input
+COUNT_INPUTS = [
+    pytest.param(FiniteGrid.uniform, "uniform grid size n", 3,
+                 id="FiniteGrid.uniform"),
+    pytest.param(lottery_ticket_probability, "ticket count", 2,
+                 id="lottery_ticket_probability"),
+    pytest.param(dyadic_tail_family, "family index n", 2,
+                 id="dyadic_tail_family"),
+    pytest.param(lambda n: sigma_additivity_probe(
+        dyadic_tail_family, n, IntervalSet.interval(0, True, 1, False)),
+        "depth", 3, id="sigma_additivity_probe"),
+    pytest.param(CoinEvent, "dropped prefix", 2, id="CoinEvent"),
+    pytest.param(lambda n: CoinEvent(0, ((n, "H"),)), "pinned position", 2,
+                 id="CoinEvent-pin"),
+    pytest.param(CoinEvent.make, "dropped prefix", 2, id="CoinEvent.make"),
+    pytest.param(lambda n: CoinEvent.make(0, {n: "T"}), "pinned position", 2,
+                 id="CoinEvent.make-pin"),
+    pytest.param(CoinEvent.allheads, "dropped prefix", 2,
+                 id="CoinEvent.allheads"),
+    *(pytest.param(lambda n, key=key: SuiteConfig(**{key: n}), key, 2,
+                   id=f"SuiteConfig-{key}")
+      for key in ("seed", "cases", "max_denominator", "max_grid_size")),
+]
+
+
+@pytest.mark.parametrize("other", [True, 2.0, "2"], ids=repr)
+@pytest.mark.parametrize("call, name, count", COUNT_INPUTS)
+def test_every_count_input_is_an_int(call, name, count, other):
+    call(count)
+    with pytest.raises(DomainError, match=f"^{name} must be an int, got "
+                       f"{type(other).__name__}$"):
+        call(other)
+
+
+# the public callables that read no number: exceptions, enums, text
+# parsers and renderers, and kernels of events, values or configs
+NO_NUMBER = {
+    "DomainError", "GeneratorMismatchError", "ParseError", "QueryTypeError",
+    "Kind", "Ordering", "Sign", "Generator", "GridModel", "CantorEvent",
+    "parse_query", "parse_set", "parse_value", "render_query", "evaluate",
+    "cantor_probability", "coherence_check", "hausdorff_measure",
+    "coinflip_probability", "grid_count", "grid_probability",
+    "lebesgue_length", "finite_grid_stabilizer", "run_property_suite",
+}
+# the result records that the library builds and callers only read
+RECORDS = {"RegularityWitness", "StabilizerResult", "CountForm",
+           "PropertyReport", "EvalResult", "Classification", "Query"}
+
+
+def test_every_public_callable_reads_numbers_by_one_rule():
+    """A new export that reads a number joins EXACT_INPUTS or COUNT_INPUTS;
+    one that reads none joins NO_NUMBER or RECORDS."""
+    tables = {re.match(r"\w+", p.id).group()
+              for p in EXACT_INPUTS + COUNT_INPUTS}
+    listed = tables | NO_NUMBER | RECORDS
+    unlisted = [name for name in spinnerlab.__all__
+                if callable(getattr(spinnerlab, name)) and name not in listed]
+    assert not unlisted, unlisted
+    stale = (NO_NUMBER | RECORDS) - set(spinnerlab.__all__)
+    assert not stale and not (NO_NUMBER | RECORDS) & tables, stale
+
 
 # -- the one-split lexer against the finditer lexer it replaced ------------------
 
@@ -680,7 +752,9 @@ def test_lexer_matches_the_finditer_reference(grammar, data):
         assert (str(got.value), got.value.position) \
             == (str(want), want.position)
         return
-    located = TokenCursor(text, ops).located()
+    cursor = TokenCursor(text, ops)
+    located = [(word, cursor.position(i))
+               for i, word in enumerate(cursor.words[:-1])]
     assert located == [(word, at) for _, word, at in expected]
     assert [first_char_kind(word) for word, _ in located] \
         == [kind for kind, _, _ in expected]

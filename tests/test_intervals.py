@@ -181,7 +181,8 @@ def assert_normal(s: IntervalSet):
     assert s.components == tuple(
         Piece(F(*left), not after, F(*right), right_in)
         for (_, left, after), (_, right, right_in) in s.cuts)
-    cuts = [(p.start, p.end) for p in s.components]
+    cuts = [((p.left, not p.left_in), (p.right, p.right_in))
+            for p in s.components]
     for start, end in cuts:
         assert (F(0), False) <= start < end <= (F(1), False), s.components
     for (_, end), (start, _) in zip(cuts, cuts[1:]):

@@ -8,12 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinnerlab.errors import DomainError
-from spinnerlab.field import NonArchValue, Ordering
+from spinnerlab.field import NonArchValue, Ordering, compare_values
 from spinnerlab.lottery import (COIN_GENERATOR, LOTTERY_GENERATOR, CoinEvent,
                                 archimedean_regularity_witness,
                                 coinflip_probability,
-                                lottery_ticket_probability, part_whole_check,
-                                shift_compare)
+                                lottery_ticket_probability)
 from spinnerlab.query import evaluate, parse_query, render_query
 
 H = NonArchValue.infinitesimal(COIN_GENERATOR)
@@ -187,20 +186,26 @@ def test_regularity_over_coin_events():
 
 # -- the shift comparison ----------------------------------------------------------
 
+def shift_compare(j1, j2):
+    """compare(P(allheads>j1), P(allheads>j2)): ordering, ratio, difference."""
+    return compare_values(coinflip_probability(CoinEvent.allheads(j1)),
+                          coinflip_probability(CoinEvent.allheads(j2)))
+
+
 def test_shift_compare_drop_one():
-    r = shift_compare(0, 1)
-    assert r.ordering is Ordering.LESS
-    assert r.ratio == F(1, 2)
-    assert r.difference == -H
+    ordering, ratio, difference = shift_compare(0, 1)
+    assert ordering is Ordering.LESS
+    assert ratio == F(1, 2)
+    assert difference == -H
 
 
 def test_shift_compare_examples():
-    r = shift_compare(3, 3)
-    assert r.ordering is Ordering.EQUAL and r.ratio == 1
-    assert r.difference.is_zero()
-    r = shift_compare(2, 0)
-    assert r.ordering is Ordering.GREATER and r.ratio == 4
-    assert r.difference == 3 * H
+    ordering, ratio, difference = shift_compare(3, 3)
+    assert ordering is Ordering.EQUAL and ratio == 1
+    assert difference.is_zero()
+    ordering, ratio, difference = shift_compare(2, 0)
+    assert ordering is Ordering.GREATER and ratio == 4
+    assert difference == 3 * H
     with pytest.raises(DomainError):
         shift_compare(-1, 0)
 
@@ -212,37 +217,44 @@ def test_shift_monotonicity():
         assert probs[j + 1] / probs[j] == 2
 
 
-# -- part-whole -----------------------------------------------------------------------
-
-def test_part_whole_pass_cases():
-    for whole, part in ((0, 1), (2, 5), (0, 7)):
-        rep = part_whole_check(whole, part)
-        assert rep.verdict == "pass"
-        assert f"K - {part} < whole size K - {whole}" in rep.witnesses[0]
-
-
-def test_part_whole_rejects_non_proper_part():
-    with pytest.raises(DomainError):
-        part_whole_check(0, 0)
-    with pytest.raises(DomainError):
-        part_whole_check(3, 2)
-    with pytest.raises(DomainError):
-        part_whole_check(-1, 2)
-
-
-# a drop count is read by the one count rule: an int that is not a bool
-@pytest.mark.parametrize("call, args, name", [
-    (part_whole_check, (0, 2.5), "part drop count"),
-    (part_whole_check, (0, "3"), "part drop count"),
-    (part_whole_check, (True, 2), "whole drop count"),
-    (shift_compare, ("x", 0), "drop count j1"),
-    (shift_compare, (0, 1.0), "drop count j2"),
-], ids=lambda v: getattr(v, "__name__", repr(v)))  # a function's repr holds its address
-def test_drop_counts_are_ints(call, args, name):
-    bad = next(a for a in args if type(a) is not int)
-    with pytest.raises(DomainError, match=f"^{name} must be an int, got "
-                       f"{type(bad).__name__}$"):
+# a drop count and a pinned position are read by the one count rule: an int
+# that is not a bool
+@pytest.mark.parametrize("call, args, message", [
+    (CoinEvent.make, (2.5,), "dropped prefix must be an int, got float"),
+    (CoinEvent.make, (0, {"3": "H"}), "pinned position must be an int, got str"),
+    (CoinEvent.make, (0, {True: "T"}),
+     "pinned position must be an int, got bool"),
+    (CoinEvent.allheads, ("x",), "dropped prefix must be an int, got str"),
+    (CoinEvent.allheads, (True,), "dropped prefix must be an int, got bool"),
+], ids=lambda v: getattr(v, "__name__", repr(v)))  # a method's repr holds its address
+def test_drop_counts_are_ints(call, args, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
         call(*args)
+
+
+# the raw constructor refuses what make refuses, with make's messages; these
+# were accepted (or failed in the arithmetic) before it checked its fields
+@pytest.mark.parametrize("args, message", [
+    ((0, ((0, "X"),)), "pinned position 0 must be a positive integer"),
+    ((0, ((3, "X"),)), "pinned outcome 'X' must be H or T"),
+    ((-3, (), True), "dropped prefix must be nonnegative"),
+    ((True, (), True), "dropped prefix must be an int, got bool"),
+    ((200000, (), True), "dropped prefix must be at most 100000"),
+], ids=repr)
+def test_the_constructor_refuses_what_make_refuses(args, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        CoinEvent(*args)
+    drop, pins, *_ = args
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        CoinEvent.make(drop, dict(pins))
+
+
+def test_a_query_over_the_drop_bound_renders_and_is_refused_at_evaluation():
+    q = parse_query("coinflip: P(allheads>200000&pin(3:T))")
+    assert render_query(q) == "coinflip: P(allheads>200000&pin(3:T))"
+    with pytest.raises(DomainError, match="^dropped prefix must be at most "
+                       "100000$"):
+        evaluate(q)
 
 
 # -- lottery ---------------------------------------------------------------------------

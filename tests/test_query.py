@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinnerlab import cantor, query, spinner
+from spinnerlab import cantor, intervals, query, spinner
 from spinnerlab.errors import DomainError, ParseError, QueryTypeError
 from spinnerlab.field import NonArchValue
 from spinnerlab.query import (BraceLit, CoinLit, Complement, CompareExpr,
@@ -790,7 +790,8 @@ def test_query_conditionals_equal_the_kernel_conditionals():
     for model, operand, build, kernel in (
             ("grid", _rand_interval_operand,
              lambda node: _to_interval_set(node, "grid"),
-             spinner.conditional_probability),
+             partial(intervals.conditional, spinner.grid_probability,
+                     null_message=intervals.EMPTY_CONDITION)),
             ("cantor", _rand_cantor_operand, _to_cantor_event,
              cantor.conditional_probability)):
         for _ in range(200):

@@ -19,10 +19,10 @@ from hypothesis import given, settings, strategies as st
 from spinnerlab import spinner
 from spinnerlab.errors import DomainError
 from spinnerlab.field import MAX_NUMERAL_DIGITS, NonArchValue, Poly
-from spinnerlab.intervals import IntervalSet, lebesgue_length
+from spinnerlab.intervals import (EMPTY_CONDITION, IntervalSet, conditional,
+                                  lebesgue_length)
 from spinnerlab.spinner import (MAX_SUITE_GRID_SIZE, SPINNER_GENERATOR,
                                 CountForm, FiniteGrid, GridModel, SuiteConfig,
-                                conditional_probability,
                                 finite_grid_stabilizer, grid_count,
                                 grid_probability, property_checks,
                                 run_property_suite)
@@ -159,6 +159,11 @@ def test_flag_variants_differ_by_counts():
 
 
 # -- conditionals -------------------------------------------------------------------
+
+def conditional_probability(a, b):
+    """P(a | b) under the grid model, by the rule that queries use."""
+    return conditional(grid_probability, a, b, EMPTY_CONDITION)
+
 
 def test_conditional_examples():
     a = IntervalSet.interval(0, True, F(1, 4), False)
@@ -404,6 +409,32 @@ def test_config_file_round_trip(tmp_path):
     cfg = SuiteConfig.from_file(str(p))
     assert (cfg.seed, cfg.cases, cfg.max_denominator, cfg.max_grid_size) \
         == (-int("9" * 4300), 10000, 10 ** 18, 1)
+
+
+# the constructor and an assignment read a setting by the rule that
+# from_lines applies, so none of these reaches a suite: before, cases=True
+# ran and printed "cases": true, cases=2.5 failed in range(), cases=0 gave
+# vacuous passes, seed=1.5 ran, and max_grid_size=5000 ran past its bound
+@pytest.mark.parametrize("setting, message", [
+    ({"cases": True}, "cases must be an int, got bool"),
+    ({"cases": 2.5}, "cases must be an int, got float"),
+    ({"cases": 0}, "cases must be at least 1"),
+    ({"seed": 1.5}, "seed must be an int, got float"),
+    ({"max_grid_size": 5000},
+     f"max_grid_size must be at most {MAX_SUITE_GRID_SIZE}"),
+    ({"max_denominator": 10 ** 18 + 1},
+     f"max_denominator must be at most {10 ** 18}"),
+], ids=repr)
+def test_config_settings_are_checked_where_they_are_set(setting, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        SuiteConfig(**setting)
+    cfg = SuiteConfig()
+    (key, value), = setting.items()
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        setattr(cfg, key, value)
+    assert cfg == SuiteConfig()
+    with pytest.raises(AttributeError, match="no setting 'case'"):
+        cfg.case = 1
 
 
 def _edge_values(key):
