@@ -226,6 +226,13 @@ def test_shift_monotonicity():
      "pinned position must be an int, got bool"),
     (CoinEvent.allheads, ("x",), "dropped prefix must be an int, got str"),
     (CoinEvent.allheads, (True,), "dropped prefix must be an int, got bool"),
+    # the shift comparison refuses a non-int drop count on either side
+    pytest.param(shift_compare, ("x", 0),
+                 "dropped prefix must be an int, got str",
+                 id="shift_compare-('x', 0)-'drop count j1'"),
+    pytest.param(shift_compare, (0, 1.0),
+                 "dropped prefix must be an int, got float",
+                 id="shift_compare-(0, 1.0)-'drop count j2'"),
 ], ids=lambda v: getattr(v, "__name__", repr(v)))  # a method's repr holds its address
 def test_drop_counts_are_ints(call, args, message):
     with pytest.raises(DomainError, match=f"^{message}$"):
