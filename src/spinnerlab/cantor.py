@@ -26,8 +26,8 @@ from typing import Iterable
 
 from .errors import DomainError
 from .field import Generator, NonArchValue, render_ratio
-from .intervals import (EMPTY_CONDITION, _gaps, _intersect, _merge, _union,
-                        conditional)
+from .intervals import (EMPTY_CONDITION, _conditional, _gaps, _intersect,
+                        _merge, _union, conditional)
 from .report import PropertyReport
 
 CANTOR_GENERATOR = Generator("c")
@@ -171,9 +171,10 @@ def coherence_sides(a: CantorEvent, b: CantorEvent
     reports and the cylinder coherence suite sweeps.  The ratio is
     ``total(a & b) / 2^depth(a & b)`` over ``total(b) / 2^depth(b)``, in
     integers over one ``gcd``, and it is compared with the conditional's
-    canonical numerator and denominator, so no ``Fraction`` is built."""
-    conditional = conditional_probability(a, b)
-    ab = a & b
+    canonical numerator and denominator, so no ``Fraction`` is built.
+    ``a & b`` is built once: the conditional hands back the one it
+    divides."""
+    conditional, ab = _conditional(cantor_probability, a, b, EMPTY_CONDITION)
     p, q = _total(ab) << b.depth, _total(b) << ab.depth
     g = gcd(p, q)
     p, q = p // g, q // g

@@ -26,7 +26,8 @@ from .errors import DomainError, ParseError, QueryTypeError
 from .lottery import archimedean_regularity_witness
 from .field import TokenCursor, compare_values, parse_rational, render_exact
 from .query import evaluate, evaluate_value, parse_query
-from .spinner import FiniteGrid, finite_grid_stabilizer
+from .spinner import (FiniteGrid, StabilizerResult, _stabilizer_result,
+                      _uniform_pairs, finite_grid_stabilizer)
 from . import suites
 
 _USER_ERRORS = (ParseError, QueryTypeError, DomainError)
@@ -85,7 +86,9 @@ def _cmd_witness(args) -> int:
     return 0
 
 
-def _parse_grid(spec: str) -> FiniteGrid:
+def _grid_stabilizer(spec: str) -> StabilizerResult:
+    """The stabilizer of the grid that ``spec`` names: uniform:N as its
+    integer pairs, a point list through ``FiniteGrid``'s checks."""
     spec = spec.strip()
     if spec.startswith("uniform:"):
         try:
@@ -95,17 +98,16 @@ def _parse_grid(spec: str) -> FiniteGrid:
         except ParseError as exc:
             raise DomainError(f"uniform:N needs a natural number N: "
                               f"{exc}") from None
-        return FiniteGrid.uniform(n)
+        return _stabilizer_result(_uniform_pairs(n))
     points = tuple(_parse_fraction(part)
                    for part in spec.split(",") if part.strip())
     if not points:
         raise DomainError("empty grid specification")
-    return FiniteGrid(points)
+    return finite_grid_stabilizer(FiniteGrid(points))
 
 
 def _cmd_stabilizer(args) -> int:
-    result = finite_grid_stabilizer(_parse_grid(args.grid))
-    print(json.dumps(result.to_dict()))
+    print(json.dumps(_grid_stabilizer(args.grid).to_dict()))
     return 0
 
 

@@ -66,9 +66,10 @@ at O(k log n) comparisons plus list copies, so a chain that keeps
 combining a growing set with small ones costs near-linear time, not
 quadratic.  ``contains`` bisects too.
 
-The length sums the endpoint numerators per denominator, scales the sums
-to one ``math.lcm`` of the denominators and reduces the total by one
-``gcd``.  It is computed once per set, the first time it is read, and kept
+The length is one running sum ``num/den``: each component's
+``r/s - p/q`` is added with one ``gcd``, of ``den`` and the component's
+denominator, and the total is reduced by one more ``gcd`` at the end.  It
+is computed once per set, the first time it is read, and kept
 as the reduced pair ``_length_ratio()``, which the grid count reads;
 ``length`` builds one ``Fraction`` from that pair when it is first read,
 and keeps it.  A set builds a ``Fraction`` only when ``length`` or
@@ -80,7 +81,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
@@ -357,15 +358,17 @@ class IntervalSet:
         """The sum of the component lengths as a reduced (p, q), computed
         when first read."""
         if self._length_pair is None:
-            # the numerators summed per denominator, then one lcm
-            sums: dict[int, int] = {}
+            # den is the lcm of the denominators t added so far: each
+            # step scales num and n by what the other denominator lacks
+            num, den = 0, 1
             for (_, (p, q), _), (_, (r, s), _) in self.cuts:
-                sums[s] = sums.get(s, 0) + r
-                sums[q] = sums.get(q, 0) - p
-            den = lcm(*sums)
-            num = 0
-            for d, n in sums.items():
-                num += n * (den // d)
+                if q == s:
+                    n, t = r - p, q
+                else:
+                    n, t = r * q - p * s, q * s
+                g = gcd(den, t)
+                num = num * (t // g) + n * (den // g)
+                den = den // g * t
             g = gcd(num, den)
             self._length_pair = (num // g, den // g)
         return self._length_pair
@@ -451,10 +454,17 @@ EMPTY_CONDITION = "conditioning on the empty event"
 def conditional(probability: Callable, a, b, null_message: str):
     """P(a | b) = P(a & b) / P(b) under ``probability``; DomainError with
     ``null_message`` when P(b) = 0."""
+    return _conditional(probability, a, b, null_message)[0]
+
+
+def _conditional(probability: Callable, a, b, null_message: str) -> tuple:
+    """``conditional``'s value and the intersection ``a & b`` it divides,
+    for a caller that reads that intersection too."""
     pb = probability(b)
     if pb == 0:
         raise DomainError(null_message)
-    return probability(a & b) / pb
+    ab = a & b
+    return probability(ab) / pb, ab
 
 
 def dyadic_tail_family(n: int) -> IntervalSet:

@@ -51,9 +51,11 @@ class CoinEvent:
     ``pinned`` fixes outcomes at standard positions (``make`` keeps only
     the pins past the dropped prefix); with ``all_heads``
     every remaining unpinned toss must come up heads.  ``contradictory``
-    marks a conjunction, or a pin list, whose pins disagreed outright.
-    The constructor checks the drop count and every pin, so each way of
-    building an event refuses what ``make`` refuses, with its messages.
+    marks a conjunction, or a pin list, whose pins disagreed outright;
+    the constructor sets it when two of its pins give one position two
+    outcomes.  The constructor checks the drop count and every pin, so
+    each way of building an event refuses what ``make`` refuses, with its
+    messages.
     """
 
     dropped_prefix: int = 0
@@ -73,6 +75,10 @@ class CoinEvent:
                                   "positive integer")
             if outcome not in _OUTCOMES:
                 raise DomainError(f"pinned outcome {outcome!r} must be H or T")
+        # one position pinned to both outcomes: more distinct pins than
+        # pinned positions
+        if len(set(self.pinned)) > len({pos for pos, _ in self.pinned}):
+            object.__setattr__(self, "contradictory", True)
 
     @classmethod
     def make(cls, dropped_prefix: int = 0,
@@ -153,7 +159,8 @@ def coinflip_probability(e: CoinEvent) -> NonArchValue:
     """Probability of a coin event in the field over h = (1/2)^K.
 
     All-heads with j dropped tosses gives 2^j * h; a bare pinned pattern
-    with c surviving constraints gives the plain rational 2^-c.  An
+    with c pinned positions past the prefix gives the plain rational 2^-c,
+    a position pinned twice to one outcome counted once.  An
     inconsistent event yields the zero value (check ``e.consistent``)
     rather than an error.
     """
@@ -162,7 +169,7 @@ def coinflip_probability(e: CoinEvent) -> NonArchValue:
     if e.all_heads:
         return NonArchValue.affine(COIN_GENERATOR, 0, 2 ** e.dropped_prefix)
     return NonArchValue.constant(
-        COIN_GENERATOR, Fraction(1, 2 ** len(e.active_pins())))
+        COIN_GENERATOR, Fraction(1, 2 ** len(dict(e.active_pins()))))
 
 
 def lottery_ticket_probability(ticket_count: int) -> NonArchValue:

@@ -194,6 +194,14 @@ def rand_grid_points(rng: random.Random, max_size: int,
     ``max_den`` (0 and 1/k for 1 < k <= max_den), and a grid asks for at
     most ``max_size`` of them, so a ``max_size`` above ``max_den`` is
     refused before any draw: it might ask for more than there are."""
+    return sorted([Fraction(p, q)
+                   for p, q in _rand_grid_pairs(rng, max_size, max_den)])
+
+
+def _rand_grid_pairs(rng: random.Random, max_size: int,
+                     max_den: int) -> "set[Ratio]":
+    """``rand_grid_points``' points as a set of reduced (p, q), from the
+    same draws."""
     if max_size > max_den:
         raise DomainError(f"max_size {max_size} exceeds max_den {max_den}: "
                           "the grid might ask for more distinct points "
@@ -201,5 +209,5 @@ def rand_grid_points(rng: random.Random, max_size: int,
     size = 1 + _below(rng.getrandbits, max_size)
     pts = set()
     while len(pts) < size:
-        pts.add(rand_fraction(rng, max_den))
-    return sorted(pts)
+        pts.add(_rand_pair(rng, max_den))
+    return pts

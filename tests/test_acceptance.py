@@ -6,6 +6,7 @@ pytest -s) and fails loudly with the first counterexamples otherwise.
 
 import io
 import json
+import math
 import random
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -180,9 +181,22 @@ def test_criterion_07_overflow_witnesses():
         if not (w.n * eps > 1 and (w.n - 1) * eps <= 1):
             failures.append(f"eps={eps}: bounds fail for n={w.n}")
         o = archimedean_regularity_witness(eps, "rational_orbit")
-        pairs = {(p.numerator, p.denominator) for p in o.points}
-        if len(pairs) != o.n:
-            failures.append(f"eps={eps}: orbit not pairwise distinct")
+        if eps >= F(1, 1000):
+            pairs = {(p.numerator, p.denominator) for p in o.points}
+            if len(pairs) != o.n:
+                failures.append(f"eps={eps}: orbit not pairwise distinct")
+        # the orbit as the CLI streams it, "0" then "k/p", read back as
+        # integer pairs: n distinct points, each in lowest terms, with no
+        # Fraction built.  JSON reads the ints of "1/p,2/p,..." as 1,p,2,p,...
+        texts = json.loads("".join(o.json_chunks()))["points"]
+        ints = json.loads("[" + ",".join(texts[1:]).replace("/", ",") + "]")
+        nums, dens = [0] + ints[::2], [1] + ints[1::2]
+        if texts[0] != "0" or len(ints) != 2 * (o.n - 1) \
+                or len(set(zip(nums, dens))) != o.n:
+            failures.append(f"eps={eps}: streamed orbit not pairwise "
+                            f"distinct")
+        if min(dens) < 1 or set(map(math.gcd, nums, dens)) != {1}:
+            failures.append(f"eps={eps}: streamed orbit not in lowest terms")
     _finish(7, "point-mass overflow witnesses, orbit distinct (3 masses)",
             failures, started)
 

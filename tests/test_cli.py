@@ -1,8 +1,10 @@
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -370,6 +372,35 @@ def test_stabilizer_subcommand():
     assert json.loads(out)["order"] == 1
     code, _, err = run_cli("stabilizer", "--grid", "3/2")
     assert code == 1 and "error:" in err
+
+
+def test_stabilizer_of_the_largest_uniform_grid():
+    code, out, err = run_cli("stabilizer", "--grid", "uniform:100000")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        "order": 100000, "generator_rotation": "1/100000",
+        "witness_rotation": "1/100001", "witness_point": "0",
+        "witness_image": "1/100001"}
+
+
+def test_stabilizer_of_coprime_prime_denominators_in_bounded_time():
+    # 2000 points i/p over distinct 31-digit probable primes (72 KB): the
+    # stabilizer's cost must stay linear in the grid's digits.  The gcd
+    # skips multiples of 3 to 13 before the slower Fermat test; it drops
+    # no probable prime of 31 digits.
+    primes = (p for p in range(10 ** 30 + 1, 10 ** 31, 2)
+              if math.gcd(p, 3 * 5 * 7 * 11 * 13) == 1
+              and pow(2, p - 1, p) == 1)
+    grid = ",".join(f"{i}/{p}" for i, p in zip(range(1, 2001), primes))
+    assert len(grid) > 70_000
+    code, out, err = run_cli("stabilizer", "--grid", grid, timeout=20)
+    assert (code, err) == (0, "")
+    first = grid.split(",")[0]
+    data = json.loads(out)
+    assert (data["order"], data["witness_rotation"]) == (1, "1/2")
+    assert data["witness_point"] == first
+    assert parse_rational(data["witness_image"]) \
+        == parse_rational(first) + Fraction(1, 2)
 
 
 def test_long_set_chains_evaluate_without_recursion():

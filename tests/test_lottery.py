@@ -133,6 +133,23 @@ def test_a_pin_list_with_a_repeated_position_is_its_conjunction():
     assert render_query(parse_query(text)) == text
 
 
+def test_the_raw_constructor_reads_a_repeated_position_as_make_does():
+    # two outcomes at one position empty the event, as make, a conjunction
+    # and the query give; an agreeing repeat counts once
+    for drop, all_heads in ((0, False), (0, True), (5, True)):
+        e = CoinEvent(drop, ((3, "H"), (3, "T")), all_heads)
+        assert e.contradictory and not e.consistent
+        assert coinflip_probability(e).is_zero()
+    e = CoinEvent(0, ((3, "H"), (3, "T")))
+    assert coinflip_probability(e) == coinflip_probability(
+        CoinEvent.make(pinned={3: "H"}) & CoinEvent.make(pinned={3: "T"}))
+    assert _coin_lines("pin(3:H,3:T)")[0] == "value: 0"
+    e = CoinEvent(0, ((1, "H"), (1, "H"), (2, "T")))
+    assert e.consistent and coinflip_probability(e) == F(1, 4)
+    assert _coin_lines("pin(1:H,1:H,2:T)")[0] == "value: 1/4"
+    assert not CoinEvent(0, ((1, "H"), (2, "T"))).contradictory
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.tuples(st.integers(1, 6), st.sampled_from("HT")),
                 min_size=1, max_size=8),

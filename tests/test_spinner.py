@@ -235,15 +235,66 @@ def test_random_grid_stabilizers_cyclic_and_bounded():
         res = finite_grid_stabilizer(FiniteGrid(tuple(pts)))
         assert 1 <= res.order <= len(pts) and res.order % k == 0
         assert res.witness_image not in pts
-        # reference: every difference to the least point that maps the
-        # grid onto itself, found by brute force
-        p0 = min(pts)
-        brute = sorted(t for t in {(p - p0) % 1 for p in pts}
-                       if {(p + t) % 1 for p in pts} == pts)
+        brute = preserving_rotations(pts)
         assert brute == [F(j, len(brute)) for j in range(len(brute))]
         assert res.order == len(brute)
         assert res.generator_rotation == (brute[1] if len(brute) > 1
                                           else F(0))
+        # the pair kernel itself, on the sorted points as integer pairs
+        order, x, image = spinner._stabilizer(
+            [p.as_integer_ratio() for p in sorted(pts)])
+        assert order == len(brute)
+        assert_off_grid_witness(pts, order, x, image)
+
+
+def preserving_rotations(pts) -> list:
+    """Every difference to the least point that maps the grid onto itself,
+    found by brute force, in increasing order."""
+    p0 = min(pts)
+    return sorted(t for t in {(p - p0) % 1 for p in pts}
+                  if {(p + t) % 1 for p in pts} == pts)
+
+
+def assert_off_grid_witness(pts, order, x, image):
+    """x is a grid point and image, (x + 1/(order+1)) mod 1, is not; both
+    are reduced pairs."""
+    for p, q in (x, image):
+        assert q > 0 and math.gcd(p, q) == 1
+    assert F(*x) in pts and F(*image) not in pts
+    assert F(*image) == (F(*x) + F(1, order + 1)) % 1
+
+
+def test_stabilizer_of_points_whose_keys_tie():
+    # neighbours over denominators above 2**32 share the integer key
+    # (p << 64) // q that the interval cuts sort by: 0, 1/(2**65 + 1) and
+    # 1/2**65 all have key 0, and their shifts by 1/2 key 2**63.
+    # FiniteGrid sorts the points exactly and the kernel finds images by
+    # pair, so the order and witness are those of brute force.
+    def key(x):
+        return (x.numerator << 64) // x.denominator
+
+    wide = (F(0), F(1, 2 ** 65 + 1), F(1, 2 ** 65))
+    for k in (1, 2, 3):
+        pts = {(x + F(j, k)) % 1 for x in wide for j in range(k)}
+        assert key(F(1, 2 ** 65 + 1)) == key(F(1, 2 ** 65))
+        pairs = [p.as_integer_ratio() for p in sorted(pts)]
+        order, x, image = spinner._stabilizer(pairs)
+        assert order == len(preserving_rotations(pts)) == k
+        assert_off_grid_witness(pts, order, x, image)
+        # shuffled input: FiniteGrid's sort gives the kernel these pairs
+        shuffled = list(pts)
+        random.Random(k).shuffle(shuffled)
+        res = finite_grid_stabilizer(FiniteGrid(tuple(shuffled)))
+        assert (res.order, res.witness_point.as_integer_ratio(),
+                res.witness_image.as_integer_ratio()) == (order, x, image)
+    # an image can tie on the key with a grid point and still be off the
+    # grid: the rotation by 1/2 sends 0 to 1/2, and 1/2 + 1/2**65 keys
+    # 2**63 too
+    pts = {F(0), F(1, 2) + F(1, 2 ** 65)}
+    assert key(F(1, 2)) == key(F(1, 2) + F(1, 2 ** 65))
+    assert spinner._stabilizer(
+        [p.as_integer_ratio() for p in sorted(pts)]) == (1, (0, 1), (1, 2))
+    assert len(preserving_rotations(pts)) == 1
 
 
 def primes_from(lo: int, count: int) -> list[int]:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from spinnerlab import cantor, spinner, suites
+from spinnerlab import cantor, sampling, spinner, suites
 from spinnerlab.cantor import CantorEvent
 from spinnerlab.errors import DomainError
 from spinnerlab.field import NonArchValue
@@ -256,6 +256,38 @@ def test_cylinder_draws_match_choice_and_leave_the_same_state():
             want = CantorEvent(_ref_cylinder_addresses(ref, 4, 6, nonempty))
             assert (e.depth, e.cuts) == (want.depth, want.cuts), seed
         assert got.getstate() == ref.getstate(), seed
+
+
+def _ref_grid_points(rng) -> list:
+    """A random stabilizer grid as the suite drew it through randint and
+    Fractions: up to 12 distinct points of denominator at most 40."""
+    size = rng.randint(1, 12)
+    pts = set()
+    while len(pts) < size:
+        den = rng.randint(1, 40)
+        pts.add(F(rng.randint(0, den - 1), den))
+    return sorted(pts)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5, 17])
+def test_stabilizer_grids_are_the_drawn_grids(seed):
+    # the suite's grids as integer pairs are the uniform grids k/n and the
+    # Fractions of rand_grid_points, drawn in the same order and sorted
+    config = SuiteConfig(seed=seed, cases=120)
+    grids = list(suites._stabilizer_grids(config))
+    assert [(pts, order) for pts, order, i in grids if i is None] == [
+        ([F(k, n).as_integer_ratio() for k in range(n)], n)
+        for n in range(1, 25)]
+    drawn = [(pts, order, i) for pts, order, i in grids if i is not None]
+    assert [(order, i) for _, order, i in drawn] == [(None, i)
+                                                    for i in range(30)]
+    points = [[F(*x) for x in pts] for pts, _, _ in drawn]
+    assert all(F(*x).as_integer_ratio() == x for pts, _, _ in drawn
+               for x in pts)
+    rng, ref = config.rng("stabilizer"), config.rng("stabilizer")
+    assert points == [sampling.rand_grid_points(rng, 12, 40)
+                      for _ in points]
+    assert points == [_ref_grid_points(ref) for _ in points]
 
 
 def test_the_queue_holds_every_suite_once():
