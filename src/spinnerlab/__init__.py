@@ -8,8 +8,7 @@ number of trials.  A query language and verification suites tie them
 together; see the README for the command-line surface.
 """
 
-from .cantor import CantorEvent, cantor_probability, coherence_check, \
-    hausdorff_measure
+from .cantor import CantorEvent, cantor_probability
 from .errors import DomainError, GeneratorMismatchError, ParseError, \
     QueryTypeError
 from .field import Classification, Generator, Kind, NonArchValue, Ordering, \
@@ -19,7 +18,7 @@ from .intervals import IntervalSet, dyadic_tail_family, lebesgue_length, \
 from .lottery import CoinEvent, RegularityWitness, \
     archimedean_regularity_witness, coinflip_probability, \
     lottery_ticket_probability
-from .query import EvalResult, Query, evaluate, parse_query, render_query
+from .query import EvalResult, Query, evaluate, parse_query
 from .report import PropertyReport
 from .spinner import CountForm, FiniteGrid, GridModel, StabilizerResult, \
     SuiteConfig, finite_grid_stabilizer, grid_count, grid_probability, \
@@ -34,9 +33,9 @@ __all__ = [
     "ParseError", "Poly", "PropertyReport", "Query", "QueryTypeError",
     "RegularityWitness", "Sign", "StabilizerResult", "SuiteConfig",
     "archimedean_regularity_witness", "cantor_probability", "classify",
-    "coherence_check", "coinflip_probability", "dyadic_tail_family",
-    "evaluate", "finite_grid_stabilizer", "grid_count", "grid_probability",
-    "hausdorff_measure", "lebesgue_length", "lottery_ticket_probability",
-    "parse_query", "parse_set", "parse_value", "render_query",
-    "run_property_suite", "sigma_additivity_probe", "standard_part",
+    "coinflip_probability", "dyadic_tail_family", "evaluate",
+    "finite_grid_stabilizer", "grid_count", "grid_probability",
+    "lebesgue_length", "lottery_ticket_probability", "parse_query",
+    "parse_set", "parse_value", "run_property_suite",
+    "sigma_additivity_probe", "standard_part",
 ]

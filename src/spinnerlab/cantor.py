@@ -19,7 +19,6 @@ pairs over 2^depth, under the interval kernel's cut algebra over ints.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from math import gcd
 from typing import Iterable
@@ -27,8 +26,7 @@ from typing import Iterable
 from .errors import DomainError
 from .field import Generator, NonArchValue, render_ratio
 from .intervals import (EMPTY_CONDITION, _conditional, _gaps, _intersect,
-                        _merge, _union, conditional)
-from .report import PropertyReport
+                        _merge, _union)
 
 CANTOR_GENERATOR = Generator("c")
 
@@ -142,11 +140,6 @@ def _total(e: CantorEvent) -> int:
     return sum([hi - lo for lo, hi in e.cuts])
 
 
-def hausdorff_measure(e: CantorEvent) -> Fraction:
-    """Normalized Hausdorff measure: the cut pairs' total length / 2^depth."""
-    return Fraction(_total(e), 1 << e.depth)
-
-
 def cantor_probability(e: CantorEvent) -> NonArchValue:
     """Counting probability of a cylinder event: generator-free, equal to
     the normalized Hausdorff measure, reduced from the integer cut total
@@ -159,16 +152,10 @@ def cantor_probability(e: CantorEvent) -> NonArchValue:
                               (1 << (e.depth - s),))
 
 
-def conditional_probability(a: CantorEvent, b: CantorEvent) -> NonArchValue:
-    return conditional(cantor_probability, a, b, EMPTY_CONDITION)
-
-
-def coherence_sides(a: CantorEvent, b: CantorEvent
-                    ) -> "tuple[tuple[int, int], NonArchValue, list[str]]":
-    """The two sides of coherence on (a, b), the Hausdorff measure ratio as
-    a reduced (p, q) and the conditional counting probability, with the
-    counterexample when they differ: the rule that ``coherence_check``
-    reports and the cylinder coherence suite sweeps.  The ratio is
+def coherence_sides(a: CantorEvent, b: CantorEvent) -> "list[str]":
+    """The counterexample to coherence on (a, b), if any: the conditional
+    counting probability against the normalized Hausdorff measure ratio,
+    the rule the cylinder coherence suite sweeps.  The ratio is
     ``total(a & b) / 2^depth(a & b)`` over ``total(b) / 2^depth(b)``, in
     integers over one ``gcd``, and it is compared with the conditional's
     canonical numerator and denominator, so no ``Fraction`` is built.
@@ -178,20 +165,7 @@ def coherence_sides(a: CantorEvent, b: CantorEvent
     p, q = _total(ab) << b.depth, _total(b) << ab.depth
     g = gcd(p, q)
     p, q = p // g, q // g
-    counterexamples = []
-    if conditional.n != ((p,) if p else ()) or conditional.d != (q,):
-        counterexamples.append(
-            f"a={a.render()}, b={b.render()}: measure ratio "
-            f"{render_ratio(p, q)} != conditional {conditional}")
-    return (p, q), conditional, counterexamples
-
-
-def coherence_check(a: CantorEvent, b: CantorEvent) -> PropertyReport:
-    """Compare the Hausdorff measure ratio with the conditional counting
-    probability; on cylinder events the two are exactly equal."""
-    ratio, conditional, counterexamples = coherence_sides(a, b)
-    witnesses = [f"measure-ratio = {render_ratio(*ratio)}",
-                 f"conditional = {conditional}"]
-    return PropertyReport.from_checks(
-        "cantor-conditional-coherence", cases=1,
-        counterexamples=counterexamples, witnesses=witnesses)
+    if conditional.n == ((p,) if p else ()) and conditional.d == (q,):
+        return []
+    return [f"a={a.render()}, b={b.render()}: measure ratio "
+            f"{render_ratio(p, q)} != conditional {conditional}"]

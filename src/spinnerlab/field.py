@@ -115,12 +115,6 @@ class Poly:
         k = self.ord()
         return self.coeffs[k] if k is not None else Fraction(0)
 
-    def evaluate(self, x: Rat) -> Fraction:
-        x, acc = _frac(x), Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.coeffs == other.coeffs
 

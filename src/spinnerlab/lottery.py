@@ -143,8 +143,8 @@ class CoinEvent:
 
 
 def _render_coin(dropped_prefix: int, pinned: tuple, all_heads: bool) -> str:
-    """A coin constraint's text, as ``parse_query`` reads it; the query
-    renderer calls it too, so a literal renders before it is checked."""
+    """A coin constraint's text, as ``parse_query`` reads it, from its
+    three fields, so a coin literal renders before it is checked."""
     parts = []
     if all_heads:
         parts.append(f"allheads>{dropped_prefix}"
@@ -202,22 +202,9 @@ class RegularityWitness:
     mode: str
     rotation: "Fraction | None" = None
 
-    @property
-    def points(self) -> "tuple[Fraction, ...] | None":
-        """The orbit k/p for k < n < p, built when read; None without one."""
-        if self.rotation is None:
-            return None
-        p = self.rotation.denominator
-        return tuple(Fraction(k, p) for k in range(self.n))
-
-    def to_dict(self) -> dict:
-        out = {"n": self.n, "product": render_exact(self.product)}
-        if self.rotation is not None:
-            out["points"] = [str(p) for p in self.points]
-        return out
-
     def json_chunks(self):
-        """The text of ``json.dumps(self.to_dict())`` in pieces, the orbit
+        """The witness as one JSON object, in pieces: ``n``, ``product`` and,
+        with a rotation 1/p, ``points``, the orbit k/p for k < n as text,
         written _ORBIT_BLOCK points at a time.  p is a prime above n, so
         each point k/p is already in lowest terms and no Fraction is built."""
         head = json.dumps({"n": self.n,

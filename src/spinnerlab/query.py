@@ -53,7 +53,6 @@ builder for each model.  Every model's ``P(A | B)`` is
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
@@ -63,10 +62,10 @@ from typing import Union
 from .cantor import CantorEvent, _is_address, cantor_probability
 from .errors import DomainError, ParseError, QueryTypeError
 from .field import (TokenCursor, Value, classify, compare_values,
-                    render_exact, render_ratio, standard_part)
+                    render_exact, standard_part)
 from .intervals import (EMPTY_CONDITION, IntervalSet, Ratio, _clean,
                         conditional, lebesgue_length)
-from .lottery import (CoinEvent, _render_coin, coinflip_probability,
+from .lottery import (CoinEvent, coinflip_probability,
                       lottery_ticket_probability)
 from .spinner import grid_probability
 
@@ -379,60 +378,7 @@ def parse_query(text: str) -> Query:
     return _Parser(text).parse_query()
 
 
-# -- rendering ------------------------------------------------------------------
-
-def render_query(q: Query) -> str:
-    return f"{q.model}: {_render_expr(q.expr)}"
-
-
-def _render_expr(e) -> str:
-    if isinstance(e, Prob):
-        if e.given is None:
-            return f"P({render_set(e.event)})"
-        return f"P({render_set(e.event)} | {render_set(e.given)})"
-    if isinstance(e, St):
-        return f"st({_render_expr(e.prob)})"
-    if isinstance(e, ClassifyExpr):
-        return f"classify({_render_expr(e.prob)})"
-    if isinstance(e, CompareExpr):
-        return f"compare({_render_expr(e.left)}, {_render_expr(e.right)})"
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-def _render_literal(part) -> str:
-    if isinstance(part, BraceLit):
-        return "{" + ", ".join(part.items) + "}"
-    left, left_in, right, right_in = part
-    return (f"{'[' if left_in else '('}{render_ratio(*left)},"
-            f"{render_ratio(*right)}{']' if right_in else ')'}")
-
-
-def render_set(node: SetNode) -> str:
-    if isinstance(node, LiteralRun):
-        return " u ".join(map(_render_literal, node.parts))
-    if isinstance(node, FullLit):
-        return "full"
-    if isinstance(node, SetOp):
-        first, rest = _unroll(node)
-        parts = [render_set(first)]
-        for op, operand in rest:
-            parts += ("u" if op == "union" else "n", render_set(operand))
-        return " ".join(parts)
-    if isinstance(node, Complement):
-        return f"compl({render_set(node.arg)})"
-    if isinstance(node, Translate):
-        return f"translate({render_set(node.arg)},{node.offset})"
-    if isinstance(node, CoinLit):
-        return _render_coin(node.dropped, node.pins, node.all_heads)
-    if isinstance(node, TicketLit):
-        return "ticket" if node.count is None else f"tickets({node.count})"
-    raise TypeError(f"not a set node: {node!r}")
-
-
 # -- evaluation -----------------------------------------------------------------
-
-_POINT_RE = re.compile(r"\d+(?:/\d+)?$")
-
 
 def _fold(node: SetNode, leaf):
     """The set of ``node``, built by ``leaf`` but for chains and ``compl``:
@@ -477,9 +423,6 @@ def _interval_leaf(node: SetNode, model: str) -> IntervalSet:
                         f"brace item {item!r} looks like a cylinder address; "
                         f"cylinder sets belong to the cantor model, not "
                         f"{model}")
-                if not _POINT_RE.fullmatch(item):
-                    raise QueryTypeError(
-                        f"brace item {item!r} is not a rational point")
                 p, _, q = item.partition("/")
                 p, q = int(p), int(q or 1)
                 g = gcd(p, q)

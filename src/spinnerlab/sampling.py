@@ -1,4 +1,4 @@
-"""Seeded random generation of exact rational test data.
+"""Seeded random generation of the suites' exact rational cases.
 
 Everything here is driven by a caller-supplied ``random.Random`` so that
 suites and tests are reproducible from a single seed.
@@ -23,11 +23,9 @@ endpoints are, so no endpoint becomes a ``Fraction``.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import DomainError
-from .field import Generator, NonArchValue, Poly, _ratio
 from .intervals import IntervalSet, Ratio, _clean
 
 
@@ -46,7 +44,9 @@ def _below(bits, n: int) -> int:
 
 def _rand_ratio(rng: random.Random, max_den: int,
                 include_one: bool = False) -> Ratio:
-    """``rand_fraction``'s draws as (numerator, denominator), not reduced."""
+    """A rational in [0,1), or [0,1] with ``include_one``, as (numerator,
+    denominator), not reduced: a denominator from 1 to ``max_den``, then a
+    numerator below it (or up to it)."""
     bits = rng.getrandbits
     den = 1 + _below(bits, max(1, max_den))
     return _below(bits, den + 1 if include_one else den), den
@@ -60,14 +60,8 @@ def _reduced(p: int, q: int) -> Ratio:
 
 def _rand_pair(rng: random.Random, max_den: int,
                include_one: bool = False) -> Ratio:
-    """``rand_fraction``'s value as a reduced (p, q), from the same draws."""
+    """``_rand_ratio``'s value as a reduced (p, q), from the same draws."""
     return _reduced(*_rand_ratio(rng, max_den, include_one))
-
-
-def rand_fraction(rng: random.Random, max_den: int,
-                  include_one: bool = False) -> Fraction:
-    """Uniform-ish rational in [0,1) (or [0,1] with include_one)."""
-    return Fraction(*_rand_ratio(rng, max_den, include_one))
 
 
 def rand_interval_set(rng: random.Random, max_components: int,
@@ -107,22 +101,16 @@ def rand_half_open_set(rng: random.Random, max_components: int,
             return IntervalSet._from_cuts(cuts)
 
 
-def repack_half_open(rng: random.Random, total: Fraction,
-                     max_pieces: int) -> IntervalSet:
-    """Disjoint union of [a,b) pieces with the exact prescribed total length.
+def _repack_half_open(rng: random.Random, p: int, q: int,
+                      max_pieces: int) -> IntervalSet:
+    """Disjoint union of [a,b) pieces with the exact total length p/q, in
+    lowest terms; a total outside (0,1] is refused before any draw.
 
-    The pieces split ``total`` at up to k - 1 cuts t*total, t of
+    The pieces split the total at up to k - 1 cuts t*total, t of
     denominator at most 64.  Before each piece is a gap: a share u, of
     denominator at most 16, of the slack 1 - total that the earlier gaps
     left.  Everything is summed as integers over one common denominator.
-    ``total`` is read by ``field._ratio``, the one exact-input rule.
     """
-    return _repack_half_open(rng, *_ratio(total), max_pieces)
-
-
-def _repack_half_open(rng: random.Random, p: int, q: int,
-                      max_pieces: int) -> IntervalSet:
-    """``repack_half_open`` with ``total`` given as its reduced p/q."""
     if not 0 < p <= q:
         raise DomainError("total length must lie in (0,1]")
     k = 1 + _below(rng.getrandbits, max_pieces)
@@ -154,54 +142,16 @@ def _repack_half_open(rng: random.Random, p: int, q: int,
     return IntervalSet._from_cuts(cuts)
 
 
-def rand_poly(rng: random.Random, max_degree: int, max_den: int,
-              max_num: int = 100, nonzero: bool = False) -> Poly:
-    bits = rng.getrandbits
-    while True:
-        coeffs = [Fraction(_below(bits, 2 * max_num + 1) - max_num,
-                           1 + _below(bits, max_den))
-                  for _ in range(_below(bits, max_degree + 1) + 1)]
-        p = Poly(coeffs)
-        if not (nonzero and p.is_zero()):
-            return p
-
-
-def rand_value(rng: random.Random, generator: Generator, max_degree: int = 4,
-               max_den: int = 100) -> NonArchValue:
-    num = rand_poly(rng, max_degree, max_den)
-    den = rand_poly(rng, max_degree, max_den, nonzero=True)
-    return NonArchValue(generator, num, den)
-
-
-def rand_limited_value(rng: random.Random, generator: Generator,
-                       max_degree: int = 4, max_den: int = 100) -> NonArchValue:
-    """Value with nonnegative valuation, so a standard part exists."""
-    num = rand_poly(rng, max_degree, max_den)
-    den = rand_poly(rng, max_degree, max_den, nonzero=True)
-    coeffs = list(den.coeffs)
-    if not coeffs or coeffs[0] == 0:
-        bits = rng.getrandbits
-        const = Fraction(1 + _below(bits, 100), 1 + _below(bits, max_den))
-        coeffs = [const] + coeffs[1:] if coeffs else [const]
-    return NonArchValue(generator, num, Poly(coeffs))
-
-
-def rand_grid_points(rng: random.Random, max_size: int,
-                     max_den: int) -> list[Fraction]:
-    """Distinct rationals in [0,1) for a nonempty finite grid.
+def _rand_grid_pairs(rng: random.Random, max_size: int,
+                     max_den: int) -> "set[Ratio]":
+    """Distinct points in [0,1) for a nonempty finite grid, as a set of
+    reduced (p, q): a size from 1 to ``max_size``, then ``_rand_pair``
+    draws until that many are distinct.
 
     [0,1) holds at least ``max_den`` rationals of denominator at most
     ``max_den`` (0 and 1/k for 1 < k <= max_den), and a grid asks for at
     most ``max_size`` of them, so a ``max_size`` above ``max_den`` is
     refused before any draw: it might ask for more than there are."""
-    return sorted([Fraction(p, q)
-                   for p, q in _rand_grid_pairs(rng, max_size, max_den)])
-
-
-def _rand_grid_pairs(rng: random.Random, max_size: int,
-                     max_den: int) -> "set[Ratio]":
-    """``rand_grid_points``' points as a set of reduced (p, q), from the
-    same draws."""
     if max_size > max_den:
         raise DomainError(f"max_size {max_size} exceeds max_den {max_den}: "
                           "the grid might ask for more distinct points "

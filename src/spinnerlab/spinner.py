@@ -66,13 +66,6 @@ class CountForm:
     linear: Fraction
     constant: int
 
-    def __add__(self, other: "CountForm") -> "CountForm":
-        return CountForm(self.linear + other.linear,
-                         self.constant + other.constant)
-
-    def evaluate(self, n: int) -> Fraction:
-        return self.linear * n + self.constant
-
     def render(self) -> str:
         if self.constant < 0:
             return f"{render_exact(self.linear)}*N - {-self.constant}"
@@ -128,16 +121,6 @@ class FiniteGrid:
         if any(a == b for a, b in zip(points, points[1:])):
             raise DomainError("grid points must be distinct")
         object.__setattr__(self, "points", points)
-
-    @classmethod
-    def uniform(cls, n: int) -> "FiniteGrid":
-        """The grid k/n, k < n, for an int n from 1 to MAX_GRID_POINTS."""
-        # k/n for k < n are sorted, distinct and in [0,1) as built, so the
-        # checks of __post_init__ are skipped
-        grid = object.__new__(cls)
-        object.__setattr__(grid, "points", tuple(
-            [Fraction(p, q) for p, q in _uniform_pairs(n)]))
-        return grid
 
 
 def _uniform_pairs(n: int) -> "list[Ratio]":

@@ -83,9 +83,7 @@ def cantor_coherence_suite(config: SuiteConfig) -> PropertyReport:
         (_rand_cantor_event(rng, 4, 6, nonempty=False),
          _rand_cantor_event(rng, 4, 6, nonempty=True))
         for _ in range(config.cases)]
-    # the rule of cantor.coherence_check, without its witness strings
-    counterexamples = [c for a, b in pairs
-                       for c in coherence_sides(a, b)[2]]
+    counterexamples = [c for a, b in pairs for c in coherence_sides(a, b)]
     return _report("cantor-conditional-coherence", len(pairs),
                    counterexamples,
                    ["conditional counting probability equals the measure "
@@ -100,7 +98,7 @@ def _stabilizer_grids(config: SuiteConfig):
     """The stabilizer suite's grids in order, each as (points, order,
     index): every uniform grid k/n, n up to ``max_grid_size``, with its
     order n and index None; then the random grids, order None, drawn from
-    ``config.rng("stabilizer")`` as ``rand_grid_points`` draws them.  The
+    ``config.rng("stabilizer")`` by ``sampling._rand_grid_pairs``.  The
     points are sorted reduced pairs (p, q).  A denominator is at most 40,
     so distinct points differ by more than 2**-64 and the key
     ``(p << 64) // q`` sorts them exactly."""

@@ -14,18 +14,18 @@ from fractions import Fraction as F
 from itertools import product
 from pathlib import Path
 
+from _refs import hausdorff_measure, rand_limited_value, rand_value
 from spinnerlab import cli
 from spinnerlab.cantor import (CANTOR_GENERATOR, CantorEvent,
-                               conditional_probability as cantor_conditional,
-                               hausdorff_measure)
+                               cantor_probability)
 from spinnerlab.field import Generator, NonArchValue, Ordering, compare_values
-from spinnerlab.intervals import (IntervalSet, dyadic_tail_family,
-                                  lebesgue_length, sigma_additivity_probe)
+from spinnerlab.intervals import (EMPTY_CONDITION, IntervalSet, conditional,
+                                  dyadic_tail_family, lebesgue_length,
+                                  sigma_additivity_probe)
 from spinnerlab.lottery import (CoinEvent, archimedean_regularity_witness,
                                 coinflip_probability)
-from spinnerlab.sampling import (rand_fraction, rand_interval_set,
-                                 rand_limited_value, rand_value,
-                                 repack_half_open, rand_half_open_set)
+from spinnerlab.sampling import (_rand_ratio, _repack_half_open,
+                                 rand_interval_set, rand_half_open_set)
 from spinnerlab.spinner import (SPINNER_GENERATOR, FiniteGrid,
                                 finite_grid_stabilizer, grid_probability)
 
@@ -94,7 +94,7 @@ def test_criterion_03_point_regularity_with_contrast():
     failures = []
     rng = random.Random("acceptance-3")
     for i in range(200):
-        x = rand_fraction(rng, 50)
+        x = F(*_rand_ratio(rng, 50))
         p = grid_probability(IntervalSet.point(x))
         if p != EPS or p.classify().render() != "infinitesimal-positive":
             failures.append(f"x={x}: grid P={p}")
@@ -110,7 +110,7 @@ def test_criterion_04_rational_rotation_invariance():
     rng = random.Random("acceptance-4")
     for i in range(500):
         a = rand_interval_set(rng, 5, 50)
-        q = rand_fraction(rng, 50)
+        q = F(*_rand_ratio(rng, 50))
         if grid_probability(a.translate_mod1(q)) != grid_probability(a):
             failures.append(f"case {i}: A={a.render()}, q={q}")
     _finish(4, "rational rotation invariance (500 pairs)", failures, started)
@@ -122,7 +122,7 @@ def test_criterion_05_half_open_uniformity():
     rng = random.Random("acceptance-5")
     for i in range(300):
         a = rand_half_open_set(rng, 4, 50)
-        b = repack_half_open(rng, a.length, 4)
+        b = _repack_half_open(rng, *a._length_ratio(), 4)
         pa = grid_probability(a)
         pb = grid_probability(b)
         la = NonArchValue.constant(SPINNER_GENERATOR, a.length)
@@ -145,7 +145,7 @@ def test_criterion_06_stabilizers_cyclic_with_witnesses():
     started = time.perf_counter()
     failures = []
     for n in range(1, 25):
-        grid = FiniteGrid.uniform(n)
+        grid = FiniteGrid(tuple(F(k, n) for k in range(n)))
         res = finite_grid_stabilizer(grid)
         if res.order != n:
             failures.append(f"uniform n={n}: order {res.order}")
@@ -160,7 +160,7 @@ def test_criterion_06_stabilizers_cyclic_with_witnesses():
         size = rng.randint(1, 12)
         pts = set()
         while len(pts) < size:
-            pts.add(rand_fraction(rng, 40))
+            pts.add(F(*_rand_ratio(rng, 40)))
         grid = FiniteGrid(tuple(pts))
         try:
             res = finite_grid_stabilizer(grid)
@@ -182,7 +182,7 @@ def test_criterion_07_overflow_witnesses():
             failures.append(f"eps={eps}: bounds fail for n={w.n}")
         o = archimedean_regularity_witness(eps, "rational_orbit")
         if eps >= F(1, 1000):
-            pairs = {(p.numerator, p.denominator) for p in o.points}
+            pairs = {k * o.rotation % 1 for k in range(o.n)}
             if len(pairs) != o.n:
                 failures.append(f"eps={eps}: orbit not pairwise distinct")
         # the orbit as the CLI streams it, "0" then "k/p", read back as
@@ -226,7 +226,7 @@ def test_criterion_09_cantor_coherence():
 
     def check(a: CantorEvent, b: CantorEvent) -> bool:
         want = hausdorff_measure(a & b) / hausdorff_measure(b)
-        got = cantor_conditional(a, b)
+        got = conditional(cantor_probability, a, b, EMPTY_CONDITION)
         return got == NonArchValue.constant(CANTOR_GENERATOR, want)
 
     singles = [""] + ["".join(t) for d in range(1, 6)

@@ -11,11 +11,12 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from _refs import coherence_check, hausdorff_measure
 from spinnerlab.cantor import (CANTOR_GENERATOR, CantorEvent,
-                               cantor_probability, coherence_check,
-                               conditional_probability, hausdorff_measure)
+                               cantor_probability)
 from spinnerlab.errors import DomainError
 from spinnerlab.field import NonArchValue
+from spinnerlab.intervals import EMPTY_CONDITION, conditional
 
 
 def all_addresses(depth):
@@ -162,7 +163,8 @@ def test_coherence_rejects_empty_condition():
     with pytest.raises(DomainError):
         coherence_check(CantorEvent.full(), CantorEvent.empty())
     with pytest.raises(DomainError):
-        conditional_probability(CantorEvent.full(), CantorEvent.empty())
+        conditional(cantor_probability, CantorEvent.full(),
+                    CantorEvent.empty(), EMPTY_CONDITION)
 
 
 def test_intersection_by_prefix_logic():
@@ -196,7 +198,7 @@ def test_conditional_matches_counting_oracle():
     for _ in range(200):
         a = rand_event(rng, 3, 5)
         b = rand_event(rng, 3, 5, nonempty=True)
-        got = conditional_probability(a, b)
+        got = conditional(cantor_probability, a, b, EMPTY_CONDITION)
         want = counting_fraction(a & b, 6) / counting_fraction(b, 6)
         assert got == NonArchValue.constant(CANTOR_GENERATOR, want)
 

@@ -352,8 +352,8 @@ def test_digit_limit_inputs_print_exactly_or_fail_cleanly():
         code, out, err = run_cli("witness", "--prop", prop, "--eps", eps)
         assert (code, err) == (0, "")
         assert json.loads(out)["product"] == product
-    assert archimedean_regularity_witness(
-        parse_rational(eps)).to_dict() == {"n": 10, "product": product}
+    assert json.loads("".join(archimedean_regularity_witness(
+        parse_rational(eps)).json_chunks())) == {"n": 10, "product": product}
     code, out, _ = run_cli("stabilizer", "--grid", f"1/{'9' * 4300}")
     assert code == 0
     assert json.loads(out)["witness_image"].endswith(f"/1{'9' * 4299}8")
@@ -401,6 +401,27 @@ def test_stabilizer_of_coprime_prime_denominators_in_bounded_time():
     assert data["witness_point"] == first
     assert parse_rational(data["witness_image"]) \
         == parse_rational(first) + Fraction(1, 2)
+
+
+def test_endpoints_over_denominators_above_2_32_order_exactly():
+    # such endpoints can share a cut's integer key, so their order falls
+    # back to the exact order of their (p, q) pairs, p1*q2 against p2*q1;
+    # so do endpoints that a translate wraps past 1: the wrapped start has
+    # the larger numerator and the smaller value of two tied keys
+    values = {
+        "grid: P(compl([1/36893488147419103233,1/36893488147419103232) u "
+        "(1/36893488147419103232, 1/36893488147419103231]))":
+            "value: 1361129467683753853853498429727072845821/"
+            "1361129467683753853853498429727072845823",
+        "grid: P(translate([73786976329197944837/147573952589676412934,1), "
+        "1/2) n [0,2863311531/12297829382473034411])":
+            "value: 12297829385336345942/"
+            "907419645122502569297154766730413735937 + eps",
+    }
+    for query, value in values.items():
+        code, out, err = run_cli("eval", query)
+        assert (code, err) == (0, ""), query
+        assert out.splitlines()[0] == value, query
 
 
 def test_long_set_chains_evaluate_without_recursion():

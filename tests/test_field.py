@@ -6,6 +6,7 @@ x below an explicit threshold derived from the coefficients, so we
 evaluate and compare signs.
 """
 
+import ast
 import math
 import random
 import re
@@ -19,6 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spinnerlab
+from _refs import rand_limited_value, rand_value
 from spinnerlab.cantor import CantorEvent, cantor_probability
 from spinnerlab.errors import DomainError, GeneratorMismatchError, ParseError
 from spinnerlab.field import (MAX_NUMERAL_DIGITS, Generator, Kind,
@@ -33,9 +35,8 @@ from spinnerlab.lottery import (CoinEvent, archimedean_regularity_witness,
                                 lottery_ticket_probability)
 from spinnerlab import query
 from spinnerlab.query import parse_query
-from spinnerlab.sampling import (rand_interval_set, rand_limited_value,
-                                 rand_value, repack_half_open)
-from spinnerlab.spinner import (FiniteGrid, SuiteConfig,
+from spinnerlab.sampling import rand_interval_set
+from spinnerlab.spinner import (FiniteGrid, SuiteConfig, _uniform_pairs,
                                 finite_grid_stabilizer, grid_probability)
 
 G = Generator("eps")
@@ -60,12 +61,20 @@ def _sign_threshold(p: Poly) -> F:
     return min(F(1, 2), low / (low + rest))
 
 
+def poly_at(p: Poly, x: F) -> F:
+    """The polynomial's value at x, by Horner's rule."""
+    acc = F(0)
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
 def oracle_sign(v: NonArchValue) -> int:
     """Sign near 0+ by direct substitution below the safe threshold."""
     if v.is_zero():
         return 0
     x = min(_sign_threshold(v.num), _sign_threshold(v.den)) / 2
-    value = v.num.evaluate(x) / v.den.evaluate(x)
+    value = poly_at(v.num, x) / poly_at(v.den, x)
     return (value > 0) - (value < 0)
 
 
@@ -602,10 +611,7 @@ EXACT_INPUTS = [
         id="FiniteGrid"),
     pytest.param(lambda x: archimedean_regularity_witness(x).n, 1,
                  id="archimedean_regularity_witness"),
-    pytest.param(lambda x: repack_half_open(random.Random(0), x, 3).length,
-                 1, id="repack_half_open"),
     pytest.param(lambda x: Poly([x, 1]), 2, id="Poly"),
-    pytest.param(Poly([1, 2]).evaluate, 3, id="Poly.evaluate"),
     pytest.param(standard_part, 2, id="standard_part"),
     pytest.param(classify, -2, id="classify"),
 ]
@@ -634,8 +640,8 @@ def test_every_exact_input_refuses_other_types(call, exact, other):
 # use and an int it accepts: each reads it by the one count rule, so a bool,
 # a float or text is a DomainError that names the input
 COUNT_INPUTS = [
-    pytest.param(FiniteGrid.uniform, "uniform grid size n", 3,
-                 id="FiniteGrid.uniform"),
+    pytest.param(_uniform_pairs, "uniform grid size n", 3,
+                 id="_uniform_pairs"),
     pytest.param(lottery_ticket_probability, "ticket count", 2,
                  id="lottery_ticket_probability"),
     pytest.param(dyadic_tail_family, "family index n", 2,
@@ -671,10 +677,9 @@ def test_every_count_input_is_an_int(call, name, count, other):
 NO_NUMBER = {
     "DomainError", "GeneratorMismatchError", "ParseError", "QueryTypeError",
     "Kind", "Ordering", "Sign", "Generator", "GridModel", "CantorEvent",
-    "parse_query", "parse_set", "parse_value", "render_query", "evaluate",
-    "cantor_probability", "coherence_check", "hausdorff_measure",
-    "coinflip_probability", "grid_count", "grid_probability",
-    "lebesgue_length", "finite_grid_stabilizer", "run_property_suite",
+    "parse_query", "parse_set", "parse_value", "evaluate",
+    "cantor_probability", "coinflip_probability", "grid_count",
+    "grid_probability", "lebesgue_length", "finite_grid_stabilizer", "run_property_suite",
 }
 # the result records that the library builds and callers only read
 RECORDS = {"RegularityWitness", "StabilizerResult", "CountForm",
@@ -692,6 +697,39 @@ def test_every_public_callable_reads_numbers_by_one_rule():
     assert not unlisted, unlisted
     stale = (NO_NUMBER | RECORDS) - set(spinnerlab.__all__)
     assert not stale and not (NO_NUMBER | RECORDS) & tables, stale
+
+
+def _identifiers(path: Path) -> set:
+    """The names and attribute names a module refers to, each top-level
+    definition's own name left out of its body."""
+    names = set()
+    for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        own = getattr(top, "name", None)
+        for node in ast.walk(top):
+            word = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else None)
+            if word is not None and word != own:
+                names.add(word)
+    return names
+
+
+def test_every_public_name_has_a_user_outside_the_tests():
+    """Each export is referred to by another library module, by a benchmark
+    module, or by a backticked mention in the README: a name that only the
+    tests call belongs in the tests."""
+    root = Path(__file__).resolve().parents[1]
+    users = set()
+    for path in (root / "src" / "spinnerlab").glob("*.py"):
+        if path.name != "__init__.py":
+            users |= _identifiers(path)
+    for path in (root / "perfbench").glob("*.py"):
+        if not path.name.startswith("test_"):
+            users |= _identifiers(path)
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    for span in re.findall(r"`([^`\n]+)`", readme):
+        users |= set(re.findall(r"\w+", span))
+    unused = [name for name in spinnerlab.__all__ if name not in users]
+    assert not unused, unused
 
 
 # -- the one-split lexer against the finditer lexer it replaced ------------------

@@ -10,15 +10,15 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from _refs import render_query, render_set
 from spinnerlab import cantor, intervals, query, spinner
 from spinnerlab.errors import DomainError, ParseError, QueryTypeError
 from spinnerlab.field import NonArchValue
 from spinnerlab.query import (BraceLit, CoinLit, Complement, CompareExpr,
                               EvalResult, FullLit, LiteralRun, Prob, Query,
                               SetOp, St, TicketLit, Translate, evaluate,
-                              evaluate_value, parse_query, render_query,
-                              render_set, _to_cantor_event, _to_interval_set,
-                              _unroll)
+                              evaluate_value, parse_query, _to_cantor_event,
+                              _to_interval_set, _unroll)
 from spinnerlab.spinner import SPINNER_GENERATOR
 
 
@@ -793,7 +793,8 @@ def test_query_conditionals_equal_the_kernel_conditionals():
              partial(intervals.conditional, spinner.grid_probability,
                      null_message=intervals.EMPTY_CONDITION)),
             ("cantor", _rand_cantor_operand, _to_cantor_event,
-             cantor.conditional_probability)):
+             partial(intervals.conditional, cantor.cantor_probability,
+                     null_message=intervals.EMPTY_CONDITION))):
         for _ in range(200):
             a, b = (" u ".join(operand(rng)
                                for _ in range(rng.randint(1, 3)))

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from spinnerlab import cantor, sampling, spinner, suites
+from _refs import coherence_check, hausdorff_measure
+from spinnerlab import cantor, spinner, suites
 from spinnerlab.cantor import CantorEvent
 from spinnerlab.errors import DomainError
 from spinnerlab.field import NonArchValue
@@ -180,7 +181,7 @@ def _skewed(e):
     # hausdorff_measure would not do: the conditional and the ratio both
     # divide its values on a & b and on b, so the skew would cancel.
     return NonArchValue.constant(
-        cantor.CANTOR_GENERATOR, cantor.hausdorff_measure(e) + F(1, 997))
+        cantor.CANTOR_GENERATOR, hausdorff_measure(e) + F(1, 997))
 
 
 def _recording_coherence(monkeypatch):
@@ -201,7 +202,7 @@ def test_coherence_sweep_reports_what_coherence_check_reports(monkeypatch):
     pairs = _recording_coherence(monkeypatch)
     report = suites.cantor_coherence_suite(small_config())
     expected = [c for a, b in pairs for c in
-                cantor.coherence_check(a, b).counterexamples]
+                coherence_check(a, b).counterexamples]
     assert len(pairs) == report.cases == 15 * 15 + 30
     assert 0 < len(expected) < len(pairs)
     assert report.verdict == "fail"
@@ -223,7 +224,7 @@ def coherence_texts(seed: int) -> dict:
         report = suites.cantor_coherence_suite(SuiteConfig(seed=seed))
     return {"seed": seed, "counterexamples": report.counterexamples,
             "witnesses": [w for a, b in pairs
-                          for w in cantor.coherence_check(a, b).witnesses]}
+                          for w in coherence_check(a, b).witnesses]}
 
 
 @pytest.mark.parametrize(
@@ -272,7 +273,7 @@ def _ref_grid_points(rng) -> list:
 @pytest.mark.parametrize("seed", [0, 1, 5, 17])
 def test_stabilizer_grids_are_the_drawn_grids(seed):
     # the suite's grids as integer pairs are the uniform grids k/n and the
-    # Fractions of rand_grid_points, drawn in the same order and sorted
+    # grids the randint reference draws, in the same order and sorted
     config = SuiteConfig(seed=seed, cases=120)
     grids = list(suites._stabilizer_grids(config))
     assert [(pts, order) for pts, order, i in grids if i is None] == [
@@ -284,9 +285,7 @@ def test_stabilizer_grids_are_the_drawn_grids(seed):
     points = [[F(*x) for x in pts] for pts, _, _ in drawn]
     assert all(F(*x).as_integer_ratio() == x for pts, _, _ in drawn
                for x in pts)
-    rng, ref = config.rng("stabilizer"), config.rng("stabilizer")
-    assert points == [sampling.rand_grid_points(rng, 12, 40)
-                      for _ in points]
+    ref = config.rng("stabilizer")
     assert points == [_ref_grid_points(ref) for _ in points]
 
 
