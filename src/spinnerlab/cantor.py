@@ -43,7 +43,12 @@ class CantorEvent:
             raise DomainError("cylinder addresses must be a list of "
                               "strings, not one string")
         addresses = list(addresses)
-        text = "".join(addresses)
+        try:
+            text = "".join(addresses)
+        except TypeError:
+            bad = next(a for a in addresses if not isinstance(a, str))
+            raise DomainError(f"cylinder addresses must be strings, got "
+                              f"{type(bad).__name__}") from None
         if not _is_address(text):
             bad = next(a for a in addresses if not _is_address(a))
             raise DomainError(f"invalid cylinder address {bad!r}: "

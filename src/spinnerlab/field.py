@@ -104,17 +104,6 @@ class Poly:
         """Degree, or -1 for the zero polynomial."""
         return len(self.coeffs) - 1
 
-    def ord(self) -> "int | None":
-        """Least exponent carrying a nonzero coefficient; None for zero."""
-        for k, c in enumerate(self.coeffs):
-            if c:
-                return k
-        return None
-
-    def low_coeff(self) -> Fraction:
-        k = self.ord()
-        return self.coeffs[k] if k is not None else Fraction(0)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.coeffs == other.coeffs
 

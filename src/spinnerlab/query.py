@@ -38,7 +38,11 @@ run of ``u`` operands starts (at the start of a set and after each ``u``,
 not after ``n``) become one :class:`LiteralRun` node; a lone literal is a
 run of one.  A run is built as one set, so a long union of literals costs
 one merge.  Endpoints and brace items are validated at evaluation, in
-operand order, so the first bad part of a run names the error.
+operand order, so the first bad part of a run names the error.  A set
+with a ``u`` or ``n`` is one flat :class:`SetChain` node, its operands in
+order; a set without one is its lone operand.  Only ``compl`` and
+``translate`` nest a set, at most 64 deep, so a parsed query of any length
+the parser accepts compares, hashes and prints.
 
 The models are the rows of one table, ``_RULES``, and ``MODELS`` is its
 keys: a row names the model's event builder, its probability and its
@@ -95,10 +99,11 @@ class FullLit:
 
 
 @dataclass(frozen=True)
-class SetOp:
-    op: str  # "union" | "intersect"
-    left: "SetNode"
-    right: "SetNode"
+class SetChain:
+    """A ``u``/``n`` chain, flat: its first operand, then each (op, operand)
+    pair in order, op the word "u" or "n"."""
+    first: "SetNode"
+    rest: tuple[tuple[str, "SetNode"], ...]
 
 
 @dataclass(frozen=True)
@@ -124,20 +129,8 @@ class TicketLit:
     count: "int | None"  # None means a single ticket
 
 
-SetNode = Union[LiteralRun, FullLit, SetOp, Complement, Translate, CoinLit,
+SetNode = Union[LiteralRun, FullLit, SetChain, Complement, Translate, CoinLit,
                 TicketLit]
-
-
-def _unroll(node: SetOp) -> tuple[SetNode, list[tuple[str, SetNode]]]:
-    """The first operand of a left-nested ``SetOp`` chain, then its
-    (operator, operand) pairs in order: a loop over the left spine, so no
-    walk over a chain recurses once per operand."""
-    rest = []
-    while isinstance(node, SetOp):
-        rest.append((node.op, node.right))
-        node = node.left
-    rest.reverse()
-    return node, rest
 
 
 @dataclass(frozen=True)
@@ -230,15 +223,15 @@ class _Parser(TokenCursor):
         return Prob(event, given)
 
     def parse_set(self) -> SetNode:
-        node = self.parse_atom()
-        words = self.words
+        """A lone operand, or the SetChain of a set with an operator."""
+        first = self.parse_atom()
+        words, rest = self.words, []
         while True:
             op = words[self.pos]
             if op != "u" and op != "n":
-                return node
+                return SetChain(first, tuple(rest)) if rest else first
             self.pos += 1
-            right = self.parse_atom()
-            node = SetOp("union" if op == "u" else "intersect", node, right)
+            rest.append((op, self.parse_atom()))
 
     def parse_atom(self) -> SetNode:
         word = self.peek()
@@ -382,17 +375,17 @@ def parse_query(text: str) -> Query:
 
 def _fold(node: SetNode, leaf):
     """The set of ``node``, built by ``leaf`` but for chains and ``compl``:
-    ``A u B n C`` is ``(A u B) n C``, operands are built in order so the
-    first bad one names the error, and each maximal ``u`` run is one union."""
+    a SetChain's operands are read in one loop over its pairs, ``A u B n C``
+    is ``(A u B) n C``, operands are built in order so the first bad one
+    names the error, and each maximal ``u`` run is one union."""
     if isinstance(node, Complement):
         return _fold(node.arg, leaf).complement()
-    if not isinstance(node, SetOp):
+    if not isinstance(node, SetChain):
         return leaf(node)
-    first, rest = _unroll(node)
-    event, run = None, [_fold(first, leaf)]
-    for op, operand in rest:
+    event, run = None, [_fold(node.first, leaf)]
+    for op, operand in node.rest:
         part = _fold(operand, leaf)
-        if op == "union":
+        if op == "u":
             run.append(part)
         else:
             event = _join(event, run) & part
@@ -486,10 +479,11 @@ def _to_coin_event(node: SetNode) -> CoinEvent:
         if len(pins) < len(set(node.pins)):
             return replace(event, contradictory=True)
         return event
-    first, rest = _unroll(node) if isinstance(node, SetOp) else (node, [])
+    first, rest = (node.first, node.rest) if isinstance(node, SetChain) \
+        else (node, ())
     # a run of two or more literals is a union
     if (isinstance(first, LiteralRun) and len(first.parts) > 1
-            or any(op == "union" for op, _ in rest)):
+            or any(op == "u" for op, _ in rest)):
         raise QueryTypeError("union of coin events is not supported; "
                              "only intersection is defined")
     if not rest:

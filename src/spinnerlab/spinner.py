@@ -233,7 +233,8 @@ _CONFIG_RANGES = {"seed": (-math.inf, math.inf),
 
 def _setting(key: str, value, name: str) -> int:
     """A config value: an int by the one count rule, in its key's range in
-    ``_CONFIG_RANGES``; ``name`` is what a refusal calls it."""
+    ``_CONFIG_RANGES`` and of at most as many digits as ``str`` prints;
+    ``name`` is what a refusal calls it."""
     if key not in _CONFIG_RANGES:
         raise AttributeError(f"SuiteConfig has no setting {key!r}")
     lo, hi = _CONFIG_RANGES[key]
@@ -241,6 +242,10 @@ def _setting(key: str, value, name: str) -> int:
         raise DomainError(f"{name} must be at least {lo}")
     if value > hi:
         raise DomainError(f"{name} must be at most {hi}")
+    # compared with a bound, as str() of a longer int raises
+    if abs(value) >= 10 ** MAX_NUMERAL_DIGITS:
+        raise DomainError(f"{name} must be at most {MAX_NUMERAL_DIGITS} "
+                          f"digits long")
     return value
 
 

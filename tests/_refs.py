@@ -17,7 +17,7 @@ from spinnerlab.intervals import EMPTY_CONDITION, conditional
 from spinnerlab.lottery import RegularityWitness, _render_coin
 from spinnerlab.query import (BraceLit, ClassifyExpr, CoinLit, CompareExpr,
                               Complement, FullLit, LiteralRun, Prob, Query,
-                              SetOp, St, TicketLit, Translate, _unroll)
+                              SetChain, St, TicketLit, Translate)
 from spinnerlab.report import PropertyReport
 from spinnerlab.sampling import _below
 
@@ -126,11 +126,10 @@ def render_set(node) -> str:
         return " u ".join(map(_render_literal, node.parts))
     if isinstance(node, FullLit):
         return "full"
-    if isinstance(node, SetOp):
-        first, rest = _unroll(node)
-        parts = [render_set(first)]
-        for op, operand in rest:
-            parts += ("u" if op == "union" else "n", render_set(operand))
+    if isinstance(node, SetChain):
+        parts = [render_set(node.first)]
+        for op, operand in node.rest:
+            parts += (op, render_set(operand))
         return " ".join(parts)
     if isinstance(node, Complement):
         return f"compl({render_set(node.arg)})"

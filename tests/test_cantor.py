@@ -76,6 +76,10 @@ def test_rejects_bad_addresses():
         CantorEvent(("01",))
     with pytest.raises(DomainError):
         CantorEvent(("x",))
+    with pytest.raises(DomainError, match="must be strings, got int$"):
+        CantorEvent(["0", 2])
+    with pytest.raises(DomainError, match="must be strings, got NoneType$"):
+        CantorEvent([None])
 
 
 def test_one_string_is_refused_not_read_digit_by_digit():

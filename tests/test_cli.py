@@ -439,3 +439,34 @@ def test_long_set_chains_evaluate_without_recursion():
         code, out, err = run_cli("eval", query)
         assert (code, err) == (0, ""), (query[:40], err[-300:])
         assert out.splitlines()[0] == value, query[:40]
+
+
+# hostile-size chains: each must evaluate in near-linear time
+@pytest.mark.parametrize("text, first_line", [
+    # an 8000-operand chain that alternates u and n (83 KB): the set grows
+    # by one point per step
+    ("grid: P(" + " u ".join(f"{{{i}/4000}} n full" for i in range(4000))
+     + ")", "value: 4000*eps"),
+    # a 4000-operand cantor chain that alternates u and n (104 KB):
+    # cylinder events are integer cut pairs
+    ("cantor: P(" + " u ".join(
+        f"{{{format(2 * i, '014b').replace('1', '2')}}} n full"
+        for i in range(4000)) + ")", "value: 125/512"),
+    # a 9000-operand pin chain (124,903 bytes) is one n-ary conjunction
+    ("coinflip: P(" + " n ".join(f"pin({i}:H)" for i in range(1, 9001))
+     + ")", f"value: 1/{2 ** 9000}"),
+    # a u run of 4000 interval literals is one LiteralRun, built as one set
+    ("grid: P(" + " u ".join(f"[{2 * i}/8000,{2 * i + 1}/8000]"
+                             for i in range(4000)) + ")",
+     "value: 1/2 + 4000*eps"),
+    # so is a 4000-operand run that alternates interval literals and brace
+    # lists
+    ("grid: P(" + " u ".join(
+        f"[{4 * i}/16000,{4 * i + 1}/16000) u {{{4 * i + 2}/16000}}"
+        for i in range(2000)) + ")", "value: 1/8 + 2000*eps"),
+], ids=["grid-alternating", "cantor-alternating", "coinflip-pins",
+        "grid-interval-run", "grid-mixed-run"])
+def test_hostile_size_chains_evaluate_in_bounded_time(text, first_line):
+    code, out, err = run_cli("eval", text, timeout=20)
+    assert (code, err) == (0, ""), err[-300:]
+    assert out.splitlines()[0] == first_line

@@ -16,9 +16,9 @@ from spinnerlab.errors import DomainError, ParseError, QueryTypeError
 from spinnerlab.field import NonArchValue
 from spinnerlab.query import (BraceLit, CoinLit, Complement, CompareExpr,
                               EvalResult, FullLit, LiteralRun, Prob, Query,
-                              SetOp, St, TicketLit, Translate, evaluate,
+                              SetChain, St, TicketLit, Translate, evaluate,
                               evaluate_value, parse_query, _to_cantor_event,
-                              _to_interval_set, _unroll)
+                              _to_interval_set)
 from spinnerlab.spinner import SPINNER_GENERATOR
 
 
@@ -190,18 +190,27 @@ def _run_parts(node):
     return node.parts if isinstance(node, LiteralRun) else ()
 
 
+def chain(left, op, right):
+    """``left op right`` as one flat SetChain: a chain ``left`` is
+    extended, any other node is its first operand."""
+    if isinstance(left, SetChain):
+        return SetChain(left.first, left.rest + ((op, right),))
+    return SetChain(left, ((op, right),))
+
+
 def canonical_union(left, right):
     """The node the parser builds for ``left u right``: where a run of u
     operands starts (a chain's first operand, or one after u), literals
     joined by u are one LiteralRun."""
     if isinstance(right, LiteralRun):
-        if not isinstance(left, SetOp) and _run_parts(left):
+        if _run_parts(left):
             return LiteralRun(_run_parts(left) + _run_parts(right))
-        if isinstance(left, SetOp) and left.op == "union" \
-                and _run_parts(left.right):
-            return SetOp("union", left.left, LiteralRun(
-                _run_parts(left.right) + _run_parts(right)))
-    return SetOp("union", left, right)
+        if isinstance(left, SetChain):
+            op, last = left.rest[-1]
+            if op == "u" and _run_parts(last):
+                return SetChain(left.first, left.rest[:-1] + (
+                    ("u", LiteralRun(_run_parts(last) + _run_parts(right))),))
+    return chain(left, "u", right)
 
 
 def gen_interval_set(rng, depth):
@@ -217,7 +226,7 @@ def gen_interval_set(rng, depth):
     right = gen_interval_set(rng, 0)
     if kind == 2:
         return canonical_union(left, right)
-    return SetOp("intersect", left, right)
+    return chain(left, "n", right)
 
 
 def gen_cantor_set(rng, depth):
@@ -231,7 +240,7 @@ def gen_cantor_set(rng, depth):
     left = gen_cantor_set(rng, depth - 1)
     if kind == 1:
         return canonical_union(left, rng.choice(atoms))
-    return SetOp("intersect", left, rng.choice(atoms))
+    return chain(left, "n", rng.choice(atoms))
 
 
 def gen_query(rng):
@@ -269,33 +278,57 @@ def test_render_parse_round_trip_to_depth_5():
 
 def test_render_parse_round_trip_of_non_canonical_chains():
     # a chain of literals built pair by pair renders as the run the parser
-    # reads back: the text and the value survive, the tree shape need not
+    # reads back: the text and the value survive, the runs need not
     rng = random.Random(77)
     atoms = INTERVAL_ATOMS + [interval_lit(F(1, 5), True, F(1, 5), True)]
     runs = 0
     for _ in range(300):
         node = rng.choice(atoms)
         for _ in range(rng.randint(1, 12)):
-            node = SetOp(rng.choice(("union", "union", "intersect")), node,
-                         rng.choice(atoms))
+            node = chain(node, rng.choice("uun"), rng.choice(atoms))
         text = f"grid: P({render_set(node)})"
         parsed = parse_query(text)
-        first, rest = _unroll(parsed.expr.event)
-        runs += any(len(_run_parts(operand)) > 1
-                    for operand in [first, *(o for _, o in rest)])
+        event = parsed.expr.event
+        operands = ([event.first, *(o for _, o in event.rest)]
+                    if isinstance(event, SetChain) else [event])
+        runs += any(len(_run_parts(operand)) > 1 for operand in operands)
         assert render_query(parsed) == text
         assert evaluate(parsed) == evaluate(Query("grid", Prob(node)))
     assert runs > 50
 
 
-def test_render_parse_round_trip_of_a_5000_operand_chain():
+def _mixed_chain_text():
+    """A 5000-operand grid chain of random operators and atoms."""
     rng = random.Random(75)
     atoms = ("[0,1/2)", "(1/3,2/3]", "{1/3}", "{0, 1/2, 3/4}", "full",
              "compl([0,1/2) n {1/3})", "translate(full,-1/8)")
-    text = "grid: P(" + rng.choice(atoms) + "".join(
+    return "grid: P(" + rng.choice(atoms) + "".join(
         f" {rng.choice('un')} {rng.choice(atoms)}" for _ in range(4999)) + ")"
-    # compared as text: dataclass == on a 5000-deep tree would recurse
+
+
+def _alternating_chain_text():
+    """An 8000-operand grid chain that alternates u and n (83 KB)."""
+    return "grid: P(" + " u ".join(
+        f"{{{i}/4000}} n full" for i in range(4000)) + ")"
+
+
+def test_render_parse_round_trip_of_a_5000_operand_chain():
+    text = _mixed_chain_text()
     assert render_query(parse_query(text)) == text
+
+
+@pytest.mark.parametrize("make_text",
+                         [_mixed_chain_text, _alternating_chain_text])
+def test_a_long_chain_compares_hashes_and_prints(make_text):
+    # a chain is one flat node, so ==, hash and repr walk its operands in a
+    # loop and do not recurse once per operand
+    text = make_text()
+    q, again = parse_query(text), parse_query(text)
+    assert q is not again and q == again
+    assert hash(q) == hash(again)
+    assert repr(q) == repr(again)
+    assert eval(repr(q), {**vars(query), "Fraction": F}) == q
+    assert q != parse_query(text.replace(" n ", " u ", 1))
 
 
 # -- a u run of literals is one node ---------------------------------------------
@@ -313,13 +346,12 @@ def test_a_u_run_of_interval_literals_is_one_node():
     # right: ((a n b) u a) u b
     assert parse_query("grid: P([0,1/4) n (1/3,1/2] u [0,1/4) u (1/3,1/2])"
                        ).expr.event \
-        == SetOp("union",
-                 SetOp("intersect", LiteralRun((a,)), LiteralRun((b,))),
-                 LiteralRun((a, b)))
+        == SetChain(LiteralRun((a,)),
+                    (("n", LiteralRun((b,))), ("u", LiteralRun((a, b)))))
     # and so is a brace list after n
     assert parse_query("cantor: P({0} n {02} u {2})").expr.event \
-        == SetOp("union", SetOp("intersect", brace_lit("0"), brace_lit("02")),
-                 brace_lit("2"))
+        == SetChain(brace_lit("0"),
+                    (("n", brace_lit("02")), ("u", brace_lit("2"))))
     # a literal reads any whitespace between its tokens
     assert parse_query("grid: P(\u3000( 1 /3 ,\xa01/2\t] u [0,1/4))") \
         == parse_query("grid: P((1/3,1/2] u [0,1/4))")

@@ -481,6 +481,9 @@ def test_config_file_round_trip(tmp_path):
      f"max_grid_size must be at most {MAX_SUITE_GRID_SIZE}"),
     ({"max_denominator": 10 ** 18 + 1},
      f"max_denominator must be at most {10 ** 18}"),
+    # repr of an int this long raises, so the case names its id
+    pytest.param({"seed": 10 ** 4300}, "seed must be at most 4300 digits long",
+                 id="{'seed': 10 ** 4300}"),
 ], ids=repr)
 def test_config_settings_are_checked_where_they_are_set(setting, message):
     with pytest.raises(DomainError, match=f"^{message}$"):
