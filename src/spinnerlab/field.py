@@ -616,24 +616,23 @@ _NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
 def render_exact(x) -> str:
-    """``str(x)``, exact even for integers past Python's int->str limit."""
-    try:
+    """The text of an exact value: a NonArchValue as ``str``, an int or a
+    ``Fraction`` by ``render_ratio`` from its numerator and denominator."""
+    if isinstance(x, NonArchValue):
         return str(x)
-    except ValueError:
-        x = Fraction(x)
-        text = str(decimal.Decimal(x.numerator))
-        if x.denominator == 1:
-            return text
-        return f"{text}/{decimal.Decimal(x.denominator)}"
+    return render_ratio(x.numerator, x.denominator)
 
 
 def render_ratio(p: int, q: int) -> str:
-    """The text of p/q, given in lowest terms with q > 0: ``str`` of the
-    ``Fraction``, exact past Python's int->str limit too."""
+    """The text of the rational p/q, given in lowest terms with q > 0, as
+    ``str`` of its ``Fraction`` reads: the one rule every number prints by.
+    Past Python's int->str limit ``decimal`` converts p and q, so the text
+    stays exact; no ``Fraction`` is built and no ``gcd`` taken."""
     try:
         return str(p) if q == 1 else f"{p}/{q}"
     except ValueError:
-        return render_exact(Fraction(p, q))
+        text = str(decimal.Decimal(p))
+        return text if q == 1 else f"{text}/{decimal.Decimal(q)}"
 
 
 def _render_terms(coeffs: tuple, low: int, name: str) -> str:

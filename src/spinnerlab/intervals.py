@@ -73,7 +73,8 @@ is computed once per set, the first time it is read, and kept
 as the reduced pair ``_length_ratio()``, which the grid count reads;
 ``length`` builds one ``Fraction`` from that pair when it is first read,
 and keeps it.  A set builds a ``Fraction`` only when ``length`` or
-``components`` is read.
+``components`` is read; ``render`` prints from the cuts, so it builds
+no ``Piece`` and no ``Fraction``.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .errors import DomainError, ParseError, QueryTypeError
-from .field import _count, _ratio, render_exact, render_ratio
+from .field import _count, _ratio, render_ratio
 from .report import PropertyReport
 
 # a rational as (numerator, denominator) in lowest terms, denominator > 0
@@ -125,7 +126,7 @@ def _pair(p: int, q: int) -> Ratio:
     return (p, q) if q <= _WIDE_DEN else _Wide((p, q))
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Piece:
     """One maximal component: left/right endpoint with inclusion flags."""
 
@@ -133,17 +134,6 @@ class Piece:
     left_in: bool
     right: Fraction
     right_in: bool
-
-    def is_point(self) -> bool:
-        return self.left == self.right
-
-    def render(self) -> str:
-        left = render_exact(self.left)
-        if self.is_point():
-            return f"{{{left}}}"
-        lb = "[" if self.left_in else "("
-        rb = "]" if self.right_in else ")"
-        return f"{lb}{left},{render_exact(self.right)}{rb}"
 
 
 # the cuts at which the sample space [0,1) starts and ends
@@ -432,9 +422,20 @@ class IntervalSet:
         return hash(self.cuts)
 
     def render(self) -> str:
+        """Each component from its cut pair: ``{p/q}`` for a point, else
+        brackets from the two cut flags, its endpoints by ``render_ratio``."""
         if not self.cuts:
             return "∅"
-        return " ∪ ".join(p.render() for p in self.components)
+        parts = []
+        for (_, left, after), (_, right, right_in) in self.cuts:
+            if left == right:
+                parts.append(f"{{{render_ratio(*left)}}}")
+                continue
+            lb = "(" if after else "["
+            rb = "]" if right_in else ")"
+            parts.append(f"{lb}{render_ratio(*left)},"
+                         f"{render_ratio(*right)}{rb}")
+        return " ∪ ".join(parts)
 
     __str__ = render
 
@@ -488,18 +489,20 @@ def sigma_additivity_probe(family: Callable[[int], IntervalSet], depth: int,
     if _count(depth, "depth") < 1:
         raise DomainError("depth must be a positive integer")
     members = [family(i) for i in range(depth + 1)]
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            common = members[i] & members[j]
-            if not common.is_empty():
-                raise DomainError(
-                    f"family members {i} and {j} overlap on {common.render()}")
     claimed = lebesgue_length(claimed_union)
     running = IntervalSet.empty()
     partial_sum = Fraction(0)
     residuals: list[Fraction] = []
     counterexamples: list[str] = []
     for k, m in enumerate(members):
+        # a member disjoint from the union of the earlier ones is disjoint
+        # from each; only an overlap looks up the earliest one it meets
+        if not (running & m).is_empty():
+            for i in range(k):
+                common = members[i] & m
+                if not common.is_empty():
+                    raise DomainError(f"family members {i} and {k} overlap "
+                                      f"on {common.render()}")
         running = running | m
         partial_sum += lebesgue_length(m)
         if lebesgue_length(running) != partial_sum:

@@ -47,15 +47,15 @@ _ORBIT_BLOCK = 4096
 class CoinEvent:
     """Constraint on an unlimited sequence of fair coin tosses.
 
-    ``dropped_prefix`` removes that many tosses from the front;
-    ``pinned`` fixes outcomes at standard positions (``make`` keeps only
-    the pins past the dropped prefix); with ``all_heads``
-    every remaining unpinned toss must come up heads.  ``contradictory``
-    marks a conjunction, or a pin list, whose pins disagreed outright;
-    the constructor sets it when two of its pins give one position two
-    outcomes.  The constructor checks the drop count and every pin, so
-    each way of building an event refuses what ``make`` refuses, with its
-    messages.
+    With ``all_heads``, ``allheads>j`` (``dropped_prefix`` j) asks that
+    tosses j+1, j+2, ... all come up heads and leaves the first j free.
+    ``pinned`` fixes outcomes at standard positions, and every pin is
+    kept: a pin up to j fixes one of the free tosses, and a tails pin past
+    j empties the event.  ``contradictory`` marks a conjunction, or a pin
+    list, whose pins disagreed outright; the constructor sets it when two
+    of its pins give one position two outcomes.  The constructor checks
+    the drop count and every pin, so each way of building an event refuses
+    what ``make`` refuses, with its messages.
     """
 
     dropped_prefix: int = 0
@@ -84,18 +84,14 @@ class CoinEvent:
     def make(cls, dropped_prefix: int = 0,
              pinned: "Mapping[int, str] | None" = None,
              all_heads: bool = False) -> "CoinEvent":
-        # the constructor checks every pin, those inside the prefix too
+        # the constructor checks every pin first, so a bad position is
+        # refused with its message before sorting can fail on it
         pins = cls(dropped_prefix, tuple((pinned or {}).items())).pinned
-        return cls(dropped_prefix, tuple(sorted(
-            p for p in pins if p[0] > dropped_prefix)), all_heads)
+        return cls(dropped_prefix, tuple(sorted(pins)), all_heads)
 
     @classmethod
     def allheads(cls, dropped_prefix: int = 0) -> "CoinEvent":
         return cls.make(dropped_prefix=dropped_prefix, all_heads=True)
-
-    def active_pins(self) -> tuple[tuple[int, str], ...]:
-        """Pins at positions that survive the dropped prefix."""
-        return tuple((p, o) for p, o in self.pinned if p > self.dropped_prefix)
 
     @property
     def consistent(self) -> bool:
@@ -105,7 +101,7 @@ class CoinEvent:
             return False
         if not self.all_heads:
             return True
-        return all(o == "H" for _, o in self.active_pins())
+        return all(o == "H" for p, o in self.pinned if p > self.dropped_prefix)
 
     @classmethod
     def conjunction(cls, events: "Sequence[CoinEvent]") -> "CoinEvent":
@@ -158,18 +154,20 @@ def _render_coin(dropped_prefix: int, pinned: tuple, all_heads: bool) -> str:
 def coinflip_probability(e: CoinEvent) -> NonArchValue:
     """Probability of a coin event in the field over h = (1/2)^K.
 
-    All-heads with j dropped tosses gives 2^j * h; a bare pinned pattern
-    with c pinned positions past the prefix gives the plain rational 2^-c,
-    a position pinned twice to one outcome counted once.  An
-    inconsistent event yields the zero value (check ``e.consistent``)
-    rather than an error.
+    All-heads after j tosses with c distinct positions pinned up to j
+    gives 2^(j-c) * h; a bare pinned pattern over c distinct positions
+    gives the plain rational 2^-c, a position pinned twice to one outcome
+    counted once.  An inconsistent event yields the zero value (check
+    ``e.consistent``) rather than an error.
     """
     if not e.consistent:
         return NonArchValue.constant(COIN_GENERATOR, 0)
     if e.all_heads:
-        return NonArchValue.affine(COIN_GENERATOR, 0, 2 ** e.dropped_prefix)
+        j = e.dropped_prefix
+        c = len({p for p, _ in e.pinned if p <= j})
+        return NonArchValue.affine(COIN_GENERATOR, 0, 2 ** (j - c))
     return NonArchValue.constant(
-        COIN_GENERATOR, Fraction(1, 2 ** len(dict(e.active_pins()))))
+        COIN_GENERATOR, Fraction(1, 2 ** len({p for p, _ in e.pinned})))
 
 
 def lottery_ticket_probability(ticket_count: int) -> NonArchValue:

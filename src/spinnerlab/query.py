@@ -57,7 +57,7 @@ builder for each model.  Every model's ``P(A | B)`` is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import gcd
@@ -471,14 +471,8 @@ def _to_cantor_event(node: SetNode) -> CantorEvent:
 
 def _to_coin_event(node: SetNode) -> CoinEvent:
     if isinstance(node, CoinLit):
-        pins = dict(node.pins)
-        event = CoinEvent.make(dropped_prefix=node.dropped, pinned=pins,
-                               all_heads=node.all_heads)
-        # a pin list is the conjunction of its pins, checked before ``make``
-        # drops those inside the prefix: two outcomes at one position empty it
-        if len(pins) < len(set(node.pins)):
-            return replace(event, contradictory=True)
-        return event
+        # the constructor marks a position given two outcomes
+        return CoinEvent(node.dropped, node.pins, node.all_heads)
     first, rest = (node.first, node.rest) if isinstance(node, SetChain) \
         else (node, ())
     # a run of two or more literals is a union

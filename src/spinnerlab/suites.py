@@ -37,6 +37,7 @@ from itertools import product
 from . import lottery as lottery_mod
 from .cantor import CantorEvent, _event, coherence_sides
 from .errors import DomainError
+from .field import render_ratio
 from .intervals import (IntervalSet, _add, _merge, dyadic_tail_family,
                         sigma_additivity_probe)
 from .report import PropertyReport
@@ -133,7 +134,8 @@ def stabilizer_suite(config: SuiteConfig) -> PropertyReport:
             bad.append("invalid off-grid witness")
         if bad:
             label = (f"uniform n={expect_order}" if i is None else
-                     f"random grid #{i} {[Fraction(*x) for x in pts]}")
+                     f"random grid #{i} "
+                     f"[{', '.join(render_ratio(*x) for x in pts)}]")
             counterexamples += [f"{label}: {text}" for text in bad]
     witnesses = ["every stabilizer was cyclic with a valid off-grid "
                  "rotation witness"]

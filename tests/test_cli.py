@@ -1,9 +1,11 @@
+import hashlib
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,6 +15,7 @@ import spinnerlab
 from spinnerlab.errors import DomainError
 from spinnerlab.field import parse_rational
 from spinnerlab.lottery import archimedean_regularity_witness
+from spinnerlab.query import evaluate, parse_query
 from spinnerlab.suites import run_suites
 
 GOLDEN = Path(__file__).parent / "golden_queries.jsonl"
@@ -300,6 +303,23 @@ def test_suite_degenerate_config_warns(tmp_path):
                for r in rows)
 
 
+def test_every_exported_name_resolves_with_warnings_as_errors():
+    code = ("import spinnerlab as s; missing = [n for n in s.__all__ "
+            "if not hasattr(s, n)]; assert not missing, missing")
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", code],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def test_the_4_2_orbit_streams_fixed_bytes_in_bounded_time():
+    # the orbit of 10**6 + 1 points is streamed, not held
+    code, out, err = run_cli("witness", "--prop", "4.2", "--eps",
+                             "1/1000000", timeout=20)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "118d0436419ff75db1809cea67db6833fec1f8441e9b80966da6461b8ca834b3")
+
+
 def test_witness_subcommand():
     code, out, _ = run_cli("witness", "--prop", "4.1", "--eps", "1/10")
     assert code == 0
@@ -383,15 +403,20 @@ def test_stabilizer_of_the_largest_uniform_grid():
         "witness_image": "1/100001"}
 
 
-def test_stabilizer_of_coprime_prime_denominators_in_bounded_time():
-    # 2000 points i/p over distinct 31-digit probable primes (72 KB): the
-    # stabilizer's cost must stay linear in the grid's digits.  The gcd
-    # skips multiples of 3 to 13 before the slower Fermat test; it drops
-    # no probable prime of 31 digits.
+def _primes_31(n):
+    """The first n probable primes of 31 digits.  The gcd skips multiples
+    of 3 to 13 before the slower Fermat test; it drops no probable prime
+    of 31 digits."""
     primes = (p for p in range(10 ** 30 + 1, 10 ** 31, 2)
               if math.gcd(p, 3 * 5 * 7 * 11 * 13) == 1
               and pow(2, p - 1, p) == 1)
-    grid = ",".join(f"{i}/{p}" for i, p in zip(range(1, 2001), primes))
+    return [p for _, p in zip(range(n), primes)]
+
+
+def test_stabilizer_of_coprime_prime_denominators_in_bounded_time():
+    # 2000 points i/p over distinct 31-digit probable primes (72 KB): the
+    # stabilizer's cost must stay linear in the grid's digits
+    grid = ",".join(f"{i}/{p}" for i, p in enumerate(_primes_31(2000), 1))
     assert len(grid) > 70_000
     code, out, err = run_cli("stabilizer", "--grid", grid, timeout=20)
     assert (code, err) == (0, "")
@@ -401,6 +426,23 @@ def test_stabilizer_of_coprime_prime_denominators_in_bounded_time():
     assert data["witness_point"] == first
     assert parse_rational(data["witness_image"]) \
         == parse_rational(first) + Fraction(1, 2)
+
+
+def test_a_union_over_coprime_prime_denominators_prints_in_bounded_time():
+    # 2000 closed intervals [2i/p, (2i+1)/p] over distinct 31-digit
+    # probable primes (155 KB): the length's denominator has about 62,000
+    # digits, so the value prints past Python's int->str limit.  The
+    # digest pins the text the value printed before sets and values
+    # printed through ``render_ratio``.
+    text = "grid: P(" + " u ".join(
+        f"[{2 * i}/{p},{2 * i + 1}/{p}]"
+        for i, p in enumerate(_primes_31(2000), 1)) + ")"
+    start = time.perf_counter()
+    out = "\n".join(evaluate(parse_query(text)).lines())
+    assert time.perf_counter() - start < 10
+    assert len(out) == 240_036
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "6217c899f90f5f09dc2a6cca8686f23ec94270bdf63fa27321988ae44ef59423")
 
 
 def test_endpoints_over_denominators_above_2_32_order_exactly():

@@ -6,6 +6,8 @@ rationals with small denominators, independently of normalization.
 
 import math
 import random
+import re
+import time
 from decimal import Decimal
 from fractions import Fraction as F
 
@@ -434,6 +436,25 @@ def test_probe_rejects_overlap():
         sigma_additivity_probe(lambda i: half, 3, IntervalSet.full())
 
 
+def test_probe_names_the_first_member_that_meets_an_earlier_one():
+    members = [IntervalSet.interval(F(a), True, F(b), False) for a, b in
+               ((0, F(1, 4)), (F(1, 2), F(3, 4)), (F(5, 8), F(7, 8)),
+                (F(1, 8), F(1, 4)))]
+    with pytest.raises(DomainError, match=re.escape(
+            "family members 1 and 2 overlap on [5/8,3/4)")):
+        sigma_additivity_probe(members.__getitem__, 3, IntervalSet.full())
+
+
+def test_a_deep_probe_runs_in_one_pass():
+    # each member is checked against the union of the earlier ones, not
+    # against each of them
+    start = time.perf_counter()
+    rep = sigma_additivity_probe(dyadic_tail_family, 1600, IntervalSet.full())
+    assert time.perf_counter() - start < 1
+    assert (rep.verdict, rep.cases) == ("pass", 1601)
+    assert f"residual = {F(1, 2 ** 1601)}" in rep.witnesses
+
+
 # a family index and a probe depth are read by the one count rule: an int
 # that is not a bool
 @pytest.mark.parametrize("call, message", [
@@ -484,15 +505,61 @@ def test_set_notation_round_trip():
         assert str(exc.value) == message
 
 
+def _exact_text(x):
+    """``str`` of a ``Fraction``, through ``decimal`` past Python's
+    int->str limit."""
+    try:
+        return str(x)
+    except ValueError:
+        text = str(Decimal(x.numerator))
+        if x.denominator == 1:
+            return text
+        return f"{text}/{Decimal(x.denominator)}"
+
+
+def _piece_text(piece):
+    """A component's text by the rule a ``Piece`` once printed itself by."""
+    left = _exact_text(piece.left)
+    if piece.left == piece.right:
+        return f"{{{left}}}"
+    lb = "[" if piece.left_in else "("
+    rb = "]" if piece.right_in else ")"
+    return f"{lb}{left},{_exact_text(piece.right)}{rb}"
+
+
+# endpoints over denominators above 2**32 and of 2201 digits, and shifts
+# over 2201 digits, so a translate's endpoints pass 4300 digits
+_BIG = 10 ** 2200
+_TEXT_ENDS = st.builds(lambda n, d: F(min(n, d), d), st.integers(0, 7),
+                       st.sampled_from([1, 7, 12, 2 ** 32 + 1, 2 ** 64 + 1,
+                                        _BIG + 1]))
+_TEXT_RAW = st.lists(
+    st.tuples(_TEXT_ENDS, st.booleans(), _TEXT_ENDS, st.booleans()).map(
+        lambda c: c if c[0] <= c[2] else (c[2], c[1], c[0], c[3])),
+    max_size=5)
+_TEXT_SHIFTS = st.builds(F, st.integers(0, 5),
+                         st.sampled_from([1, 3, 2 ** 33 + 1, _BIG + 3]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_TEXT_RAW, _TEXT_SHIFTS)
+@example([(F(1, _BIG + 1), True, F(1, 2), False)], F(1, _BIG + 3))
+def test_a_set_prints_as_its_components(raw, t):
+    a = IntervalSet(raw)
+    b = a.translate_mod1(t)
+    for s in (a, a.complement(), b, b.complement()):
+        text = " ∪ ".join(map(_piece_text, s.components)) or "∅"
+        assert s.render() == text
+        assert repr(s) == f"IntervalSet<{text}>"
+
+
 def test_exact_numbers_past_the_digit_limit_render():
     # the inputs are at the 4300-digit cap; sums of their endpoints are
     # twice as long, past Python's int->str limit
-    def exact(x):
-        return f"{Decimal(x.numerator)}/{Decimal(x.denominator)}"
     nines, sevens = "9" * 4300, "7" * 4300
     a = parse_set(f"translate([0,1/{nines}), 1/{sevens})")
     right = F(1, int(sevens)) + F(1, int(nines))
-    assert a.render() == f"[1/{sevens},{exact(right)})"
+    assert a.render() == f"[1/{sevens},{_exact_text(right)})"
     assert repr(a) == f"IntervalSet<{a.render()}>"
     b = parse_set(f"[0,1/{nines}) u translate([0,1/{sevens}), 1/2)")
-    assert grid_count(b).render() == f"{exact(right)}*N + 0"
+    assert grid_count(b).render() == f"{_exact_text(right)}*N + 0"

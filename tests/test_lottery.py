@@ -5,7 +5,7 @@ from fractions import Fraction as F
 from functools import reduce
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from _refs import render_query, witness_dict
 from spinnerlab.errors import DomainError
@@ -35,13 +35,14 @@ def test_pinned_probabilities_are_generator_free():
     assert coinflip_probability(CoinEvent.make()) == 1
 
 
-def test_dropped_pins_are_ignored():
+def test_pins_inside_the_dropped_prefix_count():
     e = CoinEvent.make(dropped_prefix=2, pinned={1: "T", 5: "H"})
-    assert coinflip_probability(e) == F(1, 2)
-    # a tails pin inside the dropped prefix does not contradict all-heads
+    assert coinflip_probability(e) == F(1, 4)
+    # a tails pin inside the dropped prefix does not contradict all-heads;
+    # it fixes one of the free tosses
     e = CoinEvent.make(dropped_prefix=2, pinned={1: "T"}, all_heads=True)
     assert e.consistent
-    assert coinflip_probability(e) == 4 * H
+    assert coinflip_probability(e) == 2 * H
 
 
 def test_inconsistent_event_gives_flagged_zero():
@@ -61,7 +62,7 @@ def test_event_intersection():
     assert coinflip_probability(both) == H
     mixed = CoinEvent.allheads(1).intersect(CoinEvent.make(pinned={1: "T"}))
     assert mixed.consistent
-    assert coinflip_probability(mixed) == 2 * H
+    assert coinflip_probability(mixed) == H
     clash = CoinEvent.make(pinned={1: "H"}).intersect(
         CoinEvent.make(pinned={1: "T"}))
     assert not clash.consistent
@@ -105,18 +106,31 @@ def test_conjunction_equals_the_pairwise_fold(events):
 
 @settings(max_examples=300, deadline=None)
 @given(_COIN_EVENTS)
-def test_pins_inside_the_dropped_prefix_stay_ignored_in_a_conjunction(e):
+def test_conjoining_with_itself_or_the_sure_event_keeps_the_value(e):
     for other in (e, CoinEvent.make()):
         assert coinflip_probability(CoinEvent.conjunction([e, other])) \
             == coinflip_probability(e)
 
 
-def test_a_dropped_pin_stays_ignored_in_a_query_chain():
-    # allheads>5&pin(3:T) is allheads>5, whose conjunction with
-    # allheads>2 is allheads>2
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_COIN_EVENTS, min_size=1, max_size=3), st.integers(1, 10))
+def test_a_free_toss_splits_an_event_into_its_two_outcomes(events, pos):
+    # P(A & p:H) + P(A & p:T) == P(A) for a position p that A leaves free
+    a = CoinEvent.conjunction(events)
+    assume(pos not in dict(a.pinned))
+    heads, tails = (coinflip_probability(CoinEvent.conjunction(
+        [a, CoinEvent.make(pinned={pos: o})])) for o in "HT")
+    assert heads + tails == coinflip_probability(a)
+
+
+def test_a_tails_pin_past_a_conjoined_drop_empties_the_chain():
+    # the conjunction with allheads>2 asks toss 3 for heads, which
+    # allheads>5&pin(3:T) pins to tails
     lines = evaluate(parse_query(
         "coinflip: P(allheads>5&pin(3:T) n allheads>2)")).lines()
-    assert lines[0] == "value: 4*h"
+    assert lines[0] == "value: 0"
+    assert _coin_lines("allheads>5 n pin(3:T)")[0] == "value: 16*h"
+    assert _coin_lines("allheads>5 | pin(3:T)")[0] == "value: 32*h"
 
 
 def _coin_lines(text):
@@ -129,7 +143,7 @@ def test_a_pin_list_with_a_repeated_position_is_its_conjunction():
     assert _coin_lines("pin(3:H,3:T)")[0] == "value: 0"
     assert _coin_lines("allheads>5&pin(3:H,3:T)")[0] == "value: 0"
     assert _coin_lines("pin(1:H,1:H,2:T)")[0] == "value: 1/4"
-    assert _coin_lines("allheads>5&pin(3:H,3:H)")[0] == "value: 32*h"
+    assert _coin_lines("allheads>5&pin(3:H,3:H)")[0] == "value: 16*h"
     text = "coinflip: P(allheads>5&pin(3:H,3:T))"
     assert render_query(parse_query(text)) == text
 
