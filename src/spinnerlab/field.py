@@ -21,11 +21,15 @@ the primitive remainder sequence gcd (Knuth, TAOCP vol. 2, 4.6.1; Brown
 
 A value prints from the same integers: each coefficient is divided by
 the lowest-order coefficient of ``d`` with one ``gcd`` and written as its
-reduced ``p/q``.  ``num`` and ``den`` are the exact-rational view of that
-form for library callers: two coprime ``Poly`` objects with ``Fraction``
-coefficients, the denominator's lowest-order coefficient 1, and zero as
-``0/1``.  ``Poly`` is a read-only view with no arithmetic, and printing
-does not read it.
+reduced ``p/q``.  Its standard part and its class are read from them too:
+the standard part is the ratio of the lowest-order coefficients of ``n``
+and ``d``, reduced by one ``gcd``, and the class is one of nine prebuilt
+``Classification``s, picked by the two lowest orders and the sign of the
+lowest-order coefficient of ``n``.  ``num`` and ``den`` are the
+exact-rational view of that form for library callers: two coprime
+``Poly`` objects with ``Fraction`` coefficients, the denominator's
+lowest-order coefficient 1, and zero as ``0/1``.  ``Poly`` is a read-only
+view with no arithmetic, and printing does not read it.
 
 This is deliberately only the computable fragment of a non-Archimedean
 continuum: the smallest ordered field containing the rationals and one
@@ -316,13 +320,19 @@ class Classification:
     kind: Kind
     sign: Sign
 
+    def __post_init__(self):
+        # the text, built once; an attribute, not a field
+        object.__setattr__(self, "_text",
+                           f"{self.kind.value}-{self.sign.value}")
+
     def render(self) -> str:
-        return f"{self.kind.value}-{self.sign.value}"
+        return self._text
 
 
-# every classification, built once
-_CLASSIFICATIONS = {(kind, sign): Classification(kind, sign)
-                    for kind in Kind for sign in Sign}
+# every classification, built once, at 3 * kind + sign, where kind and sign
+# are indices in their enums' order: the sign index is a sign plus one
+_CLASSIFICATIONS = tuple(Classification(kind, sign)
+                         for kind in Kind for sign in Sign)
 
 
 class NonArchValue:
@@ -409,7 +419,9 @@ class NonArchValue:
         return Sign.POSITIVE if self.n[_ord(self.n)] > 0 else Sign.NEGATIVE
 
     def _check(self, other: "NonArchValue") -> None:
-        if self.generator != other.generator:
+        # a model's values share one Generator, so identity decides at once
+        if self.generator is not other.generator \
+                and self.generator != other.generator:
             raise GeneratorMismatchError(
                 f"cannot combine values over generators "
                 f"'{self.generator.name}' and '{other.generator.name}'")
@@ -504,7 +516,8 @@ class NonArchValue:
                     and self.d == (other.denominator,))
         if not isinstance(other, NonArchValue):
             return NotImplemented
-        return (self.generator == other.generator
+        return ((self.generator is other.generator
+                 or self.generator == other.generator)
                 and self.n == other.n and self.d == other.d)
 
     def __hash__(self):
@@ -512,26 +525,34 @@ class NonArchValue:
 
     # -- classification ------------------------------------------------------
 
+    def _standard_ratio(self) -> "tuple[int, int]":
+        """``standard_part`` as the ints (p, q) in lowest terms with q > 0:
+        the lowest-order coefficients of n and d at one order, else 0."""
+        n, d = self.n, self.d
+        if not n:
+            return 0, 1
+        k, j = _ord(n), _ord(d)
+        if k < j:
+            raise DomainError("no standard part: value is unlimited")
+        if k > j:
+            return 0, 1
+        p, q = n[k], d[j]
+        g = math.gcd(p, q)
+        return p // g, q // g
+
     def standard_part(self) -> Fraction:
         """The unique rational infinitely close to a limited value."""
-        v = self.valuation()
-        if v is None:
-            return Fraction(0)
-        if v < 0:
-            raise DomainError("no standard part: value is unlimited")
-        if v > 0:
-            return Fraction(0)
-        return Fraction(self.n[_ord(self.n)], self.d[_ord(self.d)])
+        return Fraction(*self._standard_ratio())
 
     def classify(self) -> Classification:
-        v = self.valuation()
-        if v is None or v >= 1:
-            kind = Kind.INFINITESIMAL
-        elif v == 0:
-            kind = Kind.LIMITED
-        else:
-            kind = Kind.UNLIMITED
-        return _CLASSIFICATIONS[kind, self.sign()]
+        n = self.n
+        if not n:
+            return _CLASSIFICATIONS[1]  # infinitesimal-zero
+        k = _ord(n)
+        v = k - _ord(self.d)
+        # d's lowest-order coefficient is positive, so n[k] gives the sign
+        return _CLASSIFICATIONS[(0 if v > 0 else 3 if v == 0 else 6)
+                                + (2 if n[k] > 0 else 0)]
 
     # -- rendering -----------------------------------------------------------
 
@@ -567,8 +588,7 @@ def classify(a: Value) -> Classification:
     if isinstance(a, NonArchValue):
         return a.classify()
     p, _ = _ratio(a)
-    sign = Sign.ZERO if p == 0 else Sign.POSITIVE if p > 0 else Sign.NEGATIVE
-    return _CLASSIFICATIONS[Kind.LIMITED if p else Kind.INFINITESIMAL, sign]
+    return _CLASSIFICATIONS[1 if not p else 5 if p > 0 else 3]
 
 
 def compare_values(a: Value, b: Value) -> tuple[Ordering, "Value | None",
@@ -660,9 +680,13 @@ def _render_terms(coeffs: tuple, low: int, name: str) -> str:
 
 @cache
 def _lexer(ops: str) -> "re.Pattern":
-    # group 1 is a token word; a character no token starts with matches
-    # outside it, and so is found as ""; whitespace is left between matches
-    return re.compile(rf"(\d+|[A-Za-z_]\w*|[{re.escape(ops)}])|\S")
+    # a match is a token word; at a character no token starts with, the
+    # lookahead matches the empty string, so that character is found as ""
+    # at its own position; whitespace is left between matches.  No two token
+    # alternatives start with the same character, so only the lookahead's
+    # place, last, matters; with no capture group ``findall`` returns the
+    # matches themselves.
+    return re.compile(rf"[{re.escape(ops)}]|\d+|[A-Za-z_]\w*|(?=\S)")
 
 
 def _starts(text: str, ops: str) -> "list[int]":
@@ -673,7 +697,9 @@ def _starts(text: str, ops: str) -> "list[int]":
 def tokenize(text: str, ops: str) -> "list[str]":
     """The token words of ``text``.  A word is a numeral (a run of at most
     MAX_NUMERAL_DIGITS digits), a name or one character of the grammar's
-    operator alphabet ``ops``; any other character is a ParseError."""
+    operator alphabet ``ops``; any other character is a ParseError.  The
+    lexer finds such a character as an empty match at its position, so a
+    ``""`` word marks the first one, and ``_starts`` locates it."""
     words = _lexer(ops).findall(text)
     # only a text longer than the digit cap can hold a longer numeral
     if "" in words or len(text) > MAX_NUMERAL_DIGITS and max(

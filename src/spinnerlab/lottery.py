@@ -166,8 +166,9 @@ def coinflip_probability(e: CoinEvent) -> NonArchValue:
         j = e.dropped_prefix
         c = len({p for p, _ in e.pinned if p <= j})
         return NonArchValue.affine(COIN_GENERATOR, 0, 2 ** (j - c))
-    return NonArchValue.constant(
-        COIN_GENERATOR, Fraction(1, 2 ** len({p for p, _ in e.pinned})))
+    # 1/2^c is canonical as it stands
+    return NonArchValue._make(
+        COIN_GENERATOR, (1,), (2 ** len({p for p, _ in e.pinned}),))
 
 
 def lottery_ticket_probability(ticket_count: int) -> NonArchValue:

@@ -44,6 +44,13 @@ order; a set without one is its lone operand.  Only ``compl`` and
 ``translate`` nest a set, at most 64 deep, so a parsed query of any length
 the parser accepts compares, hashes and prints.
 
+The syntax nodes are slotted dataclasses with ``==`` and ``hash`` over
+their fields, not frozen ones: a frozen dataclass sets each field through
+``object.__setattr__``, which more than doubles the cost of building a
+node, and parsing builds several per query.  Nothing assigns to a node
+after it is built.  Nodes of different classes are unequal even when
+their fields are equal, so ``St(p) != ClassifyExpr(p)``.
+
 The models are the rows of one table, ``_RULES``, and ``MODELS`` is its
 keys: a row names the model's event builder, its probability and its
 null-condition message.  A model is its kernels, and its probability is a
@@ -65,8 +72,8 @@ from typing import Union
 
 from .cantor import CantorEvent, _is_address, cantor_probability
 from .errors import DomainError, ParseError, QueryTypeError
-from .field import (TokenCursor, Value, classify, compare_values,
-                    render_exact, standard_part)
+from .field import (NonArchValue, TokenCursor, Value, classify,
+                    compare_values, render_exact, render_ratio, standard_part)
 from .intervals import (EMPTY_CONDITION, IntervalSet, Ratio, _clean,
                         conditional, lebesgue_length)
 from .lottery import (CoinEvent, coinflip_probability,
@@ -78,13 +85,13 @@ _MAX_NESTING = 64
 
 # -- abstract syntax ------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class BraceLit:
     """A brace list's items, resolved against the model at evaluation."""
     items: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class LiteralRun:
     """Interval literals and brace lists joined by ``u``: each part an
     interval's (left, left_in, right, right_in) tuple, each endpoint the
@@ -93,12 +100,12 @@ class LiteralRun:
     parts: tuple["tuple[Ratio, bool, Ratio, bool] | BraceLit", ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class FullLit:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SetChain:
     """A ``u``/``n`` chain, flat: its first operand, then each (op, operand)
     pair in order, op the word "u" or "n"."""
@@ -106,25 +113,25 @@ class SetChain:
     rest: tuple[tuple[str, "SetNode"], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Complement:
     arg: "SetNode"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Translate:
     arg: "SetNode"
     offset: Fraction
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class CoinLit:
     all_heads: bool
     dropped: int
     pins: tuple[tuple[int, str], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TicketLit:
     count: "int | None"  # None means a single ticket
 
@@ -133,29 +140,29 @@ SetNode = Union[LiteralRun, FullLit, SetChain, Complement, Translate, CoinLit,
                 TicketLit]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Prob:
     event: SetNode
     given: "SetNode | None" = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class St:
     prob: Prob
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ClassifyExpr:
     prob: Prob
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class CompareExpr:
     left: Prob
     right: Prob
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Query:
     model: str
     expr: Union[Prob, St, ClassifyExpr, CompareExpr]
@@ -373,18 +380,19 @@ def parse_query(text: str) -> Query:
 
 # -- evaluation -----------------------------------------------------------------
 
-def _fold(node: SetNode, leaf):
-    """The set of ``node``, built by ``leaf`` but for chains and ``compl``:
+def _fold(node: SetNode, leaf, *args):
+    """The set of ``node``, built by ``leaf(operand, *args)`` but for chains
+    and ``compl``:
     a SetChain's operands are read in one loop over its pairs, ``A u B n C``
     is ``(A u B) n C``, operands are built in order so the first bad one
     names the error, and each maximal ``u`` run is one union."""
     if isinstance(node, Complement):
-        return _fold(node.arg, leaf).complement()
+        return _fold(node.arg, leaf, *args).complement()
     if not isinstance(node, SetChain):
-        return leaf(node)
-    event, run = None, [_fold(node.first, leaf)]
+        return leaf(node, *args)
+    event, run = None, [_fold(node.first, leaf, *args)]
     for op, operand in node.rest:
-        part = _fold(operand, leaf)
+        part = _fold(operand, leaf, *args)
         if op == "u":
             run.append(part)
         else:
@@ -436,7 +444,7 @@ def _interval_leaf(node: SetNode, model: str) -> IntervalSet:
 
 
 def _to_interval_set(node: SetNode, model: str) -> IntervalSet:
-    return _fold(node, partial(_interval_leaf, model=model))
+    return _fold(node, _interval_leaf, model)
 
 
 def _cantor_leaf(node: SetNode) -> CantorEvent:
@@ -527,7 +535,7 @@ def _eval_prob(p: Prob, model: str) -> Value:
     return conditional(probability, event, build(p.given), null_condition)
 
 
-@dataclass
+@dataclass(slots=True)
 class EvalResult:
     """Rendered outcome of one query: value, standard part, classification."""
 
@@ -549,8 +557,12 @@ def evaluate(q: Query) -> EvalResult:
     expr = q.expr
     if isinstance(expr, (Prob, St)):
         v = evaluate_value(q)
-        return EvalResult(render_exact(v), render_exact(standard_part(v)),
-                          classify(v).render())
+        text = render_exact(v)
+        # a rational (the minimal model's value, st(...)) is its own
+        # standard part; a field value's is read from its integer form
+        st_text = (render_ratio(*v._standard_ratio())
+                   if isinstance(v, NonArchValue) else text)
+        return EvalResult(text, st_text, classify(v).render())
     if isinstance(expr, ClassifyExpr):
         v = _eval_prob(expr.prob, q.model)
         return EvalResult(classify(v).render())

@@ -27,7 +27,8 @@ from spinnerlab.field import (MAX_NUMERAL_DIGITS, Generator, Kind,
                               NonArchValue, Ordering, Poly, Sign, TokenCursor,
                               classify, compare_values, parse_rational,
                               parse_value, render_exact, standard_part,
-                              _exquo, _gcd, _int_prem, _mul, _strip)
+                              tokenize, _exquo, _gcd, _int_prem, _mul,
+                              _starts, _strip)
 from spinnerlab.intervals import (IntervalSet, dyadic_tail_family,
                                   sigma_additivity_probe)
 from spinnerlab.lottery import (CoinEvent, archimedean_regularity_witness,
@@ -205,6 +206,18 @@ def test_generator_mismatch_is_hard_error():
 
 # -- ordering agrees with the substitution oracle --------------------------------
 
+def oracle_kind(v: NonArchValue) -> Kind:
+    """Infinitesimal below 1/10^9 in magnitude, unlimited above 10^9, by
+    the substitution oracle; the random values' limited parts lie far
+    inside those bounds."""
+    def below(bound):
+        return oracle_sign(v - bound) < 0 and oracle_sign(v + bound) > 0
+
+    if below(F(1, 10 ** 9)):
+        return Kind.INFINITESIMAL
+    return Kind.LIMITED if below(F(10 ** 9)) else Kind.UNLIMITED
+
+
 def test_sign_matches_substitution_oracle():
     rng = random.Random(123)
     for _ in range(400):
@@ -212,6 +225,11 @@ def test_sign_matches_substitution_oracle():
         expected = oracle_sign(v)
         got = {Sign.NEGATIVE: -1, Sign.ZERO: 0, Sign.POSITIVE: 1}[v.sign()]
         assert got == expected, f"{v}: sign {got}, oracle {expected}"
+        # times and over the generator, so every kind occurs
+        for w in (v, v * EPS, v / EPS if not v.is_zero() else v):
+            c = w.classify()
+            assert (c.kind, c.sign) == (oracle_kind(w), w.sign()), w
+            assert c.render() == f"{c.kind.value}-{c.sign.value}"
 
 
 def test_compare_matches_substitution_oracle():
@@ -347,8 +365,12 @@ def test_kernel_matches_sympy_field(field_oracle, a, b, c):
     except ValueError:
         with pytest.raises(DomainError):
             q.standard_part()
+        with pytest.raises(DomainError):
+            q._standard_ratio()
     else:
         assert q.standard_part() == expected_st
+        assert q._standard_ratio() \
+            == (expected_st.numerator, expected_st.denominator)
 
 
 # -- canonical form ----------------------------------------------------------------
@@ -796,3 +818,51 @@ def test_lexer_matches_the_finditer_reference(grammar, data):
     assert located == [(word, at) for _, word, at in expected]
     assert [first_char_kind(word) for word, _ in located] \
         == [kind for kind, _, _ in expected]
+
+
+# -- the lexer pattern against the capture-group pattern it replaced -------------
+
+def group_lexer_tokens(text, ops):
+    """The words and start positions of the pattern with one capture group:
+    a token word in the group, a character no token starts with matched
+    outside it as ""."""
+    lexer = re.compile(rf"(\d+|[A-Za-z_]\w*|[{re.escape(ops)}])|\S")
+    return lexer.findall(text), [m.start() for m in lexer.finditer(text)]
+
+
+def group_lexer_error(words, starts, text):
+    """The ParseError's (message, position) the first bad word of the
+    capture-group pattern's words raises, or None."""
+    for word, at in zip(words, starts):
+        if not word:
+            return (f"syntax error at position {at}: unexpected character "
+                    f"{text[at]!r}", at)
+        if len(word) > MAX_NUMERAL_DIGITS and word.isdecimal():
+            return (f"numeral at position {at} has more than "
+                    f"{MAX_NUMERAL_DIGITS} digits", at)
+    return None
+
+
+# the three operator alphabets, and characters around them: Unicode digits,
+# a letter and a superscript that \w accepts but no token starts with,
+# whitespace, "#", and numerals at and one past the digit cap
+LEXER_ALPHABETS = [query._OPS, "-/", "-+*/^()"]
+LEXER_PIECES = ["a", "x", "_", "Z", "0", "7", "٣", "é", "²", "\t", "\n", " ",
+                "#", "\xa0", "1" * MAX_NUMERAL_DIGITS,
+                "9" * (MAX_NUMERAL_DIGITS + 1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(LEXER_ALPHABETS), st.data())
+def test_lexer_matches_the_capture_group_pattern(ops, data):
+    pieces = LEXER_PIECES + list(LEXER_ALPHABETS[0] + LEXER_ALPHABETS[2])
+    text = "".join(data.draw(st.lists(st.sampled_from(pieces), max_size=30)))
+    words, starts = group_lexer_tokens(text, ops)
+    assert _starts(text, ops) == starts
+    error = group_lexer_error(words, starts, text)
+    if error is None:
+        assert tokenize(text, ops) == words
+        return
+    with pytest.raises(ParseError) as got:
+        tokenize(text, ops)
+    assert (str(got.value), got.value.position) == error

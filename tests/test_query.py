@@ -14,11 +14,11 @@ from _refs import render_query, render_set
 from spinnerlab import cantor, intervals, query, spinner
 from spinnerlab.errors import DomainError, ParseError, QueryTypeError
 from spinnerlab.field import NonArchValue
-from spinnerlab.query import (BraceLit, CoinLit, Complement, CompareExpr,
-                              EvalResult, FullLit, LiteralRun, Prob, Query,
-                              SetChain, St, TicketLit, Translate, evaluate,
-                              evaluate_value, parse_query, _to_cantor_event,
-                              _to_interval_set)
+from spinnerlab.query import (BraceLit, ClassifyExpr, CoinLit, Complement,
+                              CompareExpr, EvalResult, FullLit, LiteralRun,
+                              Prob, Query, SetChain, St, TicketLit,
+                              Translate, evaluate, evaluate_value,
+                              parse_query, _to_cantor_event, _to_interval_set)
 from spinnerlab.spinner import SPINNER_GENERATOR
 
 
@@ -51,6 +51,10 @@ def test_parse_union_of_interval_and_point():
 def test_parse_standard_part_query():
     q = parse_query("grid: st(P({1/3}))")
     assert q == Query("grid", St(Prob(brace_lit("1/3"))))
+    # nodes of different kinds are unequal even when their fields are equal
+    p = q.expr.prob
+    assert St(p) != ClassifyExpr(p) and ClassifyExpr(p) != St(p)
+    assert Complement(FullLit()) != Translate(FullLit(), F(0))
 
 
 def test_parse_reports_position_and_expected():
@@ -271,9 +275,13 @@ def gen_query(rng):
 
 def test_render_parse_round_trip_to_depth_5():
     rng = random.Random(71)
+    names = {**vars(query), "Fraction": F}
     for _ in range(500):
         q = gen_query(rng)
-        assert parse_query(render_query(q)) == q
+        parsed = parse_query(render_query(q))
+        assert parsed == q
+        assert hash(parsed) == hash(q)
+        assert eval(repr(q), names) == q
 
 
 def test_render_parse_round_trip_of_non_canonical_chains():
@@ -541,6 +549,153 @@ def test_brace_words_agree_with_the_plain_token_pass(model, braces):
         assert literal_outcome(text) == recorded_outcomes()[text]
 
 
+# -- every query form keeps its recorded outcome ----------------------------------
+
+def _form_rational(rng, lo=0, hi=1):
+    """A rational in [lo, hi] over a small denominator, as written."""
+    q = rng.randint(1, 40)
+    return str(F(rng.randint(lo * q, hi * q), q))
+
+
+def _form_interval_operand(rng, depth):
+    kind = rng.randrange(9 if depth else 5)
+    if kind == 0:
+        a, b = sorted(F(_form_rational(rng)) for _ in range(2))
+        return f"{rng.choice('[(')}{a},{b}{rng.choice(')]')}"
+    if kind == 1:
+        return "{" + ", ".join(_form_rational(rng)
+                               for _ in range(rng.randint(0, 4))) + "}"
+    if kind == 2:
+        return "full"
+    if kind == 3:
+        # a run of literals joined by u
+        return " u ".join(_form_interval_operand(rng, 0)
+                          for _ in range(rng.randint(2, 4)))
+    if kind == 4:
+        return rng.choice(["[0,1)", "[0,1]", "(0,1)", "{0}", "{}"])
+    if kind in (5, 6):
+        return f"compl({_form_set(rng, depth - 1, _form_interval_operand)})"
+    return (f"translate({_form_set(rng, depth - 1, _form_interval_operand)},"
+            f"{_form_rational(rng, -2, 2)})")
+
+
+def _form_cantor_operand(rng, depth):
+    kind = rng.randrange(4 if depth else 3)
+    if kind == 0:
+        return "{" + ", ".join(
+            "".join(rng.choice("02") for _ in range(rng.randint(1, 7)))
+            for _ in range(rng.randint(0, 6))) + "}"
+    if kind == 1:
+        return "full"
+    if kind == 2:
+        return rng.choice(["{0}", "{2}", "{}", "{0, 2}", "{00, 22}"])
+    return f"compl({_form_set(rng, depth - 1, _form_cantor_operand)})"
+
+
+def _form_coin_operand(rng, depth):
+    pins = ",".join(f"{p}:{rng.choice('HT')}" for p in
+                    rng.sample(range(1, 12), rng.randint(0, 4)))
+    kind = rng.randrange(5)
+    if kind == 0:
+        return "allheads"
+    if kind == 1:
+        return f"allheads>{rng.randint(0, 70)}"
+    if kind == 2:
+        return f"allheads>{rng.randint(0, 9)}&pin({pins})"
+    if kind == 3:
+        return f"allheads&pin({pins})"
+    return f"pin({pins})"
+
+
+def _form_ticket_operand(rng, depth):
+    return rng.choice(["ticket", f"tickets({rng.randint(1, 10 ** 6)})"])
+
+
+def _form_set(rng, depth, operand):
+    """A set of up to four operands joined by the model's operators."""
+    ops = ["n", "∩"] if operand is _form_coin_operand else ["u", "n", "∪",
+                                                            "∩"]
+    text = operand(rng, depth)
+    for _ in range(rng.randrange(4) if operand is not _form_ticket_operand
+                   else 0):
+        text += f" {rng.choice(ops)} {operand(rng, depth)}"
+    return text
+
+
+_FORM_OPERANDS = {"minimal": _form_interval_operand,
+                  "grid": _form_interval_operand,
+                  "cantor": _form_cantor_operand,
+                  "coinflip": _form_coin_operand,
+                  "lottery": _form_ticket_operand}
+
+
+def _form_prob(rng, model):
+    # one set in 25 is another model's, so type errors show too
+    operand = (_FORM_OPERANDS[rng.choice(query.MODELS)]
+               if rng.randrange(25) == 0 else _FORM_OPERANDS[model])
+    event = _form_set(rng, 2, operand)
+    if model == "lottery" or rng.randrange(3):
+        return f"P({event})"
+    return f"P({event} | {_form_set(rng, 1, _FORM_OPERANDS[model])})"
+
+
+def _form_query(rng):
+    """A query of any form: P, P(A | B), st, classify or compare, over any
+    model."""
+    model = rng.choice(query.MODELS)
+    form = rng.randrange(5)
+    if form == 0:
+        return f"{model}: st({_form_prob(rng, model)})"
+    if form == 1:
+        return f"{model}: classify({_form_prob(rng, model)})"
+    if form == 2:
+        return (f"{model}: compare({_form_prob(rng, model)}, "
+                f"{_form_prob(rng, model)})")
+    return f"{model}: {_form_prob(rng, model)}"
+
+
+# one text for each kind of user error
+USER_ERROR_QUERIES = [
+    "grid: P(full) #", "grid: P({" + "1" * 4301 + "})",
+    "uniform: P(full)", "u: P(full)", "grid P(full)", "grid: P(full",
+    "grid: P(full) P", "grid: P([0,1/0))", "coinflip: P(pin(0:H))",
+    "grid: P(" + "compl(" * 65 + "full" + ")" * 65 + ")",
+    "grid: P(sideways)", "grid: Q(full)", "coinflip: P(pin(1:X))",
+    "grid: P({02})", "grid: P(allheads)", "minimal: P(ticket)",
+    "cantor: P({1/3})", "cantor: P([0,1))", "cantor: P(translate(full,1/2))",
+    "cantor: P(allheads)", "coinflip: P(allheads u pin(1:H))",
+    "coinflip: P(full)", "lottery: P(full)",
+    "lottery: P(ticket | ticket)", "lottery: P(tickets(0))",
+    "grid: P([1/2,0))", "grid: P([0,2))", "minimal: P(full | {1/2})",
+    "grid: P(full | {})", "cantor: P(full | {})",
+    "coinflip: P(allheads | pin(1:H) n pin(1:T))",
+    "coinflip: P(allheads>" + "9" * 30 + ")",
+]
+
+# the outcome of USER_ERROR_QUERIES and of 600 random queries of every
+# form, recorded at commit 4875932, before the standard part and class
+# were printed from the integer form
+QUERY_OUTCOMES = Path(__file__).parent / "data" / "query_outcomes.json"
+
+
+def form_queries():
+    """USER_ERROR_QUERIES, then 600 distinct seeded random queries."""
+    rng = random.Random(34)
+    texts = dict.fromkeys(USER_ERROR_QUERIES)
+    while len(texts) < len(USER_ERROR_QUERIES) + 600:
+        texts[_form_query(rng)] = None
+    return list(texts)
+
+
+def test_every_query_form_keeps_its_recorded_outcome():
+    with QUERY_OUTCOMES.open(encoding="utf-8") as fh:
+        recorded = {entry["text"]: entry["outcome"] for entry in json.load(fh)}
+    texts = form_queries()
+    assert texts == list(recorded)
+    for text in texts:
+        assert literal_outcome(text) == recorded[text], text
+
+
 # -- chains fold left to right --------------------------------------------------------
 
 def _rand_interval_operand(rng):
@@ -729,6 +884,34 @@ def test_eval_classify_query():
     assert r.value_text == "infinitesimal-positive"
     r = evaluate(parse_query("minimal: classify(P([0,1/2)))"))
     assert r.value_text == "limited-noninfinitesimal-positive"
+
+
+@pytest.mark.parametrize("text, value, st_text, kind", [
+    ("grid: P([0,1/3) u {1/2} | (1/4,1])", "1/9 + 4/3*eps", "1/9",
+     "limited-noninfinitesimal-positive"),
+    ("cantor: P({02, 2} | {0, 22})", "2/3", "2/3",
+     "limited-noninfinitesimal-positive"),
+    ("coinflip: P(allheads>3&pin(1:T,5:H) | pin(1:T))", "8*h", "0",
+     "infinitesimal-positive"),
+    ("lottery: P(tickets(12))", "12*delta", "0", "infinitesimal-positive")])
+def test_eval_prints_a_field_value_with_no_fraction(monkeypatch, text, value,
+                                                     st_text, kind):
+    # the value, its standard part and its class print from the value's
+    # integers
+    q = parse_query(text)
+    built = []
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    new = F.__new__
+    monkeypatch.setattr(F, "__new__", staticmethod(counted))
+    lines = evaluate(q).lines()
+    monkeypatch.undo()
+    assert not built, (lines, built)
+    assert lines == [f"value: {value}", f"standard_part: {st_text}",
+                     f"classification: {kind}"]
 
 
 def test_eval_coinflip_compare():
