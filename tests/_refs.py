@@ -2,11 +2,13 @@
 
 The library does not call any of these.  Each is either a reference that a
 test compares a library kernel against (the Hausdorff measure, the
-coherence check, a witness's JSON object, the query renderer) or a seeded
-generator of field values for the property tests.
+coherence check, a witness's JSON object, the coin probability by
+enumeration, the query renderer) or a seeded generator of field values for
+the property tests.
 """
 
 import random
+from itertools import product
 from fractions import Fraction
 
 from spinnerlab.cantor import CANTOR_GENERATOR, CantorEvent
@@ -14,7 +16,8 @@ from spinnerlab import cantor
 from spinnerlab.field import Generator, NonArchValue, Poly, render_exact, \
     render_ratio
 from spinnerlab.intervals import EMPTY_CONDITION, conditional
-from spinnerlab.lottery import RegularityWitness, _render_coin
+from spinnerlab.lottery import COIN_GENERATOR, RegularityWitness, \
+    _render_coin
 from spinnerlab.query import (BraceLit, ClassifyExpr, CoinLit, CompareExpr,
                               Complement, FullLit, LiteralRun, Prob, Query,
                               SetChain, St, TicketLit, Translate)
@@ -80,6 +83,30 @@ def coherence_check(a: CantorEvent, b: CantorEvent) -> PropertyReport:
         "cantor-conditional-coherence", cases=1,
         counterexamples=counterexamples,
         witnesses=[f"measure-ratio = {ratio}", f"conditional = {given}"])
+
+
+# -- coin events --------------------------------------------------------------
+
+def coin_conjunction_value(operands) -> NonArchValue:
+    """P of the conjunction of coin constraints by enumeration, each operand
+    ``(all_heads, drop, pins)`` as the query text gives it.
+
+    Over D = max(4, largest drop or pin) tosses, count the prefixes that
+    meet every pin and, for each all-heads operand, come up heads on every
+    toss past its drop.  With an all-heads operand every later toss is
+    heads too, so P is count * h; without one, P is count / 2^D.
+    """
+    depth = max([4] + [drop for _, drop, _ in operands]
+                + [pos for _, _, pins in operands for pos, _ in pins])
+    drops = [drop for all_heads, drop, _ in operands if all_heads]
+    pins = [pin for _, _, pins in operands for pin in pins]
+    count = sum(
+        all(tosses[pos - 1] == o for pos, o in pins)
+        and all(t == "H" for drop in drops for t in tosses[drop:])
+        for tosses in product("HT", repeat=depth))
+    if drops:
+        return NonArchValue.affine(COIN_GENERATOR, 0, count)
+    return NonArchValue.constant(COIN_GENERATOR, Fraction(count, 1 << depth))
 
 
 # -- overflow witnesses -------------------------------------------------------

@@ -3,11 +3,12 @@ import random
 import tracemalloc
 from fractions import Fraction as F
 from functools import reduce
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from _refs import render_query, witness_dict
+from _refs import coin_conjunction_value, render_query, witness_dict
 from spinnerlab.errors import DomainError
 from spinnerlab.field import NonArchValue, Ordering, compare_values
 from spinnerlab.lottery import (COIN_GENERATOR, LOTTERY_GENERATOR, CoinEvent,
@@ -175,6 +176,38 @@ def test_a_pin_list_equals_the_chain_of_its_pins(pins, j):
     assert _coin_lines(f"pin({listed})") == _coin_lines(chain)
     assert _coin_lines(f"allheads>{j}&pin({listed})") \
         == _coin_lines(f"allheads>{j} n {chain}")
+
+
+def _coin_literals():
+    """(text, (all_heads, drop, pins)) for each literal the exhaustive
+    check conjoins: three drops, every one- and two-pin list over
+    positions 1-3 (clashes and repeats included), and allheads>2 with one
+    pin."""
+    one = [((p, o),) for p in (1, 2, 3) for o in "HT"]
+    two = [((p, o), (r, s)) for p in (1, 2, 3) for r in range(p, 4)
+           for o in "HT" for s in "HT"]
+    out = [("allheads", (True, 0, ())), ("allheads>1", (True, 1, ())),
+           ("allheads>3", (True, 3, ()))]
+    for pins in one + two:
+        text = ",".join(f"{p}:{o}" for p, o in pins)
+        out.append((f"pin({text})", (False, 0, pins)))
+    for (pin,) in one:
+        out.append((f"allheads>2&pin({pin[0]}:{pin[1]})", (True, 2, (pin,))))
+    return out
+
+
+def test_every_short_coin_chain_matches_the_enumeration():
+    # every multiset of one to three literals, conjoined with n
+    literals = _coin_literals()
+    assert len(literals) == 39
+    checked = 0
+    for n in (1, 2, 3):
+        for chain in combinations_with_replacement(literals, n):
+            text = "coinflip: P(" + " n ".join(t for t, _ in chain) + ")"
+            want = coin_conjunction_value([data for _, data in chain])
+            assert evaluate(parse_query(text)).value_text == str(want), text
+            checked += 1
+    assert checked == 11479
 
 
 def test_a_pin_chain_is_one_conjunction(monkeypatch):
