@@ -19,7 +19,6 @@ pairs over 2^depth, under the interval kernel's cut algebra over ints.
 
 from __future__ import annotations
 
-from functools import cached_property
 from math import gcd
 from typing import Iterable
 
@@ -37,6 +36,8 @@ _TO_BITS, _TO_DIGITS = str.maketrans("2", "1"), str.maketrans("1", "2")
 
 class CantorEvent:
     """Finite cylinder union: merged int cut pairs [lo, hi) over 2^depth."""
+
+    __slots__ = ("depth", "cuts")
 
     def __init__(self, addresses: Iterable[str] = ()):
         if isinstance(addresses, str):
@@ -89,9 +90,9 @@ class CantorEvent:
         """Complement within the full Cantor set: the gaps in [0, 2^depth)."""
         return _event(self.depth, _gaps(self.cuts, 0, 1 << self.depth))
 
-    @cached_property
+    @property
     def cylinders(self) -> "frozenset[str]":
-        """The prefix-free addresses, built on first read: each cut pair
+        """The prefix-free addresses, built at each read: each cut pair
         split greedily into blocks 2^k wide, k = min(tz(lo), log2(hi - lo))."""
         out = []
         for lo, hi in self.cuts:

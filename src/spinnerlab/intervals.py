@@ -45,8 +45,7 @@ cheaper.
 
 A set stores its components as the tuple ``cuts`` of (start, end) cut
 pairs, and every operation reads and writes those.  ``components`` is a
-view: the :class:`Piece` objects are built from the cuts the first time it
-is read, and kept.
+view: each read builds the :class:`Piece` objects from the cuts.
 
 Sets are immutable, and outside input is validated once, where it enters:
 the constructor (and ``point``, ``interval``) checks every component, a
@@ -70,11 +69,11 @@ The length is one running sum ``num/den``: each component's
 ``r/s - p/q`` is added with one ``gcd``, of ``den`` and the component's
 denominator, and the total is reduced by one more ``gcd`` at the end.  It
 is computed once per set, the first time it is read, and kept
-as the reduced pair ``_length_ratio()``, which the grid count reads;
-``length`` builds one ``Fraction`` from that pair when it is first read,
-and keeps it.  A set builds a ``Fraction`` only when ``length`` or
-``components`` is read; ``render`` prints from the cuts, so it builds
-no ``Piece`` and no ``Fraction``.
+as the reduced pair ``_length_ratio()``, which the grid count reads (the
+spinner checks read it twice per set); each read of ``length`` builds
+one ``Fraction`` from that pair.  A set builds a ``Fraction`` only when
+``length`` or ``components`` is read; ``render`` prints from the cuts, so
+it builds no ``Piece`` and no ``Fraction``.
 """
 
 from __future__ import annotations
@@ -270,7 +269,7 @@ class IntervalSet:
     ``cuts`` holds the components as (start, end) cut pairs.
     """
 
-    __slots__ = ("cuts", "_pieces", "_length_pair", "_length")
+    __slots__ = ("cuts", "_length_pair")
 
     def __init__(self, raw: Iterable[Sequence] = ()):
         cuts: list[CutPair] = []
@@ -281,7 +280,7 @@ class IntervalSet:
             cuts.extend(_clean(_ratio(left), left_in, _ratio(right),
                                right_in))
         self.cuts: tuple[CutPair, ...] = _merge(cuts)
-        self._pieces = self._length_pair = self._length = None
+        self._length_pair = None
 
     @classmethod
     def _normal(cls, cuts: "tuple[CutPair, ...]") -> "IntervalSet":
@@ -289,7 +288,7 @@ class IntervalSet:
         the kernel's private path, which neither validates nor merges."""
         s = object.__new__(cls)
         s.cuts = cuts
-        s._pieces = s._length_pair = s._length = None
+        s._length_pair = None
         return s
 
     @classmethod
@@ -300,13 +299,11 @@ class IntervalSet:
 
     @property
     def components(self) -> "tuple[Piece, ...]":
-        """The components as Pieces, built from the cuts when first read."""
-        if self._pieces is None:
-            self._pieces = tuple([Piece(Fraction(*left), not after,
-                                        Fraction(*right), right_in)
-                                  for (_, left, after), (_, right, right_in)
-                                  in self.cuts])
-        return self._pieces
+        """The components as Pieces, built from the cuts at each read."""
+        return tuple([Piece(Fraction(*left), not after,
+                            Fraction(*right), right_in)
+                      for (_, left, after), (_, right, right_in)
+                      in self.cuts])
 
     # -- constructors ------------------------------------------------------
 
@@ -365,10 +362,8 @@ class IntervalSet:
 
     @property
     def length(self) -> Fraction:
-        """The sum of the component lengths, built when first read."""
-        if self._length is None:
-            self._length = Fraction(*self._length_ratio())
-        return self._length
+        """The sum of the component lengths, built at each read."""
+        return Fraction(*self._length_ratio())
 
     # -- algebra -----------------------------------------------------------
 

@@ -49,11 +49,10 @@ class CoinEvent:
 
     With ``all_heads``, ``allheads>j`` (``dropped_prefix`` j) asks that
     tosses j+1, j+2, ... all come up heads and leaves the first j free.
-    ``pinned`` fixes outcomes at standard positions, and every pin is
-    kept: a pin up to j fixes one of the free tosses, and a tails pin past
-    j empties the event.  ``contradictory`` marks a conjunction, or a pin
-    list, whose pins disagreed outright; the constructor sets it when two
-    of its pins give one position two outcomes.  The constructor checks
+    ``pinned`` fixes outcomes at standard positions, kept sorted and each
+    pin once, so an event's text reads back as the same event: a pin up to
+    j fixes one of the free tosses, and a tails pin past j, or a position
+    pinned to both outcomes, empties the event.  The constructor checks
     the drop count and every pin, so each way of building an event refuses
     what ``make`` refuses, with its messages.
     """
@@ -61,7 +60,6 @@ class CoinEvent:
     dropped_prefix: int = 0
     pinned: tuple[tuple[int, str], ...] = ()
     all_heads: bool = False
-    contradictory: bool = False
 
     def __post_init__(self):
         if _count(self.dropped_prefix, "dropped prefix") < 0:
@@ -75,19 +73,16 @@ class CoinEvent:
                                   "positive integer")
             if outcome not in _OUTCOMES:
                 raise DomainError(f"pinned outcome {outcome!r} must be H or T")
-        # one position pinned to both outcomes: more distinct pins than
-        # pinned positions
-        if len(set(self.pinned)) > len({pos for pos, _ in self.pinned}):
-            object.__setattr__(self, "contradictory", True)
+        # a lone pin is sorted as it stands, and most events have at most one
+        if len(self.pinned) > 1:
+            object.__setattr__(self, "pinned",
+                               tuple(sorted(set(self.pinned))))
 
     @classmethod
     def make(cls, dropped_prefix: int = 0,
              pinned: "Mapping[int, str] | None" = None,
              all_heads: bool = False) -> "CoinEvent":
-        # the constructor checks every pin first, so a bad position is
-        # refused with its message before sorting can fail on it
-        pins = cls(dropped_prefix, tuple((pinned or {}).items())).pinned
-        return cls(dropped_prefix, tuple(sorted(pins)), all_heads)
+        return cls(dropped_prefix, tuple((pinned or {}).items()), all_heads)
 
     @classmethod
     def allheads(cls, dropped_prefix: int = 0) -> "CoinEvent":
@@ -95,36 +90,27 @@ class CoinEvent:
 
     @property
     def consistent(self) -> bool:
-        """False for an empty event: contradictory pins, or tails pinned
-        on a toss an all-heads constraint forces to heads."""
-        if self.contradictory:
+        """False for an empty event: a position pinned to both outcomes, or
+        tails pinned on a toss an all-heads constraint forces to heads."""
+        pins = self.pinned
+        if len({p for p, _ in pins}) < len(pins):
             return False
-        if not self.all_heads:
-            return True
-        return all(o == "H" for p, o in self.pinned if p > self.dropped_prefix)
+        return not self.all_heads or all(
+            o == "H" for p, o in pins if p > self.dropped_prefix)
 
     @classmethod
     def conjunction(cls, events: "Sequence[CoinEvent]") -> "CoinEvent":
-        """Conjunction of one or more constraints, with one dict of pins
-        and one sort, so a chain of n events costs O(n log n).
-
-        All-heads events conjoin to the stricter (smallest) drop; a pin
-        that disagrees with an earlier event's pin at its position marks
-        the result contradictory, which the probability maps to zero.
-        """
+        """Conjunction of one or more constraints: the smallest all-heads
+        drop and every pin of every event, which the constructor gathers
+        into one set and sorts once, so a chain of n events costs
+        O(n log n)."""
         first, *rest = events
         if not rest:
             return first
-        pins = dict(first.pinned)
-        contradictory = first.contradictory
-        for e in rest:
-            contradictory = contradictory or e.contradictory
-            for pos, o in e.pinned:
-                if pins.setdefault(pos, o) != o:
-                    contradictory = True
         drops = [e.dropped_prefix for e in events if e.all_heads]
-        return cls(min(drops) if drops else 0, tuple(sorted(pins.items())),
-                   bool(drops), contradictory)
+        return cls(min(drops) if drops else 0,
+                   tuple([pin for e in events for pin in e.pinned]),
+                   bool(drops))
 
     def intersect(self, other: "CoinEvent") -> "CoinEvent":
         """Conjunction of the two constraints."""
@@ -154,21 +140,20 @@ def _render_coin(dropped_prefix: int, pinned: tuple, all_heads: bool) -> str:
 def coinflip_probability(e: CoinEvent) -> NonArchValue:
     """Probability of a coin event in the field over h = (1/2)^K.
 
-    All-heads after j tosses with c distinct positions pinned up to j
-    gives 2^(j-c) * h; a bare pinned pattern over c distinct positions
-    gives the plain rational 2^-c, a position pinned twice to one outcome
-    counted once.  An inconsistent event yields the zero value (check
-    ``e.consistent``) rather than an error.
+    All-heads after j tosses with c positions pinned up to j gives
+    2^(j-c) * h; a bare pinned pattern over c positions gives the plain
+    rational 2^-c.  A consistent event pins each position once, so its
+    pins are counted as they stand.  An inconsistent event yields the zero
+    value (check ``e.consistent``) rather than an error.
     """
     if not e.consistent:
         return NonArchValue.constant(COIN_GENERATOR, 0)
     if e.all_heads:
         j = e.dropped_prefix
-        c = len({p for p, _ in e.pinned if p <= j})
+        c = sum([p <= j for p, _ in e.pinned])
         return NonArchValue.affine(COIN_GENERATOR, 0, 2 ** (j - c))
     # 1/2^c is canonical as it stands
-    return NonArchValue._make(
-        COIN_GENERATOR, (1,), (2 ** len({p for p, _ in e.pinned}),))
+    return NonArchValue._make(COIN_GENERATOR, (1,), (2 ** len(e.pinned),))
 
 
 def lottery_ticket_probability(ticket_count: int) -> NonArchValue:

@@ -21,16 +21,17 @@ Grammar (ASCII aliases next to the set symbols):
     ticket   := "ticket" | "tickets" "(" nat ")"
     rational := ["-"] nat ["/" nat]
 
-A ``rational`` in an interval literal is read as the ints (p, q) in
-lowest terms with q > 0 (``TokenCursor.expect_ratio``), and a rational
-brace point as the same pair at evaluation; the interval kernel's cuts
-hold those ints, so no ``Fraction`` is made for an endpoint.  A brace
-item is resolved against the selected model: a rational point for the
-interval models, a {0,2}-address for the cantor model.  A run of
-digits (a numeral or an address) holds at most 4300 of them.  Parse errors
-carry the offending position and the expected tokens; vocabulary
-mismatches (a cylinder set under the grid model, set union of coin
-events, ...) raise :class:`QueryTypeError` during evaluation.
+A ``rational`` in an interval literal or a translate offset is read as
+the ints (p, q) in lowest terms with q > 0 (``TokenCursor.expect_ratio``),
+and a rational brace point as the same pair at evaluation; the interval
+kernel's cuts hold those ints, so no ``Fraction`` is made for an endpoint
+or an offset.  A brace item is resolved against the selected model: a
+rational point for the interval models, a {0,2}-address for the cantor
+model.  A run of digits (a numeral or an address) holds at most 4300 of
+them.  Parse errors carry the offending position and the expected
+tokens; vocabulary mismatches (a cylinder set under the grid model, set
+union of coin events, ...) raise :class:`QueryTypeError` during
+evaluation.
 
 The text is read once, token by token.  Interval literals, ``[1/3, 2/3)``,
 and brace lists, ``{0022, 2}`` or ``{1/3, 0}``, joined by ``u`` where a
@@ -65,7 +66,6 @@ builder for each model.  Every model's ``P(A | B)`` is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 from math import gcd
 from typing import Union
@@ -121,7 +121,7 @@ class Complement:
 @dataclass(slots=True, unsafe_hash=True)
 class Translate:
     arg: "SetNode"
-    offset: Fraction
+    offset: Ratio
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -256,7 +256,7 @@ class _Parser(TokenCursor):
         if word == "translate":
             inner = self.parse_nested()
             self.expect_op(",")
-            offset = self.expect_rational()
+            offset = self.expect_ratio()
             self.expect_op(")")
             return Translate(inner, offset)
         if word == "allheads":
@@ -432,7 +432,7 @@ def _interval_leaf(node: SetNode, model: str) -> IntervalSet:
     elif isinstance(node, FullLit):
         cuts = _clean((0, 1), True, (1, 1), False)
     elif isinstance(node, Translate):
-        return _to_interval_set(node.arg, model).translate_mod1(node.offset)
+        return _to_interval_set(node.arg, model)._translate(*node.offset)
     elif isinstance(node, CoinLit):
         raise QueryTypeError(f"coin events do not belong to the {model} model")
     elif isinstance(node, TicketLit):
@@ -479,7 +479,6 @@ def _to_cantor_event(node: SetNode) -> CantorEvent:
 
 def _to_coin_event(node: SetNode) -> CoinEvent:
     if isinstance(node, CoinLit):
-        # the constructor marks a position given two outcomes
         return CoinEvent(node.dropped, node.pins, node.all_heads)
     first, rest = (node.first, node.rest) if isinstance(node, SetChain) \
         else (node, ())

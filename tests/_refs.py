@@ -161,7 +161,8 @@ def render_set(node) -> str:
     if isinstance(node, Complement):
         return f"compl({render_set(node.arg)})"
     if isinstance(node, Translate):
-        return f"translate({render_set(node.arg)},{node.offset})"
+        offset = render_ratio(*node.offset)
+        return f"translate({render_set(node.arg)},{offset})"
     if isinstance(node, CoinLit):
         return _render_coin(node.dropped, node.pins, node.all_heads)
     if isinstance(node, TicketLit):

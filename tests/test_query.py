@@ -54,7 +54,7 @@ def test_parse_standard_part_query():
     # nodes of different kinds are unequal even when their fields are equal
     p = q.expr.prob
     assert St(p) != ClassifyExpr(p) and ClassifyExpr(p) != St(p)
-    assert Complement(FullLit()) != Translate(FullLit(), F(0))
+    assert Complement(FullLit()) != Translate(FullLit(), (0, 1))
 
 
 def test_parse_reports_position_and_expected():
@@ -224,8 +224,9 @@ def gen_interval_set(rng, depth):
     if kind == 0:
         return Complement(gen_interval_set(rng, depth - 1))
     if kind == 1:
-        return Translate(gen_interval_set(rng, depth - 1),
-                         F(rng.randint(-8, 8), rng.randint(1, 8)))
+        arg = gen_interval_set(rng, depth - 1)
+        t = F(rng.randint(-8, 8), rng.randint(1, 8))
+        return Translate(arg, (t.numerator, t.denominator))
     left = gen_interval_set(rng, depth - 1)
     right = gen_interval_set(rng, 0)
     if kind == 2:
